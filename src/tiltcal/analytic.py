@@ -5,6 +5,11 @@ view g on the X block and mean targets on Y coordinates, the calibrated
 model is g(x) times a Gaussian conditional whose covariance is the prior
 Schur complement and whose mean is the prior conditional mean shifted so
 the targeted coordinates average to their targets under g.
+
+That posterior is built in one place, ``GaussianMarginalPosterior.from_problem``,
+from a ``GaussianLinearProblem`` and its multipliers: ``build_posterior`` uses
+the closed-form multipliers, and ``resolve_posterior`` turns a
+``TiltedPosterior`` over a ``GaussianLinearProblem`` into the same object.
 """
 
 from __future__ import annotations
@@ -14,15 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, linalg
 
+from .calibration import GaussianLinearProblem, TiltedPosterior, _draw_x
 from .densities import MarginalDensity
 from .errors import QuadratureFailure, SingularConditionalCovariance
-from .priors import (
-    GaussianConditional,
-    GaussianPrior,
-    LinearViewMap,
-    gaussian_conditional,
-    transform_prior,
-)
+from .priors import GaussianConditional, GaussianPrior, LinearViewMap
 from .views import ViewSet
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "posterior_marginal_linear",
     "posterior_marginal_y1",
 ]
-
-_PD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,22 @@ class GaussianMarginalPosterior:
     moment_coords: tuple[int, ...]
     prior_t: GaussianPrior = field(repr=False)
 
-    @property
-    def cond_mean(self) -> GaussianConditional:
-        return self.conditional
+    @classmethod
+    def from_problem(cls, problem: GaussianLinearProblem, lam) -> "GaussianMarginalPosterior":
+        """The calibrated model at multipliers lam: the prior conditional shifted by S_m lam.
+
+        Raises SingularConditionalCovariance when the viewed Schur block S_mm
+        is singular, since the multipliers then do not determine the model.
+        """
+        problem.require_pd_block()
+        return cls(
+            view_map=problem.views.view_map,
+            marginal=problem.views.marginal,
+            conditional=problem.conditional.shifted(problem.conditional_shift(lam)),
+            lam=lam,
+            moment_coords=tuple(int(c) for c in problem.coords),
+            prior_t=problem.prior_t,
+        )
 
     @property
     def cond_cov(self) -> np.ndarray:
@@ -81,23 +92,8 @@ class GaussianMarginalPosterior:
 
     def sample_xy(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draws of (X, Y) in view coordinates: X ~ g, then Y | X."""
-        k1 = self.k1
-        cond = self.conditional
-        if k1 > 0:
-            x = np.atleast_2d(self.marginal.sample(n, rng)).reshape(n, k1)
-        else:
-            x = np.zeros((n, 0))
-        root = _chol_psd(cond.cov)
-        y = cond.mean(x) + rng.standard_normal((n, cond.y_dim)) @ root.T
-        return np.column_stack([x, y])
-
-
-def _chol_psd(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+        x = _draw_x(self.marginal, self.k1, n, rng)
+        return np.column_stack([x, self.conditional.sample(x, rng)])
 
 
 def build_posterior(prior: GaussianPrior, views: ViewSet) -> GaussianMarginalPosterior:
@@ -107,36 +103,22 @@ def build_posterior(prior: GaussianPrior, views: ViewSet) -> GaussianMarginalPos
     untargeted coordinates shift through their conditional covariance with
     the targeted ones.
     """
-    if not views.is_coordinate_linear:
-        raise ValueError("closed-form posterior requires coordinate moment views")
-    prior_t = transform_prior(prior, views.view_map)
-    cond = gaussian_conditional(prior_t, views.k1)
-    coords = np.array(views.moment_coords, dtype=int)
-    if views.k1 > 0:
-        e_g_x = np.atleast_1d(np.asarray(views.marginal.mean(), dtype=float))
-    else:
-        e_g_x = np.zeros(0)
-    if coords.size:
-        schur_mm = cond.cov[np.ix_(coords, coords)]
-        eigs = np.linalg.eigvalsh(schur_mm)
-        if eigs.min() <= _PD_TOL * max(eigs.max(), 1e-300):
-            raise SingularConditionalCovariance(
-                "conditional covariance of the viewed coordinates is singular"
-            )
-        m_g = cond.mean(e_g_x)[coords]
-        lam = linalg.solve(schur_mm, views.targets - m_g, assume_a="pos")
-        shift = cond.cov[:, coords] @ lam
-    else:
-        lam = np.zeros(0)
-        shift = np.zeros(cond.y_dim)
-    return GaussianMarginalPosterior(
-        view_map=views.view_map,
-        marginal=views.marginal,
-        conditional=cond.shifted(shift),
-        lam=lam,
-        moment_coords=tuple(int(c) for c in coords),
-        prior_t=prior_t,
-    )
+    problem = GaussianLinearProblem(prior, views)
+    return GaussianMarginalPosterior.from_problem(problem, problem.solve_closed_form())
+
+
+def resolve_posterior(post):
+    """One posterior per backend.
+
+    A ``TiltedPosterior`` over a ``GaussianLinearProblem`` becomes its
+    closed-form ``GaussianMarginalPosterior``; every other posterior is
+    returned unchanged.
+    """
+    if isinstance(post, TiltedPosterior) and isinstance(post.problem, GaussianLinearProblem):
+        return GaussianMarginalPosterior.from_problem(post.problem, post.lam)
+    if not isinstance(post, (GaussianMarginalPosterior, TiltedPosterior)):
+        raise TypeError(f"unsupported posterior type {type(post).__name__}")
+    return post
 
 
 def posterior_density_z(post: GaussianMarginalPosterior, z,
@@ -161,7 +143,12 @@ def posterior_density_z(post: GaussianMarginalPosterior, z,
     cond = post.conditional
     if cond.y_dim > 0:
         dev = y - cond.mean(x)
-        chol = _chol_psd(cond.cov + 1e-300 * np.eye(cond.y_dim))
+        try:
+            chol = linalg.cholesky(cond.cov, lower=True)
+        except linalg.LinAlgError as exc:
+            raise SingularConditionalCovariance(
+                "posterior conditional covariance is singular; density undefined"
+            ) from exc
         sol = linalg.solve_triangular(chol, dev.T, lower=True)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         out = out - 0.5 * (

@@ -23,16 +23,22 @@ import numpy as np
 from scipy import linalg
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
-from scipy.special import logsumexp, roots_hermite
 
-from .densities import GridDensity
 from .errors import (
     InconclusiveSample,
+    NonIntegrablePayoff,
     NonIntegrableTilt,
     NonSampleableConditional,
     SingularConditionalCovariance,
 )
-from .priors import GaussianPrior, GenericPrior, gaussian_conditional, transform_prior
+from .priors import (
+    GaussianConditional,
+    GaussianPrior,
+    GenericPrior,
+    _require_pd,
+    gaussian_conditional,
+    transform_prior,
+)
 from .views import ViewSet
 
 __all__ = [
@@ -50,7 +56,6 @@ __all__ = [
 ]
 
 _LOGZ_CAP = 1.0e4
-_PD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,26 +125,21 @@ class GaussianLinearProblem:
         gradient = mg_m + self.s_mm @ lam - self.targets
         return DualState(lam, value, gradient, self.s_mm.copy())
 
+    def require_pd_block(self):
+        """Raise SingularConditionalCovariance unless S_mm is positive definite."""
+        _require_pd(self.s_mm, SingularConditionalCovariance,
+                    "conditional covariance of the viewed coordinates is singular")
+
     def solve_closed_form(self) -> np.ndarray:
         if self.n_moments == 0:
             return np.zeros(0)
-        eigs = np.linalg.eigvalsh(self.s_mm)
-        if eigs.min() <= _PD_TOL * max(eigs.max(), 1e-300):
-            raise SingularConditionalCovariance(
-                "conditional covariance of the viewed coordinates is singular"
-            )
+        self.require_pd_block()
         return linalg.solve(self.s_mm, self.targets - self.m_g[self.coords], assume_a="pos")
 
     def conditional_shift(self, lam) -> np.ndarray:
         """Shift of the full conditional mean of Y induced by the tilt."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         return self.s_cols @ lam
-
-    def log_normalizer(self, lam, x) -> np.ndarray:
-        """log Z_lam(x) for x of shape (n, k1) or (k1,)."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        mean_m = self.conditional.mean(np.asarray(x, dtype=float))[..., self.coords]
-        return mean_m @ lam + 0.5 * lam @ self.s_mm @ lam
 
 
 class QuadratureProblem:
@@ -148,7 +148,11 @@ class QuadratureProblem:
     Holds outer x nodes and weights, per-x inner y nodes and weights, and
     the precomputed view tensor h of shape (k, n_x, n_y).  All dual
     quantities reduce to stabilized log-sum-exp arithmetic on that tensor.
+    ``conditional`` is the prior law of Y | X behind a Gaussian prior's rule
+    (None for other priors); the importance sampler draws from it.
     """
+
+    conditional: GaussianConditional | None = None
 
     def __init__(self, x_nodes, x_weights, y_nodes, y_weights, h_tensor, targets):
         self.x_nodes = np.asarray(x_nodes, dtype=float)
@@ -188,18 +192,15 @@ class QuadratureProblem:
     def from_gaussian(cls, prior: GaussianPrior, views: ViewSet,
                       n_x: int = 10_000, n_y: int = 64) -> "QuadratureProblem":
         """Gaussian prior with payoff views: Gauss-Hermite rule per x node."""
-        prior_t = transform_prior(prior, views.view_map)
-        cond = gaussian_conditional(prior_t, views.k1)
+        cond = gaussian_conditional(transform_prior(prior, views.view_map), views.k1)
         x_nodes, x_weights = _marginal_nodes(views, n_x)
-        mean = cond.mean(x_nodes)
-        t_nodes, t_weights = _hermite_tensor(cond.y_dim, n_y)
-        root = np.linalg.cholesky(cond.cov + 1e-15 * np.eye(cond.y_dim))
-        # y = mean(x) + sqrt(2) L t  for each Hermite node t
-        offsets = np.sqrt(2.0) * t_nodes @ root.T
-        y_nodes = mean[:, None, :] + offsets[None, :, :]
+        offsets, t_weights = cond.hermite_rule(n_y)
+        y_nodes = cond.mean(x_nodes)[:, None, :] + offsets[None, :, :]
         y_weights = np.broadcast_to(t_weights, (x_nodes.shape[0], t_weights.size))
         h = _view_tensor(views.moments, x_nodes[:, None, :], y_nodes)
-        return cls(x_nodes, x_weights, y_nodes, y_weights, h, views.targets)
+        problem = cls(x_nodes, x_weights, y_nodes, y_weights, h, views.targets)
+        problem.conditional = cond
+        return problem
 
     @classmethod
     def from_generic(cls, prior: GenericPrior, views: ViewSet,
@@ -235,29 +236,16 @@ class QuadratureProblem:
         h = _view_tensor(views.moments, x_nodes[:, None, :], y_nodes)
         return cls(x_nodes, x_weights, y_nodes, y_weights, h, views.targets)
 
-    def _log_tilt(self, lam) -> np.ndarray:
+    def _tilted_conditional(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """log Z_lam(x_i) and the tilted conditional weights per outer node."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return np.einsum("k,knj->nj", lam, self.h)
-
-    def log_normalizers(self, lam) -> np.ndarray:
-        """log Z_lam(x_i) for every outer node; raises on divergence."""
-        log_z = logsumexp(self.log_y_weights + self._log_tilt(lam), axis=1)
-        if not np.all(np.isfinite(log_z)) or np.max(log_z) > _LOGZ_CAP:
-            raise NonIntegrableTilt(
-                "tilted conditional normalizer overflows; the tilt is not integrable"
-            )
-        return log_z
+        scores = self.log_y_weights + np.einsum("k,knj->nj", lam, self.h)
+        log_z = _row_logsumexp(scores)
+        return log_z, np.exp(scores - log_z[:, None])
 
     def posterior_weights(self, lam) -> np.ndarray:
         """Joint posterior weights over (x_i, y_j); rows scaled by x weight."""
-        scores = self.log_y_weights + self._log_tilt(lam)
-        log_z = logsumexp(scores, axis=1)
-        if not np.all(np.isfinite(log_z)) or np.max(log_z) > _LOGZ_CAP:
-            raise NonIntegrableTilt(
-                "tilted conditional normalizer overflows; the tilt is not integrable"
-            )
-        cond = np.exp(scores - log_z[:, None])
-        return cond * self.x_weights[:, None]
+        return self._tilted_conditional(lam)[1] * self.x_weights[:, None]
 
     def expectation(self, lam, values) -> float:
         """Posterior expectation of a precomputed (n_x, n_y) value table."""
@@ -265,14 +253,8 @@ class QuadratureProblem:
 
     def dual_state(self, lam) -> DualState:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        scores = self.log_y_weights + self._log_tilt(lam)
-        log_z = logsumexp(scores, axis=1)
-        if not np.all(np.isfinite(log_z)) or np.max(log_z) > _LOGZ_CAP:
-            raise NonIntegrableTilt(
-                "tilted conditional normalizer overflows; the tilt is not integrable"
-            )
+        log_z, cond = self._tilted_conditional(lam)
         value = float(self.x_weights @ log_z - lam @ self.targets)
-        cond = np.exp(scores - log_z[:, None])
         cond_mean = np.einsum("knj,nj->kn", self.h, cond)
         gradient = cond_mean @ self.x_weights - self.targets
         joint = cond * self.x_weights[:, None]
@@ -283,32 +265,28 @@ class QuadratureProblem:
         return DualState(lam, value, gradient, hessian)
 
 
+def _row_logsumexp(scores: np.ndarray) -> np.ndarray:
+    """log sum_j exp(scores[i, j]) per row; raises when the tilt is not integrable.
+
+    Holds one temporary of the size of ``scores``.
+    """
+    peak = np.max(scores, axis=1, keepdims=True)
+    shifted = scores - peak
+    np.exp(shifted, out=shifted)
+    log_z = peak[:, 0] + np.log(np.sum(shifted, axis=1))
+    if not np.all(np.isfinite(log_z)) or np.max(log_z) > _LOGZ_CAP:
+        raise NonIntegrableTilt(
+            "tilted conditional normalizer overflows; the tilt is not integrable"
+        )
+    return log_z
+
+
 def _marginal_nodes(views: ViewSet, n_x: int) -> tuple[np.ndarray, np.ndarray]:
     """Outer integration rule over the marginal view (exact for grids)."""
     if views.k1 == 0:
         return np.zeros((1, 0)), np.ones(1)
-    if isinstance(views.marginal, GridDensity):
-        nodes, weights = views.marginal.quadrature_nodes()
-    else:
-        nodes, weights = views.marginal.quadrature_nodes(n_x)
+    nodes, weights = views.marginal.quadrature_nodes(n_x)
     return nodes[:, None], weights
-
-
-def _hermite_tensor(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Hermite rule normalized for N(0, I)."""
-    if dim == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    if dim > 3:
-        raise ValueError("Gauss-Hermite tensor rule is practical only up to 3 dims")
-    t, w = roots_hermite(n)
-    nodes = t[:, None]
-    weights = w / np.sqrt(np.pi)
-    for _ in range(dim - 1):
-        nodes = np.column_stack(
-            [np.repeat(nodes, n, axis=0), np.tile(t, nodes.shape[0])[:, None]]
-        )
-        weights = np.outer(weights, w / np.sqrt(np.pi)).ravel()
-    return nodes, weights
 
 
 def _view_tensor(moments, x, y) -> np.ndarray:
@@ -323,6 +301,13 @@ def _view_tensor(moments, x, y) -> np.ndarray:
     if not rows:
         return np.zeros((0,) + shape)
     return np.stack([np.broadcast_to(r, shape) for r in rows])
+
+
+def _draw_x(marginal, k1: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of X from the marginal view, shape (n, k1)."""
+    if k1 == 0:
+        return np.zeros((n, 0))
+    return np.atleast_2d(marginal.sample(n, rng)).reshape(n, k1)
 
 
 def build_dual_problem(prior, views: ViewSet, *, n_x: int = 10_000, n_y: int = 64):
@@ -438,18 +423,22 @@ class TiltedPosterior:
     def __post_init__(self):
         object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, dtype=float)))
 
-    def log_conditional_normalizer(self, x) -> np.ndarray:
-        """log Z_lam(x); finite for g-almost-all x when the tilt is integrable."""
-        if isinstance(self.problem, GaussianLinearProblem):
-            return self.problem.log_normalizer(self.lam, x)
-        return self.problem.log_normalizers(self.lam)
-
     def expectation(self, func) -> float:
-        """Posterior expectation of a vectorized payoff func(x, y)."""
-        if isinstance(self.problem, QuadratureProblem):
-            values = func(self.problem.x_nodes[:, None, :], self.problem.y_nodes)
-            return self.problem.expectation(self.lam, values)
-        raise TypeError("closed-form posteriors: use the analytic module instead")
+        """Posterior expectation of a vectorized payoff func(x, y) on the node tensor.
+
+        Raises NonIntegrablePayoff when the payoff or its expectation is not finite.
+        """
+        problem = self.problem
+        if not isinstance(problem, QuadratureProblem):
+            raise TypeError("closed-form posteriors have no node tensor; use price_option")
+        values = np.asarray(func(problem.x_nodes[:, None, :], problem.y_nodes), dtype=float)
+        values = np.broadcast_to(values, problem.y_nodes.shape[:-1])
+        if not np.all(np.isfinite(values)):
+            raise NonIntegrablePayoff("payoff is not finite on the posterior support")
+        value = problem.expectation(self.lam, values)
+        if not np.isfinite(value):
+            raise NonIntegrablePayoff("payoff expectation diverges under the posterior")
+        return value
 
 
 def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator,
@@ -459,37 +448,23 @@ def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator,
     With ``paired=True`` returns two conditionally independent h-vectors
     sharing the same X draws (for conditional-covariance estimation).
     """
-    k1 = views.k1
-    if k1 > 0:
-        x = views.marginal.sample(n_samples, rng)[:, None]
+    x = _draw_x(views.marginal, views.k1, n_samples, rng)
+    if isinstance(prior, GaussianPrior):
+        sampler = gaussian_conditional(transform_prior(prior, views.view_map), views.k1).sample
+    elif isinstance(prior, GenericPrior):
+        if prior.conditional_sampler is None:
+            raise NonSampleableConditional("generic prior provides no conditional sampler")
+        sampler = prior.conditional_sampler
     else:
-        x = np.zeros((n_samples, 0))
-
-    def draw_y():
-        if isinstance(prior, GaussianPrior):
-            prior_t = transform_prior(prior, views.view_map)
-            cond = gaussian_conditional(prior_t, k1)
-            root = np.linalg.cholesky(cond.cov + 1e-15 * np.eye(cond.y_dim))
-            return cond.mean(x) + rng.standard_normal((n_samples, cond.y_dim)) @ root.T
-        if isinstance(prior, GenericPrior):
-            if prior.conditional_sampler is None:
-                raise NonSampleableConditional("generic prior provides no conditional sampler")
-            y = np.asarray(prior.conditional_sampler(x, rng), dtype=float)
-            return y if y.ndim == 2 else y[:, None]
         raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
-    def h_of(y):
-        cols = []
-        for view in views.moments:
-            if view.coord is not None:
-                cols.append(y[:, view.coord])
-            else:
-                cols.append(np.asarray(view.payoff(x, y), dtype=float))
-        return np.column_stack(cols)
+    def h_of():
+        y = np.asarray(sampler(x, rng), dtype=float)
+        return _view_tensor(views.moments, x, y if y.ndim == 2 else y[:, None]).T
 
     if paired:
-        return h_of(draw_y()), h_of(draw_y())
-    return h_of(draw_y())
+        return h_of(), h_of()
+    return h_of()
 
 
 def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,

@@ -26,8 +26,8 @@ import numpy as np
 
 from .analytic import (
     GaussianMarginalPosterior,
-    build_posterior,
     posterior_marginal_linear,
+    resolve_posterior,
 )
 from .calibration import (
     CalibrationReport,
@@ -328,53 +328,35 @@ class _TaskRunner:
         self.out_dir = out_dir
         self.stamp = dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
         self.report: CalibrationReport | None = None
-        self._analytic: GaussianMarginalPosterior | None = None
-        self._tilted: TiltedPosterior | None = None
+        self._posterior = None
         self._batch_cache: dict = {}
 
-    # -- posterior construction ------------------------------------------
-    def analytic_posterior(self) -> GaussianMarginalPosterior:
-        if self._analytic is None:
-            if not self.spec.views.is_coordinate_linear:
-                raise _fail("this task requires coordinate moment views")
-            self._analytic = build_posterior(self.spec.prior, self.spec.views)
-        return self._analytic
+    def posterior(self):
+        """The calibrated posterior: one dual problem, one Newton solve.
 
-    def _build_problem(self):
-        solver = self.spec.solver
-        return build_dual_problem(
-            self.spec.prior, self.spec.views,
-            n_x=int(solver.get("n_x", 10_000)), n_y=int(solver.get("n_y", 64)),
-        )
-
-    def tilted_posterior(self) -> TiltedPosterior:
-        if self._tilted is None:
-            problem = self._build_problem()
-            report = self.ensure_calibrated(problem)
-            self._tilted = TiltedPosterior(self.spec.prior, self.spec.views,
-                                           report.lam, problem)
-        return self._tilted
-
-    def ensure_calibrated(self, problem=None) -> CalibrationReport:
-        if self.report is None:
-            if problem is None:
-                problem = self._build_problem()
-            solver = self.spec.solver
+        Coordinate views resolve to the closed-form Gaussian posterior,
+        payoff views stay a quadrature-backed TiltedPosterior.
+        """
+        if self._posterior is None:
+            spec, solver = self.spec, self.spec.solver
+            problem = build_dual_problem(
+                spec.prior, spec.views,
+                n_x=int(solver.get("n_x", 10_000)), n_y=int(solver.get("n_y", 64)),
+            )
             self.report = solve_lambda_newton(
-                self.spec.prior, self.spec.views, problem=problem,
+                spec.prior, spec.views, problem=problem,
                 tol=float(solver.get("tol", 1e-8)),
                 max_iter=int(solver.get("max_iter", 100)),
             )
-        return self.report
+            self._posterior = resolve_posterior(
+                TiltedPosterior(spec.prior, spec.views, self.report.lam, problem)
+            )
+        return self._posterior
 
     def batch(self, n: int, seed: int):
         key = (n, seed)
         if key not in self._batch_cache:
-            if self.spec.views.is_coordinate_linear:
-                post = self.analytic_posterior()
-            else:
-                post = self.tilted_posterior()
-            self._batch_cache[key] = sample_posterior(post, n, seed)
+            self._batch_cache[key] = sample_posterior(self.posterior(), n, seed)
         return self._batch_cache[key]
 
     # -- tasks -------------------------------------------------------------
@@ -392,7 +374,8 @@ class _TaskRunner:
             self._task_sensitivities(task, stage)
 
     def _task_calibrate(self, task: dict, stage: str):
-        report = self.ensure_calibrated()
+        post = self.posterior()
+        report = self.report
         payload = {
             "schema_version": SCHEMA_VERSION,
             "lambda": report.lam,
@@ -411,8 +394,7 @@ class _TaskRunner:
                 seed=self._seed_for(task),
             )
             report.existence = payload["existence"]
-        if self.spec.views.is_coordinate_linear:
-            post = self.analytic_posterior()
+        if isinstance(post, GaussianMarginalPosterior):
             payload["posterior_mean_z"] = post.z_mean()
             self._write_density_files(post, stage)
         _write_json(os.path.join(stage, "calibration.json"), payload)
@@ -438,17 +420,13 @@ class _TaskRunner:
             lo = min(mean_pr, center) - 6.0 * max(sd_pr, sd_po)
             hi = max(mean_pr, center) + 6.0 * max(sd_pr, sd_po)
             grid = np.linspace(lo, hi, 401)
+            prior_pdf = np.exp(
+                -0.5 * ((grid - mean_pr) / sd_pr) ** 2
+            ) / (sd_pr * np.sqrt(2 * np.pi))
             if idx is None:
-                prior_pdf = np.exp(
-                    -0.5 * ((grid - mean_pr) / sd_pr) ** 2
-                ) / (sd_pr * np.sqrt(2 * np.pi))
                 post_pdf = post.marginal.pdf(grid)
             else:
-                prior_pdf = np.exp(
-                    -0.5 * ((grid - mean_pr) / sd_pr) ** 2
-                ) / (sd_pr * np.sqrt(2 * np.pi))
-                w = np.eye(post.view_map.n)[idx]
-                post_pdf = posterior_marginal_linear(post, w, grid)
+                post_pdf = posterior_marginal_linear(post, np.eye(post.view_map.n)[idx], grid)
             rows = zip(grid, prior_pdf, post_pdf)
             _write_csv(os.path.join(stage, f"density_{name}.csv"),
                        ["s", "prior_density", "posterior_density"], rows, self.stamp)
@@ -479,11 +457,7 @@ class _TaskRunner:
     def _task_price(self, task: dict, stage: str):
         payoff = _make_payoff(task["payoff"], self.spec.views.k1)
         discount = float(task.get("discount", 0.0))
-        if self.spec.views.is_coordinate_linear:
-            post = self.analytic_posterior()
-        else:
-            post = self.tilted_posterior()
-        result = price_option(post, payoff, discount,
+        result = price_option(self.posterior(), payoff, discount,
                               n_samples=self._samples_for(task, 200_000),
                               seed=self._seed_for(task))
         _write_json(os.path.join(stage, "price.json"), {
@@ -496,7 +470,8 @@ class _TaskRunner:
         })
 
     def _task_tail(self, task: dict, stage: str):
-        post = self.analytic_posterior()
+        _require(self.spec.views.is_coordinate_linear, "tail task requires coordinate moment views")
+        post = self.posterior()
         report = tail_ratio_probe(post, coord=int(task.get("coord", 0)),
                                   s_max=task.get("s_max"),
                                   n_points=int(task.get("n_points", 10)))
@@ -506,7 +481,9 @@ class _TaskRunner:
                    ["s", "measured_ratio", "target_ratio"], rows, self.stamp)
 
     def _task_sensitivities(self, task: dict, stage: str):
-        post = self.analytic_posterior()
+        _require(self.spec.views.is_coordinate_linear,
+                 "sensitivities task requires coordinate moment views")
+        post = self.posterior()
         node = task.get("r", {})
         _require("weights" in node, "sensitivities task needs r.weights in Z coordinates")
         w_z = np.asarray(node["weights"], dtype=float)

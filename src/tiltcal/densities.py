@@ -263,15 +263,20 @@ class GridDensity(MarginalDensity):
 
     def quadrature_nodes(self, n: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Exact trapezoid rule on the knots (n is ignored)."""
-        w = np.zeros_like(self.knots)
-        d = np.diff(self.knots)
-        w[:-1] += d / 2.0
-        w[1:] += d / 2.0
-        w = w * self.densities
+        w = _trapezoid_weights(self.knots) * self.densities
         return self.knots, w / w.sum()
 
     def normalization(self) -> float:
         return float(np.trapezoid(self.densities, self.knots))
+
+
+def _trapezoid_weights(knots: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on strictly increasing knots."""
+    w = np.zeros_like(knots)
+    d = np.diff(knots)
+    w[:-1] += d / 2.0
+    w[1:] += d / 2.0
+    return w
 
 
 def density_eval(density: MarginalDensity, x) -> np.ndarray | float:

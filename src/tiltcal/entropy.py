@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .densities import _trapezoid_weights
 from .errors import DivergentEntropy
 
 __all__ = ["relative_entropy"]
@@ -69,11 +70,3 @@ def _log_values(numerator, denominator, pts, log_densities):
         return p, q
     with np.errstate(divide="ignore"):
         return np.log(p), np.log(q)
-
-
-def _trapezoid_weights(knots: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(knots)
-    d = np.diff(knots)
-    w[:-1] += d / 2.0
-    w[1:] += d / 2.0
-    return w

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import GaussianMarginalPosterior
-from .calibration import GaussianLinearProblem, QuadratureProblem, TiltedPosterior
+from .analytic import resolve_posterior
+from .calibration import TiltedPosterior, _draw_x, _row_logsumexp, _view_tensor
 from .errors import (
     InsufficientSamples,
     NonIntegrablePayoff,
@@ -83,64 +83,23 @@ def sample_posterior(post, n: int, seed: int = 0, *, n_y: int = 64) -> SampleBat
     posteriors are importance-sampled from the prior conditional with
     weights exp(lam . h - log Z(x)), reported in the batch.
     """
-    if isinstance(post, TiltedPosterior) and isinstance(post.problem, GaussianLinearProblem):
-        post = _as_gaussian_posterior(post)
-    if isinstance(post, GaussianMarginalPosterior):
-        chunks = []
-        vinv_needed = not np.allclose(post.view_map.matrix, np.eye(post.view_map.n))
-        for rng, m in _stream_rngs(seed, n):
-            xy = post.sample_xy(m, rng)
-            chunks.append(post.view_map.invert(xy) if vinv_needed else xy)
-        return SampleBatch(np.vstack(chunks)[:n], seed)
+    post = resolve_posterior(post)
     if isinstance(post, TiltedPosterior):
-        return _sample_generic(post, n, seed, n_y)
-    raise TypeError(f"unsupported posterior type {type(post).__name__}")
+        return _sample_tilted(post, n, seed, n_y)
+    chunks = [_to_factors(post.view_map, post.sample_xy(m, rng))
+              for rng, m in _stream_rngs(seed, n)]
+    return SampleBatch(np.vstack(chunks)[:n], seed)
 
 
-def _as_gaussian_posterior(post: TiltedPosterior) -> GaussianMarginalPosterior:
-    problem: GaussianLinearProblem = post.problem
-    shift = problem.conditional_shift(post.lam)
-    return GaussianMarginalPosterior(
-        view_map=post.views.view_map,
-        marginal=post.views.marginal,
-        conditional=problem.conditional.shifted(shift),
-        lam=post.lam,
-        moment_coords=tuple(problem.coords.tolist()),
-        prior_t=problem.prior_t,
-    )
+def _to_factors(view_map, xy: np.ndarray) -> np.ndarray:
+    """Map draws in view coordinates back to original factor coordinates."""
+    if np.allclose(view_map.matrix, np.eye(view_map.n)):
+        return xy
+    return view_map.invert(xy)
 
 
-def _gaussian_callbacks(post: TiltedPosterior):
-    """Conditional sampler + quadrature rule for a Gaussian prior."""
-    from scipy.special import roots_hermite
-
-    from .priors import gaussian_conditional, transform_prior
-
-    views = post.views
-    prior_t = transform_prior(post.prior, views.view_map)
-    cond = gaussian_conditional(prior_t, views.k1)
-    root = np.linalg.cholesky(cond.cov + 1e-15 * np.eye(cond.y_dim))
-
-    def sampler(x, rng):
-        return cond.mean(x) + rng.standard_normal((x.shape[0], cond.y_dim)) @ root.T
-
-    def quadrature(x, n):
-        t, w = roots_hermite(n)
-        mean = cond.mean(x)
-        offsets = np.sqrt(2.0) * np.outer(t, root[:, 0]) if cond.y_dim == 1 else None
-        if cond.y_dim != 1:
-            raise NonSampleableConditional(
-                "importance sampling of payoff-calibrated Gaussian posteriors "
-                "supports one conditional dimension"
-            )
-        nodes = mean[:, None, :] + offsets[None, :, :]
-        weights = np.broadcast_to(w / np.sqrt(np.pi), nodes.shape[:2])
-        return nodes, weights
-
-    return sampler, quadrature
-
-
-def _sample_generic(post: TiltedPosterior, n: int, seed: int, n_y: int) -> SampleBatch:
+def _conditional_rule(post: TiltedPosterior, n_y: int):
+    """Sampler of the prior conditional and its (nodes, log-weights) rule at x."""
     prior = post.prior
     if isinstance(prior, GenericPrior):
         if prior.conditional_sampler is None or prior.conditional_quadrature is None:
@@ -148,57 +107,43 @@ def _sample_generic(post: TiltedPosterior, n: int, seed: int, n_y: int) -> Sampl
                 "generic posterior sampling needs conditional_sampler and "
                 "conditional_quadrature (for the normalizer)"
             )
-        sampler = prior.conditional_sampler
-        quadrature = prior.conditional_quadrature
-    else:
-        sampler, quadrature = _gaussian_callbacks(post)
-    views = post.views
+
+        def generic_rule(x):
+            nodes, weights = prior.conditional_quadrature(x, n_y)
+            nodes = np.asarray(nodes, dtype=float)
+            with np.errstate(divide="ignore"):
+                log_w = np.log(np.asarray(weights, dtype=float))
+            return (nodes if nodes.ndim == 3 else nodes[:, :, None]), log_w
+
+        return prior.conditional_sampler, generic_rule
+    cond = getattr(post.problem, "conditional", None)
+    if cond is None or cond.y_dim != 1:
+        raise NonSampleableConditional(
+            "importance sampling of payoff-calibrated Gaussian posteriors "
+            "supports one conditional dimension"
+        )
+    offsets, weights = cond.hermite_rule(n_y)
+    log_w = np.log(weights)
+    return cond.sample, lambda x: (cond.mean(x)[:, None, :] + offsets, log_w)
+
+
+def _sample_tilted(post: TiltedPosterior, n: int, seed: int, n_y: int) -> SampleBatch:
+    sampler, rule = _conditional_rule(post, n_y)
+    views, lam = post.views, post.lam
     chunks, logw = [], []
     for rng, m in _stream_rngs(seed, n):
-        if views.k1 > 0:
-            x = np.atleast_2d(views.marginal.sample(m, rng)).reshape(m, views.k1)
-        else:
-            x = np.zeros((m, 0))
+        x = _draw_x(views.marginal, views.k1, m, rng)
         y = np.asarray(sampler(x, rng), dtype=float)
         if y.ndim == 1:
             y = y[:, None]
-        h = np.column_stack(
-            [
-                y[:, v.coord] if v.coord is not None else np.asarray(v.payoff(x, y), float)
-                for v in views.moments
-            ]
-        )
-        nodes, weights = quadrature(x, n_y)
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim == 2:
-            nodes = nodes[:, :, None]
-        h_nodes = np.stack(
-            [
-                nodes[..., v.coord] if v.coord is not None
-                else np.asarray(v.payoff(x[:, None, :], nodes), float)
-                for v in views.moments
-            ]
-        )
-        tilt = np.einsum("k,knj->nj", post.lam, h_nodes)
-        with np.errstate(divide="ignore"):
-            log_z = _logsumexp(np.log(np.asarray(weights, float)) + tilt)
-        logw.append(h @ post.lam - log_z)
-        chunks.append(np.column_stack([x, y]))
+        nodes, log_w = rule(x)
+        scores = np.einsum("k,knj->nj", lam, _view_tensor(views.moments, x[:, None, :], nodes))
+        scores += log_w
+        logw.append(lam @ _view_tensor(views.moments, x, y) - _row_logsumexp(scores))
+        chunks.append(_to_factors(views.view_map, np.column_stack([x, y])))
     log_weights = np.concatenate(logw)
-    w = np.exp(log_weights - log_weights.max())
-    w = w / w.mean()
-    samples = np.vstack(chunks)[:n]
-    w = w[:n]
-    w = w / w.mean()
-    samples_vmap = views.view_map
-    if not np.allclose(samples_vmap.matrix, np.eye(samples_vmap.n)):
-        samples = samples_vmap.invert(samples)
-    return SampleBatch(samples, seed, weights=w)
-
-
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    m = np.max(a, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True)))[:, 0]
+    w = np.exp(log_weights - log_weights.max())[:n]
+    return SampleBatch(np.vstack(chunks)[:n], seed, weights=w / w.mean())
 
 
 @dataclass(frozen=True)
@@ -278,23 +223,10 @@ def price_option(post, payoff, discount: float, *, n_samples: int = 200_000,
     posteriors are priced on their node tensors; Gaussian-conditional
     posteriors by Monte Carlo with a standard error.
     """
-    if isinstance(post, TiltedPosterior) and isinstance(post.problem, QuadratureProblem):
-        problem: QuadratureProblem = post.problem
-        values = np.asarray(
-            payoff(problem.x_nodes[:, None, :], problem.y_nodes), dtype=float
-        )
-        values = np.broadcast_to(values, problem.y_nodes.shape[:-1])
-        if not np.all(np.isfinite(values)):
-            raise NonIntegrablePayoff("payoff is not finite on the posterior support")
-        price = np.exp(-discount) * problem.expectation(post.lam, values)
-        if not np.isfinite(price):
-            raise NonIntegrablePayoff("payoff expectation diverges under the posterior")
-        return PriceReport(float(price), None, "quadrature")
-
-    if isinstance(post, TiltedPosterior) and isinstance(post.problem, GaussianLinearProblem):
-        post = _as_gaussian_posterior(post)
-    if not isinstance(post, GaussianMarginalPosterior):
-        raise TypeError(f"unsupported posterior type {type(post).__name__}")
+    post = resolve_posterior(post)
+    if isinstance(post, TiltedPosterior):
+        return PriceReport(float(np.exp(-discount) * post.expectation(payoff)), None,
+                           "quadrature")
     k1 = post.k1
     sums, sq_sums = [], []
     count = 0

@@ -8,10 +8,12 @@ machinery to operate on non-Gaussian models such as lognormal pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import linalg
+from scipy.special import roots_hermite
 
 from .errors import SingularBlock, SingularMap
 
@@ -114,6 +116,30 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(vals)
 
 
+def _require_pd(matrix: np.ndarray, error: type, message: str, tol: float = _PD_TOL):
+    """Raise ``error(message)`` unless the smallest eigenvalue exceeds tol times the largest."""
+    eigs = np.linalg.eigvalsh(matrix)
+    if eigs.size and eigs.min() <= tol * max(eigs.max(), 1e-300):
+        raise error(message)
+
+
+def _hermite_tensor(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Hermite rule normalized for N(0, I)."""
+    if dim == 0:
+        return np.zeros((1, 0)), np.ones(1)
+    if dim > 3:
+        raise ValueError("Gauss-Hermite tensor rule is practical only up to 3 dims")
+    t, w = roots_hermite(n)
+    nodes = t[:, None]
+    weights = w / np.sqrt(np.pi)
+    for _ in range(dim - 1):
+        nodes = np.column_stack(
+            [np.repeat(nodes, n, axis=0), np.tile(t, nodes.shape[0])[:, None]]
+        )
+        weights = np.outer(weights, w / np.sqrt(np.pi)).ravel()
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class GaussianConditional:
     """Affine conditional law Y | X = x  ~  N(intercept + slope x, cov)."""
@@ -145,6 +171,25 @@ class GaussianConditional:
     def shifted(self, delta: np.ndarray) -> "GaussianConditional":
         return GaussianConditional(self.intercept + delta, self.slope, self.cov)
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Square root L of the covariance, L L^T = cov."""
+        return _psd_root(self.cov)
+
+    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
+        """One draw of Y | X = x per row of x (shape (n, x_dim))."""
+        x = np.asarray(x, dtype=float)
+        return self.mean(x) + rng.standard_normal((x.shape[0], self.y_dim)) @ self.root.T
+
+    def hermite_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Hermite offsets from the conditional mean, and their weights.
+
+        With n nodes per dimension, ``mean(x) + offsets`` integrates functions
+        of y against N(mean(x), cov); offsets have shape (n^y_dim, y_dim).
+        """
+        t_nodes, weights = _hermite_tensor(self.y_dim, n)
+        return np.sqrt(2.0) * t_nodes @ self.root.T, weights
+
 
 def gaussian_conditional(prior: GaussianPrior, split: int) -> GaussianConditional:
     """Condition the last N-split coordinates on the first ``split``.
@@ -162,9 +207,7 @@ def gaussian_conditional(prior: GaussianPrior, split: int) -> GaussianConditiona
             prior.mean.copy(), np.zeros((n, 0)), cov.copy()
         )
     sxx = cov[:split, :split]
-    eigs = np.linalg.eigvalsh(sxx)
-    if eigs.min() <= _PD_TOL * max(eigs.max(), 1e-300):
-        raise SingularBlock("X-block covariance is singular at tolerance 1e-10")
+    _require_pd(sxx, SingularBlock, "X-block covariance is singular at tolerance 1e-10")
     syx = cov[split:, :split]
     syy = cov[split:, split:]
     slope = linalg.solve(sxx, syx.T, assume_a="pos").T
@@ -258,7 +301,6 @@ class GenericPrior:
 
     x_dim: int
     y_dim: int
-    joint_density: Callable | None = None
     conditional_density: Callable | None = None
     conditional_sampler: Callable | None = None
     conditional_quadrature: Callable | None = None

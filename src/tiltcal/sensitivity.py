@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .analytic import GaussianMarginalPosterior
-from .calibration import GaussianLinearProblem, QuadratureProblem, TiltedPosterior
+from .analytic import GaussianMarginalPosterior, resolve_posterior
+from .calibration import QuadratureProblem, TiltedPosterior
 from .errors import SingularV
+from .priors import _require_pd
 
 __all__ = ["SensitivityReport", "sensitivities"]
 
@@ -37,9 +38,8 @@ class SensitivityReport:
 
 def _invert_v(v: np.ndarray) -> np.ndarray:
     v = (v + v.T) / 2.0
-    eigs = np.linalg.eigvalsh(v)
-    if eigs.min() <= _PD_TOL * max(eigs.max(), 1e-300):
-        raise SingularV("view covariance matrix V is singular (dependent views)")
+    _require_pd(v, SingularV, "view covariance matrix V is singular (dependent views)",
+                tol=_PD_TOL)
     return linalg.solve(v, np.eye(v.shape[0]), assume_a="pos")
 
 
@@ -56,24 +56,12 @@ def sensitivities(post, r=None, *, r_weights=None, wrt_loc: bool = False,
     if (r is None) == (r_weights is None):
         raise ValueError("supply exactly one of r or r_weights")
 
-    if isinstance(post, TiltedPosterior) and isinstance(post.problem, QuadratureProblem):
+    post = resolve_posterior(post)
+    if isinstance(post, TiltedPosterior):
         if r_weights is not None:
             k1 = post.views.k1
             r = lambda x, y: x @ np.asarray(r_weights[:k1]) + y @ np.asarray(r_weights[k1:])
         return _sensitivities_quadrature(post, r, wrt_loc)
-
-    if isinstance(post, TiltedPosterior) and isinstance(post.problem, GaussianLinearProblem):
-        problem: GaussianLinearProblem = post.problem
-        post = GaussianMarginalPosterior(
-            view_map=post.views.view_map,
-            marginal=post.views.marginal,
-            conditional=problem.conditional.shifted(problem.conditional_shift(post.lam)),
-            lam=post.lam,
-            moment_coords=tuple(problem.coords.tolist()),
-            prior_t=problem.prior_t,
-        )
-    if not isinstance(post, GaussianMarginalPosterior):
-        raise TypeError(f"unsupported posterior type {type(post).__name__}")
     if r_weights is None:
         raise ValueError("Gaussian-conditional posteriors need r_weights (linear r)")
     return _sensitivities_gaussian(post, np.asarray(r_weights, dtype=float), wrt_loc, n_x)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import GaussianMarginalPosterior, posterior_marginal_y1
-from .densities import GaussianDensity, GridDensity, MarginalDensity, StudentTDensity
+from .densities import GaussianDensity, MarginalDensity, StudentTDensity
 from .errors import ZeroCorrelation
 
 __all__ = ["TailReport", "check_assumption", "tail_ratio_probe"]
@@ -45,8 +45,6 @@ def check_assumption(g: MarginalDensity) -> str:
         return "admissible"
     if isinstance(g, GaussianDensity):
         return "inadmissible"
-    if isinstance(g, GridDensity):
-        return "unknown"
     return "unknown"
 
 

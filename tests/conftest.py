@@ -95,6 +95,19 @@ def heavy_tail_views(tail_on: int, df: float, loc: float | None = None) -> tc.Vi
     return tc.ViewSet(vmap, tc.StudentTDensity(df=df, loc=loc, scale=scale), moments)
 
 
+def closed_form_posteriors(prior, views):
+    """The two public constructions of the closed-form posterior.
+
+    ``build_posterior``, and a TiltedPosterior over a GaussianLinearProblem at
+    Newton's multipliers (the command-line path).  Consumers must give
+    bit-identical results for both.
+    """
+    problem = tc.GaussianLinearProblem(prior, views)
+    report = tc.solve_lambda_newton(prior, views, problem=problem)
+    return (tc.build_posterior(prior, views),
+            tc.TiltedPosterior(prior, views, report.lam, problem))
+
+
 def random_spd(rng: np.random.Generator, n: int, jitter: float = 0.3) -> np.ndarray:
     a = rng.standard_normal((n, n))
     return a @ a.T + jitter * n * np.eye(n)

@@ -93,6 +93,20 @@ class TestPosteriorDensity:
         total = np.trapezoid(np.trapezoid(vals, ys, axis=1), xs)
         assert total == pytest.approx(1.0, abs=1e-4)
 
+    def test_singular_conditional_covariance_raises_typed_error(self):
+        # z3 duplicates z2: the viewed block S_mm = [0.75] is fine, but the
+        # full conditional covariance of (y0, y1) is singular
+        cov = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 1.0], [0.5, 1.0, 1.0]])
+        prior = tc.GaussianPrior(np.zeros(3), cov)
+        views = tc.ViewSet(
+            tc.LinearViewMap.identity(3, 1, 2),
+            tc.GaussianDensity(0.0, 1.0),
+            (tc.MomentView(target=0.3, coord=0),),
+        )
+        post = tc.build_posterior(prior, views)
+        with pytest.raises(tc.SingularConditionalCovariance):
+            tc.posterior_density_z(post, [0.1, 0.2, 0.2])
+
 
 class TestPosteriorMarginals:
     def test_zero_correlation_shifts_only_the_mean(self):

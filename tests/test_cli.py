@@ -254,6 +254,41 @@ class TestRun:
         assert run(_write_spec(tmp_path, doc), str(out)) == 1
         assert os.listdir(out) == []  # staging discarded atomically
 
+    def test_singular_viewed_schur_block_exits_1(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "prior": {"mean": [0.0, 0.0, 0.0],
+                      "covariance": [[1.0, 0.5, 0.5], [0.5, 1.0, 1.0], [0.5, 1.0, 1.0]]},
+            "view_map": {"k1": 1, "k2": 3},
+            "marginal": {"kind": "gaussian", "mean": 0.0, "stddev": 1.0},
+            "moments": [{"coord": 0, "target": 0.3}, {"coord": 1, "target": 0.3}],
+            "tasks": [{"type": "calibrate"}],
+        }
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 1
+        assert "SingularConditionalCovariance" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("task", [
+        {"type": "tail", "coord": 0},
+        {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}},
+    ])
+    def test_closed_form_tasks_reject_payoff_views(self, tmp_path, task):
+        doc = {
+            "schema_version": 1,
+            "prior": {"mean": [0.0, 0.1], "covariance": [[1.0, 0.6], [0.6, 1.2]]},
+            "view_map": {"k1": 1, "k2": 1},
+            "marginal": {"kind": "student_t", "df": 4, "loc": 0.0, "scale": 0.8},
+            "moments": [
+                {"payoff": {"kind": "call", "coord": 0, "strike": 0.4}, "target": 0.45}
+            ],
+            "solver": {"n_x": 501, "n_y": 16},
+            "tasks": [{"type": "calibrate"}, task],
+        }
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 3
+        assert not out.exists() or os.listdir(out) == []
+
     def test_not_converged_exits_2(self, tmp_path):
         doc = {
             "schema_version": 1,

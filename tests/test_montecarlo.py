@@ -9,6 +9,7 @@ import tiltcal as tc
 from conftest import (
     SIX_INDEX_COV,
     SIX_INDEX_MEAN,
+    closed_form_posteriors,
     heavy_tail_views,
     random_gaussian_linear_problem,
 )
@@ -101,18 +102,22 @@ def test_generic_conditional_density_integrates_to_one():
 
 
 class TestSamplePosterior:
-    def test_seed_determinism_bit_identical(self, two_asset_posterior):
-        a = tc.sample_posterior(two_asset_posterior, 150_000, seed=42)
-        b = tc.sample_posterior(two_asset_posterior, 150_000, seed=42)
-        assert np.array_equal(a.z_samples, b.z_samples)
-        c = tc.sample_posterior(two_asset_posterior, 150_000, seed=43)
-        assert not np.array_equal(a.z_samples, c.z_samples)
+    def test_seed_determinism_bit_identical(self, two_asset_prior, two_asset_views):
+        for post in closed_form_posteriors(two_asset_prior, two_asset_views):
+            a = tc.sample_posterior(post, 150_000, seed=42)
+            b = tc.sample_posterior(post, 150_000, seed=42)
+            assert np.array_equal(a.z_samples, b.z_samples)
+            c = tc.sample_posterior(post, 150_000, seed=43)
+            assert not np.array_equal(a.z_samples, c.z_samples)
 
     def test_targets_hit_within_monte_carlo_error(self):
         rng = np.random.default_rng(23)
         prior, views = random_gaussian_linear_problem(rng, 4)
-        post = tc.build_posterior(prior, views)
+        post, tilted = closed_form_posteriors(prior, views)
         batch = tc.sample_posterior(post, 1_000_000, seed=1)
+        again = tc.sample_posterior(tilted, 1_000_000, seed=1)
+        np.testing.assert_array_equal(again.z_samples, batch.z_samples)
+        assert again.weights is None
         y = batch.z_samples @ views.view_map.matrix.T[:, 1:]
         se = y.std(axis=0, ddof=1) / np.sqrt(batch.n)
         np.testing.assert_array_less(np.abs(y.mean(axis=0) - views.targets), 3 * se)
@@ -256,11 +261,16 @@ class TestPriceOption:
         res = tc.price_option(post, one, 0.07)
         assert res.price == pytest.approx(np.exp(-0.07), rel=1e-12)
 
-    def test_constant_payoff_monte_carlo_path(self, two_asset_posterior):
+    def test_constant_payoff_monte_carlo_path(self, two_asset_prior, two_asset_views):
+        post, tilted = closed_form_posteriors(two_asset_prior, two_asset_views)
         one = lambda x, y: np.ones(y.shape[:-1])
-        res = tc.price_option(two_asset_posterior, one, 0.05, n_samples=10_000)
+        res = tc.price_option(post, one, 0.05, n_samples=10_000)
         assert res.method == "monte-carlo"
         assert res.price == pytest.approx(np.exp(-0.05), rel=1e-12)
+        assert tc.price_option(tilted, one, 0.05, n_samples=10_000) == res
+        call = lambda x, y: np.maximum(y[..., 0] - 1.8, 0.0)
+        res = tc.price_option(post, call, 0.05, n_samples=70_000, seed=3)
+        assert tc.price_option(tilted, call, 0.05, n_samples=70_000, seed=3) == res
 
     def test_calibration_instrument_reprices_to_target(self):
         post, report, payoff, target, _, _, discount, _ = calibrated_stock_problem()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tiltcal as tc
-from conftest import random_gaussian_linear_problem
+from conftest import closed_form_posteriors, random_gaussian_linear_problem
 
 
 def _rebuild_pi(prior, views, targets, r_view):
@@ -18,14 +18,24 @@ def _rebuild_pi(prior, views, targets, r_view):
     return float(np.asarray(r_view) @ e_xy)
 
 
+def _sensitivities_both(prior, views, **kwargs):
+    """The report on build_posterior, checked bit-identical on the tilted construction."""
+    post, tilted = closed_form_posteriors(prior, views)
+    report = tc.sensitivities(post, **kwargs)
+    again = tc.sensitivities(tilted, **kwargs)
+    for name in ("d_pi_d_c", "v_matrix", "u_matrix"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(report, name))
+    assert again.d_pi_d_loc == report.d_pi_d_loc
+    return report
+
+
 class TestGaussianLinearPath:
     def test_r_equal_to_first_view_gives_unit_vector(self):
         rng = np.random.default_rng(3)
         prior, views = random_gaussian_linear_problem(rng, 4)
-        post = tc.build_posterior(prior, views)
         r = np.zeros(4)
         r[1] = 1.0  # first Y coordinate == h_1
-        report = tc.sensitivities(post, r_weights=r)
+        report = _sensitivities_both(prior, views, r_weights=r)
         expected = np.zeros(len(views.moments))
         expected[0] = 1.0
         np.testing.assert_allclose(report.d_pi_d_c, expected, atol=1e-6)
@@ -33,9 +43,8 @@ class TestGaussianLinearPath:
     def test_matches_finite_difference_resolve(self):
         rng = np.random.default_rng(10)
         prior, views = random_gaussian_linear_problem(rng, 4)
-        post = tc.build_posterior(prior, views)
         r_view = np.array([0.3, 1.0, -0.5, 0.25])  # linear in (x, y)
-        report = tc.sensitivities(post, r_weights=r_view)
+        report = _sensitivities_both(prior, views, r_weights=r_view)
         targets = views.targets
         scale = np.abs(targets) + 1.0
         for i in range(targets.size):
@@ -49,8 +58,7 @@ class TestGaussianLinearPath:
     def test_uv_identity(self):
         rng = np.random.default_rng(4)
         prior, views = random_gaussian_linear_problem(rng, 5)
-        post = tc.build_posterior(prior, views)
-        report = tc.sensitivities(post, r_weights=np.ones(5))
+        report = _sensitivities_both(prior, views, r_weights=np.ones(5))
         k = report.v_matrix.shape[0]
         np.testing.assert_allclose(
             report.u_matrix @ report.v_matrix, np.eye(k), atol=1e-8
@@ -67,7 +75,7 @@ class TestGaussianLinearPath:
         post = tc.build_posterior(prior, views)
         # r puts weight on the untargeted coordinate, which tracks E_g[X]
         r_view = np.array([0.2, 0.0, 1.0])
-        report = tc.sensitivities(post, r_weights=r_view, wrt_loc=True)
+        report = _sensitivities_both(prior, views, r_weights=r_view, wrt_loc=True)
 
         def pi_at(loc):
             g_eps = tc.StudentTDensity(df=4.0, loc=loc, scale=0.9)
