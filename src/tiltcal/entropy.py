@@ -12,6 +12,11 @@ __all__ = ["relative_entropy"]
 # Node mass below this cannot move the estimate at documented precision, so
 # it neither contributes to the integral nor certifies a divergence.
 _MASS_FLOOR = 1e-20
+# A plain denominator pdf of 0 may be an underflow (below ~1e-308) rather than
+# a true zero.  Numerator mass on such nodes certifies a divergence only above
+# this total: below it, even a density ratio of e^1000 there moves the
+# estimate by less than 1e-12, and the nodes are left out.
+_UNDERFLOW_MASS = 1e-15
 
 
 def relative_entropy(numerator_pdf, denominator_pdf, *, grid=None, samples=None,
@@ -28,8 +33,10 @@ def relative_entropy(numerator_pdf, denominator_pdf, *, grid=None, samples=None,
     With ``log_densities=True`` the two callables return log densities,
     which keeps far-tail ratios meaningful where plain densities would
     underflow.  Raises DivergentEntropy when the numerator carries mass
-    where the denominator vanishes.  The estimate can be slightly negative
-    from discretization error but is bounded below by -(tolerance).
+    where the denominator vanishes; with plain densities, a denominator that
+    is 0 under less than 1e-15 of numerator mass is read as an underflow and
+    those nodes are left out.  The estimate can be slightly negative from
+    discretization error but is bounded below by -(tolerance).
     """
     if (grid is None) == (samples is None):
         raise ValueError("supply exactly one of grid= or samples=")
@@ -56,9 +63,13 @@ def relative_entropy(numerator_pdf, denominator_pdf, *, grid=None, samples=None,
 
     log_p, log_q = _log_values(numerator_pdf, denominator_pdf, mesh, log_densities)
     log_p, log_q = log_p.ravel(), log_q.ravel()
-    has_mass = np.isfinite(log_p) & (np.exp(log_p) * weights > _MASS_FLOOR)
-    if np.any(has_mass & np.isneginf(log_q)):
-        raise DivergentEntropy("numerator has mass where denominator vanishes")
+    mass = np.where(np.isfinite(log_p), np.exp(log_p), 0.0) * weights
+    has_mass = mass > _MASS_FLOOR
+    vanishes = has_mass & np.isneginf(log_q)
+    if np.any(vanishes):
+        if log_densities or mass[vanishes].sum() > _UNDERFLOW_MASS:
+            raise DivergentEntropy("numerator has mass where denominator vanishes")
+        has_mass &= ~vanishes
     p = np.exp(log_p[has_mass])
     return float(np.sum(weights[has_mass] * p * (log_p[has_mass] - log_q[has_mass])))
 

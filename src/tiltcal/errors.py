@@ -34,7 +34,7 @@ class DivergentEntropy(TiltcalError):
 
 
 class QuadratureFailure(TiltcalError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
+    """A quadrature error estimate exceeded the requested accuracy."""
 
 
 class ZeroCorrelation(TiltcalError):

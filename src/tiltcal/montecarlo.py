@@ -53,8 +53,8 @@ class SampleBatch:
             raise ValueError("samples must be finite")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (z.shape[0],) or np.any(w < 0):
-                raise ValueError("weights must be nonnegative, one per sample")
+            if w.shape != (z.shape[0],) or not np.all(np.isfinite(w)) or np.any(w < 0):
+                raise ValueError("weights must be finite and nonnegative, one per sample")
             if abs(w.mean() - 1.0) > 1e-12:
                 raise ValueError("weights must be mean-normalized to 1")
             object.__setattr__(self, "weights", w)

@@ -83,9 +83,6 @@ def tail_ratio_probe(post: GaussianMarginalPosterior, coord: int = 0,
         points = points[points <= s_max]
         if points.size == 0:
             raise ValueError("s_max excludes every probe point")
-    measured = np.empty(points.size)
-    for i, s in enumerate(points):
-        f_post = posterior_marginal_y1(post, float(s), coord=coord)
-        measured[i] = f_post / float(g.pdf(s))
+    measured = posterior_marginal_y1(post, points, coord=coord) / g.pdf(points)
     converged = bool(abs(measured[-1] / target - 1.0) <= rel_band)
     return TailReport(alpha, target, points, measured, converged)

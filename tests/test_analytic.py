@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import tiltcal as tc
-from conftest import random_gaussian_linear_problem
+from conftest import (
+    SIX_INDEX_COV,
+    SIX_INDEX_LABELS,
+    SIX_INDEX_MEAN,
+    TWO_ASSET_COV,
+    heavy_tail_views,
+    random_gaussian_linear_problem,
+)
+from oracles import marginal_density_quad
 
 
 class TestBuildPosterior:
@@ -187,3 +197,71 @@ class TestPosteriorMarginals:
         )
         with pytest.raises(ValueError, match="one-dimensional"):
             tc.posterior_marginal_y1(post, 0.0)
+
+
+def _quad_agreement(post, idx, s):
+    """Max relative gap between the panel rule and the adaptive-quad oracle."""
+    w = np.eye(post.view_map.n)[idx]
+    got = tc.posterior_marginal_linear(post, w, s)
+    want = marginal_density_quad(post, np.linalg.solve(post.view_map.matrix.T, w), s, 1e-10)
+    return float(np.max(np.abs(got - want) / want))
+
+
+class TestMarginalPanelRule:
+    """The vectorized panel rule against per-point adaptive quadrature."""
+
+    @pytest.mark.parametrize("idx", [0, 1])
+    def test_two_asset_factors_match_quad(self, two_asset_posterior, idx):
+        post = two_asset_posterior
+        sd = np.sqrt(TWO_ASSET_COV[idx, idx])
+        s = np.linspace(post.z_mean()[idx] - 6 * sd, post.z_mean()[idx] + 6 * sd, 41)
+        assert _quad_agreement(post, idx, s) <= 1e-6
+
+    @pytest.mark.parametrize("label", [lb for lb in SIX_INDEX_LABELS if lb != "dax"])
+    def test_six_index_heavy_tail_factors_match_quad(self, label):
+        """Nikkei included: there |alpha| is small and g's spike is narrow."""
+        post = tc.build_posterior(tc.GaussianPrior(SIX_INDEX_MEAN, SIX_INDEX_COV),
+                                  heavy_tail_views(1, 3.0))
+        idx = SIX_INDEX_LABELS.index(label)
+        sd = np.sqrt(SIX_INDEX_COV[idx, idx])
+        center = post.z_mean()[idx]
+        s = np.linspace(min(SIX_INDEX_MEAN[idx], center) - 6 * sd,
+                        max(SIX_INDEX_MEAN[idx], center) + 6 * sd, 41)
+        assert _quad_agreement(post, idx, s) <= 1e-6
+
+    def test_six_index_viewed_factor_is_the_view(self):
+        post = tc.build_posterior(tc.GaussianPrior(SIX_INDEX_MEAN, SIX_INDEX_COV),
+                                  heavy_tail_views(1, 3.0))
+        s = np.linspace(-0.2, 0.2, 41)
+        got = tc.posterior_marginal_linear(post, np.eye(6)[1], s)
+        np.testing.assert_allclose(got, post.marginal.pdf(s), rtol=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.sampled_from([2, 3]),
+           kind=st.sampled_from(["student_t", "gaussian", "grid"]))
+    def test_random_models_match_quad(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        prior, views = random_gaussian_linear_problem(rng, n)
+        t_view = views.marginal
+        if kind == "gaussian":
+            g = tc.GaussianDensity(t_view.loc, t_view.scale)
+        elif kind == "grid":
+            n_knots = int(rng.integers(5, 202))
+            knots = t_view.loc + t_view.scale * np.linspace(-8.0, 8.0, n_knots)
+            g = tc.GridDensity(knots, t_view.pdf(knots) * (1.0 + rng.random(knots.size)))
+        else:
+            g = t_view
+        post = tc.build_posterior(prior, tc.ViewSet(views.view_map, g, views.moments))
+        for idx in range(n):
+            c = np.linalg.solve(post.view_map.matrix.T, np.eye(n)[idx])
+            cy = c[1:]
+            alpha = c[0] + cy @ post.conditional.slope[:, 0]
+            sd = np.sqrt(alpha**2 * g.var() + cy @ post.conditional.cov @ cy)
+            center = post.z_mean()[idx]
+            s = np.linspace(center - 6 * sd, center + 6 * sd, 13)
+            assert _quad_agreement(post, idx, s) <= 1e-6
+
+    def test_unreachable_tolerance_raises_typed_error(self, two_asset_posterior):
+        with pytest.raises(tc.QuadratureFailure, match="relative error"):
+            tc.posterior_marginal_y1(two_asset_posterior, np.linspace(0.0, 3.0, 7),
+                                     rel_tol=1e-300)

@@ -240,6 +240,16 @@ class TestEstimateVar:
         target = 0.5 + stats.norm.ppf(0.95)
         assert report.var_values[0] == pytest.approx(target, abs=4 * report.std_errors[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        z = np.random.default_rng(0).standard_normal((10_000, 1))
+        with pytest.raises(ValueError, match="finite"):
+            tc.SampleBatch(z, seed=0, weights=np.full(10_000, bad))
+        w = np.ones(10_000)
+        w[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tc.SampleBatch(z, seed=0, weights=w)
+
     def test_heavy_tail_view_raises_extreme_var(self):
         prior = tc.GaussianPrior(SIX_INDEX_MEAN, SIX_INDEX_COV)
         post_t = tc.build_posterior(prior, heavy_tail_views(1, 3.0))
