@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 # ``integrate`` is no longer called here; it stays bound because the benchmark
 # tracer counts ``analytic.integrate.quad`` calls through this name.
-from scipy import integrate, linalg  # noqa: F401
+from scipy import integrate  # noqa: F401
 
 from .calibration import GaussianLinearProblem, TiltedPosterior, _draw_x
 from .densities import MarginalDensity
 from .errors import QuadratureFailure, SingularConditionalCovariance
-from .priors import GaussianConditional, GaussianPrior, LinearViewMap
+from .priors import GaussianConditional, GaussianPrior, LinearViewMap, _gaussian_logpdf
 from .views import ViewSet
 
 __all__ = [
@@ -160,17 +160,9 @@ def posterior_density_z(post: GaussianMarginalPosterior, z,
         )
     cond = post.conditional
     if cond.y_dim > 0:
-        dev = y - cond.mean(x)
-        try:
-            chol = linalg.cholesky(cond.cov, lower=True)
-        except linalg.LinAlgError as exc:
-            raise SingularConditionalCovariance(
-                "posterior conditional covariance is singular; density undefined"
-            ) from exc
-        sol = linalg.solve_triangular(chol, dev.T, lower=True)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out = out - 0.5 * (
-            np.sum(sol**2, axis=0) + logdet + cond.y_dim * np.log(2.0 * np.pi)
+        out = out + _gaussian_logpdf(
+            y - cond.mean(x), cond.cov, SingularConditionalCovariance,
+            "posterior conditional covariance is singular; density undefined",
         )
     if not log:
         out = np.exp(out)

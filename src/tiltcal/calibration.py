@@ -13,6 +13,10 @@ the conditional covariance of h under the tilted law.  Two backends
 evaluate F: a closed form for Gaussian priors with coordinate views, and a
 quadrature/grid backend for everything else (outer nodes over x drawn from
 the marginal view, inner nodes over y from a per-x conditional rule).
+
+Past the closed form the prior is seen only through ``conditional_law``, its
+law of Y given X with draws ``sample(x, rng)`` and a per-x rule ``rule(x, n)``;
+``QuadratureProblem.from_prior`` builds the quadrature backend from it.
 """
 
 from __future__ import annotations
@@ -28,11 +32,9 @@ from .errors import (
     InconclusiveSample,
     NonIntegrablePayoff,
     NonIntegrableTilt,
-    NonSampleableConditional,
     SingularConditionalCovariance,
 )
 from .priors import (
-    GaussianConditional,
     GaussianPrior,
     GenericPrior,
     _require_pd,
@@ -145,21 +147,17 @@ class GaussianLinearProblem:
 class QuadratureProblem:
     """Discrete/quadrature dual backend.
 
-    Holds outer x nodes and weights, per-x inner y nodes and weights, and
+    Holds outer x nodes and weights, per-x inner y nodes and their
+    log-weights (shape (n_x, n_y), or (n_y,) when every x shares them), and
     the precomputed view tensor h of shape (k, n_x, n_y).  All dual
     quantities reduce to stabilized log-sum-exp arithmetic on that tensor.
-    ``conditional`` is the prior law of Y | X behind a Gaussian prior's rule
-    (None for other priors); the importance sampler draws from it.
     """
 
-    conditional: GaussianConditional | None = None
-
-    def __init__(self, x_nodes, x_weights, y_nodes, y_weights, h_tensor, targets):
+    def __init__(self, x_nodes, x_weights, y_nodes, log_y_weights, h_tensor, targets):
         self.x_nodes = np.asarray(x_nodes, dtype=float)
         self.x_weights = np.asarray(x_weights, dtype=float)
         self.y_nodes = np.asarray(y_nodes, dtype=float)
-        with np.errstate(divide="ignore"):
-            self.log_y_weights = np.log(np.asarray(y_weights, dtype=float))
+        self.log_y_weights = np.asarray(log_y_weights, dtype=float)
         self.h = np.asarray(h_tensor, dtype=float)
         self.targets = np.asarray(targets, dtype=float)
         if self.h.ndim != 3:
@@ -186,55 +184,27 @@ class QuadratureProblem:
         y_nodes = np.broadcast_to(y_values, (n_x, n_y, y_values.shape[1]))
         h = _view_tensor(moments, x_values[:, None, :], y_nodes)
         targets = np.array([view.target for view in moments], dtype=float)
-        return cls(x_values, x_weights, y_nodes, cond_weights, h, targets)
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(np.asarray(cond_weights, dtype=float))
+        return cls(x_values, x_weights, y_nodes, log_weights, h, targets)
 
     @classmethod
-    def from_gaussian(cls, prior: GaussianPrior, views: ViewSet,
-                      n_x: int = 10_000, n_y: int = 64) -> "QuadratureProblem":
-        """Gaussian prior with payoff views: Gauss-Hermite rule per x node."""
-        cond = gaussian_conditional(transform_prior(prior, views.view_map), views.k1)
-        x_nodes, x_weights = _marginal_nodes(views, n_x)
-        offsets, t_weights = cond.hermite_rule(n_y)
-        y_nodes = cond.mean(x_nodes)[:, None, :] + offsets[None, :, :]
-        y_weights = np.broadcast_to(t_weights, (x_nodes.shape[0], t_weights.size))
-        h = _view_tensor(views.moments, x_nodes[:, None, :], y_nodes)
-        problem = cls(x_nodes, x_weights, y_nodes, y_weights, h, views.targets)
-        problem.conditional = cond
-        return problem
+    def from_prior(cls, prior, views: ViewSet, *, n_x: int = 10_000, n_y: int = 64,
+                   seed: int = 0) -> "QuadratureProblem":
+        """Outer rule over the marginal view, and the prior's rule for Y | X per x node.
 
-    @classmethod
-    def from_generic(cls, prior: GenericPrior, views: ViewSet,
-                     n_x: int = 10_000, n_y: int = 64,
-                     seed: int = 0) -> "QuadratureProblem":
-        """Generic prior: per-x conditional quadrature, or nested Monte Carlo.
-
-        Without a quadrature rule the conditional sampler provides n_y
-        equally weighted draws per outer node (seeded, so the problem is
-        reproducible); the inner-integral noise then scales as 1/sqrt(n_y).
+        A Gaussian prior gives a Gauss-Hermite rule with n_y nodes per
+        conditional dimension; a generic prior its quadrature callback or,
+        without one, n_y equally weighted sampler draws per outer node
+        (seeded, so the problem is reproducible; the inner-integral noise
+        then scales as 1/sqrt(n_y)).
         """
-        if not np.allclose(views.view_map.matrix, np.eye(views.view_map.n)):
-            raise ValueError("generic priors require an identity view map")
+        law = conditional_law(prior, views)
         x_nodes, x_weights = _marginal_nodes(views, n_x)
-        if prior.conditional_quadrature is not None:
-            y_nodes, y_weights = prior.conditional_quadrature(x_nodes, n_y)
-        elif prior.conditional_sampler is not None:
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            draws = [
-                np.atleast_2d(np.asarray(prior.conditional_sampler(x_nodes, rng), float).T).T
-                for _ in range(n_y)
-            ]
-            y_nodes = np.stack(draws, axis=1)
-            y_weights = np.full(y_nodes.shape[:2], 1.0 / n_y)
-        else:
-            raise NonSampleableConditional(
-                "generic prior provides neither a conditional quadrature rule "
-                "nor a conditional sampler"
-            )
-        y_nodes = np.asarray(y_nodes, dtype=float)
-        if y_nodes.ndim == 2:
-            y_nodes = y_nodes[:, :, None]
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        y_nodes, log_y_weights = law.rule(x_nodes, n_y, rng)
         h = _view_tensor(views.moments, x_nodes[:, None, :], y_nodes)
-        return cls(x_nodes, x_weights, y_nodes, y_weights, h, views.targets)
+        return cls(x_nodes, x_weights, y_nodes, log_y_weights, h, views.targets)
 
     def _tilted_conditional(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """log Z_lam(x_i) and the tilted conditional weights per outer node."""
@@ -310,15 +280,26 @@ def _draw_x(marginal, k1: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.atleast_2d(marginal.sample(n, rng)).reshape(n, k1)
 
 
-def build_dual_problem(prior, views: ViewSet, *, n_x: int = 10_000, n_y: int = 64):
-    """Pick the dual backend for a prior/view combination."""
+def conditional_law(prior, views: ViewSet):
+    """The prior's law of Y given X in view coordinates; the only prior-type dispatch.
+
+    A Gaussian prior gives its ``GaussianConditional``; a ``GenericPrior`` is
+    its own law and needs the identity view map.
+    """
     if isinstance(prior, GaussianPrior):
-        if views.is_coordinate_linear:
-            return GaussianLinearProblem(prior, views)
-        return QuadratureProblem.from_gaussian(prior, views, n_x=n_x, n_y=n_y)
+        return gaussian_conditional(transform_prior(prior, views.view_map), views.k1)
     if isinstance(prior, GenericPrior):
-        return QuadratureProblem.from_generic(prior, views, n_x=n_x, n_y=n_y)
+        if not np.allclose(views.view_map.matrix, np.eye(views.view_map.n)):
+            raise ValueError("generic priors require an identity view map")
+        return prior
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
+
+
+def build_dual_problem(prior, views: ViewSet, *, n_x: int = 10_000, n_y: int = 64):
+    """Closed form for a Gaussian prior with coordinate views, else quadrature."""
+    if isinstance(prior, GaussianPrior) and views.is_coordinate_linear:
+        return GaussianLinearProblem(prior, views)
+    return QuadratureProblem.from_prior(prior, views, n_x=n_x, n_y=n_y)
 
 
 def dual_eval(prior, views: ViewSet, lam, *, problem=None,
@@ -448,19 +429,11 @@ def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator,
     With ``paired=True`` returns two conditionally independent h-vectors
     sharing the same X draws (for conditional-covariance estimation).
     """
+    law = conditional_law(prior, views)
     x = _draw_x(views.marginal, views.k1, n_samples, rng)
-    if isinstance(prior, GaussianPrior):
-        sampler = gaussian_conditional(transform_prior(prior, views.view_map), views.k1).sample
-    elif isinstance(prior, GenericPrior):
-        if prior.conditional_sampler is None:
-            raise NonSampleableConditional("generic prior provides no conditional sampler")
-        sampler = prior.conditional_sampler
-    else:
-        raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
     def h_of():
-        y = np.asarray(sampler(x, rng), dtype=float)
-        return _view_tensor(views.moments, x, y if y.ndim == 2 else y[:, None]).T
+        return _view_tensor(views.moments, x, law.sample(x, rng)).T
 
     if paired:
         return h_of(), h_of()

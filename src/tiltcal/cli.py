@@ -420,9 +420,7 @@ class _TaskRunner:
             lo = min(mean_pr, center) - 6.0 * max(sd_pr, sd_po)
             hi = max(mean_pr, center) + 6.0 * max(sd_pr, sd_po)
             grid = np.linspace(lo, hi, 401)
-            prior_pdf = np.exp(
-                -0.5 * ((grid - mean_pr) / sd_pr) ** 2
-            ) / (sd_pr * np.sqrt(2 * np.pi))
+            prior_pdf = GaussianDensity(mean_pr, sd_pr).pdf(grid)
             if idx is None:
                 post_pdf = post.marginal.pdf(grid)
             else:

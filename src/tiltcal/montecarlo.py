@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import resolve_posterior
-from .calibration import TiltedPosterior, _draw_x, _row_logsumexp, _view_tensor
+from .calibration import TiltedPosterior, _draw_x, _row_logsumexp, _view_tensor, conditional_law
 from .errors import (
     InsufficientSamples,
     NonIntegrablePayoff,
     NonSampleableConditional,
 )
-from .priors import GenericPrior
 
 __all__ = [
     "SampleBatch",
@@ -98,45 +97,14 @@ def _to_factors(view_map, xy: np.ndarray) -> np.ndarray:
     return view_map.invert(xy)
 
 
-def _conditional_rule(post: TiltedPosterior, n_y: int):
-    """Sampler of the prior conditional and its (nodes, log-weights) rule at x."""
-    prior = post.prior
-    if isinstance(prior, GenericPrior):
-        if prior.conditional_sampler is None or prior.conditional_quadrature is None:
-            raise NonSampleableConditional(
-                "generic posterior sampling needs conditional_sampler and "
-                "conditional_quadrature (for the normalizer)"
-            )
-
-        def generic_rule(x):
-            nodes, weights = prior.conditional_quadrature(x, n_y)
-            nodes = np.asarray(nodes, dtype=float)
-            with np.errstate(divide="ignore"):
-                log_w = np.log(np.asarray(weights, dtype=float))
-            return (nodes if nodes.ndim == 3 else nodes[:, :, None]), log_w
-
-        return prior.conditional_sampler, generic_rule
-    cond = getattr(post.problem, "conditional", None)
-    if cond is None or cond.y_dim != 1:
-        raise NonSampleableConditional(
-            "importance sampling of payoff-calibrated Gaussian posteriors "
-            "supports one conditional dimension"
-        )
-    offsets, weights = cond.hermite_rule(n_y)
-    log_w = np.log(weights)
-    return cond.sample, lambda x: (cond.mean(x)[:, None, :] + offsets, log_w)
-
-
 def _sample_tilted(post: TiltedPosterior, n: int, seed: int, n_y: int) -> SampleBatch:
-    sampler, rule = _conditional_rule(post, n_y)
+    law = conditional_law(post.prior, post.views)
     views, lam = post.views, post.lam
     chunks, logw = [], []
     for rng, m in _stream_rngs(seed, n):
         x = _draw_x(views.marginal, views.k1, m, rng)
-        y = np.asarray(sampler(x, rng), dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        nodes, log_w = rule(x)
+        y = law.sample(x, rng)
+        nodes, log_w = _bounded_rule(law, x, n_y)
         scores = np.einsum("k,knj->nj", lam, _view_tensor(views.moments, x[:, None, :], nodes))
         scores += log_w
         logw.append(lam @ _view_tensor(views.moments, x, y) - _row_logsumexp(scores))
@@ -144,6 +112,24 @@ def _sample_tilted(post: TiltedPosterior, n: int, seed: int, n_y: int) -> Sample
     log_weights = np.concatenate(logw)
     w = np.exp(log_weights - log_weights.max())[:n]
     return SampleBatch(np.vstack(chunks)[:n], seed, weights=w / w.mean())
+
+
+def _bounded_rule(law, x: np.ndarray, n_y: int):
+    """The law's rule at x, refused (after a one-draw probe) beyond n_y nodes per draw.
+
+    A Gaussian tensor rule over d > 1 conditional dimensions (n_y^d nodes,
+    none for d > 3) would not fit in memory for a chunk of draws.
+    """
+    try:
+        fits = law.rule(x[:1], n_y)[0].shape[1] <= n_y
+    except ValueError:  # no tensor rule beyond three dimensions
+        fits = False
+    if not fits:
+        raise NonSampleableConditional(
+            "importance sampling of payoff-calibrated Gaussian posteriors "
+            "supports one conditional dimension"
+        )
+    return law.rule(x, n_y)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg
 from scipy.special import roots_hermite
 
-from .errors import SingularBlock, SingularMap
+from .errors import NonSampleableConditional, SingularBlock, SingularMap
 
 __all__ = [
     "FactorVector",
@@ -93,13 +93,8 @@ class GaussianPrior:
 
     def logpdf(self, z) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        try:
-            chol = linalg.cholesky(self.covariance, lower=True)
-        except linalg.LinAlgError as exc:
-            raise SingularBlock("covariance is singular; density undefined") from exc
-        dev = linalg.solve_triangular(chol, (z - self.mean).T, lower=True)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out = -0.5 * (np.sum(dev**2, axis=0) + logdet + self.dim * np.log(2.0 * np.pi))
+        out = _gaussian_logpdf(z - self.mean, self.covariance, SingularBlock,
+                               "covariance is singular; density undefined")
         return out if out.size > 1 else float(out[0])
 
     def pdf(self, z):
@@ -121,6 +116,17 @@ def _require_pd(matrix: np.ndarray, error: type, message: str, tol: float = _PD_
     eigs = np.linalg.eigvalsh(matrix)
     if eigs.size and eigs.min() <= tol * max(eigs.max(), 1e-300):
         raise error(message)
+
+
+def _gaussian_logpdf(dev: np.ndarray, cov: np.ndarray, error: type, message: str) -> np.ndarray:
+    """log N(dev; 0, cov) per row of dev; ``error(message)`` when cov has no Cholesky factor."""
+    try:
+        chol = linalg.cholesky(cov, lower=True)
+    except linalg.LinAlgError as exc:
+        raise error(message) from exc
+    sol = linalg.solve_triangular(chol, dev.T, lower=True)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (np.sum(sol**2, axis=0) + logdet + cov.shape[0] * np.log(2.0 * np.pi))
 
 
 def _hermite_tensor(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,18 +183,21 @@ class GaussianConditional:
         return _psd_root(self.cov)
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        """One draw of Y | X = x per row of x (shape (n, x_dim))."""
+        """One draw of Y | X = x per row of x (shape (n, x_dim)); returns (n, y_dim)."""
         x = np.asarray(x, dtype=float)
         return self.mean(x) + rng.standard_normal((x.shape[0], self.y_dim)) @ self.root.T
 
-    def hermite_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Hermite offsets from the conditional mean, and their weights.
+    def rule(self, x, n: int, rng: np.random.Generator | None = None):
+        """Gauss-Hermite rule for Y | X = x with n nodes per dimension.
 
-        With n nodes per dimension, ``mean(x) + offsets`` integrates functions
-        of y against N(mean(x), cov); offsets have shape (n^y_dim, y_dim).
+        Returns nodes of shape (len(x), n^y_dim, y_dim) and their (n^y_dim,)
+        log-weights; the rule is deterministic, so ``rng`` is not used.
         """
         t_nodes, weights = _hermite_tensor(self.y_dim, n)
-        return np.sqrt(2.0) * t_nodes @ self.root.T, weights
+        offsets = np.sqrt(2.0) * t_nodes @ self.root.T
+        with np.errstate(divide="ignore"):
+            log_w = np.log(weights)
+        return self.mean(x)[:, None, :] + offsets, log_w
 
 
 def gaussian_conditional(prior: GaussianPrior, split: int) -> GaussianConditional:
@@ -293,10 +302,15 @@ class GenericPrior:
 
     All callbacks are batched over x: ``conditional_density(y, x)`` takes
     matching leading shapes, ``conditional_sampler(x, rng)`` returns one y
-    per x row, and ``conditional_quadrature(x, n)`` returns nodes of shape
-    (len(x), n, y_dim) with weights (len(x), n) integrating functions of y
-    against f(y | x).  Evaluators must be pure given their inputs and the
-    explicitly passed generator.
+    per x row (shape (n,) or (n, y_dim)), and ``conditional_quadrature(x, n)``
+    returns nodes of shape (len(x), n, y_dim) or (len(x), n) with weights
+    (len(x), n) integrating functions of y against f(y | x).  Evaluators
+    must be pure given their inputs and the explicitly passed generator.
+
+    The dual needs the quadrature rule or the sampler (seeded draws then
+    form a nested Monte Carlo rule); the existence and independence checks
+    need the sampler; posterior sampling needs both.  Every operation needs
+    the identity view map, as the callbacks live in the prior's coordinates.
     """
 
     x_dim: int
@@ -309,3 +323,30 @@ class GenericPrior:
     @property
     def dim(self) -> int:
         return self.x_dim + self.y_dim
+
+    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
+        """One draw of Y | X = x per row of x; shape (n, y_dim)."""
+        if self.conditional_sampler is None:
+            raise NonSampleableConditional("generic prior provides no conditional sampler")
+        y = np.asarray(self.conditional_sampler(x, rng), dtype=float)
+        return y if y.ndim == 2 else y[:, None]
+
+    def rule(self, x, n: int, rng: np.random.Generator | None = None):
+        """Rule for Y | X = x: nodes (len(x), n, y_dim) and log-weights.
+
+        The quadrature callback, else (only given a generator) n equally
+        weighted sampler draws per x: nested Monte Carlo, noise ~ 1/sqrt(n).
+        """
+        if self.conditional_quadrature is not None:
+            nodes, weights = self.conditional_quadrature(x, n)
+            nodes = np.asarray(nodes, dtype=float)
+            with np.errstate(divide="ignore"):
+                log_w = np.log(np.asarray(weights, dtype=float))
+            return (nodes if nodes.ndim == 3 else nodes[:, :, None]), log_w
+        if self.conditional_sampler is not None and rng is not None:
+            nodes = np.stack([self.sample(x, rng) for _ in range(n)], axis=1)
+            return nodes, np.full(n, np.log(1.0 / n))
+        raise NonSampleableConditional(
+            "generic prior provides no conditional quadrature rule "
+            "(nor a sampler with a seeded generator)"
+        )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import roots_hermite
 
 import tiltcal as tc
 from conftest import random_gaussian_linear_problem, random_spd
@@ -154,7 +155,7 @@ class TestNewton:
             g,
             (tc.MomentView(target=target, payoff=payoff),),
         )
-        problem = tc.QuadratureProblem.from_gaussian(prior, views, n_x=4001, n_y=96)
+        problem = tc.QuadratureProblem.from_prior(prior, views, n_x=4001, n_y=96)
         report = tc.solve_lambda_newton(prior, views, problem=problem)
         assert report.converged
 
@@ -198,7 +199,7 @@ class TestNewton:
             tc.GaussianDensity(0.0, 1.0),
             (tc.MomentView(target=10.0, payoff=lambda x, y: y[..., 0]),),
         )
-        problem = tc.QuadratureProblem.from_generic(gp, views, n_x=64, n_y=512)
+        problem = tc.QuadratureProblem.from_prior(gp, views, n_x=64, n_y=512)
         with pytest.raises(tc.NonIntegrableTilt):
             problem.dual_state([2e4])
 
@@ -212,13 +213,13 @@ class TestNewton:
         views = tc.ViewSet(
             tc.LinearViewMap.identity(2, 1, 2), g, (tc.MomentView(target=0.3, coord=0),)
         )
-        problem = tc.QuadratureProblem.from_generic(gp, views, n_x=2000, n_y=512, seed=4)
+        problem = tc.QuadratureProblem.from_prior(gp, views, n_x=2000, n_y=512, seed=4)
         report = tc.solve_lambda_newton(gp, views, problem=problem)
         assert report.converged
         # closed form for the equivalent Gaussian model: lam = (a - E0[y]) / var
         expected = (0.3 - 0.5 * 0.2) / 0.4**2
         assert report.lam[0] == pytest.approx(expected, rel=0.1)
-        again = tc.QuadratureProblem.from_generic(gp, views, n_x=2000, n_y=512, seed=4)
+        again = tc.QuadratureProblem.from_prior(gp, views, n_x=2000, n_y=512, seed=4)
         np.testing.assert_array_equal(problem.y_nodes, again.y_nodes)
 
     def test_constraint_satisfaction_verified_by_monte_carlo(self):
@@ -384,3 +385,107 @@ class TestIndependence:
         views = mean_only_views()
         status = tc.existence_check(six_index_prior, views, n_samples=100_000, seed=1)
         assert status == "interior"
+
+
+# ---------------------------------------------------------------------------
+# Generic priors through every entry point
+# ---------------------------------------------------------------------------
+
+
+class TestGenericPrior:
+    """A generic prior equal in law to a Gaussian, checked against its twin.
+
+    Y | X ~ N(a + b x, s^2) with X ~ N(0.2, 1): the twin is the bivariate
+    Gaussian prior with the same law.  The sampler returns 1-D draws and
+    the quadrature rule 2-D nodes, so both shape normalizations are used.
+    """
+
+    A, B, S = 0.0, 0.5, 0.7
+    TARGET = 0.4
+
+    def _generic(self, with_quadrature=True):
+        def cond_sampler(x, rng):
+            return self.A + self.B * x[:, 0] + self.S * rng.standard_normal(x.shape[0])
+
+        def cond_quad(x, n):
+            t, w = roots_hermite(n)
+            mean = self.A + self.B * x[:, 0]
+            nodes = mean[:, None] + np.sqrt(2.0) * self.S * t[None, :]
+            return nodes, np.broadcast_to(w / np.sqrt(np.pi), nodes.shape)
+
+        return tc.GenericPrior(
+            x_dim=1, y_dim=1, conditional_sampler=cond_sampler,
+            conditional_quadrature=cond_quad if with_quadrature else None,
+        )
+
+    def _twin(self):
+        var_x = 1.0
+        mean = [0.2, self.A + self.B * 0.2]
+        cov = [[var_x, self.B * var_x], [self.B * var_x, self.B**2 * var_x + self.S**2]]
+        return tc.GaussianPrior(mean, cov)
+
+    def _views(self, matrix=None):
+        vmap = tc.LinearViewMap(np.eye(2) if matrix is None else matrix, 1, 2)
+        return tc.ViewSet(vmap, tc.StudentTDensity(df=5, loc=0.5, scale=0.8),
+                          (tc.MomentView(target=self.TARGET, coord=0),))
+
+    def test_dual_matches_gaussian_twin(self):
+        views = self._views()
+        problem = tc.build_dual_problem(self._generic(), views, n_x=2000, n_y=64)
+        assert isinstance(problem, tc.QuadratureProblem)
+        report = tc.solve_lambda_newton(self._generic(), views, problem=problem)
+        assert report.converged
+        lam_twin = tc.solve_lambda_gaussian_linear(self._twin(), views)
+        np.testing.assert_allclose(report.lam, lam_twin, rtol=1e-6)
+
+    def test_existence_class_matches_gaussian_twin(self):
+        views = self._views()
+        centroid = self.A + self.B * 0.5
+        for c, expected in (([centroid], "interior"), ([50.0], "outside")):
+            for prior in (self._generic(), self._twin()):
+                assert tc.existence_check(prior, views, c=c, n_samples=20_000) == expected
+
+    def test_independence_eigenvalue_is_schur_variance(self):
+        views = self._views()
+        for prior in (self._generic(), self._twin()):
+            eig = tc.independence_check(prior, views, n_samples=50_000, seed=2)
+            assert eig == pytest.approx(self.S**2, rel=0.05)
+
+    def test_importance_sampled_mean_hits_target(self):
+        views = self._views()
+        generic = self._generic()
+        problem = tc.build_dual_problem(generic, views, n_x=2000, n_y=64)
+        report = tc.solve_lambda_newton(generic, views, problem=problem)
+        post = tc.TiltedPosterior(generic, views, report.lam, problem)
+        batch = tc.sample_posterior(post, 100_000, seed=5)
+        w = batch.weights
+        y = batch.z_samples[:, 1]
+        mean = np.average(y, weights=w)
+        ess = w.sum() ** 2 / (w @ w)
+        se = np.sqrt(np.average((y - mean) ** 2, weights=w) / ess)
+        assert abs(mean - self.TARGET) < 4 * se
+        twin = tc.sample_posterior(tc.build_posterior(self._twin(), views), 100_000, seed=5)
+        twin_se = twin.z_samples[:, 1].std(ddof=1) / np.sqrt(twin.n)
+        assert abs(twin.z_samples[:, 1].mean() - self.TARGET) < 4 * twin_se
+
+    def test_non_identity_view_map_rejected_everywhere(self):
+        """The callbacks live in the prior's coordinates, so a view map cannot apply."""
+        views = self._views(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        generic = self._generic(with_quadrature=False)
+        with pytest.raises(ValueError, match="identity view map"):
+            tc.build_dual_problem(generic, views)
+        with pytest.raises(ValueError, match="identity view map"):
+            tc.existence_check(generic, views, n_samples=2_000)
+        with pytest.raises(ValueError, match="identity view map"):
+            tc.independence_check(generic, views, n_samples=2_000)
+
+    def test_sampler_only_prior_dual_but_no_posterior_sampling(self):
+        """Nested Monte Carlo needs a seeded generator; the importance sampler has none."""
+        views = self._views()
+        generic = self._generic(with_quadrature=False)
+        problem = tc.QuadratureProblem.from_prior(generic, views, n_x=500, n_y=64, seed=3)
+        assert problem.y_nodes.shape == (500, 64, 1)
+        np.testing.assert_array_equal(problem.log_y_weights, np.log(np.full(64, 1 / 64)))
+        post = tc.TiltedPosterior(generic, views, np.zeros(1), problem)
+        with pytest.raises(tc.NonSampleableConditional):
+            tc.sample_posterior(post, 1_000, seed=0)

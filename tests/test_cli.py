@@ -146,6 +146,26 @@ def six_index_spec(tasks):
     }
 
 
+def payoff_spec():
+    """Call-payoff moment view on a Gaussian pair, calibrated then priced."""
+    return {
+        "schema_version": 1,
+        "prior": {"mean": [0.0, 0.1], "covariance": [[1.0, 0.6], [0.6, 1.2]]},
+        "view_map": {"k1": 1, "k2": 1},
+        "marginal": {"kind": "gaussian", "mean": 0.0, "stddev": 1.0},
+        "moments": [
+            {"payoff": {"kind": "call", "coord": 0, "strike": 0.4}, "target": 0.45}
+        ],
+        "solver": {"n_x": 2001, "n_y": 64},
+        "tasks": [
+            {"type": "calibrate"},
+            {"type": "price",
+             "payoff": {"kind": "call", "coord": 0, "strike": 0.8},
+             "discount": 0.01},
+        ],
+    }
+
+
 def _write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -216,24 +236,8 @@ class TestRun:
         assert report["converged"] is True
 
     def test_payoff_moment_with_price_task(self, tmp_path):
-        doc = {
-            "schema_version": 1,
-            "prior": {"mean": [0.0, 0.1], "covariance": [[1.0, 0.6], [0.6, 1.2]]},
-            "view_map": {"k1": 1, "k2": 1},
-            "marginal": {"kind": "gaussian", "mean": 0.0, "stddev": 1.0},
-            "moments": [
-                {"payoff": {"kind": "call", "coord": 0, "strike": 0.4}, "target": 0.45}
-            ],
-            "solver": {"n_x": 2001, "n_y": 64},
-            "tasks": [
-                {"type": "calibrate"},
-                {"type": "price",
-                 "payoff": {"kind": "call", "coord": 0, "strike": 0.8},
-                 "discount": 0.01},
-            ],
-        }
         out = tmp_path / "out"
-        assert run(_write_spec(tmp_path, doc), str(out)) == 0
+        assert run(_write_spec(tmp_path, payoff_spec()), str(out)) == 0
         price = json.loads((out / "price.json").read_text())
         assert price["method"] == "quadrature"
         assert 0.0 < price["price"] < 1.0

@@ -73,14 +73,14 @@ def calibrated_stock_problem(bump=1.05, strike=80.0):
         tc.LinearViewMap.identity(2, 1, 1), g,
         (tc.MomentView(target=0.0, payoff=payoff),),
     )
-    problem0 = tc.QuadratureProblem.from_generic(prior, probe_views, n_y=256)
+    problem0 = tc.QuadratureProblem.from_prior(prior, probe_views, n_y=256)
     prior_expect = problem0.dual_state([0.0]).gradient[0]
     target = bump * prior_expect
     views = tc.ViewSet(
         tc.LinearViewMap.identity(2, 1, 1), g,
         (tc.MomentView(target=float(target), payoff=payoff),),
     )
-    problem = tc.QuadratureProblem.from_generic(prior, views, n_y=256)
+    problem = tc.QuadratureProblem.from_prior(prior, views, n_y=256)
     report = tc.solve_lambda_newton(prior, views, problem=problem)
     post = tc.TiltedPosterior(prior, views, report.lam, problem)
     return post, report, payoff, float(target), mu_log, cov_log, discount, g
@@ -174,6 +174,19 @@ class TestSamplePosterior:
         post = tc.TiltedPosterior(prior, views, np.zeros(1), None)
         with pytest.raises(tc.NonSampleableConditional):
             tc.sample_posterior(post, 100, seed=0)
+
+    def test_gaussian_payoff_posterior_needs_one_conditional_dimension(self):
+        """The normalizer's tensor rule over d > 1 dimensions is refused, not built."""
+        call = lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0)
+        for dim in (3, 5):
+            prior = tc.GaussianPrior(np.zeros(dim), np.eye(dim) + 0.3)
+            views = tc.ViewSet(
+                tc.LinearViewMap.identity(dim, 1, 1), tc.GaussianDensity(0.0, 1.0),
+                (tc.MomentView(target=0.45, payoff=call),),
+            )
+            post = tc.TiltedPosterior(prior, views, np.zeros(1), None)
+            with pytest.raises(tc.NonSampleableConditional):
+                tc.sample_posterior(post, 1_000, seed=0)
 
     def test_sample_moment_error_shrinks_with_n(self, two_asset_posterior):
         post = two_asset_posterior

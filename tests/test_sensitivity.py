@@ -115,7 +115,7 @@ class TestQuadraturePath:
             tc.LinearViewMap.identity(2, 1, 1), g,
             (tc.MomentView(target=0.5, payoff=payoff),),
         )
-        problem = tc.QuadratureProblem.from_gaussian(prior, views, n_x=3001, n_y=128)
+        problem = tc.QuadratureProblem.from_prior(prior, views, n_x=3001, n_y=128)
         report = tc.solve_lambda_newton(prior, views, problem=problem)
         assert report.converged
         return tc.TiltedPosterior(prior, views, report.lam, problem), payoff
@@ -135,7 +135,7 @@ class TestQuadraturePath:
                 post.views.view_map, post.views.marginal,
                 (tc.MomentView(target=float(target), payoff=payoff),),
             )
-            problem = tc.QuadratureProblem.from_gaussian(
+            problem = tc.QuadratureProblem.from_prior(
                 post.prior, views, n_x=3001, n_y=128
             )
             rep = tc.solve_lambda_newton(post.prior, views, problem=problem)
@@ -159,7 +159,7 @@ class TestQuadraturePath:
                 tc.StudentTDensity(df=g.df, loc=loc, scale=g.scale),
                 post.views.moments,
             )
-            problem = tc.QuadratureProblem.from_gaussian(
+            problem = tc.QuadratureProblem.from_prior(
                 post.prior, views, n_x=3001, n_y=128
             )
             vals = problem.y_nodes[..., 0]
@@ -178,7 +178,7 @@ class TestQuadraturePath:
             (tc.MomentView(target=0.1, payoff=same),
              tc.MomentView(target=0.1, payoff=same)),
         )
-        problem = tc.QuadratureProblem.from_gaussian(prior, views, n_x=501, n_y=32)
+        problem = tc.QuadratureProblem.from_prior(prior, views, n_x=501, n_y=32)
         post = tc.TiltedPosterior(prior, views, np.zeros(2), problem)
         with pytest.raises(tc.SingularV):
             tc.sensitivities(post, r=same)
@@ -202,7 +202,7 @@ class TestQuadraturePath:
             (tc.MomentView(target=0.3, payoff=lambda x, y: y[..., 0]),
              tc.MomentView(target=-0.1, payoff=lambda x, y: y[..., 1])),
         )
-        problem = tc.QuadratureProblem.from_gaussian(prior, payoff_views, n_x=4001, n_y=24)
+        problem = tc.QuadratureProblem.from_prior(prior, payoff_views, n_x=4001, n_y=24)
         report = tc.solve_lambda_newton(prior, payoff_views, problem=problem)
         post_q = tc.TiltedPosterior(prior, payoff_views, report.lam, problem)
         quad = tc.sensitivities(post_q, r_weights=r_view)
