@@ -440,63 +440,61 @@ def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator,
     return h_of()
 
 
-def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
-                    seed: int = 0, tol: float = 1e-6) -> str:
-    """Monte Carlo convex-hull membership of the targets in the h-image.
+def _hull_gauge(h: np.ndarray, c: np.ndarray, tol: float) -> float:
+    """Gauge of c in the convex hull of the rows of h about their mean.
 
-    Classifies the target vector against the sampled support of
-    (h_1, ..., h_k)(X, Y) under the untilted conditional with X ~ g:
-    exact hull geometry for k <= 3, linear-feasibility probing beyond.
-    Returns "interior", "boundary" or "outside"; multipliers exist for
-    interior targets.
+    Taken on the per-column standardised sample z: from the hull's facets
+    for k <= 3, beyond from one LP, min 1'w subject to z'w = v and w >= 0.
     """
-    c = views.targets if c is None else np.atleast_1d(np.asarray(c, dtype=float))
-    k = c.size
-    rng = np.random.default_rng(seed)
-    h = _h_samples(prior, views, n_samples, rng)
-    spread = float(np.max(np.ptp(h, axis=0), initial=0.0))
-    if spread <= 0.0:
+    if h.shape[1] == 0 or np.ptp(h, axis=0).min() <= 0.0:
         raise InconclusiveSample("sampled h-image is degenerate (zero spread)")
-    pad = tol * spread
-
-    if k == 1:
-        lo, hi = float(h.min()), float(h.max())
-        if lo + pad < c[0] < hi - pad:
-            return "interior"
-        if c[0] < lo - pad or c[0] > hi + pad:
-            return "outside"
-        return "boundary"
-
-    if k <= 3:
+    mean, std = h.mean(axis=0), h.std(axis=0)
+    z = (h - mean) / std
+    v = (c - mean) / std
+    singular = np.linalg.svd(z, compute_uv=False)
+    if singular[-1] <= tol * singular[0]:
+        raise InconclusiveSample("sampled h-image is flat (spans fewer than k dimensions)")
+    if c.size > 3:
+        res = linprog(np.ones(z.shape[0]), A_eq=z.T, b_eq=v, bounds=(0.0, None),
+                      method="highs")
+        if res.status != 0:
+            raise InconclusiveSample(f"hull-gauge LP failed: {res.message}")
+        return float(res.fun)
+    if c.size == 1:
+        facets = np.array([[-1.0, z.min()], [1.0, -z.max()]])
+    else:
         try:
-            hull = ConvexHull(h)
+            facets = ConvexHull(z).equations
         except QhullError as exc:
             raise InconclusiveSample("sampled h-image is degenerate for hull") from exc
-        margins = -(hull.equations[:, :-1] @ c + hull.equations[:, -1])
-        worst = float(margins.min())
-        if worst > pad:
-            return "interior"
-        if worst < -pad:
-            return "outside"
-        return "boundary"
+    return float(np.max(facets[:, :-1] @ v / -facets[:, -1]))
 
-    # k > 3: membership via the linear-feasibility problem
-    #   find w >= 0 with  H^T w = c  and  1^T w = 1
-    def feasible(point) -> bool:
-        res = linprog(
-            np.zeros(h.shape[0]),
-            A_eq=np.vstack([h.T, np.ones((1, h.shape[0]))]),
-            b_eq=np.concatenate([point, [1.0]]),
-            bounds=(0.0, None),
-            method="highs",
-        )
-        return bool(res.status == 0)
 
-    if not feasible(c):
-        return "outside"
-    probes = [c + pad * sign * np.eye(k)[j] for j in range(k) for sign in (-1.0, 1.0)]
-    if all(feasible(p) for p in probes):
+def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
+                    seed: int = 0, tol: float = 1e-6) -> str:
+    """Monte Carlo depth of the targets c in the convex hull of the h-image.
+
+    Samples (h_1, ..., h_k)(X, Y) under the untilted conditional with X ~ g.
+    The depth is 1 - gamma, with gamma the gauge (Minkowski functional) of
+    the sample's hull about the sample mean: 1 at the mean, 0 on the
+    boundary, negative outside.  Returns "interior" when depth > tol,
+    "outside" when depth < -tol, else "boundary"; multipliers exist for
+    interior targets.  The gauge is affine-invariant, so ``tol`` is relative
+    and the class does not depend on the units of the views.  Raises
+    ValueError unless c holds one target per moment view, and
+    InconclusiveSample when some view has no spread or the standardised
+    sample's smallest singular value is at most ``tol`` times its largest.
+    """
+    k = len(views.moments)
+    c = views.targets if c is None else np.atleast_1d(np.asarray(c, dtype=float))
+    if c.shape != (k,):
+        raise ValueError(f"expected {k} targets, one per moment view; got shape {c.shape}")
+    h = _h_samples(prior, views, n_samples, np.random.default_rng(seed))
+    depth = 1.0 - _hull_gauge(h, c, tol)
+    if depth > tol:
         return "interior"
+    if depth < -tol:
+        return "outside"
     return "boundary"
 
 

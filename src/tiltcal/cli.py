@@ -393,7 +393,6 @@ class _TaskRunner:
                 n_samples=int(task.get("n_samples", 100_000)),
                 seed=self._seed_for(task),
             )
-            report.existence = payload["existence"]
         if isinstance(post, GaussianMarginalPosterior):
             payload["posterior_mean_z"] = post.z_mean()
             self._write_density_files(post, stage)

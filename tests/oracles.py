@@ -3,14 +3,20 @@
 Everything here deliberately avoids the tilting/closed-form code paths:
 a primal projected-gradient solver for the discrete KL projection, dense
 tensor-product quadrature for 2-D pricing, bisection for scalar
-multipliers, a block-inverse route to conditional covariances, and
-per-point adaptive quadrature for posterior marginal densities.
+multipliers, a block-inverse route to conditional covariances,
+per-point adaptive quadrature for posterior marginal densities, and
+raw-coordinate hull gauges plus the padded feasibility-probe classifier for
+the existence check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
+
+from tiltcal.errors import InconclusiveSample
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +247,91 @@ def marginal_density_quad(post, c, s, rel_tol=1e-10):
             raise RuntimeError(f"oracle quad missed relative error {rel_tol} at s={sv}")
         out.append(val)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Convex-hull membership of view targets
+# ---------------------------------------------------------------------------
+
+
+def facet_gauge(h: np.ndarray, c) -> float:
+    """Gauge of c in conv(rows of h) about their mean, from raw-coordinate facets.
+
+    Qhull's facets satisfy a . x + b <= 0 inside, so each facet meets the
+    ray from the mean m through c at the ratio a . (c - m) / -(a . m + b).
+    """
+    eq = ConvexHull(h).equations
+    m = h.mean(axis=0)
+    a, b = eq[:, :-1], eq[:, -1]
+    return float(np.max(a @ (np.asarray(c, dtype=float) - m) / -(a @ m + b)))
+
+
+def ray_lp_gauge(h: np.ndarray, c) -> float:
+    """Gauge of c about the mean m as 1 / t*, t* = max t with m + t (c - m) in the hull.
+
+    One LP over convex weights w and the step t in raw coordinates:
+    maximize t subject to h' w - t (c - m) = m, 1' w = 1, w >= 0.
+    """
+    n, k = h.shape
+    m = h.mean(axis=0)
+    d = np.asarray(c, dtype=float) - m
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    a_eq = np.vstack([np.column_stack([h.T, -d]), np.r_[np.ones(n), 0.0]])
+    res = linprog(cost, A_eq=a_eq, b_eq=np.r_[m, 1.0], bounds=(0.0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"oracle ray LP failed: {res.message}")
+    return float(1.0 / res.x[-1])
+
+
+def padded_probe_class(h: np.ndarray, c, tol: float = 1e-6) -> str:
+    """Classify c against conv(rows of h) with one absolute pad, tol * max ptp(h).
+
+    A range test for k = 1, Euclidean facet margins for k <= 3, and beyond
+    1 + 2k feasibility LPs (find w >= 0 with h' w = point, 1' w = 1): c
+    itself, then c moved by the pad along each axis in both directions.
+    The pad makes the class depend on the units of the views.
+    """
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    k = c.size
+    spread = float(np.max(np.ptp(h, axis=0), initial=0.0))
+    if spread <= 0.0:
+        raise InconclusiveSample("sampled h-image is degenerate (zero spread)")
+    pad = tol * spread
+
+    if k == 1:
+        lo, hi = float(h.min()), float(h.max())
+        if lo + pad < c[0] < hi - pad:
+            return "interior"
+        if c[0] < lo - pad or c[0] > hi + pad:
+            return "outside"
+        return "boundary"
+
+    if k <= 3:
+        try:
+            hull = ConvexHull(h)
+        except QhullError as exc:
+            raise InconclusiveSample("sampled h-image is degenerate for hull") from exc
+        worst = float((-(hull.equations[:, :-1] @ c + hull.equations[:, -1])).min())
+        if worst > pad:
+            return "interior"
+        if worst < -pad:
+            return "outside"
+        return "boundary"
+
+    def feasible(point) -> bool:
+        res = linprog(
+            np.zeros(h.shape[0]),
+            A_eq=np.vstack([h.T, np.ones((1, h.shape[0]))]),
+            b_eq=np.concatenate([point, [1.0]]),
+            bounds=(0.0, None),
+            method="highs",
+        )
+        return bool(res.status == 0)
+
+    if not feasible(c):
+        return "outside"
+    probes = [c + pad * sign * np.eye(k)[j] for j in range(k) for sign in (-1.0, 1.0)]
+    if all(feasible(p) for p in probes):
+        return "interior"
+    return "boundary"

@@ -7,7 +7,7 @@ from scipy.special import roots_hermite
 
 import tiltcal as tc
 from conftest import random_gaussian_linear_problem, random_spd
-from oracles import bisect_scalar_multiplier
+from oracles import bisect_scalar_multiplier, facet_gauge, padded_probe_class, ray_lp_gauge
 
 
 def _two_asset_problem(two_asset_prior, two_asset_views):
@@ -339,6 +339,87 @@ class TestExistence:
         with pytest.raises(tc.InconclusiveSample):
             tc.existence_check(prior, views, c=[1.0], n_samples=500)
 
+    def test_target_count_must_match_views(self):
+        prior = tc.GaussianPrior(np.zeros(3), np.eye(3))
+        views = self._views(2, 3)
+        for c in ([0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="expected 2 targets"):
+                tc.existence_check(prior, views, c=c, n_samples=2_000)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_class_does_not_depend_on_view_units(self, scale):
+        prior = tc.GaussianPrior(np.zeros(3), np.eye(3))
+        vmap = tc.LinearViewMap.identity(3, 1, 3)
+        views = tc.ViewSet(vmap, tc.GaussianDensity(0.0, 1.0), (
+            tc.MomentView(target=0.0, payoff=lambda x, y: y[..., 0] / scale),
+            tc.MomentView(target=0.0, payoff=lambda x, y: y[..., 1] * scale),
+        ))
+        # near the centroid, and ~2.5x beyond the sample maximum of the second view
+        assert tc.existence_check(prior, views, c=[0.1 / scale, 0.0],
+                                  n_samples=20_000) == "interior"
+        assert tc.existence_check(prior, views, c=[0.0, 10.0 * scale],
+                                  n_samples=20_000) == "outside"
+
+    def test_flat_lp_image_raises(self):
+        prior = tc.GaussianPrior(np.zeros(5), np.eye(5))
+        vmap = tc.LinearViewMap.identity(5, 1, 5)
+        moments = tuple(tc.MomentView(target=0.0, coord=i) for i in range(3))
+        duplicate = tc.MomentView(target=0.0, payoff=lambda x, y: y[..., 0])
+        views = tc.ViewSet(vmap, tc.GaussianDensity(0.0, 1.0), moments + (duplicate,))
+        with pytest.raises(tc.InconclusiveSample):
+            tc.existence_check(prior, views, c=[0.0, 0.1, -0.1, 0.0], n_samples=4_000)
+
+    def test_views_without_moments_raise(self):
+        prior = tc.GaussianPrior(np.zeros(2), np.eye(2))
+        views = self._views(0, 2)
+        with pytest.raises(tc.InconclusiveSample):
+            tc.existence_check(prior, views, n_samples=500)
+
+    @pytest.mark.parametrize("dim, c, n_samples", [
+        (2, [0.0], 20_000),
+        (2, [50.0], 20_000),
+        (2, [4.9], 200),
+        (3, [0.1, -0.1], 20_000),
+        (3, [10.0, 0.0], 20_000),
+        (5, [0.0, 0.1, -0.1, 0.05], 4_000),
+        (5, [20.0, 0.0, 0.0, 0.0], 4_000),
+    ])
+    def test_padded_probe_oracle_gives_same_class(self, dim, c, n_samples):
+        prior = tc.GaussianPrior(np.zeros(dim), np.eye(dim))
+        views = self._views(len(c), dim)
+        h = tc.calibration._h_samples(prior, views, n_samples, np.random.default_rng(0))
+        assert padded_probe_class(h, c) == tc.existence_check(prior, views, c=c,
+                                                                n_samples=n_samples)
+
+
+class TestHullGauge:
+    """The two exact gauge methods against raw-coordinate oracles of the other kind."""
+
+    @staticmethod
+    def _cloud_and_targets(k, seed):
+        rng = np.random.default_rng(seed)
+        mix = rng.standard_normal((k, k)) * np.logspace(-2, 2, k)
+        h = rng.standard_t(4.0, size=(5_000, k)) @ mix + rng.standard_normal(k)
+        m = h.mean(axis=0)
+        rows = h[rng.choice(len(h), 3, replace=False)]
+        vertex = h[np.argmax(h[:, 0])]
+        targets = [m + f * (row - m) for f, row in zip((0.3, 0.99, 1.7), rows)]
+        return h, targets + [vertex, m + 2.0 * (vertex - m)]
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_lp_gauge_matches_facet_oracle(self, k):
+        h, targets = self._cloud_and_targets(k, seed=k)
+        for c in targets:
+            expected = facet_gauge(h, c)
+            assert tc.calibration._hull_gauge(h, c, 1e-6) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_facet_gauge_matches_lp_oracle(self, k):
+        h, targets = self._cloud_and_targets(k, seed=k)
+        for c in targets:
+            expected = ray_lp_gauge(h, c)
+            assert tc.calibration._hull_gauge(h, c, 1e-6) == pytest.approx(expected, rel=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # Independence diagnostic
@@ -385,6 +466,14 @@ class TestIndependence:
         views = mean_only_views()
         status = tc.existence_check(six_index_prior, views, n_samples=100_000, seed=1)
         assert status == "interior"
+
+    def test_six_index_mean_class_matches_padded_probe_oracle(self, six_index_prior):
+        from conftest import mean_only_views
+
+        views = mean_only_views()
+        h = tc.calibration._h_samples(six_index_prior, views, 20_000, np.random.default_rng(1))
+        status = tc.existence_check(six_index_prior, views, n_samples=20_000, seed=1)
+        assert status == padded_probe_class(h, views.targets) == "interior"
 
 
 # ---------------------------------------------------------------------------
