@@ -72,7 +72,7 @@ class DualState:
 
 @dataclass
 class CalibrationReport:
-    """Outcome of a multiplier solve, with existence/uniqueness diagnostics."""
+    """Outcome of a multiplier solve, with convergence and uniqueness diagnostics."""
 
     lam: np.ndarray
     residuals: np.ndarray
@@ -80,7 +80,6 @@ class CalibrationReport:
     iterations: int
     converged: bool
     tolerance: float
-    existence: str = "unchecked"
     independence_min_eig: float = float("nan")
     used_gradient_fallback: bool = False
     message: str = ""

@@ -184,11 +184,30 @@ def load_spec(path: str) -> CalibrationSpec:
     for task in tasks:
         _require(isinstance(task, dict) and task.get("type") in known,
                  f"unknown task entry {task!r}")
+        if task["type"] == "var":
+            _parse_var_task(task, n)
     solver = doc.get("solver", {})
     _require(isinstance(solver, dict), "solver section must be an object")
     allowed = {"n_x", "n_y", "tol", "max_iter"}
     _require(set(solver) <= allowed, f"solver keys must be among {sorted(allowed)}")
     return CalibrationSpec(prior, views, labels, tasks, solver)
+
+
+def _parse_var_task(task: dict, n: int):
+    """A var task's (weights, notional, levels), defaults filled in and checked."""
+    try:
+        weights = np.asarray(task.get("weights", [1.0 / n] * n), dtype=float)
+        notional = float(task.get("notional", 1.0))
+        levels = [float(q) for q in task.get("levels",
+                                             [0.9975, 0.995, 0.9925, 0.95, 0.75, 0.5])]
+    except (ValueError, TypeError) as exc:
+        raise _fail(f"invalid var task: {exc}") from exc
+    _require(weights.shape == (n,) and np.all(np.isfinite(weights)),
+             f"var weights must be {n} finite numbers, one per factor")
+    _require(np.isfinite(notional), "var notional must be finite")
+    _require(bool(levels) and all(0.0 < q < 1.0 for q in levels),
+             "var levels must be a non-empty list in (0, 1)")
+    return weights, notional, levels
 
 
 def _parse_prior(node, base_dir: str):
@@ -376,6 +395,13 @@ class _TaskRunner:
     def _task_calibrate(self, task: dict, stage: str):
         post = self.posterior()
         report = self.report
+        existence = "unchecked"
+        if task.get("check_existence", False):
+            existence = existence_check(
+                self.spec.prior, self.spec.views,
+                n_samples=int(task.get("n_samples", 100_000)),
+                seed=self._seed_for(task),
+            )
         payload = {
             "schema_version": SCHEMA_VERSION,
             "lambda": report.lam,
@@ -384,15 +410,9 @@ class _TaskRunner:
             "iterations": report.iterations,
             "converged": report.converged,
             "tolerance": report.tolerance,
-            "existence": report.existence,
+            "existence": existence,
             "independence_min_eig": report.independence_min_eig,
         }
-        if task.get("check_existence", False):
-            payload["existence"] = existence_check(
-                self.spec.prior, self.spec.views,
-                n_samples=int(task.get("n_samples", 100_000)),
-                seed=self._seed_for(task),
-            )
         if isinstance(post, GaussianMarginalPosterior):
             payload["posterior_mean_z"] = post.z_mean()
             self._write_density_files(post, stage)
@@ -439,12 +459,7 @@ class _TaskRunner:
         return int(task.get("n_samples", default))
 
     def _task_var(self, task: dict, stage: str):
-        levels = [float(q) for q in task.get("levels",
-                                             [0.9975, 0.995, 0.9925, 0.95, 0.75, 0.5])]
-        weights = np.asarray(task.get("weights",
-                                      [1.0 / self.spec.prior.dim] * self.spec.prior.dim),
-                             dtype=float)
-        notional = float(task.get("notional", 1.0))
+        weights, notional, levels = _parse_var_task(task, self.spec.prior.dim)
         batch = self.batch(self._samples_for(task), self._seed_for(task))
         report = estimate_var(batch, weights, notional, levels)
         rows = [(q, v, se) for q, v, se in report.as_rows()]

@@ -146,16 +146,76 @@ class VarReport:
         return list(zip(self.levels, self.var_values, self.std_errors))
 
 
-def _weighted_quantile(values: np.ndarray, q, weights: np.ndarray | None):
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if weights is None:
-        return np.quantile(values, q)
-    order = np.argsort(values)
-    v = values[order]
-    w = weights[order]
-    cum = np.cumsum(w) - 0.5 * w
-    cum /= w.sum()
-    return np.interp(q, cum, v)
+def _count_quantiles(v: np.ndarray, w: np.ndarray | None, counts: np.ndarray,
+                     q: np.ndarray) -> np.ndarray:
+    """Quantiles at ``q`` of the sample holding ``counts[i]`` copies of ``v[i]``.
+
+    ``v`` is sorted ascending and ``w`` (None when unweighted) holds the
+    per-copy weights in the same order.  The expanded sorted sample is never
+    built; its order statistics and cumulative weights are read off the
+    cumulative counts by binary search.
+
+    Unweighted, this is numpy's default ('linear') quantile: the two order
+    statistics around (m - 1) q, m = counts.sum(), combined by numpy's lerp.
+    Weighted, it is ``np.interp(q * total, knots, values)`` over the expanded
+    sample with each copy's knot at the midpoint of its cumulative weight:
+    a value with c copies of weight w spans the knots start + w/2 ..
+    end - w/2 and is joined linearly to the neighbouring present values.
+    """
+    n_le = np.cumsum(counts)  # copies with rank <= i
+    m = n_le[-1]
+    if w is None:
+        pos = (m - 1) * q
+        lo = np.minimum(np.floor(pos).astype(np.intp), m - 1)
+        hi = np.minimum(lo + 1, m - 1)
+        a = v[np.searchsorted(n_le, lo, side="right")]
+        b = v[np.searchsorted(n_le, hi, side="right")]
+        t = pos - lo
+        diff = b - a
+        return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    mass = np.cumsum(counts * w)
+    if mass[-1] == 0.0:  # every draw has zero weight: no quantile
+        return np.full(q.shape, np.nan)
+    t = q * mass[-1]
+    k = np.searchsorted(mass, t)  # the copies of v[k] cover t; w[k] > 0
+    start = np.where(k > 0, mass[k - 1], 0.0)
+    end = mass[k]
+    left, right = start + w[k] / 2, end - w[k] / 2
+    n_before, n_through = n_le[k] - counts[k], n_le[k]
+    prev = np.searchsorted(n_le, n_before)  # last present value below v[k]
+    nxt = np.minimum(np.searchsorted(n_le, n_through, side="right"), v.size - 1)
+    below = t < left
+    interp = np.where(below, n_before > 0, (t > right) & (n_through < m))
+    x0 = np.where(below, start - w[prev] / 2, right)
+    x1 = np.where(below, left, end + w[nxt] / 2)
+    y0 = np.where(below, v[prev], v[k])
+    y1 = np.where(below, v[k], v[nxt])
+    slope = np.divide(y1 - y0, x1 - x0, out=np.zeros_like(t), where=interp)
+    return np.where(interp, slope * (t - x0) + y0, v[k])
+
+
+def _bootstrap_quantiles(returns: np.ndarray, weights: np.ndarray | None,
+                         q: np.ndarray, n_boot: int, boot_seed: int) -> np.ndarray:
+    """Quantiles of the returns (row 0) and of ``n_boot`` bootstrap resamples.
+
+    The returns are sorted once (stably, so tied returns keep their row
+    order).  Resample b is the rows ``rng.integers(0, n, n)``, the b-th such
+    draw from ``default_rng(boot_seed)``; it enters only as the count of
+    draws per rank.
+    """
+    n = returns.size
+    order = np.argsort(returns, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    v = returns[order]
+    w = None if weights is None else weights[order]
+    rng = np.random.default_rng(boot_seed)
+    out = np.empty((n_boot + 1, q.size))
+    out[0] = _count_quantiles(v, w, np.ones(n, dtype=np.intp), q)
+    for b in range(1, n_boot + 1):
+        counts = np.bincount(rank[rng.integers(0, n, n)], minlength=n)
+        out[b] = _count_quantiles(v, w, counts, q)
+    return out
 
 
 def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
@@ -164,12 +224,23 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
 
     The reported figure at confidence q is the upper q-quantile of the
     portfolio return distribution times the notional, a positive amount for
-    any level above the return median.  Standard errors come from ``n_boot``
-    bootstrap resamples of the batch.
+    any level above the return median: numpy's default ('linear') quantile
+    for an exact batch, the interpolated midpoint-weight quantile for an
+    importance-weighted one.  Standard errors come from ``n_boot`` bootstrap
+    resamples of the batch, the row draws ``rng.integers(0, n, n)`` of
+    ``default_rng(boot_seed)``.  The returns are sorted once and each
+    resample's quantiles are read from its per-rank draw counts, so the
+    cost per resample is linear in n with no sort.
     """
     w = np.asarray(portfolio_weights, dtype=float)
     if w.size != batch.z_samples.shape[1]:
         raise ValueError("portfolio weights length must match factor count")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("portfolio weights must be finite")
+    if not math.isfinite(notional):
+        raise ValueError("notional must be finite")
+    if n_boot < 2:
+        raise ValueError("n_boot must be at least 2 for a standard error")
     levels = tuple(float(q) for q in levels)
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ValueError("levels must lie in (0, 1)")
@@ -179,16 +250,14 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
         raise InsufficientSamples(
             f"only {worst:.1f} expected tail samples beyond the extreme level; need >= 20"
         )
-    returns = batch.z_samples @ w
-    q_arr = np.array(levels)
-    var_values = _weighted_quantile(returns, q_arr, batch.weights) * notional
-    rng = np.random.default_rng(boot_seed)
-    boot = np.empty((n_boot, q_arr.size))
-    for b in range(n_boot):
-        idx = rng.integers(0, n, n)
-        bw = None if batch.weights is None else batch.weights[idx]
-        boot[b] = _weighted_quantile(returns[idx], q_arr, bw)
-    std_errors = boot.std(axis=0, ddof=1) * notional
+    with np.errstate(over="ignore", invalid="ignore"):
+        returns = batch.z_samples @ w
+    if not np.all(np.isfinite(returns)):
+        raise ValueError("portfolio returns overflow; samples or weights too large")
+    quantiles = _bootstrap_quantiles(returns, batch.weights, np.array(levels),
+                                     n_boot, boot_seed)
+    var_values = quantiles[0] * notional
+    std_errors = quantiles[1:].std(axis=0, ddof=1) * notional
     return VarReport(levels, var_values, float(notional), n, std_errors)
 
 

@@ -6,7 +6,8 @@ tensor-product quadrature for 2-D pricing, bisection for scalar
 multipliers, a block-inverse route to conditional covariances,
 per-point adaptive quadrature for posterior marginal densities, and
 raw-coordinate hull gauges plus the padded feasibility-probe classifier for
-the existence check.
+the existence check, and a VaR bootstrap that builds and sorts every
+resample.
 """
 
 from __future__ import annotations
@@ -335,3 +336,41 @@ def padded_probe_class(h: np.ndarray, c, tol: float = 1e-6) -> str:
     if all(feasible(p) for p in probes):
         return "interior"
     return "boundary"
+
+
+# ---------------------------------------------------------------------------
+# VaR bootstrap: one full quantile selection per resample
+# ---------------------------------------------------------------------------
+
+
+def _weighted_quantile(values: np.ndarray, q, weights: np.ndarray | None):
+    """np.quantile, or np.interp over the sorted midpoint cumulative weights."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if weights is None:
+        return np.quantile(values, q)
+    order = np.argsort(values)
+    v = values[order]
+    w = weights[order]
+    cum = np.cumsum(w) - 0.5 * w
+    cum /= w.sum()
+    return np.interp(q, cum, v)
+
+
+def var_bootstrap_loop(returns: np.ndarray, q, weights: np.ndarray | None,
+                       n_boot: int, boot_seed: int):
+    """Quantiles of the returns and of ``n_boot`` resamples, each built and sorted.
+
+    Returns ``(point, boot)``: the batch's quantiles at ``q`` and an
+    ``(n_boot, len(q))`` array, resample b being the rows
+    ``rng.integers(0, n, n)`` of the b-th draw from ``default_rng(boot_seed)``.
+    """
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    n = returns.size
+    point = _weighted_quantile(returns, q, weights)
+    rng = np.random.default_rng(boot_seed)
+    boot = np.empty((n_boot, q.size))
+    for b in range(n_boot):
+        idx = rng.integers(0, n, n)
+        bw = None if weights is None else weights[idx]
+        boot[b] = _weighted_quantile(returns[idx], q, bw)
+    return point, boot

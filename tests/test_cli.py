@@ -342,9 +342,28 @@ class TestRun:
         del doc["schema_version"]
         assert run(_write_spec(tmp_path, doc), str(tmp_path / "out2")) == 3
 
+    @pytest.mark.parametrize("bad", [
+        {"weights": [1.0]},  # one entry for two factors
+        {"weights": [0.5, float("nan")]},
+        {"notional": float("inf")},
+        {"levels": [0.95, 1.5]},
+        {"levels": [0.0]},
+    ])
+    def test_invalid_var_task_exits_3_without_output(self, tmp_path, bad):
+        task = {"type": "var", "levels": [0.95], "n_samples": 20_000} | bad
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, two_asset_spec([task])), str(out)) == 3
+        assert not out.exists() or os.listdir(out) == []
+
     def test_unknown_task_rejected(self, tmp_path):
         doc = two_asset_spec([{"type": "frobnicate"}])
         assert run(_write_spec(tmp_path, doc), str(tmp_path / "out")) == 3
+
+    def test_existence_unchecked_without_check_existence(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, two_asset_spec()), str(out)) == 0
+        report = json.loads((out / "calibration.json").read_text())
+        assert report["existence"] == "unchecked"
 
     def test_existence_diagnostic_in_calibration_report(self, tmp_path):
         doc = two_asset_spec(

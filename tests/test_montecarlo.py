@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import roots_hermite
 
@@ -13,7 +15,7 @@ from conftest import (
     heavy_tail_views,
     random_gaussian_linear_problem,
 )
-from oracles import price_tilted_lognormal_2d
+from oracles import price_tilted_lognormal_2d, var_bootstrap_loop
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +272,163 @@ class TestEstimateVar:
         rep_t = tc.estimate_var(batch, np.full(6, 1 / 6), 1e6, [0.9975])
         rep_prior = tc.estimate_var(self._prior_batch(), np.full(6, 1 / 6), 1e6, [0.9975])
         assert rep_t.var_values[0] > 1.25 * rep_prior.var_values[0]
+
+
+def _unweighted_case(name):
+    rng = np.random.default_rng(5)
+    if name == "ties_rounded":
+        return np.round(rng.standard_t(3, (10_000, 2)), 1), None
+    if name == "duplicated_rows":
+        z = rng.standard_t(3, (6000, 3))
+        return np.vstack([z, z[:4000]]), None
+    if name == "point_mass":
+        return np.tile([[0.01, -0.02]], (10_000, 1)), None
+    return rng.standard_normal((10_000, 2)), None
+
+
+def _weighted_case(name):
+    """Importance-weighted batches; tied returns always share a weight."""
+    rng = np.random.default_rng(6)
+    if name == "ties_rounded":
+        z = np.round(rng.standard_t(3, (10_000, 1)), 1)
+        w = np.exp(0.4 * z[:, 0] - 0.1 * z[:, 0] ** 2)
+    elif name == "duplicated_rows":
+        z = rng.standard_normal((6000, 2))
+        w = np.exp(0.3 * z[:, 0] - 0.2 * z[:, 1])
+        z, w = np.vstack([z, z[:4000]]), np.concatenate([w, w[:4000]])
+    elif name == "exact_zeros":
+        z = rng.standard_t(4, (10_000, 2))
+        w = np.where(z[:, 0] < -0.5, 0.0, np.exp(0.25 * z[:, 1]))
+    elif name == "point_mass":
+        z = np.tile([[0.01, -0.02]], (10_000, 1))
+        w = np.where(rng.uniform(size=10_000) < 0.3, 0.0, rng.exponential(size=10_000))
+    else:
+        z = rng.standard_normal((10_000, 2))
+        w = np.exp(0.5 * z[:, 0])
+    return z, w / w.mean()
+
+
+VAR_CASES = ["ties_rounded", "duplicated_rows", "point_mass", "plain"]
+BOOT_LEVELS = (0.9975, 0.95, 0.5, 0.25)
+
+
+class TestVarBootstrap:
+    """The sort-once count bootstrap against the per-resample loop oracle."""
+
+    @pytest.mark.parametrize("n_boot", [2, 60])
+    @pytest.mark.parametrize("case", VAR_CASES)
+    def test_unweighted_report_equals_loop_oracle(self, case, n_boot):
+        z, _ = _unweighted_case(case)
+        pw = np.full(z.shape[1], 1.0 / z.shape[1])
+        report = tc.estimate_var(tc.SampleBatch(z, seed=0), pw, 1e6, BOOT_LEVELS,
+                                 n_boot=n_boot, boot_seed=3)
+        point, boot = var_bootstrap_loop(z @ pw, BOOT_LEVELS, None, n_boot, 3)
+        assert np.array_equal(report.var_values, point * 1e6)
+        assert np.array_equal(report.std_errors, boot.std(axis=0, ddof=1) * 1e6)
+
+    @pytest.mark.parametrize("n_boot", [2, 60])
+    @pytest.mark.parametrize("case", VAR_CASES[:2] + ["exact_zeros"] + VAR_CASES[2:])
+    def test_weighted_resamples_match_loop_oracle(self, case, n_boot):
+        z, w = _weighted_case(case)
+        pw = np.full(z.shape[1], 1.0 / z.shape[1])
+        returns = z @ pw
+        q = np.array(BOOT_LEVELS)
+        fast = tc.montecarlo._bootstrap_quantiles(returns, w, q, n_boot, 3)
+        point, boot = var_bootstrap_loop(returns, q, w, n_boot, 3)
+        tol = 1e-12 * np.ptp(returns)
+        assert np.abs(fast[0] - point).max() <= tol
+        assert np.abs(fast[1:] - boot).max() <= tol
+        report = tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), pw, 1e6, q,
+                                 n_boot=n_boot, boot_seed=3)
+        np.testing.assert_allclose(report.std_errors, boot.std(axis=0, ddof=1) * 1e6,
+                                   rtol=1e-10, atol=0)
+
+    def test_resamples_without_weight_have_no_quantile(self):
+        z = np.random.default_rng(0).standard_normal((1000, 1))
+        w = np.zeros(1000)
+        w[:2] = 500.0  # most resamples still hold a weighted row, some do not
+        fast = tc.montecarlo._bootstrap_quantiles(z[:, 0], w, np.array([0.95]), 40, 7)
+        rng = np.random.default_rng(7)
+        empty = np.array([not w[rng.integers(0, 1000, 1000)].any() for _ in range(40)])
+        assert 0 < empty.sum() < 40
+        assert np.array_equal(np.isnan(fast[1:, 0]), empty)
+        with np.errstate(invalid="ignore"):
+            point, boot = var_bootstrap_loop(z[:, 0], [0.95], w, 40, 7)
+        assert np.abs(fast[1:][~empty] - boot[~empty]).max() <= 1e-12 * np.ptp(z)
+        assert abs(fast[0, 0] - point[0]) <= 1e-12 * np.ptp(z)
+        report = tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), [1.0], 1.0, [0.95])
+        assert np.isnan(report.std_errors).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 400),
+           weighted=st.booleans(), decimals=st.sampled_from([None, 0, 1]),
+           levels=st.lists(st.floats(0.0005, 0.9995), min_size=1, max_size=4),
+           n_boot=st.integers(2, 6))
+    # levels beyond the first and the last knot clamp to the extreme present values
+    @example(seed=10, n=50, weighted=True, decimals=None, levels=[0.0005, 0.25, 0.9995],
+             n_boot=6)
+    def test_bootstrap_quantiles_match_loop_oracle(self, seed, n, weighted, decimals,
+                                                   levels, n_boot):
+        rng = np.random.default_rng(seed)
+        returns = rng.standard_t(3, n)
+        if decimals is not None:
+            returns = np.round(returns, decimals)
+        w = None
+        if weighted:  # a function of the return, so ties share a weight; ~1/4 zeros
+            w = np.where(np.round(7 * returns) % 4 == 0, 0.0, np.exp(np.tanh(returns)))
+            w = w / w.mean() if w.any() else np.ones(n)
+        q = np.array(levels)
+        fast = tc.montecarlo._bootstrap_quantiles(returns, w, q, n_boot, seed)
+        point, boot = var_bootstrap_loop(returns, q, w, n_boot, seed)
+        expected = np.vstack([point, boot])
+        if w is None:
+            assert np.array_equal(fast, expected)
+        else:
+            assert np.abs(fast - expected).max() <= 1e-12 * np.ptp(returns)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_sort_whatever_the_resample_count(self, weighted, monkeypatch):
+        calls = {"argsort": 0, "quantile": 0}
+
+        def counted(name):
+            original = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counted(name))
+        z, w = _weighted_case("plain") if weighted else _unweighted_case("plain")
+        batch = tc.SampleBatch(z, seed=0, weights=w)
+        seen = []
+        for n_boot in (2, 50):
+            before = dict(calls)
+            tc.estimate_var(batch, [0.5, 0.5], 1.0, BOOT_LEVELS, n_boot=n_boot)
+            seen.append({name: calls[name] - before[name] for name in calls})
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"portfolio_weights": [np.nan, 0.5]},
+        {"portfolio_weights": [np.inf, 0.5]},
+        {"notional": np.inf},
+        {"notional": np.nan},
+        {"n_boot": 1},
+        {"n_boot": 0},
+    ])
+    def test_invalid_inputs_raise(self, kwargs):
+        z, _ = _unweighted_case("plain")
+        args = {"portfolio_weights": [0.5, 0.5], "notional": 1e6} | kwargs
+        n_boot = args.pop("n_boot", 200)
+        with pytest.raises(ValueError):
+            tc.estimate_var(tc.SampleBatch(z, seed=0), levels=[0.95], n_boot=n_boot,
+                            **args)
+
+    def test_overflowing_returns_raise(self):
+        z = np.full((1000, 2), 1e308)
+        with pytest.raises(ValueError, match="overflow"):
+            tc.estimate_var(tc.SampleBatch(z, seed=0), [1.0, 1.0], 1.0, [0.5])
 
 
 # ---------------------------------------------------------------------------
