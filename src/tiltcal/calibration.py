@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     InconclusiveSample,
@@ -439,6 +437,19 @@ def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator,
     return h_of()
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Importing tiltcal thus does not load ``scipy.optimize``.  The name stays
+    bound at module level because ``perfbench/tracing.py`` counts LP solves by
+    rebinding ``calibration.linprog``; once the benchmark counts them another
+    way this can become a local import in ``_hull_gauge``.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _hull_gauge(h: np.ndarray, c: np.ndarray, tol: float) -> float:
     """Gauge of c in the convex hull of the rows of h about their mean.
 
@@ -462,6 +473,8 @@ def _hull_gauge(h: np.ndarray, c: np.ndarray, tol: float) -> float:
     if c.size == 1:
         facets = np.array([[-1.0, z.min()], [1.0, -z.max()]])
     else:
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             facets = ConvexHull(z).equations
         except QhullError as exc:

@@ -3,7 +3,9 @@
 Three kinds are supported: Gaussian, Student-t in location-scale form, and
 tabulated grid densities with piecewise-linear interpolation.  Grid densities
 are renormalized at construction.  All objects are immutable and evaluation is
-pure, so instances can be shared freely across threads.
+pure, so instances can be shared freely across threads.  The analytic
+kinds' cdf and ppf call the ``scipy.special`` kernels that ``scipy.stats``
+uses for them, without loading ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 
 __all__ = [
     "MarginalDensity",
@@ -113,10 +114,10 @@ class GaussianDensity(MarginalDensity):
         return -0.5 * z * z - np.log(self.stddev) - 0.5 * np.log(2.0 * np.pi)
 
     def cdf(self, x):
-        return stats.norm.cdf(x, loc=self.mean_, scale=self.stddev)
+        return ndtr((np.asarray(x, dtype=float) - self.mean_) / self.stddev)
 
     def ppf(self, u):
-        return stats.norm.ppf(u, loc=self.mean_, scale=self.stddev)
+        return ndtri(u) * self.stddev + self.mean_
 
     def mean(self) -> float:
         return float(self.mean_)
@@ -172,10 +173,12 @@ class StudentTDensity(MarginalDensity):
         return self._log_norm_const() - 0.5 * (self.df + 1.0) * np.log1p(u * u / self.df)
 
     def cdf(self, x):
-        return stats.t.cdf(x, self.df, loc=self.loc, scale=self.scale)
+        return stdtr(self.df, (np.asarray(x, dtype=float) - self.loc) / self.scale)
 
     def ppf(self, u):
-        return stats.t.ppf(u, self.df, loc=self.loc, scale=self.scale)
+        u = np.asarray(u, dtype=float)
+        # stdtrit(df, 0) is +inf; u = 0 is the lower end of the support.
+        return np.where(u == 0.0, -np.inf, stdtrit(self.df, u)) * self.scale + self.loc
 
     def mean(self) -> float:
         return float(self.loc)

@@ -19,6 +19,7 @@ from .errors import (
     InsufficientSamples,
     NonIntegrablePayoff,
     NonSampleableConditional,
+    QuadratureFailure,
 )
 
 __all__ = [
@@ -122,7 +123,7 @@ def _bounded_rule(law, x: np.ndarray, n_y: int):
     """
     try:
         fits = law.rule(x[:1], n_y)[0].shape[1] <= n_y
-    except ValueError:  # no tensor rule beyond three dimensions
+    except QuadratureFailure:  # no tensor rule beyond three dimensions
         fits = False
     if not fits:
         raise NonSampleableConditional(

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg
 from scipy.special import roots_hermite
 
-from .errors import NonSampleableConditional, SingularBlock, SingularMap
+from .errors import NonSampleableConditional, QuadratureFailure, SingularBlock, SingularMap
 
 __all__ = [
     "FactorVector",
@@ -130,11 +130,14 @@ def _gaussian_logpdf(dev: np.ndarray, cov: np.ndarray, error: type, message: str
 
 
 def _hermite_tensor(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Hermite rule normalized for N(0, I)."""
+    """Tensor-product Gauss-Hermite rule normalized for N(0, I).
+
+    Raises QuadratureFailure beyond 3 dims, where the n**dim tensor is too big.
+    """
     if dim == 0:
         return np.zeros((1, 0)), np.ones(1)
     if dim > 3:
-        raise ValueError("Gauss-Hermite tensor rule is practical only up to 3 dims")
+        raise QuadratureFailure("Gauss-Hermite tensor rule is practical only up to 3 dims")
     t, w = roots_hermite(n)
     nodes = t[:, None]
     weights = w / np.sqrt(np.pi)

@@ -6,18 +6,39 @@ tensor-product quadrature for 2-D pricing, bisection for scalar
 multipliers, a block-inverse route to conditional covariances,
 per-point adaptive quadrature for posterior marginal densities, and
 raw-coordinate hull gauges plus the padded feasibility-probe classifier for
-the existence check, and a VaR bootstrap that builds and sorts every
-resample.
+the existence check, a VaR bootstrap that builds and sorts every
+resample, and ``scipy.stats``' location-scale cdf/ppf for the density views.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from tiltcal.errors import InconclusiveSample
+
+
+# ---------------------------------------------------------------------------
+# cdf / ppf of the analytic density views through scipy.stats
+# ---------------------------------------------------------------------------
+
+
+def gaussian_cdf_stats(x, mean: float, stddev: float):
+    return stats.norm.cdf(x, loc=mean, scale=stddev)
+
+
+def gaussian_ppf_stats(u, mean: float, stddev: float):
+    return stats.norm.ppf(u, loc=mean, scale=stddev)
+
+
+def student_t_cdf_stats(x, df: float, loc: float, scale: float):
+    return stats.t.cdf(x, df, loc=loc, scale=scale)
+
+
+def student_t_ppf_stats(u, df: float, loc: float, scale: float):
+    return stats.t.ppf(u, df, loc=loc, scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,19 @@ class TestRun:
         assert "SingularConditionalCovariance" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_payoff_view_on_six_index_model_exits_1_with_typed_code(self, tmp_path, capsys):
+        """Five conditional coordinates exceed the 3-D Gauss-Hermite tensor rule."""
+        doc = six_index_spec([{"type": "calibrate"}])
+        doc["moments"] = [
+            {"payoff": {"kind": "call", "coord": 0, "strike": 0.0}, "target": 0.01}
+        ]
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["code"] == "QuadratureFailure"
+        assert "up to 3 dims" in error["detail"]
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("task", [
         {"type": "tail", "coord": 0},
         {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}},

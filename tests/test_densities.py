@@ -5,6 +5,12 @@ import pytest
 from scipy import stats
 
 import tiltcal as tc
+from oracles import (
+    gaussian_cdf_stats,
+    gaussian_ppf_stats,
+    student_t_cdf_stats,
+    student_t_ppf_stats,
+)
 
 
 class TestStudentT:
@@ -143,3 +149,64 @@ def test_inverse_cdf_sampling_matches_distribution():
     draws = g.sample(50_000, np.random.default_rng(7))
     res = stats.kstest(draws, lambda x: g.cdf(x))
     assert res.pvalue > 0.01
+
+
+def _oracle(density):
+    """cdf and ppf of ``density`` through scipy.stats."""
+    if isinstance(density, tc.GaussianDensity):
+        args = (density.mean_, density.stddev)
+        return (lambda x: gaussian_cdf_stats(x, *args),
+                lambda u: gaussian_ppf_stats(u, *args))
+    args = (density.df, density.loc, density.scale)
+    return (lambda x: student_t_cdf_stats(x, *args),
+            lambda u: student_t_ppf_stats(u, *args))
+
+
+_ANALYTIC = [
+    *(tc.StudentTDensity(df=df, loc=0.0028, scale=0.0165) for df in (1.5, 3.0, 4.0, 30.0)),
+    tc.StudentTDensity(df=1e6, loc=-2.0, scale=3.5),
+    tc.GaussianDensity(0.3, 1.7),
+]
+_ANALYTIC_IDS = ["t1.5", "t3", "t4", "t30", "t1e6", "gaussian"]
+# Probabilities and abscissae at the ends of the domain and beyond it.
+_EDGES = np.array([0.0, -0.0, 1.0, 1e-300, 1.0 - 1e-16, 1e-15, -0.25, 1.5,
+                   np.nan, np.inf, -np.inf])
+
+
+class TestCdfPpfMatchStatsOracle:
+    """The scipy.special kernels reproduce scipy.stats bit for bit."""
+
+    @pytest.mark.parametrize("density", _ANALYTIC, ids=_ANALYTIC_IDS)
+    def test_bit_identical_on_uniform_normal_and_edge_points(self, density):
+        cdf, ppf = _oracle(density)
+        rng = np.random.default_rng(11)
+        uniform = rng.random(100_000)
+        normal = rng.standard_normal(100_000)
+        # x spread over the density's own scale, so cdf sees both tails
+        spread = density.mean() + 8.0 * np.sqrt(min(density.var(), 1e4)) * normal
+        for points in (uniform, normal, spread, _EDGES):
+            assert np.array_equal(density.ppf(points), ppf(points), equal_nan=True)
+            assert np.array_equal(density.cdf(points), cdf(points), equal_nan=True)
+
+    @pytest.mark.parametrize("density", _ANALYTIC, ids=_ANALYTIC_IDS)
+    def test_support_ends_and_invalid_probabilities(self, density):
+        ppf = density.ppf(np.array([0.0, -0.0, 1.0, -0.25, 1.5, np.nan]))
+        assert ppf[0] == ppf[1] == -np.inf
+        assert ppf[2] == np.inf
+        assert np.isnan(ppf[3:]).all()
+        assert density.ppf(0.0) == -np.inf
+        np.testing.assert_array_equal(density.cdf(np.array([-np.inf, np.inf])), [0.0, 1.0])
+
+    @pytest.mark.parametrize("density", _ANALYTIC, ids=_ANALYTIC_IDS)
+    def test_scalars_stay_numpy_scalars_and_shapes_are_kept(self, density):
+        cdf, ppf = _oracle(density)
+        for value in (0.3, 0.0, np.float64(0.7), np.array(0.2)):
+            for mine, theirs in ((density.ppf(value), ppf(value)),
+                                 (density.cdf(value), cdf(value))):
+                assert isinstance(mine, np.float64)
+                assert np.array_equal(mine, theirs)
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert density.ppf(grid).shape == (3, 4)
+        assert density.cdf(grid).shape == (3, 4)
+        assert density.ppf([0.1, 0.5]).shape == (2,)
+        assert np.array_equal(density.ppf(grid), ppf(grid))
