@@ -440,21 +440,44 @@ def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator,
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call.
 
-    Importing tiltcal thus does not load ``scipy.optimize``.  The name stays
-    bound at module level because ``perfbench/tracing.py`` counts LP solves by
-    rebinding ``calibration.linprog``; once the benchmark counts them another
-    way this can become a local import in ``_hull_gauge``.
+    Importing tiltcal thus does not load ``scipy.optimize``; the first
+    existence check does, for every k.  The name stays bound at module level
+    because ``perfbench/tracing.py`` counts LP solves by rebinding
+    ``calibration.linprog``; once the benchmark counts them another way this
+    can become a local import in ``_hull_gauge``.
     """
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
 
 
+# Column generation for _hull_gauge.  An artificial column costs far more per
+# unit than the points of a non-flat standardised sample; the pricing
+# tolerance is HiGHS's default dual feasibility tolerance.
+_ARTIFICIAL_COST = 1.0e6
+_PRICING_TOL = 1.0e-7
+_GAUGE_ROUNDS = 20
+_COLUMNS_PER_VIEW = 50
+
+
 def _hull_gauge(h: np.ndarray, c: np.ndarray, tol: float) -> float:
     """Gauge of c in the convex hull of the rows of h about their mean.
 
-    Taken on the per-column standardised sample z: from the hull's facets
-    for k <= 3, beyond from one LP, min 1'w subject to z'w = v and w >= 0.
+    Taken on the per-column standardised sample z (mean 0) with the target v
+    mapped the same way, as the LP  min 1'w  subject to  z'w = v, w >= 0,
+    solved by column generation.  The restricted LP holds the sample's
+    extreme points along the +-axes and the +-diagonal, plus 2k artificial
+    columns +-e_i of cost ``_ARTIFICIAL_COST`` that keep it feasible when
+    the cone of those points misses v.  Each round prices every point with
+    its dual y in one product s = z y and adds the ``_COLUMNS_PER_VIEW * k``
+    most violated points outside the set.  It stops when no point has
+    s > 1 + ``_PRICING_TOL`` and no artificial column carries weight: then
+    y / (1 + _PRICING_TOL) is feasible for the full dual, so the restricted
+    optimum is within ``_PRICING_TOL`` relative of the full-sample gauge.
+    Raises InconclusiveSample when the sample is degenerate, when a round
+    adds nothing yet the stopping rule fails (a point already in the set
+    still violates, or an artificial column keeps weight), or after
+    ``_GAUGE_ROUNDS`` rounds.
     """
     if h.shape[1] == 0 or np.ptp(h, axis=0).min() <= 0.0:
         raise InconclusiveSample("sampled h-image is degenerate (zero spread)")
@@ -464,22 +487,35 @@ def _hull_gauge(h: np.ndarray, c: np.ndarray, tol: float) -> float:
     singular = np.linalg.svd(z, compute_uv=False)
     if singular[-1] <= tol * singular[0]:
         raise InconclusiveSample("sampled h-image is flat (spans fewer than k dimensions)")
-    if c.size > 3:
-        res = linprog(np.ones(z.shape[0]), A_eq=z.T, b_eq=v, bounds=(0.0, None),
-                      method="highs")
+    n, k = z.shape
+    directions = np.vstack([np.eye(k), np.ones((1, k))])
+    projections = z @ directions.T
+    restricted = np.zeros(n, dtype=bool)
+    restricted[np.argmax(projections, axis=0)] = True
+    restricted[np.argmin(projections, axis=0)] = True
+    artificial = np.hstack([np.eye(k), -np.eye(k)])
+    for _ in range(_GAUGE_ROUNDS):
+        columns = np.flatnonzero(restricted)
+        res = linprog(np.r_[np.ones(columns.size), np.full(2 * k, _ARTIFICIAL_COST)],
+                      A_eq=np.hstack([z[columns].T, artificial]), b_eq=v,
+                      bounds=(0.0, None), method="highs")
         if res.status != 0:
             raise InconclusiveSample(f"hull-gauge LP failed: {res.message}")
-        return float(res.fun)
-    if c.size == 1:
-        facets = np.array([[-1.0, z.min()], [1.0, -z.max()]])
-    else:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            facets = ConvexHull(z).equations
-        except QhullError as exc:
-            raise InconclusiveSample("sampled h-image is degenerate for hull") from exc
-    return float(np.max(facets[:, :-1] @ v / -facets[:, -1]))
+        price = z @ res.eqlin.marginals
+        violated = price > 1.0 + _PRICING_TOL
+        entering = np.flatnonzero(violated & ~restricted)
+        if entering.size == 0:
+            if violated.any():
+                raise InconclusiveSample("hull-gauge LP dual violates its own columns")
+            if np.any(res.x[columns.size:] > 0.0):
+                raise InconclusiveSample("hull-gauge LP keeps an artificial column; "
+                                         "sampled h-image is too thin")
+            return float(res.fun)
+        batch = _COLUMNS_PER_VIEW * k
+        if entering.size > batch:
+            entering = entering[np.argpartition(price[entering], -batch)[-batch:]]
+        restricted[entering] = True
+    raise InconclusiveSample(f"hull-gauge column generation took over {_GAUGE_ROUNDS} rounds")
 
 
 def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
@@ -492,10 +528,14 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
     boundary, negative outside.  Returns "interior" when depth > tol,
     "outside" when depth < -tol, else "boundary"; multipliers exist for
     interior targets.  The gauge is affine-invariant, so ``tol`` is relative
-    and the class does not depend on the units of the views.  Raises
-    ValueError unless c holds one target per moment view, and
-    InconclusiveSample when some view has no spread or the standardised
-    sample's smallest singular value is at most ``tol`` times its largest.
+    and the class does not depend on the units of the views.  For every k it
+    is one LP over the sample, solved by column generation: the LPs hold a
+    few hundred points and each round prices the whole sample with one
+    matrix-vector product.  Raises ValueError unless c holds one target per
+    moment view, and InconclusiveSample when some view has no spread, when
+    the standardised sample's smallest singular value is at most ``tol``
+    times its largest, or when the column generation cannot certify its
+    gauge.
     """
     k = len(views.moments)
     c = views.targets if c is None else np.atleast_1d(np.asarray(c, dtype=float))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
+from scipy.special import betaln, gammaln, ndtr, ndtri, stdtr, stdtrit
 
 __all__ = [
     "MarginalDensity",
@@ -176,9 +176,26 @@ class StudentTDensity(MarginalDensity):
         return stdtr(self.df, (np.asarray(x, dtype=float) - self.loc) / self.scale)
 
     def ppf(self, u):
+        """Quantile: ``stdtrit``, except in the far left tail.
+
+        There u = I_x(df/2, 1/2) / 2 with x = df / (df + t^2), whose leading
+        term x^(df/2) / (df B(df/2, 1/2)) is exact to double precision once
+        x <= 2^-53, so t = -sqrt(df / x) = -sqrt(df) (u df B)^(-1/df).  It is
+        used there and only below u = 1e-15, where ``stdtrit`` returns +inf
+        or values off by up to 2x at small df; at u = 0 it gives -inf, the
+        lower end of the support (``stdtrit(df, 0)`` is +inf).
+        """
         u = np.asarray(u, dtype=float)
-        # stdtrit(df, 0) is +inf; u = 0 is the lower end of the support.
-        return np.where(u == 0.0, -np.inf, stdtrit(self.df, u)) * self.scale + self.loc
+        df = self.df
+        beta = np.exp(betaln(df / 2.0, 0.5))
+        exact = 2.0 ** (-26.5 * df) / (df * beta)  # x <= 2^-53 for u up to here
+        t = stdtrit(df, u)
+        far = (u >= 0.0) & (u < 1e-15) & (u <= exact)
+        if far.any():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                tail = -np.sqrt(df) * (u * df * beta) ** (-1.0 / df)
+            t = np.where(far, tail, t)
+        return t * self.scale + self.loc
 
     def mean(self) -> float:
         return float(self.loc)

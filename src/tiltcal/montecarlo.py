@@ -231,7 +231,10 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
     resamples of the batch, the row draws ``rng.integers(0, n, n)`` of
     ``default_rng(boot_seed)``.  The returns are sorted once and each
     resample's quantiles are read from its per-rank draw counts, so the
-    cost per resample is linear in n with no sort.
+    cost per resample is linear in n with no sort.  Raises
+    InsufficientSamples when fewer than 20 samples are expected beyond some
+    level, counting an importance-weighted batch by its Kish effective
+    sample size (sum w)^2 / sum w^2 (n for an exact batch).
     """
     w = np.asarray(portfolio_weights, dtype=float)
     if w.size != batch.z_samples.shape[1]:
@@ -246,10 +249,12 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ValueError("levels must lie in (0, 1)")
     n = batch.n
-    worst = min(n * (1.0 - q) for q in levels)
+    ess = n if batch.weights is None else batch.weights.sum() ** 2 / (batch.weights**2).sum()
+    worst = min(ess * (1.0 - q) for q in levels)
     if worst < 20:
         raise InsufficientSamples(
-            f"only {worst:.1f} expected tail samples beyond the extreme level; need >= 20"
+            f"only {worst:.1f} expected tail samples beyond the extreme level "
+            f"(effective sample size {ess:.1f}); need >= 20"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         returns = batch.z_samples @ w

@@ -4,14 +4,17 @@ Everything here deliberately avoids the tilting/closed-form code paths:
 a primal projected-gradient solver for the discrete KL projection, dense
 tensor-product quadrature for 2-D pricing, bisection for scalar
 multipliers, a block-inverse route to conditional covariances,
-per-point adaptive quadrature for posterior marginal densities, and
-raw-coordinate hull gauges plus the padded feasibility-probe classifier for
-the existence check, a VaR bootstrap that builds and sorts every
-resample, and ``scipy.stats``' location-scale cdf/ppf for the density views.
+per-point adaptive quadrature for posterior marginal densities,
+raw-coordinate hull gauges, one LP over the whole standardised sample and
+the padded feasibility-probe classifier for the existence check, a VaR
+bootstrap that builds and sorts every resample, ``scipy.stats``'
+location-scale cdf/ppf for the density views, and mpmath's incomplete beta
+for the far left tail of the t quantile.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from scipy import integrate, stats
 from scipy.optimize import linprog
@@ -39,6 +42,24 @@ def student_t_cdf_stats(x, df: float, loc: float, scale: float):
 
 def student_t_ppf_stats(u, df: float, loc: float, scale: float):
     return stats.t.ppf(u, df, loc=loc, scale=scale)
+
+
+def student_t_ppf_mpmath(u: float, df: float, dps: int = 50) -> float:
+    """Standard t quantile at u < 1/2 by root finding on mpmath's incomplete beta.
+
+    The left tail is u = I_x(df/2, 1/2) / 2 with x = df / (df + t^2); the
+    root is taken in log x, started from the tail's leading term.
+    """
+    with mpmath.workdps(dps):
+        a, half = mpmath.mpf(df) / 2, mpmath.mpf(1) / 2
+        log_u = mpmath.log(mpmath.mpf(u))
+        start = (log_u + mpmath.log(df) + mpmath.log(mpmath.beta(a, half))) / a
+        log_x = mpmath.findroot(
+            lambda lx: mpmath.log(mpmath.betainc(a, half, 0, mpmath.exp(lx),
+                                                 regularized=True) / 2) - log_u,
+            min(start, mpmath.mpf(-1)))
+        x = mpmath.exp(log_x)
+        return float(-mpmath.sqrt(df * (1 - x) / x))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +307,21 @@ def facet_gauge(h: np.ndarray, c) -> float:
     m = h.mean(axis=0)
     a, b = eq[:, :-1], eq[:, -1]
     return float(np.max(a @ (np.asarray(c, dtype=float) - m) / -(a @ m + b)))
+
+
+def hull_gauge_full_lp(h: np.ndarray, c) -> float:
+    """Gauge of c about the mean of h from one LP over every standardised point.
+
+    min 1' w subject to z' w = v, w >= 0, with z = (h - mean) / std and v
+    the target mapped the same way.
+    """
+    mean, std = h.mean(axis=0), h.std(axis=0)
+    z = (h - mean) / std
+    v = (np.asarray(c, dtype=float) - mean) / std
+    res = linprog(np.ones(z.shape[0]), A_eq=z.T, b_eq=v, bounds=(0.0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"oracle full-sample gauge LP failed: {res.message}")
+    return float(res.fun)
 
 
 def ray_lp_gauge(h: np.ndarray, c) -> float:

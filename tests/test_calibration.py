@@ -6,8 +6,14 @@ from scipy import stats
 from scipy.special import roots_hermite
 
 import tiltcal as tc
-from conftest import random_gaussian_linear_problem, random_spd
-from oracles import bisect_scalar_multiplier, facet_gauge, padded_probe_class, ray_lp_gauge
+from conftest import mean_only_views, random_gaussian_linear_problem, random_spd
+from oracles import (
+    bisect_scalar_multiplier,
+    facet_gauge,
+    hull_gauge_full_lp,
+    padded_probe_class,
+    ray_lp_gauge,
+)
 
 
 def _two_asset_problem(two_asset_prior, two_asset_views):
@@ -393,7 +399,7 @@ class TestExistence:
 
 
 class TestHullGauge:
-    """The two exact gauge methods against raw-coordinate oracles of the other kind."""
+    """The column-generated gauge against the full-sample LP and raw-coordinate oracles."""
 
     @staticmethod
     def _cloud_and_targets(k, seed):
@@ -419,6 +425,84 @@ class TestHullGauge:
         for c in targets:
             expected = ray_lp_gauge(h, c)
             assert tc.calibration._hull_gauge(h, c, 1e-6) == pytest.approx(expected, rel=1e-9)
+
+    @staticmethod
+    def _skewed_cloud(kind, k, seed, n=5_000):
+        """A mixed cloud of n draws with near, far and outside targets.
+
+        "near" is a quarter of the way to a random row, "far" nine tenths of
+        the way to the mean of the three rows most extreme along a random
+        direction, "outside" three times that far.
+        """
+        rng = np.random.default_rng(seed)
+        draw = {"gaussian": lambda: rng.standard_normal((n, k)),
+                "t3": lambda: rng.standard_t(3.0, (n, k)),
+                "t1.5": lambda: rng.standard_t(1.5, (n, k)),
+                "lognormal": lambda: rng.lognormal(size=(n, k))}[kind]
+        h = draw() @ (rng.standard_normal((k, k)) + 2.0 * np.eye(k))
+        m = h.mean(axis=0)
+        edge = h[np.argsort(h @ rng.standard_normal(k))[-3:]].mean(axis=0)
+        row = h[rng.integers(n)]
+        return h, {"near": m + 0.25 * (row - m), "far": m + 0.9 * (edge - m),
+                   "outside": m + 3.0 * (edge - m)}
+
+    @staticmethod
+    def _spy_linprog(monkeypatch):
+        """Record (columns, artificial weight) of every LP the gauge solves."""
+        calls = []
+        solve = tc.calibration.linprog
+
+        def spy(cost, **kwargs):
+            res = solve(cost, **kwargs)
+            k = kwargs["A_eq"].shape[0]
+            calls.append((len(cost), float(res.x[-2 * k:].sum())))
+            return res
+
+        monkeypatch.setattr(tc.calibration, "linprog", spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["gaussian", "t3", "t1.5", "lognormal"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+    def test_column_generation_matches_full_lp_and_raw_oracles(self, k, kind):
+        h, targets = self._skewed_cloud(kind, k, seed=10 * k)
+        raw_oracle = facet_gauge if 2 <= k <= 4 else ray_lp_gauge
+        for name, c in targets.items():
+            gauge = tc.calibration._hull_gauge(h, c, 1e-6)
+            assert gauge == pytest.approx(hull_gauge_full_lp(h, c), rel=1e-9), name
+            assert gauge == pytest.approx(raw_oracle(h, c), rel=1e-9), name
+        assert gauge > 1.0  # the outside target
+
+    @pytest.mark.parametrize("k, seed, name", [(3, 0, "near"), (7, 6, "far")])
+    def test_artificial_columns_carry_a_missed_cone(self, monkeypatch, k, seed, name):
+        """Heavy-tailed clouds whose seed points' cone misses the target."""
+        h, targets = self._skewed_cloud("t3", k, seed)
+        calls = self._spy_linprog(monkeypatch)
+        gauge = tc.calibration._hull_gauge(h, targets[name], 1e-6)
+        assert calls[0][1] > 0.0
+        assert calls[-1][1] == 0.0
+        assert gauge == pytest.approx(hull_gauge_full_lp(h, targets[name]), rel=1e-9)
+
+    def test_round_cap_raises(self, monkeypatch):
+        h, targets = self._skewed_cloud("gaussian", 4, seed=40)
+        monkeypatch.setattr(tc.calibration, "_GAUGE_ROUNDS", 1)
+        with pytest.raises(tc.InconclusiveSample, match="rounds"):
+            tc.calibration._hull_gauge(h, targets["near"], 1e-6)
+
+    def test_artificial_column_left_in_the_optimum_raises(self):
+        """A thin image whose gauge (~7e6) exceeds an artificial column's cost."""
+        s, t = np.random.default_rng(0).standard_normal((2, 2_000))
+        h = np.column_stack([s, s + 1e-8 * t])
+        with pytest.raises(tc.InconclusiveSample, match="artificial"):
+            tc.calibration._hull_gauge(h, np.array([0.1, -0.1]), 1e-10)
+
+    def test_six_index_check_solves_only_small_lps(self, monkeypatch, six_index_prior):
+        """The k = 5 check prices 100k points but solves no LP over all of them."""
+        calls = self._spy_linprog(monkeypatch)
+        status = tc.existence_check(six_index_prior, mean_only_views(), n_samples=100_000,
+                                    seed=7)
+        assert status == "interior"
+        assert 1 <= len(calls) <= 6
+        assert max(columns for columns, _ in calls) <= 2_000
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from oracles import (
     gaussian_cdf_stats,
     gaussian_ppf_stats,
     student_t_cdf_stats,
+    student_t_ppf_mpmath,
     student_t_ppf_stats,
 )
 
@@ -169,7 +170,7 @@ _ANALYTIC = [
 ]
 _ANALYTIC_IDS = ["t1.5", "t3", "t4", "t30", "t1e6", "gaussian"]
 # Probabilities and abscissae at the ends of the domain and beyond it.
-_EDGES = np.array([0.0, -0.0, 1.0, 1e-300, 1.0 - 1e-16, 1e-15, -0.25, 1.5,
+_EDGES = np.array([0.0, -0.0, 1.0, 1.0 - 1e-16, 1e-15, -0.25, 1.5,
                    np.nan, np.inf, -np.inf])
 
 
@@ -210,3 +211,27 @@ class TestCdfPpfMatchStatsOracle:
         assert density.cdf(grid).shape == (3, 4)
         assert density.ppf([0.1, 0.5]).shape == (2,)
         assert np.array_equal(density.ppf(grid), ppf(grid))
+
+
+class TestStudentTFarLeftTail:
+    """Below u = 1e-15 the t quantile against an mpmath incomplete-beta oracle.
+
+    ``stdtrit`` returns +inf at df 3 for u = 1e-300 and 1e-240, half the
+    true value at 1e-200, and saturates near -8.21e153 at df 1.5.  The
+    quantile's relative condition number is |log u| / df, so its exponent
+    1/df alone costs up to ~1e-13 relative at u = 1e-300.
+    """
+
+    @pytest.mark.parametrize("df", [1.5, 3.0, 4.0, 30.0, 1e6])
+    def test_matches_mpmath_oracle(self, df):
+        g = tc.StudentTDensity(df=df, loc=0.0, scale=1.0)
+        u = np.array([1e-300, 1e-240, 1e-200, 1e-100, 1e-30, 1e-16])
+        expected = [student_t_ppf_mpmath(p, df) for p in u]
+        np.testing.assert_allclose(g.ppf(u), expected, rtol=1e-13, atol=0)
+
+    def test_location_scale_and_stdtrit_above_the_switch(self):
+        g = tc.StudentTDensity(df=3.0, loc=0.0028, scale=0.0165)
+        assert g.ppf(1e-300) == pytest.approx(
+            0.0028 + 0.0165 * student_t_ppf_mpmath(1e-300, 3.0), rel=1e-13)
+        u = np.array([1e-15, 1e-10, 0.3])
+        assert np.array_equal(g.ppf(u), student_t_ppf_stats(u, 3.0, 0.0028, 0.0165))

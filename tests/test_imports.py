@@ -2,10 +2,11 @@
 
 Every CLI call pays the package's import time, so the scipy submodules that
 only some tasks use are imported where they are called: ``scipy.optimize``
-on the first hull-gauge LP, ``scipy.spatial`` on the first 2-D or 3-D hull,
-and ``scipy.integrate`` only when the benchmark tracer reads
-``analytic.integrate``.  These tests run fresh interpreters, because the
-test session itself has long since imported all of scipy.
+on the first hull-gauge LP, which every existence check solves whatever the
+number of views, and ``scipy.integrate`` only when the benchmark tracer
+reads ``analytic.integrate``.  ``scipy.spatial`` is never loaded.  These
+tests run fresh interpreters, because the test session itself has long since
+imported all of scipy.
 """
 
 import json
@@ -68,7 +69,7 @@ def test_import_and_load_spec_leave_optional_scipy_unloaded(tmp_path):
     assert report["after_load_spec"] == []
     assert report["bound"] == [True, True]
     assert report["exit"] == 0
-    # k = 5 takes the gauge from one LP: scipy.optimize arrives with it.
+    # The gauge comes from LPs: scipy.optimize arrives with the first check.
     assert "scipy.optimize" in report["after_existence"]
     assert "scipy.stats" not in report["after_existence"]
     assert report["integrate_quad"] is True
@@ -94,3 +95,48 @@ def test_python_m_tiltcal_heavy_tail_run_imports_no_optional_scipy(tmp_path):
     assert "tiltcal.cli" in imported
     assert [m for m in imported
             if any(m == d or m.startswith(d + ".") for d in DEFERRED)] == []
+
+
+def _importers(stderr: str, prefix: str) -> list[list[str]]:
+    """For each ``-X importtime`` line of a module under ``prefix``, the
+    modules whose import caused it, innermost first.
+
+    A line is printed when its import finishes, indented two spaces per
+    nesting level, so its importer is the next line with less indentation.
+    """
+    rows = []
+    for line in stderr.splitlines():
+        if line.startswith("import time:") and not line.endswith("imported package"):
+            field = line.rsplit("|", 1)[-1]
+            rows.append((len(field) - len(field.lstrip()), field.strip()))
+    chains, stack = [], []
+    for indent, name in reversed(rows):
+        while stack and stack[-1][0] >= indent:
+            stack.pop()
+        if name == prefix or name.startswith(prefix + "."):
+            chains.append([outer for _, outer in reversed(stack)])
+        stack.append((indent, name))
+    return chains
+
+
+def test_two_view_existence_check_loads_scipy_spatial_only_through_scipy_optimize(tmp_path):
+    """No Qhull hull: a k = 2 check solves LPs like every other k.
+
+    ``scipy.optimize`` itself imports ``scipy.spatial`` (through its shgo
+    module), so the check pins that every ``scipy.spatial`` import happens
+    inside the ``scipy.optimize`` import, never on tiltcal's own account.
+    """
+    spec = six_index_spec([{"type": "calibrate", "check_existence": True, "n_samples": 2_000}])
+    spec.update(moments=spec["moments"][:2], view_map=dict(spec["view_map"], k2=3))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tiltcal", "calibrate",
+         "--spec", _write_spec(tmp_path, spec), "--out", str(tmp_path / "out")],
+        env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads((tmp_path / "out" / "calibration.json").read_text())["existence"] \
+        == "interior"
+    assert _importers(proc.stderr, "scipy.optimize")
+    spatial = _importers(proc.stderr, "scipy.spatial")
+    assert [chain for chain in spatial
+            if not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
+                       for m in chain)] == []

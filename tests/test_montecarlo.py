@@ -239,6 +239,15 @@ class TestEstimateVar:
         with pytest.raises(tc.InsufficientSamples):
             tc.estimate_var(batch, np.full(6, 1 / 6), 1e6, [0.9975])
 
+    def test_weighted_tail_floor_counts_effective_samples(self):
+        z = np.random.default_rng(1).standard_normal((1000, 2))
+        w = np.tile([2.0, 0.0], 500)  # Kish ESS 500 of 1,000 rows
+        batch = tc.SampleBatch(z, seed=0, weights=w)
+        tc.estimate_var(batch, [0.5, 0.5], 1e6, [0.95])  # 25 effective tail samples
+        with pytest.raises(tc.InsufficientSamples, match="effective sample size 500.0"):
+            tc.estimate_var(batch, [0.5, 0.5], 1e6, [0.975])  # 12.5 (25 rows)
+        tc.estimate_var(tc.SampleBatch(z, seed=0), [0.5, 0.5], 1e6, [0.975])
+
     def test_level_validation(self):
         batch = self._prior_batch(n=1000)
         with pytest.raises(ValueError):
@@ -338,10 +347,11 @@ class TestVarBootstrap:
         tol = 1e-12 * np.ptp(returns)
         assert np.abs(fast[0] - point).max() <= tol
         assert np.abs(fast[1:] - boot).max() <= tol
-        report = tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), pw, 1e6, q,
+        # Three of the cases have a Kish ESS below 8,000, too few for 0.9975.
+        report = tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), pw, 1e6, q[1:],
                                  n_boot=n_boot, boot_seed=3)
-        np.testing.assert_allclose(report.std_errors, boot.std(axis=0, ddof=1) * 1e6,
-                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(report.std_errors,
+                                   boot[:, 1:].std(axis=0, ddof=1) * 1e6, rtol=1e-10, atol=0)
 
     def test_resamples_without_weight_have_no_quantile(self):
         z = np.random.default_rng(0).standard_normal((1000, 1))
@@ -356,8 +366,9 @@ class TestVarBootstrap:
             point, boot = var_bootstrap_loop(z[:, 0], [0.95], w, 40, 7)
         assert np.abs(fast[1:][~empty] - boot[~empty]).max() <= 1e-12 * np.ptp(z)
         assert abs(fast[0, 0] - point[0]) <= 1e-12 * np.ptp(z)
-        report = tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), [1.0], 1.0, [0.95])
-        assert np.isnan(report.std_errors).all()
+        # Kish ESS 2: estimate_var refuses the batch instead of returning a NaN SE.
+        with pytest.raises(tc.InsufficientSamples, match="effective sample size 2.0"):
+            tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), [1.0], 1.0, [0.95])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 400),
@@ -405,7 +416,7 @@ class TestVarBootstrap:
         seen = []
         for n_boot in (2, 50):
             before = dict(calls)
-            tc.estimate_var(batch, [0.5, 0.5], 1.0, BOOT_LEVELS, n_boot=n_boot)
+            tc.estimate_var(batch, [0.5, 0.5], 1.0, BOOT_LEVELS[1:], n_boot=n_boot)
             seen.append({name: calls[name] - before[name] for name in calls})
         assert seen[0] == seen[1]
 

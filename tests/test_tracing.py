@@ -55,14 +55,3 @@ def test_traced_run_counts_dual_and_lp_and_restores_bindings(tmp_path):
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
 
-
-def test_six_index_existence_check_solves_one_lp(tmp_path):
-    """The k = 5 existence check takes the hull gauge from a single LP."""
-    tracing = _load_tracing()
-    recorder = tracing.SpanRecorder()
-    existence = six_index_spec(
-        [{"type": "calibrate", "check_existence": True, "n_samples": 2_000}]
-    )
-    with tracing.instrumented(recorder), recorder.job_scope("existence"):
-        assert cli.run(_write_spec(tmp_path, existence), str(tmp_path / "out")) == 0
-    assert recorder.calls("existence", ["calibration.linprog"]) == 1
