@@ -33,7 +33,6 @@ from .densities import (
     GridDensity,
     MarginalDensity,
     StudentTDensity,
-    density_eval,
 )
 from .entropy import relative_entropy
 from .errors import (
@@ -62,7 +61,6 @@ from .montecarlo import (
     sample_posterior,
 )
 from .priors import (
-    FactorVector,
     GaussianConditional,
     GaussianPrior,
     GenericPrior,
@@ -80,10 +78,9 @@ __all__ = [
     "__version__",
     # densities
     "MarginalDensity", "GaussianDensity", "StudentTDensity", "GridDensity",
-    "density_eval",
     # priors and maps
-    "FactorVector", "GaussianPrior", "GenericPrior", "GaussianConditional",
-    "LinearViewMap", "gaussian_conditional", "transform_prior",
+    "GaussianPrior", "GenericPrior", "GaussianConditional", "LinearViewMap",
+    "gaussian_conditional", "transform_prior",
     # views
     "MomentView", "ViewSet",
     # entropy

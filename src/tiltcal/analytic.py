@@ -161,8 +161,6 @@ def posterior_density_z(post: GaussianMarginalPosterior, z,
 
     With ``log=True`` returns the log density (useful deep in the tails).
     """
-    if hasattr(z, "values") and hasattr(z, "labels"):
-        z = z.values
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 1
     pts = np.atleast_2d(z)

@@ -312,22 +312,27 @@ def solve_lambda_gaussian_linear(prior: GaussianPrior, views: ViewSet) -> np.nda
     return GaussianLinearProblem(prior, views).solve_closed_form()
 
 
-def solve_lambda_newton(prior, views: ViewSet, *, lam0=None, tol: float = 1e-8,
+def _min_eigenvalue(hessian: np.ndarray) -> float:
+    """Smallest eigenvalue of a dual Hessian; NaN when there are no moment views."""
+    return float(np.linalg.eigvalsh(hessian).min()) if hessian.size else float("nan")
+
+
+def solve_lambda_newton(prior, views: ViewSet, *, tol: float = 1e-8,
                         max_iter: int = 100, problem=None,
                         n_x: int = 10_000, n_y: int = 64) -> CalibrationReport:
     """Damped Newton descent on the strictly convex dual from lam = 0.
 
     Uses backtracking line search on F (monotone dual values); when the
     Hessian factorization fails the step falls back to steepest descent and
-    the report flags the linear-independence hypothesis.  Non-convergence
-    returns the best iterate with ``converged=False`` instead of raising.
+    the report flags the linear-independence hypothesis, whose certificate
+    ``independence_min_eig`` is ``independence_check``'s value at lam = 0.
+    Non-convergence returns the best iterate with ``converged=False``.
     """
     if problem is None:
         problem = build_dual_problem(prior, views, n_x=n_x, n_y=n_y)
-    k = problem.n_moments
-    lam = np.zeros(k) if lam0 is None else np.atleast_1d(np.asarray(lam0, dtype=float))
+    lam = np.zeros(problem.n_moments)
     state = problem.dual_state(lam)
-    init_hessian = state.hessian
+    min_eig = _min_eigenvalue(state.hessian)
     fallback = False
     iterations = 0
     message = ""
@@ -370,11 +375,6 @@ def solve_lambda_newton(prior, views: ViewSet, *, lam0=None, tol: float = 1e-8,
         path.append(state.value)
     residuals = np.abs(state.gradient)
     converged = bool(np.max(residuals, initial=0.0) <= tol)
-    if k:
-        eigs = np.linalg.eigvalsh((init_hessian + init_hessian.T) / 2.0)
-        min_eig = float(eigs.min())
-    else:
-        min_eig = float("nan")
     return CalibrationReport(
         lam=state.lam,
         residuals=residuals,
@@ -419,22 +419,11 @@ class TiltedPosterior:
         return value
 
 
-def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator,
-               paired: bool = False):
-    """Draws of (h_1..h_k)(X, Y) under the prior conditional tilted to g.
-
-    With ``paired=True`` returns two conditionally independent h-vectors
-    sharing the same X draws (for conditional-covariance estimation).
-    """
+def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator):
+    """Draws of (h_1..h_k)(X, Y) under the prior conditional tilted to g."""
     law = conditional_law(prior, views)
     x = _draw_x(views.marginal, views.k1, n_samples, rng)
-
-    def h_of():
-        return _view_tensor(views.moments, x, law.sample(x, rng)).T
-
-    if paired:
-        return h_of(), h_of()
-    return h_of()
+    return _view_tensor(views.moments, x, law.sample(x, rng)).T
 
 
 def linprog(*args, **kwargs):
@@ -552,15 +541,12 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
 
 def independence_check(prior, views: ViewSet, n_samples: int = 50_000,
                        seed: int = 0) -> float:
-    """Smallest eigenvalue of the estimated dual Hessian at lam = 0.
+    """Smallest eigenvalue of ``build_dual_problem``'s Hessian E_g[Cov(h | X)] at lam = 0.
 
-    Estimates E_g[Cov(h | X)] from paired conditional draws; a positive
-    value certifies (numerically) the linear-independence hypothesis that
-    makes the calibrated model unique.
+    A positive value certifies (numerically) the linear-independence
+    hypothesis that makes the calibrated model unique.  It is
+    ``solve_lambda_newton``'s ``independence_min_eig`` bit for bit, and NaN
+    without moment views.  ``n_samples`` and ``seed`` are unused.
     """
-    rng = np.random.default_rng(seed)
-    h1, h2 = _h_samples(prior, views, n_samples, rng, paired=True)
-    d = h1 - h2
-    cov = d.T @ d / (2.0 * n_samples)
-    cov = (cov + cov.T) / 2.0
-    return float(np.linalg.eigvalsh(cov).min())
+    problem = build_dual_problem(prior, views)
+    return _min_eigenvalue(problem.dual_state(np.zeros(problem.n_moments)).hessian)

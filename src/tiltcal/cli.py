@@ -181,11 +181,16 @@ def load_spec(path: str) -> CalibrationSpec:
     tasks = doc["tasks"]
     _require(isinstance(tasks, list) and tasks, "tasks must be a non-empty list")
     known = {"calibrate", "var", "price", "tail", "sensitivities"}
+    y_dim = n - view_map.k1
     for task in tasks:
         _require(isinstance(task, dict) and task.get("type") in known,
                  f"unknown task entry {task!r}")
         if task["type"] == "var":
             _parse_var_task(task, n)
+        elif task["type"] == "price":
+            _parse_price_task(task, y_dim)
+        elif task["type"] == "tail":
+            _parse_tail_task(task, y_dim)
     solver = doc.get("solver", {})
     _require(isinstance(solver, dict), "solver section must be an object")
     allowed = {"n_x", "n_y", "tol", "max_iter"}
@@ -208,6 +213,34 @@ def _parse_var_task(task: dict, n: int):
     _require(bool(levels) and all(0.0 < q < 1.0 for q in levels),
              "var levels must be a non-empty list in (0, 1)")
     return weights, notional, levels
+
+
+def _parse_price_task(task: dict, y_dim: int):
+    """A price task's (payoff, discount), checked."""
+    return _make_payoff(task.get("payoff"), y_dim), _finite(task.get("discount", 0.0), "discount")
+
+
+def _parse_tail_task(task: dict, y_dim: int):
+    """A tail task's (coord, s_max, n_points), defaults filled in and checked."""
+    s_max, n_points = task.get("s_max"), task.get("n_points", 10)
+    _require(type(n_points) is int and n_points >= 1, "tail n_points must be a positive integer")
+    return (_coord(task.get("coord", 0), y_dim, "tail"),
+            None if s_max is None else _finite(s_max, "tail s_max"), n_points)
+
+
+def _finite(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (ValueError, TypeError) as exc:
+        raise _fail(f"{what} must be a number: {exc}") from exc
+    _require(np.isfinite(number), f"{what} must be finite")
+    return number
+
+
+def _coord(value, y_dim: int, what: str) -> int:
+    _require(type(value) is int and 0 <= value < y_dim,
+             f"{what} coord must be an integer in [0, {y_dim}); got {value!r}")
+    return value
 
 
 def _parse_prior(node, base_dir: str):
@@ -267,20 +300,21 @@ def _parse_marginal(node):
     raise _fail(f"unknown marginal kind {kind!r}")
 
 
-def _make_payoff(node, k1: int):
+def _make_payoff(node, y_dim: int):
+    """A call or put on one Y-block coordinate, with a finite strike."""
+    _require(isinstance(node, dict), "payoff must be an object")
     kind = node.get("kind")
-    coord = node.get("coord", 0)
+    _require(kind in ("call", "put"), f"unknown payoff kind {kind!r}")
+    coord = _coord(node.get("coord", 0), y_dim, "payoff")
+    strike = _finite(node.get("strike"), "payoff strike")
     if kind == "call":
-        strike = float(node["strike"])
         return lambda x, y: np.maximum(y[..., coord] - strike, 0.0)
-    if kind == "put":
-        strike = float(node["strike"])
-        return lambda x, y: np.maximum(strike - y[..., coord], 0.0)
-    raise _fail(f"unknown payoff kind {kind!r}")
+    return lambda x, y: np.maximum(strike - y[..., coord], 0.0)
 
 
 def _parse_moments(nodes, view_map: LinearViewMap):
     _require(isinstance(nodes, list), "moments must be a list")
+    y_dim = view_map.n - view_map.k1
     out = []
     for node in nodes:
         _require(isinstance(node, dict) and "target" in node,
@@ -291,7 +325,7 @@ def _parse_moments(nodes, view_map: LinearViewMap):
                                       coord=int(node["coord"])))
             elif "payoff" in node:
                 out.append(MomentView(target=float(node["target"]),
-                                      payoff=_make_payoff(node["payoff"], view_map.k1),
+                                      payoff=_make_payoff(node["payoff"], y_dim),
                                       name=json.dumps(node["payoff"], sort_keys=True)))
             else:
                 raise _fail("moment view needs 'coord' or 'payoff'")
@@ -345,6 +379,7 @@ class _TaskRunner:
         self.seed = seed
         self.samples = samples
         self.out_dir = out_dir
+        self.y_dim = spec.prior.dim - spec.views.k1
         self.stamp = dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
         self.report: CalibrationReport | None = None
         self._posterior = None
@@ -467,8 +502,7 @@ class _TaskRunner:
                    ["level", "var", "std_error"], rows, self.stamp)
 
     def _task_price(self, task: dict, stage: str):
-        payoff = _make_payoff(task["payoff"], self.spec.views.k1)
-        discount = float(task.get("discount", 0.0))
+        payoff, discount = _parse_price_task(task, self.y_dim)
         result = price_option(self.posterior(), payoff, discount,
                               n_samples=self._samples_for(task, 200_000),
                               seed=self._seed_for(task))
@@ -484,9 +518,8 @@ class _TaskRunner:
     def _task_tail(self, task: dict, stage: str):
         _require(self.spec.views.is_coordinate_linear, "tail task requires coordinate moment views")
         post = self.posterior()
-        report = tail_ratio_probe(post, coord=int(task.get("coord", 0)),
-                                  s_max=task.get("s_max"),
-                                  n_points=int(task.get("n_points", 10)))
+        coord, s_max, n_points = _parse_tail_task(task, self.y_dim)
+        report = tail_ratio_probe(post, coord=coord, s_max=s_max, n_points=n_points)
         rows = [(s, m, report.target_ratio)
                 for s, m in zip(report.probe_points, report.measured_ratios)]
         _write_csv(os.path.join(stage, "tail.csv"),

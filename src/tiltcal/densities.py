@@ -20,7 +20,6 @@ __all__ = [
     "GaussianDensity",
     "StudentTDensity",
     "GridDensity",
-    "density_eval",
 ]
 
 _NORM_TOL = 1e-6
@@ -173,7 +172,20 @@ class StudentTDensity(MarginalDensity):
         return self._log_norm_const() - 0.5 * (self.df + 1.0) * np.log1p(u * u / self.df)
 
     def cdf(self, x):
-        return stdtr(self.df, (np.asarray(x, dtype=float) - self.loc) / self.scale)
+        """``stdtr``, except where it returns 0 because t^2 overflows.
+
+        There (small df, |t| > ~1.3e154) the cdf is the leading term of
+        I_x(df/2, 1/2) / 2, (sqrt(df) / |t|)^df / (df B(df/2, 1/2)), exact once df / t^2 <= 2^-53.
+        """
+        df = self.df
+        t = (np.asarray(x, dtype=float) - self.loc) / self.scale
+        u = stdtr(df, t)
+        far = (u == 0.0) & (t <= -np.sqrt(df) * 2.0**26.5)
+        if far.any():
+            with np.errstate(divide="ignore", over="ignore"):
+                tail = (np.sqrt(df) / np.abs(t)) ** df / (df * np.exp(betaln(df / 2.0, 0.5)))
+            u = np.where(far, tail, u)[()]
+        return u
 
     def ppf(self, u):
         """Quantile: ``stdtrit``, except in the far left tail.
@@ -298,8 +310,3 @@ def _trapezoid_weights(knots: np.ndarray) -> np.ndarray:
     w[1:] += d / 2.0
     return w
 
-
-def density_eval(density: MarginalDensity, x) -> np.ndarray | float:
-    """Evaluate a marginal density; returns 0 outside a grid's support."""
-    out = density.pdf(x)
-    return float(out) if np.ndim(x) == 0 else out

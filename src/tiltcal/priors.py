@@ -18,7 +18,6 @@ from scipy.special import roots_hermite
 from .errors import NonSampleableConditional, QuadratureFailure, SingularBlock, SingularMap
 
 __all__ = [
-    "FactorVector",
     "GaussianPrior",
     "GaussianConditional",
     "gaussian_conditional",
@@ -29,26 +28,6 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _PD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FactorVector:
-    """A point in factor space with coordinate labels."""
-
-    values: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if values.ndim != 1:
-            raise ValueError("values must be a 1-D vector")
-        if len(self.labels) != values.size:
-            raise ValueError("labels and values must have equal length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("factor values must be finite")
 
 
 def _as_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -310,9 +289,9 @@ class GenericPrior:
     (len(x), n) integrating functions of y against f(y | x).  Evaluators
     must be pure given their inputs and the explicitly passed generator.
 
-    The dual needs the quadrature rule or the sampler (seeded draws then
-    form a nested Monte Carlo rule); the existence and independence checks
-    need the sampler; posterior sampling needs both.  Every operation needs
+    The dual and the independence check need the quadrature rule or the
+    sampler (seeded draws then form a nested Monte Carlo rule); the
+    existence check needs the sampler; posterior sampling needs both.  Every operation needs
     the identity view map, as the callbacks live in the prior's coordinates.
     """
 

@@ -43,15 +43,15 @@ def _invert_v(v: np.ndarray) -> np.ndarray:
     return linalg.solve(v, np.eye(v.shape[0]), assume_a="pos")
 
 
-def sensitivities(post, r=None, *, r_weights=None, wrt_loc: bool = False,
-                  n_x: int = 4001) -> SensitivityReport:
+def sensitivities(post, r=None, *, r_weights=None, wrt_loc: bool = False) -> SensitivityReport:
     """Sensitivity of Pi = E[r] to the moment targets (and g's location).
 
     ``r`` is a vectorized callable r(x, y) in view coordinates, or pass
     ``r_weights`` for the linear statistic r = w . (x, y), which has an
     exact per-x covariance under Gaussian conditionals.  With ``wrt_loc``
     the derivative in the marginal view's location parameter is included
-    (supported for gaussian and student-t marginal views).
+    (supported for gaussian and student-t marginal views): on a closed-form
+    posterior exactly c_x + c_y . slope, else a score integral on the nodes.
     """
     if (r is None) == (r_weights is None):
         raise ValueError("supply exactly one of r or r_weights")
@@ -64,11 +64,11 @@ def sensitivities(post, r=None, *, r_weights=None, wrt_loc: bool = False,
         return _sensitivities_quadrature(post, r, wrt_loc)
     if r_weights is None:
         raise ValueError("Gaussian-conditional posteriors need r_weights (linear r)")
-    return _sensitivities_gaussian(post, np.asarray(r_weights, dtype=float), wrt_loc, n_x)
+    return _sensitivities_gaussian(post, np.asarray(r_weights, dtype=float), wrt_loc)
 
 
 def _sensitivities_gaussian(post: GaussianMarginalPosterior, r_w: np.ndarray,
-                            wrt_loc: bool, n_x: int) -> SensitivityReport:
+                            wrt_loc: bool) -> SensitivityReport:
     k1 = post.k1
     cond = post.conditional
     coords = np.array(post.moment_coords, dtype=int)
@@ -84,11 +84,9 @@ def _sensitivities_gaussian(post: GaussianMarginalPosterior, r_w: np.ndarray,
         g = post.marginal
         if g is None or not hasattr(g, "dlogpdf_dloc"):
             raise ValueError("marginal view has no differentiable location parameter")
-        nodes, weights = g.quadrature_nodes(n_x)
-        cond_r = cx[0] * nodes + cond.mean(nodes[:, None]) @ cy if k1 == 1 else None
         if k1 != 1:
             raise ValueError("location sensitivity requires a 1-D X block")
-        d_loc = float(np.sum(weights * cond_r * g.dlogpdf_dloc(nodes)))
+        d_loc = float(cx[0] + cy @ cond.slope[:, 0])
     return SensitivityReport(d_pi_d_c, v, u, d_loc)
 
 

@@ -9,7 +9,7 @@ raw-coordinate hull gauges, one LP over the whole standardised sample and
 the padded feasibility-probe classifier for the existence check, a VaR
 bootstrap that builds and sorts every resample, ``scipy.stats``'
 location-scale cdf/ppf for the density views, and mpmath's incomplete beta
-for the far left tail of the t quantile.
+for the far left tail of the t cdf and quantile.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def student_t_cdf_stats(x, df: float, loc: float, scale: float):
 
 def student_t_ppf_stats(u, df: float, loc: float, scale: float):
     return stats.t.ppf(u, df, loc=loc, scale=scale)
+
+
+def student_t_cdf_mpmath(t: float, df: float, dps: int = 50) -> float:
+    """Standard t cdf at t <= 0: I_x(df/2, 1/2) / 2 with x = df / (df + t^2)."""
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(t)
+        x = df / (df + t * t)
+        return float(mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x,
+                                    regularized=True) / 2)
 
 
 def student_t_ppf_mpmath(u: float, df: float, dps: int = 50) -> float:

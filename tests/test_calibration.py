@@ -6,7 +6,13 @@ from scipy import stats
 from scipy.special import roots_hermite
 
 import tiltcal as tc
-from conftest import mean_only_views, random_gaussian_linear_problem, random_spd
+from conftest import (
+    TWO_ASSET_MAP,
+    TWO_ASSET_T,
+    mean_only_views,
+    random_gaussian_linear_problem,
+    random_spd,
+)
 from oracles import (
     bisect_scalar_multiplier,
     facet_gauge,
@@ -543,6 +549,48 @@ class TestIndependence:
         # regression constant: E[Var(Y | X)] is the Schur complement 0.08506
         assert eig == pytest.approx(0.0850636, rel=0.05)
         assert eig > 0.0
+
+    @staticmethod
+    def _option_chain():
+        """The call and put views of the option_chain benchmark workload."""
+        prior = tc.GaussianPrior([0.0, 0.1], [[1.0, 0.6], [0.6, 1.2]])
+        call = lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0)
+        put = lambda x, y: np.maximum(-0.4 - y[..., 0], 0.0)
+        views = tc.ViewSet(
+            tc.LinearViewMap.identity(2, 1, 2), tc.StudentTDensity(df=4, loc=0.0, scale=0.8),
+            (tc.MomentView(target=0.45, payoff=call), tc.MomentView(target=0.25, payoff=put)),
+        )
+        return prior, views
+
+    @pytest.mark.parametrize("model, expected", [
+        ("two_asset", 0.0850635957373671),  # closed form: the Schur block S_mm
+        ("option_chain", 0.15843580595482792),  # quadrature Hessian
+        ("generic", 0.49),  # Gauss-Hermite rule for Var(Y | X) = S^2
+    ])
+    def test_equals_newton_diagnostic_bit_for_bit(self, model, expected,
+                                                  two_asset_prior, two_asset_views):
+        prior, views = {
+            "two_asset": lambda: (two_asset_prior, two_asset_views),
+            "option_chain": self._option_chain,
+            "generic": lambda: (TestGenericPrior()._generic(), TestGenericPrior()._views()),
+        }[model]()
+        eig = tc.independence_check(prior, views)
+        assert eig == tc.solve_lambda_newton(prior, views).independence_min_eig
+        assert eig == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_no_moment_views_give_nan(self, two_asset_prior):
+        views = tc.ViewSet(tc.LinearViewMap(TWO_ASSET_MAP, 1, 1),
+                           tc.StudentTDensity(**TWO_ASSET_T), ())
+        assert np.isnan(tc.independence_check(two_asset_prior, views))
+        assert np.isnan(tc.solve_lambda_newton(two_asset_prior, views).independence_min_eig)
+
+    def test_payoff_view_past_three_conditional_dims_fails_like_the_dual(
+            self, six_index_prior):
+        call = lambda x, y: np.maximum(y[..., 0], 0.0)
+        views = tc.ViewSet(tc.LinearViewMap.identity(6, 1, 1), tc.GaussianDensity(0.0, 0.02),
+                           (tc.MomentView(target=0.01, payoff=call),))
+        with pytest.raises(tc.QuadratureFailure):
+            tc.independence_check(six_index_prior, views)
 
     def test_six_index_mean_targets_are_interior(self, six_index_prior):
         from conftest import mean_only_views

@@ -368,6 +368,22 @@ class TestRun:
         assert run(_write_spec(tmp_path, two_asset_spec([task])), str(out)) == 3
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("doc", [
+        two_asset_spec([{"type": "tail", "coord": 0, "s_max": "abc"}]),
+        six_index_spec([{"type": "calibrate"}, {"type": "tail", "coord": 9}]),
+        two_asset_spec([{"type": "price", "discount": 0.01}]),
+        two_asset_spec([{"type": "price", "payoff": {"kind": "call", "coord": 0}}]),
+        payoff_spec() | {"moments": [{"payoff": {"kind": "call", "coord": 0},
+                                      "target": 0.45}]},
+    ], ids=["tail-s_max-text", "tail-coord-outside-y", "price-no-payoff",
+            "price-no-strike", "moment-no-strike"])
+    def test_malformed_task_fields_exit_3(self, tmp_path, capsys, doc):
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "validation"
+        assert not out.exists() or os.listdir(out) == []
+
     def test_unknown_task_rejected(self, tmp_path):
         doc = two_asset_spec([{"type": "frobnicate"}])
         assert run(_write_spec(tmp_path, doc), str(tmp_path / "out")) == 3

@@ -8,6 +8,7 @@ import tiltcal as tc
 from oracles import (
     gaussian_cdf_stats,
     gaussian_ppf_stats,
+    student_t_cdf_mpmath,
     student_t_cdf_stats,
     student_t_ppf_mpmath,
     student_t_ppf_stats,
@@ -18,7 +19,7 @@ class TestStudentT:
     def test_mode_value_matches_closed_form(self):
         g = tc.StudentTDensity(df=3.0, loc=1.5, scale=2.4120)
         expected = 2.0 / (2.4120 * np.pi * np.sqrt(3.0))
-        assert tc.density_eval(g, 1.5) == pytest.approx(expected, rel=1e-12)
+        assert g.pdf(1.5) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_scipy_everywhere(self):
         g = tc.StudentTDensity(df=4.5, loc=-0.7, scale=1.9)
@@ -61,7 +62,7 @@ class TestStudentT:
 class TestGaussian:
     def test_standard_normal_mode(self):
         g = tc.GaussianDensity(0.0, 1.0)
-        assert tc.density_eval(g, 0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-14)
+        assert g.pdf(0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-14)
 
     def test_no_tail_index(self):
         assert tc.GaussianDensity(0.0, 1.0).tail_index is None
@@ -81,8 +82,8 @@ class TestGrid:
 
     def test_zero_outside_support(self):
         grid = tc.GridDensity([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
-        assert tc.density_eval(grid, -0.5) == 0.0
-        assert tc.density_eval(grid, 2.5) == 0.0
+        assert grid.pdf(-0.5) == 0.0
+        assert grid.pdf(2.5) == 0.0
 
     def test_renormalized_at_construction(self):
         grid = tc.GridDensity([0.0, 1.0], [3.0, 3.0])
@@ -235,3 +236,24 @@ class TestStudentTFarLeftTail:
             0.0028 + 0.0165 * student_t_ppf_mpmath(1e-300, 3.0), rel=1e-13)
         u = np.array([1e-15, 1e-10, 0.3])
         assert np.array_equal(g.ppf(u), student_t_ppf_stats(u, 3.0, 0.0028, 0.0165))
+
+
+class TestStudentTFarLeftCdf:
+    """The t cdf where ``stdtr`` returns 0, against an mpmath incomplete-beta oracle.
+
+    ``stdtr`` gives 0 once t^2 overflows (|t| > ~1.3e154), so at df 1.5 the
+    cdf read 0 from t = -1e155 on, where the true value is 1.2e-233.
+    """
+
+    @pytest.mark.parametrize("df", [1.5, 3.0, 30.0])
+    def test_matches_mpmath_oracle(self, df):
+        g = tc.StudentTDensity(df=df, loc=0.0, scale=1.0)
+        t = -np.geomspace(1e20, 1e300, 57)
+        expected = np.array([student_t_cdf_mpmath(x, df) for x in t])
+        normal = expected >= np.finfo(float).tiny
+        np.testing.assert_allclose(g.cdf(t)[normal], expected[normal], rtol=1e-13, atol=0)
+        assert np.all(g.cdf(t)[~normal] < np.finfo(float).tiny)
+
+    def test_round_trip_through_the_far_left_quantile(self):
+        g = tc.StudentTDensity(df=1.5, loc=0.0028, scale=0.0165)
+        assert g.cdf(g.ppf(1e-300)) == pytest.approx(1e-300, rel=1e-12, abs=0)

@@ -8,20 +8,6 @@ from conftest import TWO_ASSET_COV, TWO_ASSET_MAP, TWO_ASSET_MEAN, random_spd
 from oracles import conditional_cov_block_inverse
 
 
-class TestFactorVector:
-    def test_valid(self):
-        fv = tc.FactorVector([1.0, 2.0], ("a", "b"))
-        assert fv.values.shape == (2,)
-
-    def test_label_mismatch(self):
-        with pytest.raises(ValueError):
-            tc.FactorVector([1.0, 2.0], ("a",))
-
-    def test_non_finite(self):
-        with pytest.raises(ValueError):
-            tc.FactorVector([1.0, np.inf], ("a", "b"))
-
-
 class TestGaussianPrior:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -94,6 +94,21 @@ class TestGaussianLinearPath:
         fd = (pi_at(0.3 + eps) - pi_at(0.3 - eps)) / (2 * eps)
         assert report.d_pi_d_loc == pytest.approx(fd, rel=1e-3)
 
+    @pytest.mark.parametrize("g", [
+        tc.GaussianDensity(1.5, 2.412),
+        tc.StudentTDensity(df=1.5, loc=1.5, scale=2.412),
+        tc.StudentTDensity(df=3.0, loc=1.5, scale=2.412),
+    ], ids=["gaussian", "t1.5", "t3"])
+    def test_location_sensitivity_is_the_conditional_mean_slope(
+            self, two_asset_prior, two_asset_views, g):
+        """E_g[(a + alpha x) d log g / d loc] = alpha for any location family g."""
+        views = tc.ViewSet(two_asset_views.view_map, g, two_asset_views.moments)
+        r_view = np.array([0.2, 1.0])
+        report = _sensitivities_both(two_asset_prior, views, r_weights=r_view, wrt_loc=True)
+        cov_t = tc.transform_prior(two_asset_prior, views.view_map).covariance
+        alpha = r_view[0] + r_view[1:] @ (cov_t[1:, 0] / cov_t[0, 0])
+        assert report.d_pi_d_loc == pytest.approx(alpha, rel=1e-12)
+
     def test_grid_marginal_has_no_location_parameter(self):
         prior = tc.GaussianPrior([0.0, 0.0], [[1.0, 0.4], [0.4, 1.0]])
         knots = np.linspace(-4, 4, 200)
