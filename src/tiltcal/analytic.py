@@ -6,23 +6,20 @@ model is g(x) times a Gaussian conditional whose covariance is the prior
 Schur complement and whose mean is the prior conditional mean shifted so
 the targeted coordinates average to their targets under g.
 
-That posterior is built in one place, ``GaussianMarginalPosterior.from_problem``,
-from a ``GaussianLinearProblem`` and its multipliers: ``build_posterior`` uses
-the closed-form multipliers, and ``resolve_posterior`` turns a
-``TiltedPosterior`` over a ``GaussianLinearProblem`` into the same object.
+That posterior, a ``GaussianMarginalPosterior``, is built in one place,
+``GaussianLinearProblem.posterior``; ``build_posterior`` calls it at the
+closed-form multipliers.  This module evaluates its densities.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import GaussianLinearProblem, TiltedPosterior, _draw_x
-from .densities import MarginalDensity
+from .calibration import GaussianLinearProblem, GaussianMarginalPosterior
 from .errors import QuadratureFailure, SingularConditionalCovariance
-from .priors import GaussianConditional, GaussianPrior, LinearViewMap, _gaussian_logpdf
+from .priors import GaussianPrior, _gaussian_logpdf
 from .views import ViewSet
 
 __all__ = [
@@ -68,68 +65,6 @@ class _DeferredModule:
 integrate = _DeferredModule("scipy.integrate")
 
 
-@dataclass(frozen=True)
-class GaussianMarginalPosterior:
-    """Calibrated Gaussian-conditional model in view coordinates.
-
-    ``conditional`` is the posterior law of Y given X = x; ``marginal`` is
-    the density view on X (None when there is no marginal block) and
-    ``view_map`` carries the posterior back to original factor coordinates.
-    """
-
-    view_map: LinearViewMap
-    marginal: MarginalDensity | None
-    conditional: GaussianConditional
-    lam: np.ndarray
-    moment_coords: tuple[int, ...]
-    prior_t: GaussianPrior = field(repr=False)
-
-    @classmethod
-    def from_problem(cls, problem: GaussianLinearProblem, lam) -> "GaussianMarginalPosterior":
-        """The calibrated model at multipliers lam: the prior conditional shifted by S_m lam.
-
-        Raises SingularConditionalCovariance when the viewed Schur block S_mm
-        is singular, since the multipliers then do not determine the model.
-        """
-        problem.require_pd_block()
-        return cls(
-            view_map=problem.views.view_map,
-            marginal=problem.views.marginal,
-            conditional=problem.conditional.shifted(problem.conditional_shift(lam)),
-            lam=lam,
-            moment_coords=tuple(int(c) for c in problem.coords),
-            prior_t=problem.prior_t,
-        )
-
-    @property
-    def cond_cov(self) -> np.ndarray:
-        return self.conditional.cov
-
-    @property
-    def k1(self) -> int:
-        return self.view_map.k1
-
-    @property
-    def e_g_x(self) -> np.ndarray:
-        if self.marginal is None:
-            return np.zeros(0)
-        return np.atleast_1d(np.asarray(self.marginal.mean(), dtype=float))
-
-    def y_mean(self) -> np.ndarray:
-        """Posterior mean of the Y block; equals the targets on viewed coords."""
-        return self.conditional.mean(self.e_g_x)
-
-    def z_mean(self) -> np.ndarray:
-        """Posterior mean in original factor coordinates."""
-        u = np.concatenate([self.e_g_x, self.y_mean()])
-        return self.view_map.invert(u)
-
-    def sample_xy(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draws of (X, Y) in view coordinates: X ~ g, then Y | X."""
-        x = _draw_x(self.marginal, self.k1, n, rng)
-        return np.column_stack([x, self.conditional.sample(x, rng)])
-
-
 def build_posterior(prior: GaussianPrior, views: ViewSet) -> GaussianMarginalPosterior:
     """Construct the closed-form posterior for coordinate mean views.
 
@@ -138,21 +73,7 @@ def build_posterior(prior: GaussianPrior, views: ViewSet) -> GaussianMarginalPos
     the targeted ones.
     """
     problem = GaussianLinearProblem(prior, views)
-    return GaussianMarginalPosterior.from_problem(problem, problem.solve_closed_form())
-
-
-def resolve_posterior(post):
-    """One posterior per backend.
-
-    A ``TiltedPosterior`` over a ``GaussianLinearProblem`` becomes its
-    closed-form ``GaussianMarginalPosterior``; every other posterior is
-    returned unchanged.
-    """
-    if isinstance(post, TiltedPosterior) and isinstance(post.problem, GaussianLinearProblem):
-        return GaussianMarginalPosterior.from_problem(post.problem, post.lam)
-    if not isinstance(post, (GaussianMarginalPosterior, TiltedPosterior)):
-        raise TypeError(f"unsupported posterior type {type(post).__name__}")
-    return post
+    return problem.posterior(problem.solve_closed_form())
 
 
 def posterior_density_z(post: GaussianMarginalPosterior, z,

@@ -17,6 +17,7 @@ the marginal view, inner nodes over y from a per-x conditional rule).
 Past the closed form the prior is seen only through ``conditional_law``, its
 law of Y given X with draws ``sample(x, rng)`` and a per-x rule ``rule(x, n)``;
 ``QuadratureProblem.from_prior`` builds the quadrature backend from it.
+Each backend hands out its own posterior type through ``posterior(lam)``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
+from .densities import MarginalDensity
 from .errors import (
     InconclusiveSample,
     NonIntegrablePayoff,
@@ -33,8 +35,10 @@ from .errors import (
     SingularConditionalCovariance,
 )
 from .priors import (
+    GaussianConditional,
     GaussianPrior,
     GenericPrior,
+    LinearViewMap,
     _require_pd,
     gaussian_conditional,
     transform_prior,
@@ -44,6 +48,7 @@ from .views import ViewSet
 __all__ = [
     "DualState",
     "CalibrationReport",
+    "GaussianMarginalPosterior",
     "TiltedPosterior",
     "GaussianLinearProblem",
     "QuadratureProblem",
@@ -140,6 +145,67 @@ class GaussianLinearProblem:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         return self.s_cols @ lam
 
+    def posterior(self, lam) -> "GaussianMarginalPosterior":
+        """The calibrated model at multipliers lam: the prior conditional shifted by S_m lam.
+
+        Raises SingularConditionalCovariance when the viewed Schur block S_mm
+        is singular, since the multipliers then do not determine the model.
+        """
+        self.require_pd_block()
+        return GaussianMarginalPosterior(
+            view_map=self.views.view_map,
+            marginal=self.views.marginal,
+            conditional=self.conditional.shifted(self.conditional_shift(lam)),
+            lam=lam,
+            moment_coords=tuple(int(c) for c in self.coords),
+            prior_t=self.prior_t,
+        )
+
+
+@dataclass(frozen=True)
+class GaussianMarginalPosterior:
+    """Calibrated Gaussian-conditional model in view coordinates.
+
+    ``conditional`` is the posterior law of Y given X = x; ``marginal`` is
+    the density view on X (None when there is no marginal block) and
+    ``view_map`` carries the posterior back to original factor coordinates.
+    """
+
+    view_map: LinearViewMap
+    marginal: MarginalDensity | None
+    conditional: GaussianConditional
+    lam: np.ndarray
+    moment_coords: tuple[int, ...]
+    prior_t: GaussianPrior = field(repr=False)
+
+    @property
+    def cond_cov(self) -> np.ndarray:
+        return self.conditional.cov
+
+    @property
+    def k1(self) -> int:
+        return self.view_map.k1
+
+    @property
+    def e_g_x(self) -> np.ndarray:
+        if self.marginal is None:
+            return np.zeros(0)
+        return np.atleast_1d(np.asarray(self.marginal.mean(), dtype=float))
+
+    def y_mean(self) -> np.ndarray:
+        """Posterior mean of the Y block; equals the targets on viewed coords."""
+        return self.conditional.mean(self.e_g_x)
+
+    def z_mean(self) -> np.ndarray:
+        """Posterior mean in original factor coordinates."""
+        u = np.concatenate([self.e_g_x, self.y_mean()])
+        return self.view_map.invert(u)
+
+    def sample_xy(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draws of (X, Y) in view coordinates: X ~ g, then Y | X."""
+        x = _draw_x(self.marginal, self.k1, n, rng)
+        return np.column_stack([x, self.conditional.sample(x, rng)])
+
 
 class QuadratureProblem:
     """Discrete/quadrature dual backend.
@@ -148,9 +214,14 @@ class QuadratureProblem:
     log-weights (shape (n_x, n_y), or (n_y,) when every x shares them), and
     the precomputed view tensor h of shape (k, n_x, n_y).  All dual
     quantities reduce to stabilized log-sum-exp arithmetic on that tensor.
+    ``prior`` and ``views`` are ``from_prior``'s; both are None for
+    ``from_discrete``, whose posterior supports only ``expectation``.
     """
 
-    def __init__(self, x_nodes, x_weights, y_nodes, log_y_weights, h_tensor, targets):
+    def __init__(self, x_nodes, x_weights, y_nodes, log_y_weights, h_tensor, targets,
+                 *, prior=None, views: ViewSet | None = None):
+        self.prior = prior
+        self.views = views
         self.x_nodes = np.asarray(x_nodes, dtype=float)
         self.x_weights = np.asarray(x_weights, dtype=float)
         self.y_nodes = np.asarray(y_nodes, dtype=float)
@@ -201,7 +272,12 @@ class QuadratureProblem:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         y_nodes, log_y_weights = law.rule(x_nodes, n_y, rng)
         h = _view_tensor(views.moments, x_nodes[:, None, :], y_nodes)
-        return cls(x_nodes, x_weights, y_nodes, log_y_weights, h, views.targets)
+        return cls(x_nodes, x_weights, y_nodes, log_y_weights, h, views.targets,
+                   prior=prior, views=views)
+
+    def posterior(self, lam) -> "TiltedPosterior":
+        """The calibrated model at multipliers lam, tilted on this problem's nodes."""
+        return TiltedPosterior(self.prior, self.views, lam, self)
 
     def _tilted_conditional(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """log Z_lam(x_i) and the tilted conditional weights per outer node."""
@@ -391,14 +467,20 @@ def solve_lambda_newton(prior, views: ViewSet, *, tol: float = 1e-8,
 
 @dataclass(frozen=True)
 class TiltedPosterior:
-    """Calibrated model: marginal view times the tilted prior conditional."""
+    """Calibrated model: marginal view times the tilted prior conditional.
+
+    ``problem`` is the ``QuadratureProblem`` that prices it, or None when it is only sampled.
+    """
 
     prior: object
-    views: ViewSet
+    views: ViewSet | None
     lam: np.ndarray
-    problem: object = field(repr=False)
+    problem: QuadratureProblem | None = field(repr=False)
 
     def __post_init__(self):
+        if self.problem is not None and not isinstance(self.problem, QuadratureProblem):
+            raise TypeError(f"TiltedPosterior needs a QuadratureProblem or None, not "
+                            f"{type(self.problem).__name__}; use problem.posterior(lam)")
         object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, dtype=float)))
 
     def expectation(self, func) -> float:
@@ -407,8 +489,8 @@ class TiltedPosterior:
         Raises NonIntegrablePayoff when the payoff or its expectation is not finite.
         """
         problem = self.problem
-        if not isinstance(problem, QuadratureProblem):
-            raise TypeError("closed-form posteriors have no node tensor; use price_option")
+        if problem is None:
+            raise TypeError("posterior has no quadrature problem, so no node tensor")
         values = np.asarray(func(problem.x_nodes[:, None, :], problem.y_nodes), dtype=float)
         values = np.broadcast_to(values, problem.y_nodes.shape[:-1])
         if not np.all(np.isfinite(values)):

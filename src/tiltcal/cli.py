@@ -24,14 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    GaussianMarginalPosterior,
-    posterior_marginal_linear,
-    resolve_posterior,
-)
+from .analytic import posterior_marginal_linear
 from .calibration import (
     CalibrationReport,
-    TiltedPosterior,
+    GaussianMarginalPosterior,
     build_dual_problem,
     existence_check,
     solve_lambda_newton,
@@ -388,8 +384,8 @@ class _TaskRunner:
     def posterior(self):
         """The calibrated posterior: one dual problem, one Newton solve.
 
-        Coordinate views resolve to the closed-form Gaussian posterior,
-        payoff views stay a quadrature-backed TiltedPosterior.
+        ``build_dual_problem`` picks the backend once, and its problem hands out
+        its own posterior type at Newton's multipliers.
         """
         if self._posterior is None:
             spec, solver = self.spec, self.spec.solver
@@ -402,9 +398,7 @@ class _TaskRunner:
                 tol=float(solver.get("tol", 1e-8)),
                 max_iter=int(solver.get("max_iter", 100)),
             )
-            self._posterior = resolve_posterior(
-                TiltedPosterior(spec.prior, spec.views, self.report.lam, problem)
-            )
+            self._posterior = problem.posterior(self.report.lam)
         return self._posterior
 
     def batch(self, n: int, seed: int):
@@ -448,7 +442,7 @@ class _TaskRunner:
             "existence": existence,
             "independence_min_eig": report.independence_min_eig,
         }
-        if isinstance(post, GaussianMarginalPosterior):
+        if self.spec.views.is_coordinate_linear:
             payload["posterior_mean_z"] = post.z_mean()
             self._write_density_files(post, stage)
         _write_json(os.path.join(stage, "calibration.json"), payload)

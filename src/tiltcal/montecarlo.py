@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import resolve_posterior
 from .calibration import TiltedPosterior, _draw_x, _row_logsumexp, _view_tensor, conditional_law
 from .errors import (
     InsufficientSamples,
@@ -83,7 +82,6 @@ def sample_posterior(post, n: int, seed: int = 0, *, n_y: int = 64) -> SampleBat
     posteriors are importance-sampled from the prior conditional with
     weights exp(lam . h - log Z(x)), reported in the batch.
     """
-    post = resolve_posterior(post)
     if isinstance(post, TiltedPosterior):
         return _sample_tilted(post, n, seed, n_y)
     chunks = [_to_factors(post.view_map, post.sample_xy(m, rng))
@@ -284,7 +282,6 @@ def price_option(post, payoff, discount: float, *, n_samples: int = 200_000,
     posteriors are priced on their node tensors; Gaussian-conditional
     posteriors by Monte Carlo with a standard error.
     """
-    post = resolve_posterior(post)
     if isinstance(post, TiltedPosterior):
         return PriceReport(float(np.exp(-discount) * post.expectation(payoff)), None,
                            "quadrature")

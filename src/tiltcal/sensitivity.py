@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .analytic import GaussianMarginalPosterior, resolve_posterior
-from .calibration import QuadratureProblem, TiltedPosterior
+from .calibration import GaussianMarginalPosterior, QuadratureProblem, TiltedPosterior
 from .errors import SingularV
 from .priors import _require_pd
 
@@ -56,7 +55,6 @@ def sensitivities(post, r=None, *, r_weights=None, wrt_loc: bool = False) -> Sen
     if (r is None) == (r_weights is None):
         raise ValueError("supply exactly one of r or r_weights")
 
-    post = resolve_posterior(post)
     if isinstance(post, TiltedPosterior):
         if r_weights is not None:
             k1 = post.views.k1

@@ -98,14 +98,13 @@ def heavy_tail_views(tail_on: int, df: float, loc: float | None = None) -> tc.Vi
 def closed_form_posteriors(prior, views):
     """The two public constructions of the closed-form posterior.
 
-    ``build_posterior``, and a TiltedPosterior over a GaussianLinearProblem at
-    Newton's multipliers (the command-line path).  Consumers must give
-    bit-identical results for both.
+    ``build_posterior``, and the GaussianLinearProblem's posterior at Newton's
+    multipliers (the command-line path).  Consumers must give bit-identical
+    results for both.
     """
     problem = tc.GaussianLinearProblem(prior, views)
     report = tc.solve_lambda_newton(prior, views, problem=problem)
-    return (tc.build_posterior(prior, views),
-            tc.TiltedPosterior(prior, views, report.lam, problem))
+    return tc.build_posterior(prior, views), problem.posterior(report.lam)
 
 
 def random_spd(rng: np.random.Generator, n: int, jitter: float = 0.3) -> np.ndarray:

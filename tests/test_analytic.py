@@ -67,6 +67,9 @@ class TestBuildPosterior:
         xs = np.random.default_rng(3).standard_normal((100, 1)) * 3.0
         np.testing.assert_allclose(shifted.mean(xs), post.conditional.mean(xs), atol=1e-8)
         np.testing.assert_allclose(shifted.cov, post.cond_cov, atol=1e-10)
+        s = np.linspace(-2.0, 5.0, 15)
+        np.testing.assert_allclose(tc.posterior_marginal_y1(problem.posterior(report.lam), s),
+                                   tc.posterior_marginal_y1(post, s), rtol=1e-12)
 
 
 class TestPosteriorDensity:

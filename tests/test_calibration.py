@@ -106,6 +106,10 @@ class TestDualEval:
         problem = tc.QuadratureProblem.from_discrete(xv, gx, cond, yv, moments)
         lam = np.array([0.37, -0.21])
         state = problem.dual_state(lam)
+        post = problem.posterior(lam)  # no prior or views: expectations only
+        assert post.prior is None and post.views is None
+        assert post.expectation(lambda x, y: y[..., 0]) == pytest.approx(
+            state.gradient[0] + 0.1, abs=1e-15)
         eps = 1e-6
         for i in range(2):
             step = np.zeros(2)
@@ -239,13 +243,19 @@ class TestNewton:
         prior, views = random_gaussian_linear_problem(rng, 3)
         report = tc.solve_lambda_newton(prior, views)
         assert report.max_residual <= report.tolerance
-        post = tc.TiltedPosterior(prior, views, report.lam, None)
-        problem = tc.GaussianLinearProblem(prior, views)
-        post = tc.TiltedPosterior(prior, views, report.lam, problem)
+        post = tc.GaussianLinearProblem(prior, views).posterior(report.lam)
+        assert isinstance(post, tc.GaussianMarginalPosterior)
         batch = tc.sample_posterior(post, 1_000_000, seed=3)
         y = batch.z_samples @ views.view_map.matrix.T[:, 1:]
         se = y.std(axis=0, ddof=1) / np.sqrt(batch.n)
         np.testing.assert_array_less(np.abs(y.mean(axis=0) - views.targets), 4 * se)
+
+    def test_tilted_posterior_refuses_the_closed_form_problem(self, two_asset_prior,
+                                                               two_asset_views):
+        """The closed form has its own posterior type, which no wrapper stands in for."""
+        problem = tc.GaussianLinearProblem(two_asset_prior, two_asset_views)
+        with pytest.raises(TypeError, match=r"problem\.posterior\(lam\)"):
+            tc.TiltedPosterior(two_asset_prior, two_asset_views, np.zeros(1), problem)
 
     def test_marginal_preserved_under_posterior_sampling(self):
         rng = np.random.default_rng(13)
@@ -679,6 +689,9 @@ class TestGenericPrior:
         report = tc.solve_lambda_newton(generic, views, problem=problem)
         post = tc.TiltedPosterior(generic, views, report.lam, problem)
         batch = tc.sample_posterior(post, 100_000, seed=5)
+        again = tc.sample_posterior(problem.posterior(report.lam), 100_000, seed=5)
+        np.testing.assert_array_equal(again.z_samples, batch.z_samples)
+        np.testing.assert_array_equal(again.weights, batch.weights)
         w = batch.weights
         y = batch.z_samples[:, 1]
         mean = np.average(y, weights=w)

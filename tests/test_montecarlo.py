@@ -148,7 +148,7 @@ class TestSamplePosterior:
     def test_tilted_gaussian_linear_posterior_sampling(self, two_asset_prior, two_asset_views):
         problem = tc.GaussianLinearProblem(two_asset_prior, two_asset_views)
         report = tc.solve_lambda_newton(two_asset_prior, two_asset_views, problem=problem)
-        post = tc.TiltedPosterior(two_asset_prior, two_asset_views, report.lam, problem)
+        post = problem.posterior(report.lam)
         batch = tc.sample_posterior(post, 200_000, seed=4)
         assert batch.weights is None
         y = batch.z_samples[:, 1]
@@ -158,6 +158,9 @@ class TestSamplePosterior:
     def test_generic_importance_weights(self):
         post, report, payoff, target, *_ , discount, g = calibrated_stock_problem()
         batch = tc.sample_posterior(post, 50_000, seed=3)
+        again = tc.sample_posterior(post.problem.posterior(report.lam), 50_000, seed=3)
+        np.testing.assert_array_equal(again.z_samples, batch.z_samples)
+        np.testing.assert_array_equal(again.weights, batch.weights)
         assert batch.weights is not None
         assert batch.weights.min() >= 0.0
         assert batch.weights.mean() == pytest.approx(1.0, abs=1e-12)
@@ -471,6 +474,7 @@ class TestPriceOption:
         assert report.lam[0] > 0.0  # price bumped above the prior expectation
         res = tc.price_option(post, payoff, discount)
         assert res.price == pytest.approx(np.exp(-discount) * target, rel=1e-9)
+        assert tc.price_option(post.problem.posterior(report.lam), payoff, discount) == res
 
     def test_out_of_the_money_price_matches_dense_quadrature_oracle(self):
         post, report, payoff, target, mu_log, cov_log, discount, g = (

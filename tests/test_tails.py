@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tiltcal as tc
+from conftest import closed_form_posteriors
 
 
 class TestCheckAssumption:
@@ -21,13 +22,17 @@ class TestCheckAssumption:
 
 
 class TestTailRatioProbe:
-    def test_two_asset_configuration_converges_to_limit(self, two_asset_posterior):
-        report = tc.tail_ratio_probe(two_asset_posterior, coord=0)
+    def test_two_asset_configuration_converges_to_limit(self, two_asset_prior,
+                                                        two_asset_views):
+        post, cli_path = closed_form_posteriors(two_asset_prior, two_asset_views)
+        report = tc.tail_ratio_probe(post, coord=0)
         target = (2.43 / 5.818) ** 3
         assert report.alpha == 4.0
         assert report.target_ratio == pytest.approx(target, rel=1e-6)
         assert report.converged
         assert abs(report.measured_ratios[-1] / target - 1.0) <= 0.05
+        again = tc.tail_ratio_probe(cli_path, coord=0)
+        np.testing.assert_array_equal(again.measured_ratios, report.measured_ratios)
 
     def test_error_shrinks_along_probe_schedule(self, two_asset_posterior):
         report = tc.tail_ratio_probe(two_asset_posterior, coord=0)
