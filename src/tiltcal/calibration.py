@@ -621,14 +621,13 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
     return "boundary"
 
 
-def independence_check(prior, views: ViewSet, n_samples: int = 50_000,
-                       seed: int = 0) -> float:
+def independence_check(prior, views: ViewSet) -> float:
     """Smallest eigenvalue of ``build_dual_problem``'s Hessian E_g[Cov(h | X)] at lam = 0.
 
     A positive value certifies (numerically) the linear-independence
     hypothesis that makes the calibrated model unique.  It is
     ``solve_lambda_newton``'s ``independence_min_eig`` bit for bit, and NaN
-    without moment views.  ``n_samples`` and ``seed`` are unused.
+    without moment views.
     """
     problem = build_dual_problem(prior, views)
     return _min_eigenvalue(problem.dual_state(np.zeros(problem.n_moments)).hessian)

@@ -181,12 +181,17 @@ def load_spec(path: str) -> CalibrationSpec:
     for task in tasks:
         _require(isinstance(task, dict) and task.get("type") in known,
                  f"unknown task entry {task!r}")
+        for key, low in (("n_samples", 1), ("seed", 0)):
+            if key in task:
+                _integer(task[key], f"task {key}", low)
         if task["type"] == "var":
             _parse_var_task(task, n)
         elif task["type"] == "price":
             _parse_price_task(task, y_dim)
         elif task["type"] == "tail":
             _parse_tail_task(task, y_dim)
+        elif task["type"] == "sensitivities":
+            _parse_sensitivities_task(task, n, views)
     solver = doc.get("solver", {})
     _require(isinstance(solver, dict), "solver section must be an object")
     allowed = {"n_x", "n_y", "tol", "max_iter"}
@@ -196,15 +201,13 @@ def load_spec(path: str) -> CalibrationSpec:
 
 def _parse_var_task(task: dict, n: int):
     """A var task's (weights, notional, levels), defaults filled in and checked."""
+    weights = _factor_weights(task.get("weights", [1.0 / n] * n), n, "var weights")
     try:
-        weights = np.asarray(task.get("weights", [1.0 / n] * n), dtype=float)
         notional = float(task.get("notional", 1.0))
         levels = [float(q) for q in task.get("levels",
                                              [0.9975, 0.995, 0.9925, 0.95, 0.75, 0.5])]
     except (ValueError, TypeError) as exc:
         raise _fail(f"invalid var task: {exc}") from exc
-    _require(weights.shape == (n,) and np.all(np.isfinite(weights)),
-             f"var weights must be {n} finite numbers, one per factor")
     _require(np.isfinite(notional), "var notional must be finite")
     _require(bool(levels) and all(0.0 < q < 1.0 for q in levels),
              "var levels must be a non-empty list in (0, 1)")
@@ -218,10 +221,36 @@ def _parse_price_task(task: dict, y_dim: int):
 
 def _parse_tail_task(task: dict, y_dim: int):
     """A tail task's (coord, s_max, n_points), defaults filled in and checked."""
-    s_max, n_points = task.get("s_max"), task.get("n_points", 10)
-    _require(type(n_points) is int and n_points >= 1, "tail n_points must be a positive integer")
+    s_max = task.get("s_max")
     return (_coord(task.get("coord", 0), y_dim, "tail"),
-            None if s_max is None else _finite(s_max, "tail s_max"), n_points)
+            None if s_max is None else _finite(s_max, "tail s_max"),
+            _integer(task.get("n_points", 10), "tail n_points", 1))
+
+
+def _parse_sensitivities_task(task: dict, n: int, views: ViewSet):
+    """A sensitivities task's (r weights in Z coordinates, wrt_loc), checked."""
+    _require(views.is_coordinate_linear, "sensitivities task requires coordinate moment views")
+    node, wrt_loc = task.get("r"), task.get("wrt_loc", False)
+    _require(isinstance(node, dict) and "weights" in node,
+             "sensitivities task needs an object r with weights in Z coordinates")
+    _require(isinstance(wrt_loc, bool), f"sensitivities wrt_loc must be a boolean; got {wrt_loc!r}")
+    return _factor_weights(node["weights"], n, "sensitivities r.weights"), wrt_loc
+
+
+def _factor_weights(value, n: int, what: str) -> np.ndarray:
+    try:
+        weights = np.asarray(value, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise _fail(f"{what} must be numbers: {exc}") from exc
+    _require(weights.shape == (n,) and np.all(np.isfinite(weights)),
+             f"{what} must be {n} finite numbers, one per factor")
+    return weights
+
+
+def _integer(value, what: str, low: int) -> int:
+    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+             and value >= low, f"{what} must be an integer >= {low}; got {value!r}")
+    return int(value)
 
 
 def _finite(value, what: str) -> float:
@@ -520,17 +549,11 @@ class _TaskRunner:
                    ["s", "measured_ratio", "target_ratio"], rows, self.stamp)
 
     def _task_sensitivities(self, task: dict, stage: str):
-        _require(self.spec.views.is_coordinate_linear,
-                 "sensitivities task requires coordinate moment views")
+        w_z, wrt_loc = _parse_sensitivities_task(task, self.spec.prior.dim, self.spec.views)
         post = self.posterior()
-        node = task.get("r", {})
-        _require("weights" in node, "sensitivities task needs r.weights in Z coordinates")
-        w_z = np.asarray(node["weights"], dtype=float)
-        _require(w_z.size == self.spec.prior.dim, "r.weights length must match factors")
         # r = w . Z = (V^-T w) . (x, y)
         r_view = np.linalg.solve(post.view_map.matrix.T, w_z)
-        report = sensitivities(post, r_weights=r_view,
-                               wrt_loc=bool(task.get("wrt_loc", False)))
+        report = sensitivities(post, r_weights=r_view, wrt_loc=wrt_loc)
         _write_json(os.path.join(stage, "sensitivities.json"), {
             "schema_version": SCHEMA_VERSION,
             "d_pi_d_c": report.d_pi_d_c,
@@ -542,8 +565,16 @@ class _TaskRunner:
 
 def run(spec_path: str, out_dir: str, seed: int | None = None,
         samples: int | None = None) -> int:
-    """Execute a spec file's tasks; returns the process exit code."""
+    """Execute a spec file's tasks; returns the process exit code.
+
+    ``seed`` (>= 0) and ``samples`` (>= 1) override every task's seed and
+    sample count; other values are a validation error, like a bad spec.
+    """
     try:
+        if seed is not None:
+            _integer(seed, "--seed", 0)
+        if samples is not None:
+            _integer(samples, "--samples", 1)
         spec = load_spec(spec_path)
     except SpecValidationError as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)

@@ -280,8 +280,11 @@ def price_option(post, payoff, discount: float, *, n_samples: int = 200_000,
 
     ``payoff(x, y)`` is vectorized over view coordinates.  Quadrature-backed
     posteriors are priced on their node tensors; Gaussian-conditional
-    posteriors by Monte Carlo with a standard error.
+    posteriors by Monte Carlo with a standard error.  Raises ValueError
+    when ``n_samples`` is below 1.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     if isinstance(post, TiltedPosterior):
         return PriceReport(float(np.exp(-discount) * post.expectation(payoff)), None,
                            "quadrature")

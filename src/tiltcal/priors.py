@@ -1,8 +1,8 @@
 """Prior risk models and linear changes of variables.
 
 A Gaussian prior is the workhorse; a generic prior exposes just enough
-callbacks (conditional density, sampler, quadrature rule) for the tilting
-machinery to operate on non-Gaussian models such as lognormal pairs.
+callbacks (conditional sampler, quadrature rule) for the tilting machinery
+to operate on non-Gaussian models such as lognormal pairs.
 """
 
 from __future__ import annotations
@@ -257,9 +257,6 @@ class LinearViewMap:
         """Constant |det V| of the change of variables."""
         return float(abs(np.linalg.det(self.matrix)))
 
-    def inverse_matrix(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
-
     def apply(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return z @ self.matrix.T if z.ndim > 1 else self.matrix @ z
@@ -282,12 +279,12 @@ def transform_prior(prior: GaussianPrior, view_map: LinearViewMap) -> GaussianPr
 class GenericPrior:
     """Prior specified by evaluators instead of a parametric family.
 
-    All callbacks are batched over x: ``conditional_density(y, x)`` takes
-    matching leading shapes, ``conditional_sampler(x, rng)`` returns one y
-    per x row (shape (n,) or (n, y_dim)), and ``conditional_quadrature(x, n)``
-    returns nodes of shape (len(x), n, y_dim) or (len(x), n) with weights
-    (len(x), n) integrating functions of y against f(y | x).  Evaluators
-    must be pure given their inputs and the explicitly passed generator.
+    Both callbacks are batched over x: ``conditional_sampler(x, rng)``
+    returns one y per x row (shape (n,) or (n, y_dim)), and
+    ``conditional_quadrature(x, n)`` returns nodes of shape (len(x), n, y_dim)
+    or (len(x), n) with weights (len(x), n) integrating functions of y
+    against f(y | x).  Evaluators must be pure given their inputs and the
+    explicitly passed generator.
 
     The dual and the independence check need the quadrature rule or the
     sampler (seeded draws then form a nested Monte Carlo rule); the
@@ -297,7 +294,6 @@ class GenericPrior:
 
     x_dim: int
     y_dim: int
-    conditional_density: Callable | None = None
     conditional_sampler: Callable | None = None
     conditional_quadrature: Callable | None = None
     label: str = field(default="generic")

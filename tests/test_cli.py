@@ -375,11 +375,39 @@ class TestRun:
         two_asset_spec([{"type": "price", "payoff": {"kind": "call", "coord": 0}}]),
         payoff_spec() | {"moments": [{"payoff": {"kind": "call", "coord": 0},
                                       "target": 0.45}]},
+        two_asset_spec([{"type": "sensitivities", "r": 5}]),
+        two_asset_spec([{"type": "sensitivities"}]),
+        two_asset_spec([{"type": "sensitivities", "r": {"weights": [1.0]}}]),
+        two_asset_spec([{"type": "sensitivities", "r": {"weights": [0.0, "x"]}}]),
+        two_asset_spec([{"type": "sensitivities", "r": {"weights": [0.0, 1.0]},
+                         "wrt_loc": "yes"}]),
+        payoff_spec() | {"tasks": [{"type": "calibrate"},
+                                   {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}}]},
+        two_asset_spec([{"type": "price", "payoff": {"kind": "call", "strike": 1.0},
+                         "n_samples": 0}]),
+        two_asset_spec([{"type": "var", "n_samples": "100000"}]),
+        two_asset_spec([{"type": "var", "n_samples": 3e4}]),
+        two_asset_spec([{"type": "calibrate", "check_existence": True, "seed": -1}]),
+        two_asset_spec([{"type": "var", "seed": "7"}]),
+        two_asset_spec([{"type": "var", "seed": True}]),
     ], ids=["tail-s_max-text", "tail-coord-outside-y", "price-no-payoff",
-            "price-no-strike", "moment-no-strike"])
+            "price-no-strike", "moment-no-strike", "sens-r-number", "sens-no-r",
+            "sens-weights-short", "sens-weights-text", "sens-wrt_loc-text",
+            "sens-payoff-views", "price-n_samples-0", "var-n_samples-text",
+            "var-n_samples-float", "calibrate-seed-negative", "var-seed-text",
+            "var-seed-bool"])
     def test_malformed_task_fields_exit_3(self, tmp_path, capsys, doc):
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "validation"
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("overrides", [{"samples": 0}, {"seed": -1}, {"samples": 1.5}])
+    def test_invalid_overrides_exit_3(self, tmp_path, capsys, overrides):
+        out = tmp_path / "out"
+        doc = two_asset_spec([{"type": "price", "payoff": {"kind": "call", "strike": 1.0}}])
+        assert run(_write_spec(tmp_path, doc), str(out), **overrides) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "validation"
         assert not out.exists() or os.listdir(out) == []

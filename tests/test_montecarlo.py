@@ -47,16 +47,8 @@ def make_lognormal_pair(index_spot=1183.74, stock_spot=82.98, rate=0.0269,
         m = mu_log[1] + slope * (np.log(x[:, 0]) - mu_log[0])
         return np.exp(m + np.sqrt(cvar) * rng.standard_normal(x.shape[0]))[:, None]
 
-    def cond_density(y, x):
-        m = mu_log[1] + slope * (np.log(x[..., 0]) - mu_log[0])
-        ly = np.log(y[..., 0])
-        return np.exp(-0.5 * (ly - m) ** 2 / cvar) / (
-            y[..., 0] * np.sqrt(2 * np.pi * cvar)
-        )
-
     prior = tc.GenericPrior(
         x_dim=1, y_dim=1,
-        conditional_density=cond_density,
         conditional_sampler=cond_sampler,
         conditional_quadrature=cond_quadrature,
         label="lognormal-pair",
@@ -91,16 +83,6 @@ def calibrated_stock_problem(bump=1.05, strike=80.0):
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-
-def test_generic_conditional_density_integrates_to_one():
-    prior, g, mu_log, cov_log, _ = make_lognormal_pair()
-    for spot in (1000.0, 1183.74, 1400.0):
-        x = np.array([[spot]])
-        ly = np.linspace(np.log(40.0), np.log(170.0), 4001)
-        y = np.exp(ly)
-        dens = prior.conditional_density(y[:, None], np.broadcast_to(x, (y.size, 1)))
-        assert np.trapezoid(dens, y) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSamplePosterior:
@@ -467,6 +449,8 @@ class TestPriceOption:
         call = lambda x, y: np.maximum(y[..., 0] - 1.8, 0.0)
         res = tc.price_option(post, call, 0.05, n_samples=70_000, seed=3)
         assert tc.price_option(tilted, call, 0.05, n_samples=70_000, seed=3) == res
+        with pytest.raises(ValueError, match="n_samples"):
+            tc.price_option(post, one, 0.05, n_samples=0)
 
     def test_calibration_instrument_reprices_to_target(self):
         post, report, payoff, target, _, _, discount, _ = calibrated_stock_problem()
