@@ -214,13 +214,15 @@ class QuadratureProblem:
     log-weights (shape (n_x, n_y), or (n_y,) when every x shares them), and
     the precomputed view tensor h of shape (k, n_x, n_y).  All dual
     quantities reduce to stabilized log-sum-exp arithmetic on that tensor.
-    ``prior`` and ``views`` are ``from_prior``'s; both are None for
-    ``from_discrete``, whose posterior supports only ``expectation``.
+    ``from_prior`` records the conditional law, its rule size ``n_y`` and
+    the views, which its posterior samples with; all three are None for
+    ``from_discrete``, whose posterior is not sampleable.
     """
 
     def __init__(self, x_nodes, x_weights, y_nodes, log_y_weights, h_tensor, targets,
-                 *, prior=None, views: ViewSet | None = None):
-        self.prior = prior
+                 *, law=None, n_y: int | None = None, views: ViewSet | None = None):
+        self.law = law
+        self.n_y = n_y
         self.views = views
         self.x_nodes = np.asarray(x_nodes, dtype=float)
         self.x_weights = np.asarray(x_weights, dtype=float)
@@ -273,11 +275,11 @@ class QuadratureProblem:
         y_nodes, log_y_weights = law.rule(x_nodes, n_y, rng)
         h = _view_tensor(views.moments, x_nodes[:, None, :], y_nodes)
         return cls(x_nodes, x_weights, y_nodes, log_y_weights, h, views.targets,
-                   prior=prior, views=views)
+                   law=law, n_y=n_y, views=views)
 
     def posterior(self, lam) -> "TiltedPosterior":
         """The calibrated model at multipliers lam, tilted on this problem's nodes."""
-        return TiltedPosterior(self.prior, self.views, lam, self)
+        return TiltedPosterior(self, lam)
 
     def _tilted_conditional(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """log Z_lam(x_i) and the tilted conditional weights per outer node."""
@@ -469,17 +471,16 @@ def solve_lambda_newton(prior, views: ViewSet, *, tol: float = 1e-8,
 class TiltedPosterior:
     """Calibrated model: marginal view times the tilted prior conditional.
 
-    ``problem`` is the ``QuadratureProblem`` that prices it, or None when it is only sampled.
+    ``problem`` is the ``QuadratureProblem`` whose dual ``lam`` solves; the
+    posterior is priced on its node tensor and sampled with its law and rule.
     """
 
-    prior: object
-    views: ViewSet | None
+    problem: QuadratureProblem = field(repr=False)
     lam: np.ndarray
-    problem: QuadratureProblem | None = field(repr=False)
 
     def __post_init__(self):
-        if self.problem is not None and not isinstance(self.problem, QuadratureProblem):
-            raise TypeError(f"TiltedPosterior needs a QuadratureProblem or None, not "
+        if not isinstance(self.problem, QuadratureProblem):
+            raise TypeError(f"TiltedPosterior needs a QuadratureProblem, not "
                             f"{type(self.problem).__name__}; use problem.posterior(lam)")
         object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, dtype=float)))
 
@@ -489,8 +490,6 @@ class TiltedPosterior:
         Raises NonIntegrablePayoff when the payoff or its expectation is not finite.
         """
         problem = self.problem
-        if problem is None:
-            raise TypeError("posterior has no quadrature problem, so no node tensor")
         values = np.asarray(func(problem.x_nodes[:, None, :], problem.y_nodes), dtype=float)
         values = np.broadcast_to(values, problem.y_nodes.shape[:-1])
         if not np.all(np.isfinite(values)):

@@ -192,11 +192,20 @@ def load_spec(path: str) -> CalibrationSpec:
             _parse_tail_task(task, y_dim)
         elif task["type"] == "sensitivities":
             _parse_sensitivities_task(task, n, views)
-    solver = doc.get("solver", {})
-    _require(isinstance(solver, dict), "solver section must be an object")
+    return CalibrationSpec(prior, views, labels, tasks, _parse_solver(doc.get("solver", {})))
+
+
+def _parse_solver(node) -> dict:
+    """The solver settings, defaults filled in and checked."""
+    _require(isinstance(node, dict), "solver section must be an object")
     allowed = {"n_x", "n_y", "tol", "max_iter"}
-    _require(set(solver) <= allowed, f"solver keys must be among {sorted(allowed)}")
-    return CalibrationSpec(prior, views, labels, tasks, solver)
+    _require(set(node) <= allowed, f"solver keys must be among {sorted(allowed)}")
+    tol = _finite(node.get("tol", 1e-8), "solver tol")
+    _require(tol > 0, f"solver tol must be > 0; got {tol!r}")
+    return {"n_x": _integer(node.get("n_x", 10_000), "solver n_x", 1),
+            "n_y": _integer(node.get("n_y", 64), "solver n_y", 1),
+            "max_iter": _integer(node.get("max_iter", 100), "solver max_iter", 1),
+            "tol": tol}
 
 
 def _parse_var_task(task: dict, n: int):
@@ -418,15 +427,10 @@ class _TaskRunner:
         """
         if self._posterior is None:
             spec, solver = self.spec, self.spec.solver
-            problem = build_dual_problem(
-                spec.prior, spec.views,
-                n_x=int(solver.get("n_x", 10_000)), n_y=int(solver.get("n_y", 64)),
-            )
-            self.report = solve_lambda_newton(
-                spec.prior, spec.views, problem=problem,
-                tol=float(solver.get("tol", 1e-8)),
-                max_iter=int(solver.get("max_iter", 100)),
-            )
+            problem = build_dual_problem(spec.prior, spec.views,
+                                         n_x=solver["n_x"], n_y=solver["n_y"])
+            self.report = solve_lambda_newton(spec.prior, spec.views, problem=problem,
+                                              tol=solver["tol"], max_iter=solver["max_iter"])
             self._posterior = problem.posterior(self.report.lam)
         return self._posterior
 
@@ -457,8 +461,7 @@ class _TaskRunner:
         if task.get("check_existence", False):
             existence = existence_check(
                 self.spec.prior, self.spec.views,
-                n_samples=int(task.get("n_samples", 100_000)),
-                seed=self._seed_for(task),
+                n_samples=self._samples_for(task), seed=self._seed_for(task),
             )
         payload = {
             "schema_version": SCHEMA_VERSION,

@@ -10,7 +10,7 @@ uses for them, without loading ``scipy.stats``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaln, gammaln, ndtr, ndtri, stdtr, stdtrit
@@ -32,8 +32,6 @@ class MarginalDensity:
     ``sample`` and ``quadrature_nodes``.  ``tail_index`` is the power-law
     index alpha for regularly varying kinds and ``None`` otherwise.
     """
-
-    kind: str = "abstract"
 
     @property
     def dim(self) -> int:
@@ -96,7 +94,6 @@ class GaussianDensity(MarginalDensity):
 
     mean_: float
     stddev: float
-    kind: str = field(default="gaussian", init=False)
 
     def __post_init__(self):
         if not np.isfinite(self.mean_) or not np.isfinite(self.stddev):
@@ -141,7 +138,6 @@ class StudentTDensity(MarginalDensity):
     df: float
     loc: float
     scale: float
-    kind: str = field(default="student_t", init=False)
 
     def __post_init__(self):
         if self.df <= 1:
@@ -229,8 +225,6 @@ class GridDensity(MarginalDensity):
     pre-normalization mass is kept in ``raw_mass``.  The density is zero
     outside the knot range.
     """
-
-    kind = "grid"
 
     def __init__(self, knots, densities):
         knots = np.asarray(knots, dtype=float)

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import TiltedPosterior, _draw_x, _row_logsumexp, _view_tensor, conditional_law
-from .errors import (
-    InsufficientSamples,
-    NonIntegrablePayoff,
-    NonSampleableConditional,
-    QuadratureFailure,
-)
+from .calibration import TiltedPosterior, _draw_x, _row_logsumexp, _view_tensor
+from .errors import InsufficientSamples, NonIntegrablePayoff, NonSampleableConditional
 
 __all__ = [
     "SampleBatch",
@@ -75,15 +70,16 @@ def _stream_rngs(seed: int, n: int):
     return [(np.random.default_rng(c), _CHUNK) for c in children]
 
 
-def sample_posterior(post, n: int, seed: int = 0, *, n_y: int = 64) -> SampleBatch:
+def sample_posterior(post, n: int, seed: int = 0) -> SampleBatch:
     """Draw ``n`` posterior samples, mapped back to original coordinates.
 
     Gaussian-conditional posteriors are sampled exactly; generic tilted
     posteriors are importance-sampled from the prior conditional with
-    weights exp(lam . h - log Z(x)), reported in the batch.
+    weights exp(lam . h - log Z(x)), reported in the batch, where log Z(x)
+    takes the problem's own rule for Y | X = x.
     """
     if isinstance(post, TiltedPosterior):
-        return _sample_tilted(post, n, seed, n_y)
+        return _sample_tilted(post, n, seed)
     chunks = [_to_factors(post.view_map, post.sample_xy(m, rng))
               for rng, m in _stream_rngs(seed, n)]
     return SampleBatch(np.vstack(chunks)[:n], seed)
@@ -96,14 +92,21 @@ def _to_factors(view_map, xy: np.ndarray) -> np.ndarray:
     return view_map.invert(xy)
 
 
-def _sample_tilted(post: TiltedPosterior, n: int, seed: int, n_y: int) -> SampleBatch:
-    law = conditional_law(post.prior, post.views)
-    views, lam = post.views, post.lam
+def _sample_tilted(post: TiltedPosterior, n: int, seed: int) -> SampleBatch:
+    problem, lam = post.problem, post.lam
+    law, views = problem.law, problem.views
+    # A Gaussian tensor rule over d > 1 conditional dimensions (n_y^d nodes
+    # per draw) would not fit in memory for a chunk of draws.
+    if law is None or problem.y_nodes.shape[1] > problem.n_y:
+        raise NonSampleableConditional(
+            "importance sampling needs a from_prior problem whose rule has at most n_y "
+            "nodes per draw: one conditional dimension for a Gaussian prior"
+        )
     chunks, logw = [], []
     for rng, m in _stream_rngs(seed, n):
         x = _draw_x(views.marginal, views.k1, m, rng)
         y = law.sample(x, rng)
-        nodes, log_w = _bounded_rule(law, x, n_y)
+        nodes, log_w = law.rule(x, problem.n_y)
         scores = np.einsum("k,knj->nj", lam, _view_tensor(views.moments, x[:, None, :], nodes))
         scores += log_w
         logw.append(lam @ _view_tensor(views.moments, x, y) - _row_logsumexp(scores))
@@ -111,24 +114,6 @@ def _sample_tilted(post: TiltedPosterior, n: int, seed: int, n_y: int) -> Sample
     log_weights = np.concatenate(logw)
     w = np.exp(log_weights - log_weights.max())[:n]
     return SampleBatch(np.vstack(chunks)[:n], seed, weights=w / w.mean())
-
-
-def _bounded_rule(law, x: np.ndarray, n_y: int):
-    """The law's rule at x, refused (after a one-draw probe) beyond n_y nodes per draw.
-
-    A Gaussian tensor rule over d > 1 conditional dimensions (n_y^d nodes,
-    none for d > 3) would not fit in memory for a chunk of draws.
-    """
-    try:
-        fits = law.rule(x[:1], n_y)[0].shape[1] <= n_y
-    except QuadratureFailure:  # no tensor rule beyond three dimensions
-        fits = False
-    if not fits:
-        raise NonSampleableConditional(
-            "importance sampling of payoff-calibrated Gaussian posteriors "
-            "supports one conditional dimension"
-        )
-    return law.rule(x, n_y)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ def sensitivities(post, r=None, *, r_weights=None, wrt_loc: bool = False) -> Sen
 
     if isinstance(post, TiltedPosterior):
         if r_weights is not None:
-            k1 = post.views.k1
+            k1 = post.problem.x_nodes.shape[1]
             r = lambda x, y: x @ np.asarray(r_weights[:k1]) + y @ np.asarray(r_weights[k1:])
         return _sensitivities_quadrature(post, r, wrt_loc)
     if r_weights is None:
@@ -91,13 +91,11 @@ def _sensitivities_gaussian(post: GaussianMarginalPosterior, r_w: np.ndarray,
 def _sensitivities_quadrature(post: TiltedPosterior, r, wrt_loc: bool) -> SensitivityReport:
     problem: QuadratureProblem = post.problem
     lam = post.lam
-    state = problem.dual_state(lam)
-    v = state.hessian
+    v = problem.dual_state(lam).hessian
     u = _invert_v(v)
-    joint = problem.posterior_weights(lam)
+    cond = problem._tilted_conditional(lam)[1]
     x_w = problem.x_weights
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(x_w[:, None] > 0, joint / x_w[:, None], 0.0)
+    joint = cond * x_w[:, None]
     r_vals = np.asarray(r(problem.x_nodes[:, None, :], problem.y_nodes), dtype=float)
     r_vals = np.broadcast_to(r_vals, problem.y_nodes.shape[:-1])
     mu_r = np.einsum("nj,nj->n", cond, r_vals)
@@ -106,7 +104,7 @@ def _sensitivities_quadrature(post: TiltedPosterior, r, wrt_loc: bool) -> Sensit
     cov_rh = e_rh - (mu_h * mu_r[None, :]) @ x_w
     d_loc = None
     if wrt_loc:
-        g = post.views.marginal
+        g = problem.views.marginal if problem.views is not None else None
         if g is None or not hasattr(g, "dlogpdf_dloc"):
             raise ValueError("marginal view has no differentiable location parameter")
         score = g.dlogpdf_dloc(problem.x_nodes[:, 0])

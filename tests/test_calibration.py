@@ -106,8 +106,8 @@ class TestDualEval:
         problem = tc.QuadratureProblem.from_discrete(xv, gx, cond, yv, moments)
         lam = np.array([0.37, -0.21])
         state = problem.dual_state(lam)
-        post = problem.posterior(lam)  # no prior or views: expectations only
-        assert post.prior is None and post.views is None
+        post = problem.posterior(lam)  # no law or views: expectations only
+        assert post.problem is problem and problem.law is None and problem.views is None
         assert post.expectation(lambda x, y: y[..., 0]) == pytest.approx(
             state.gradient[0] + 0.1, abs=1e-15)
         eps = 1e-6
@@ -255,7 +255,7 @@ class TestNewton:
         """The closed form has its own posterior type, which no wrapper stands in for."""
         problem = tc.GaussianLinearProblem(two_asset_prior, two_asset_views)
         with pytest.raises(TypeError, match=r"problem\.posterior\(lam\)"):
-            tc.TiltedPosterior(two_asset_prior, two_asset_views, np.zeros(1), problem)
+            tc.TiltedPosterior(problem, np.zeros(1))
 
     def test_marginal_preserved_under_posterior_sampling(self):
         rng = np.random.default_rng(13)
@@ -687,7 +687,7 @@ class TestGenericPrior:
         generic = self._generic()
         problem = tc.build_dual_problem(generic, views, n_x=2000, n_y=64)
         report = tc.solve_lambda_newton(generic, views, problem=problem)
-        post = tc.TiltedPosterior(generic, views, report.lam, problem)
+        post = tc.TiltedPosterior(problem, report.lam)
         batch = tc.sample_posterior(post, 100_000, seed=5)
         again = tc.sample_posterior(problem.posterior(report.lam), 100_000, seed=5)
         np.testing.assert_array_equal(again.z_samples, batch.z_samples)
@@ -720,6 +720,6 @@ class TestGenericPrior:
         problem = tc.QuadratureProblem.from_prior(generic, views, n_x=500, n_y=64, seed=3)
         assert problem.y_nodes.shape == (500, 64, 1)
         np.testing.assert_array_equal(problem.log_y_weights, np.log(np.full(64, 1 / 64)))
-        post = tc.TiltedPosterior(generic, views, np.zeros(1), problem)
+        post = tc.TiltedPosterior(problem, np.zeros(1))
         with pytest.raises(tc.NonSampleableConditional):
             tc.sample_posterior(post, 1_000, seed=0)

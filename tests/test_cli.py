@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tiltcal as tc
+from tiltcal import cli
 from tiltcal.cli import main, run
 from conftest import SIX_INDEX_COV, SIX_INDEX_LABELS, SIX_INDEX_MEAN
 
@@ -402,6 +403,36 @@ class TestRun:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "validation"
         assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("solver", [
+        {"n_x": 0}, {"n_x": "abc"}, {"n_x": True}, {"n_y": 1.5}, {"n_y": 0},
+        {"max_iter": 0}, {"max_iter": 2.0}, {"tol": -1}, {"tol": 0}, {"tol": float("nan")},
+        {"tol": float("inf")}, {"tol": "abc"},
+    ], ids=lambda solver: "-".join(f"{k}={v!r}" for k, v in solver.items()))
+    def test_malformed_solver_values_exit_3(self, tmp_path, capsys, solver):
+        out = tmp_path / "out"
+        doc = payoff_spec() | {"solver": solver}
+        assert run(_write_spec(tmp_path, doc), str(out)) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "validation"
+        assert "solver" in error["detail"]
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_samples_override_reaches_the_existence_check(self, tmp_path, monkeypatch):
+        calls = []
+        check = cli.existence_check
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["n_samples"])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "existence_check", spy)
+        doc = two_asset_spec([{"type": "calibrate", "check_existence": True,
+                               "n_samples": 20_000}])
+        spec = _write_spec(tmp_path, doc)
+        assert run(spec, str(tmp_path / "o1")) == 0
+        assert run(spec, str(tmp_path / "o2"), samples=5_000) == 0
+        assert calls == [20_000, 5_000]
 
     @pytest.mark.parametrize("overrides", [{"samples": 0}, {"seed": -1}, {"samples": 1.5}])
     def test_invalid_overrides_exit_3(self, tmp_path, capsys, overrides):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import roots_hermite
+from scipy.special import logsumexp, roots_hermite
 
 import tiltcal as tc
 from conftest import (
@@ -76,7 +76,7 @@ def calibrated_stock_problem(bump=1.05, strike=80.0):
     )
     problem = tc.QuadratureProblem.from_prior(prior, views, n_y=256)
     report = tc.solve_lambda_newton(prior, views, problem=problem)
-    post = tc.TiltedPosterior(prior, views, report.lam, problem)
+    post = tc.TiltedPosterior(problem, report.lam)
     return post, report, payoff, float(target), mu_log, cov_log, discount, g
 
 
@@ -151,29 +151,67 @@ class TestSamplePosterior:
         se = np.sqrt(np.average((h - est) ** 2 * batch.weights, weights=batch.weights) / batch.n)
         assert abs(est - target) < 4 * se
 
+    def test_importance_weights_use_the_problem_rule(self):
+        """option_chain's model: the normalizer log Z(x) takes the problem's own n_y."""
+        prior = tc.GaussianPrior([0.0, 0.1], [[1.0, 0.6], [0.6, 1.2]])
+        views = tc.ViewSet(
+            tc.LinearViewMap.identity(2, 1, 2), tc.StudentTDensity(df=4, loc=0.0, scale=0.8),
+            (tc.MomentView(target=0.45, payoff=lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0)),
+             tc.MomentView(target=0.25, payoff=lambda x, y: np.maximum(-0.4 - y[..., 0], 0.0))),
+        )
+        coarse, fine = (tc.QuadratureProblem.from_prior(prior, views, n_x=2000, n_y=n_y)
+                        for n_y in (16, 64))
+        lam = tc.solve_lambda_newton(prior, views, problem=fine).lam
+        batch = tc.sample_posterior(coarse.posterior(lam), 20_000, seed=3)
+        again = tc.sample_posterior(fine.posterior(lam), 20_000, seed=3)
+        np.testing.assert_array_equal(batch.z_samples, again.z_samples)
+        assert not np.array_equal(batch.weights, again.weights)
+
+        def h(x, y):
+            return np.stack([view.payoff(x, y) for view in views.moments])
+
+        x, y = batch.z_samples[:, :1], batch.z_samples[:, 1:]
+        nodes, log_w = coarse.law.rule(x, 16)
+        log_z = logsumexp(log_w + np.einsum("k,knj->nj", lam, h(x[:, None, :], nodes)), axis=1)
+        w = np.exp(lam @ h(x, y) - log_z)
+        np.testing.assert_allclose(batch.weights, w / w.mean(), rtol=1e-10)
+
+    def test_discrete_problem_is_not_sampleable(self):
+        cond = np.full((3, 4), 0.25)
+        problem = tc.QuadratureProblem.from_discrete(
+            np.arange(3.0), np.full(3, 1 / 3), cond, np.arange(4.0),
+            (tc.MomentView(target=1.6, coord=0),))
+        with pytest.raises(tc.NonSampleableConditional):
+            tc.sample_posterior(problem.posterior(np.zeros(1)), 100, seed=0)
+
     def test_generic_without_sampler_raises(self):
+        """With neither callback there is no rule, so no problem to tilt and sample."""
         prior = tc.GenericPrior(x_dim=1, y_dim=1)
         views = tc.ViewSet(
             tc.LinearViewMap.identity(2, 1, 1),
             tc.GaussianDensity(0.0, 1.0),
             (tc.MomentView(target=0.0, payoff=lambda x, y: y[..., 0]),),
         )
-        post = tc.TiltedPosterior(prior, views, np.zeros(1), None)
         with pytest.raises(tc.NonSampleableConditional):
-            tc.sample_posterior(post, 100, seed=0)
+            tc.QuadratureProblem.from_prior(prior, views, n_x=50)
 
     def test_gaussian_payoff_posterior_needs_one_conditional_dimension(self):
         """The normalizer's tensor rule over d > 1 dimensions is refused, not built."""
         call = lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0)
-        for dim in (3, 5):
-            prior = tc.GaussianPrior(np.zeros(dim), np.eye(dim) + 0.3)
-            views = tc.ViewSet(
+
+        def views(dim):
+            return tc.ViewSet(
                 tc.LinearViewMap.identity(dim, 1, 1), tc.GaussianDensity(0.0, 1.0),
                 (tc.MomentView(target=0.45, payoff=call),),
             )
-            post = tc.TiltedPosterior(prior, views, np.zeros(1), None)
-            with pytest.raises(tc.NonSampleableConditional):
-                tc.sample_posterior(post, 1_000, seed=0)
+
+        prior = tc.GaussianPrior(np.zeros(3), np.eye(3) + 0.3)
+        problem = tc.QuadratureProblem.from_prior(prior, views(3), n_x=50, n_y=8)
+        with pytest.raises(tc.NonSampleableConditional):
+            tc.sample_posterior(problem.posterior(np.zeros(1)), 1_000, seed=0)
+        prior = tc.GaussianPrior(np.zeros(5), np.eye(5) + 0.3)
+        with pytest.raises(tc.QuadratureFailure):  # no tensor rule past three dimensions
+            tc.QuadratureProblem.from_prior(prior, views(5), n_x=50, n_y=8)
 
     def test_sample_moment_error_shrinks_with_n(self, two_asset_posterior):
         post = two_asset_posterior

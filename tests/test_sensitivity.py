@@ -122,8 +122,10 @@ class TestGaussianLinearPath:
 
 
 class TestQuadraturePath:
+    PRIOR = tc.GaussianPrior([0.0, 0.1], [[1.0, 0.6], [0.6, 1.2]])
+
     def _problem(self):
-        prior = tc.GaussianPrior([0.0, 0.1], [[1.0, 0.6], [0.6, 1.2]])
+        prior = self.PRIOR
         g = tc.StudentTDensity(df=5.0, loc=0.1, scale=0.8)
         payoff = lambda x, y: np.maximum(y[..., 0] - 0.2, 0.0)
         views = tc.ViewSet(
@@ -133,7 +135,7 @@ class TestQuadraturePath:
         problem = tc.QuadratureProblem.from_prior(prior, views, n_x=3001, n_y=128)
         report = tc.solve_lambda_newton(prior, views, problem=problem)
         assert report.converged
-        return tc.TiltedPosterior(prior, views, report.lam, problem), payoff
+        return tc.TiltedPosterior(problem, report.lam), payoff
 
     def test_r_equal_to_view_gives_one(self):
         post, payoff = self._problem()
@@ -147,13 +149,13 @@ class TestQuadraturePath:
 
         def pi_at(target):
             views = tc.ViewSet(
-                post.views.view_map, post.views.marginal,
+                post.problem.views.view_map, post.problem.views.marginal,
                 (tc.MomentView(target=float(target), payoff=payoff),),
             )
             problem = tc.QuadratureProblem.from_prior(
-                post.prior, views, n_x=3001, n_y=128
+                self.PRIOR, views, n_x=3001, n_y=128
             )
-            rep = tc.solve_lambda_newton(post.prior, views, problem=problem)
+            rep = tc.solve_lambda_newton(self.PRIOR, views, problem=problem)
             assert rep.converged
             vals = problem.y_nodes[..., 0]
             return problem.expectation(rep.lam, vals)
@@ -166,16 +168,16 @@ class TestQuadraturePath:
         post, payoff = self._problem()
         r = lambda x, y: y[..., 0]
         report = tc.sensitivities(post, r=r, wrt_loc=True)
-        g = post.views.marginal
+        g = post.problem.views.marginal
 
         def pi_with_marginal(loc):
             views = tc.ViewSet(
-                post.views.view_map,
+                post.problem.views.view_map,
                 tc.StudentTDensity(df=g.df, loc=loc, scale=g.scale),
-                post.views.moments,
+                post.problem.views.moments,
             )
             problem = tc.QuadratureProblem.from_prior(
-                post.prior, views, n_x=3001, n_y=128
+                self.PRIOR, views, n_x=3001, n_y=128
             )
             vals = problem.y_nodes[..., 0]
             return problem.expectation(post.lam, vals)  # multipliers held fixed
@@ -183,6 +185,26 @@ class TestQuadraturePath:
         eps = 1e-5
         fd = (pi_with_marginal(g.loc + eps) - pi_with_marginal(g.loc - eps)) / (2 * eps)
         assert report.d_pi_d_loc == pytest.approx(fd, rel=1e-3)
+
+    def test_linear_r_weights_on_a_discrete_problem(self):
+        """r_weights takes k1 from the problem's x nodes; a discrete problem has no views."""
+        rng = np.random.default_rng(5)
+        cond = rng.random((5, 5)) + 0.1
+        cond /= cond.sum(axis=1, keepdims=True)
+        moments = (tc.MomentView(target=0.1, coord=0),
+                   tc.MomentView(target=0.4, payoff=lambda x, y: y[..., 0] ** 2))
+        problem = tc.QuadratureProblem.from_discrete(
+            np.linspace(-1, 1, 5), np.full(5, 0.2), cond, np.linspace(-1, 1, 5), moments)
+        report = tc.solve_lambda_newton(None, None, problem=problem)
+        assert report.converged
+        post = problem.posterior(report.lam)
+        by_weights = tc.sensitivities(post, r_weights=np.array([0.3, -0.7]))
+        by_callable = tc.sensitivities(post, r=lambda x, y: 0.3 * x[..., 0] - 0.7 * y[..., 0])
+        np.testing.assert_allclose(by_weights.d_pi_d_c, by_callable.d_pi_d_c,
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(by_weights.v_matrix, by_callable.v_matrix)
+        with pytest.raises(ValueError, match="location"):
+            tc.sensitivities(post, r_weights=np.array([0.3, -0.7]), wrt_loc=True)
 
     def test_dependent_views_raise_singular_v(self):
         prior = tc.GaussianPrior([0.0, 0.1], [[1.0, 0.6], [0.6, 1.2]])
@@ -194,7 +216,7 @@ class TestQuadraturePath:
              tc.MomentView(target=0.1, payoff=same)),
         )
         problem = tc.QuadratureProblem.from_prior(prior, views, n_x=501, n_y=32)
-        post = tc.TiltedPosterior(prior, views, np.zeros(2), problem)
+        post = tc.TiltedPosterior(problem, np.zeros(2))
         with pytest.raises(tc.SingularV):
             tc.sensitivities(post, r=same)
 
@@ -219,7 +241,7 @@ class TestQuadraturePath:
         )
         problem = tc.QuadratureProblem.from_prior(prior, payoff_views, n_x=4001, n_y=24)
         report = tc.solve_lambda_newton(prior, payoff_views, problem=problem)
-        post_q = tc.TiltedPosterior(prior, payoff_views, report.lam, problem)
+        post_q = tc.TiltedPosterior(problem, report.lam)
         quad = tc.sensitivities(post_q, r_weights=r_view)
         np.testing.assert_allclose(quad.d_pi_d_c, analytic.d_pi_d_c, rtol=2e-3)
         np.testing.assert_allclose(quad.v_matrix, analytic.v_matrix, rtol=2e-3)
