@@ -81,7 +81,7 @@ def load_price_csv(path: str, frequency: str = "weekly") -> PriceSeries:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[0].strip().lower() != "date":
             raise SpecValidationError("price CSV must start with a 'date' column")
         labels = tuple(name.strip() for name in header[1:])
@@ -129,13 +129,19 @@ def estimate_prior(series: PriceSeries, return_kind: str = "simple") -> Gaussian
 # ---------------------------------------------------------------------------
 
 
-def _fail(msg: str) -> SpecValidationError:
-    return SpecValidationError(msg)
-
-
 def _require(cond: bool, msg: str):
     if not cond:
-        raise _fail(msg)
+        raise SpecValidationError(msg)
+
+
+@dataclass(frozen=True)
+class Task:
+    """A checked task: ``_TaskRunner._task_<type>`` runs it on ``args``."""
+
+    type: str
+    n_samples: int
+    seed: int
+    args: tuple
 
 
 @dataclass
@@ -145,54 +151,54 @@ class CalibrationSpec:
     prior: GaussianPrior
     views: ViewSet
     labels: tuple[str, ...]
-    tasks: list
+    tasks: list[Task]
     solver: dict
 
 
 def load_spec(path: str) -> CalibrationSpec:
-    """Parse and validate a spec file; raises SpecValidationError on any issue."""
+    """Parse and validate a spec file; raises SpecValidationError on any issue.
+
+    Every field is checked here, so no task raises a validation error when it
+    runs.  Errors of the model classes' own checks (a PSD covariance, df > 1,
+    a non-singular view map) and of reading a price history count as invalid.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _fail(f"cannot read spec: {exc}") from exc
+        return _read_spec(doc, os.path.dirname(os.path.abspath(path)))
+    except SpecValidationError:
+        raise
+    except (OSError, ValueError, TiltcalError) as exc:
+        raise SpecValidationError(f"invalid spec: {exc}") from exc
+
+
+def _read_spec(doc, base_dir: str) -> CalibrationSpec:
     _require(isinstance(doc, dict), "spec root must be an object")
-    _require("schema_version" in doc, "spec must declare schema_version")
-    _require(doc["schema_version"] == SCHEMA_VERSION,
-             f"unsupported schema_version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    _require(type(version) is int and version == SCHEMA_VERSION,
+             f"unsupported schema_version {version!r}")
     for key in ("prior", "view_map", "moments", "tasks"):
         _require(key in doc, f"spec is missing the '{key}' section")
 
-    prior, labels = _parse_prior(doc["prior"], os.path.dirname(os.path.abspath(path)))
+    prior, labels = _parse_prior(doc["prior"], base_dir)
     n = prior.dim
     view_map = _parse_view_map(doc["view_map"], n)
     marginal = _parse_marginal(doc.get("marginal"))
     _require((marginal is None) == (view_map.k1 == 0),
              "exactly one marginal block is required when k1 > 0 (and none when k1 == 0)")
-    moments = _parse_moments(doc["moments"], view_map)
-    try:
-        views = ViewSet(view_map, marginal, moments)
-    except ValueError as exc:
-        raise _fail(f"inconsistent views: {exc}") from exc
+    views = ViewSet(view_map, marginal, _parse_moments(doc["moments"], n - view_map.k1))
     tasks = doc["tasks"]
     _require(isinstance(tasks, list) and tasks, "tasks must be a non-empty list")
-    known = {"calibrate", "var", "price", "tail", "sensitivities"}
-    y_dim = n - view_map.k1
+    records = []
     for task in tasks:
-        _require(isinstance(task, dict) and task.get("type") in known,
-                 f"unknown task entry {task!r}")
-        for key, low in (("n_samples", 1), ("seed", 0)):
-            if key in task:
-                _integer(task[key], f"task {key}", low)
-        if task["type"] == "var":
-            _parse_var_task(task, n)
-        elif task["type"] == "price":
-            _parse_price_task(task, y_dim)
-        elif task["type"] == "tail":
-            _parse_tail_task(task, y_dim)
-        elif task["type"] == "sensitivities":
-            _parse_sensitivities_task(task, n, views)
-    return CalibrationSpec(prior, views, labels, tasks, _parse_solver(doc.get("solver", {})))
+        _require(isinstance(task, dict) and isinstance(task.get("type"), str)
+                 and task["type"] in _TASKS, f"unknown task entry {task!r}")
+        reader, default_samples = _TASKS[task["type"]]
+        records.append(Task(task["type"],
+                            _integer(task.get("n_samples", default_samples), "task n_samples", 1),
+                            _integer(task.get("seed", 0), "task seed", 0),
+                            reader(task, n, views)))
+    return CalibrationSpec(prior, views, labels, records, _parse_solver(doc.get("solver", {})))
 
 
 def _parse_solver(node) -> dict:
@@ -200,7 +206,7 @@ def _parse_solver(node) -> dict:
     _require(isinstance(node, dict), "solver section must be an object")
     allowed = {"n_x", "n_y", "tol", "max_iter"}
     _require(set(node) <= allowed, f"solver keys must be among {sorted(allowed)}")
-    tol = _finite(node.get("tol", 1e-8), "solver tol")
+    tol = _number(node.get("tol", 1e-8), "solver tol")
     _require(tol > 0, f"solver tol must be > 0; got {tol!r}")
     return {"n_x": _integer(node.get("n_x", 10_000), "solver n_x", 1),
             "n_y": _integer(node.get("n_y", 64), "solver n_y", 1),
@@ -208,31 +214,35 @@ def _parse_solver(node) -> dict:
             "tol": tol}
 
 
-def _parse_var_task(task: dict, n: int):
+def _parse_calibrate_task(task: dict, n: int, views: ViewSet):
+    """A calibrate task's (check_existence,), checked."""
+    check = task.get("check_existence", False)
+    _require(isinstance(check, bool), f"check_existence must be a boolean; got {check!r}")
+    return (check,)
+
+
+def _parse_var_task(task: dict, n: int, views: ViewSet):
     """A var task's (weights, notional, levels), defaults filled in and checked."""
-    weights = _factor_weights(task.get("weights", [1.0 / n] * n), n, "var weights")
-    try:
-        notional = float(task.get("notional", 1.0))
-        levels = [float(q) for q in task.get("levels",
-                                             [0.9975, 0.995, 0.9925, 0.95, 0.75, 0.5])]
-    except (ValueError, TypeError) as exc:
-        raise _fail(f"invalid var task: {exc}") from exc
-    _require(np.isfinite(notional), "var notional must be finite")
-    _require(bool(levels) and all(0.0 < q < 1.0 for q in levels),
-             "var levels must be a non-empty list in (0, 1)")
-    return weights, notional, levels
+    levels = task.get("levels", [0.9975, 0.995, 0.9925, 0.95, 0.75, 0.5])
+    _require(isinstance(levels, list) and levels, "var levels must be a non-empty list")
+    levels = [_number(q, "var level") for q in levels]
+    _require(all(0.0 < q < 1.0 for q in levels), "var levels must lie in (0, 1)")
+    return (_factor_weights(task.get("weights", [1.0 / n] * n), n, "var weights"),
+            _number(task.get("notional", 1.0), "var notional"), levels)
 
 
-def _parse_price_task(task: dict, y_dim: int):
-    """A price task's (payoff, discount), checked."""
-    return _make_payoff(task.get("payoff"), y_dim), _finite(task.get("discount", 0.0), "discount")
+def _parse_price_task(task: dict, n: int, views: ViewSet):
+    """A price task's (payoff, payoff spec node, discount), checked."""
+    node = task.get("payoff")
+    return _make_payoff(node, n - views.k1), node, _number(task.get("discount", 0.0), "discount")
 
 
-def _parse_tail_task(task: dict, y_dim: int):
+def _parse_tail_task(task: dict, n: int, views: ViewSet):
     """A tail task's (coord, s_max, n_points), defaults filled in and checked."""
+    _require(views.is_coordinate_linear, "tail task requires coordinate moment views")
     s_max = task.get("s_max")
-    return (_coord(task.get("coord", 0), y_dim, "tail"),
-            None if s_max is None else _finite(s_max, "tail s_max"),
+    return (_coord(task.get("coord", 0), n - views.k1, "tail"),
+            None if s_max is None else _number(s_max, "tail s_max"),
             _integer(task.get("n_points", 10), "tail n_points", 1))
 
 
@@ -246,14 +256,14 @@ def _parse_sensitivities_task(task: dict, n: int, views: ViewSet):
     return _factor_weights(node["weights"], n, "sensitivities r.weights"), wrt_loc
 
 
-def _factor_weights(value, n: int, what: str) -> np.ndarray:
-    try:
-        weights = np.asarray(value, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise _fail(f"{what} must be numbers: {exc}") from exc
-    _require(weights.shape == (n,) and np.all(np.isfinite(weights)),
-             f"{what} must be {n} finite numbers, one per factor")
-    return weights
+# Task type -> (reader (task, n, views) -> args of _TaskRunner._task_<type>, default n_samples).
+_TASKS = {
+    "calibrate": (_parse_calibrate_task, 100_000),
+    "var": (_parse_var_task, 100_000),
+    "price": (_parse_price_task, 200_000),
+    "tail": (_parse_tail_task, 100_000),
+    "sensitivities": (_parse_sensitivities_task, 100_000),
+}
 
 
 def _integer(value, what: str, low: int) -> int:
@@ -262,13 +272,11 @@ def _integer(value, what: str, low: int) -> int:
     return int(value)
 
 
-def _finite(value, what: str) -> float:
-    try:
-        number = float(value)
-    except (ValueError, TypeError) as exc:
-        raise _fail(f"{what} must be a number: {exc}") from exc
-    _require(np.isfinite(number), f"{what} must be finite")
-    return number
+def _number(value, what: str) -> float:
+    """A finite JSON number; bools and numeric strings are refused."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max, f"{what} must be a finite number; got {value!r}")
+    return float(value)
 
 
 def _coord(value, y_dim: int, what: str) -> int:
@@ -277,61 +285,73 @@ def _coord(value, y_dim: int, what: str) -> int:
     return value
 
 
+def _factor_weights(value, n: int, what: str) -> np.ndarray:
+    _require(isinstance(value, list) and len(value) == n,
+             f"{what} must be {n} finite numbers, one per factor")
+    return np.array([_number(w, what) for w in value])
+
+
 def _parse_prior(node, base_dir: str):
+    """The prior and its labels: one distinct non-empty name without '/' per factor."""
     _require(isinstance(node, dict), "prior must be an object")
     if "estimate_from" in node:
-        csv_path = node["estimate_from"]
-        if not os.path.isabs(csv_path):
-            csv_path = os.path.join(base_dir, csv_path)
-        series = load_price_csv(csv_path, node.get("frequency", "weekly"))
-        prior = estimate_prior(series, node.get("return_kind", "simple"))
-        return prior, series.labels
-    _require("mean" in node and "covariance" in node,
-             "prior needs mean+covariance or estimate_from")
-    try:
-        prior = GaussianPrior(np.array(node["mean"], dtype=float),
-                              np.array(node["covariance"], dtype=float))
-    except (ValueError, TypeError) as exc:
-        raise _fail(f"invalid prior: {exc}") from exc
-    labels = tuple(node.get("labels", [f"z{i + 1}" for i in range(prior.dim)]))
-    _require(len(labels) == prior.dim, "labels length must match prior dimension")
-    return prior, labels
+        _require(isinstance(node["estimate_from"], str), "prior estimate_from must be a path")
+        series = load_price_csv(os.path.join(base_dir, node["estimate_from"]),
+                                node.get("frequency", "weekly"))
+        prior, labels = estimate_prior(series, node.get("return_kind", "simple")), series.labels
+    else:
+        _require("mean" in node and "covariance" in node,
+                 "prior needs mean+covariance or estimate_from")
+        mean, cov = node["mean"], node["covariance"]
+        n = len(mean) if isinstance(mean, list) else 0
+        _require(n > 0 and isinstance(cov, list) and len(cov) == n,
+                 "prior needs a non-empty mean and one covariance row per factor")
+        prior = GaussianPrior(_factor_weights(mean, n, "prior mean"),
+                              np.array([_factor_weights(row, n, "prior covariance") for row in cov]))
+        labels = node.get("labels", [f"z{i + 1}" for i in range(n)])
+    _require(isinstance(labels, (list, tuple)) and len(labels) == prior.dim
+             and all(isinstance(s, str) and s and "/" not in s for s in labels)
+             and len(set(labels)) == prior.dim,
+             f"labels must be {prior.dim} distinct non-empty strings without '/'; got {labels!r}")
+    return prior, tuple(labels)
 
 
 def _parse_view_map(node, n: int) -> LinearViewMap:
     _require(isinstance(node, dict), "view_map must be an object")
-    k1, k2 = node.get("k1"), node.get("k2")
-    _require(isinstance(k1, int) and isinstance(k2, int), "view_map needs integer k1, k2")
-    _require(0 <= k1 <= k2 <= n, f"need 0 <= k1 <= k2 <= {n} (got k1={k1}, k2={k2})")
-    try:
-        if "permutation" in node:
-            return LinearViewMap.from_permutation(node["permutation"], k1, k2)
-        if "matrix" in node:
-            matrix = np.array(node["matrix"], dtype=float)
-            _require(matrix.shape == (n, n), f"view matrix must be {n}x{n}")
-            return LinearViewMap(matrix, k1, k2)
-        return LinearViewMap.identity(n, k1, k2)
-    except (ValueError, TiltcalError) as exc:
-        raise _fail(f"invalid view map: {exc}") from exc
+    k1, k2 = (_integer(node.get(key), f"view_map {key}", 0) for key in ("k1", "k2"))
+    _require(k1 <= k2 <= n, f"need 0 <= k1 <= k2 <= {n} (got k1={k1}, k2={k2})")
+    if "permutation" in node:
+        order = node["permutation"]
+        _require(isinstance(order, list) and len(order) == n,
+                 f"view_map permutation must list {n} indices")
+        return LinearViewMap.from_permutation(
+            [_integer(i, "view_map permutation entry", 0) for i in order], k1, k2)
+    if "matrix" in node:
+        rows = node["matrix"]
+        _require(isinstance(rows, list) and len(rows) == n, f"view matrix must be {n}x{n}")
+        return LinearViewMap(np.array([_factor_weights(row, n, "view matrix row") for row in rows]),
+                             k1, k2)
+    return LinearViewMap.identity(n, k1, k2)
 
 
 def _parse_marginal(node):
     if node is None:
         return None
-    _require(isinstance(node, dict) and "kind" in node, "marginal needs a 'kind'")
-    kind = node["kind"]
-    try:
-        if kind == "student_t":
-            return StudentTDensity(df=float(node["df"]), loc=float(node["loc"]),
-                                   scale=float(node["scale"]))
-        if kind == "gaussian":
-            return GaussianDensity(mean_=float(node["mean"]), stddev=float(node["stddev"]))
-        if kind == "grid":
-            return GridDensity(np.array(node["knots"], dtype=float),
-                               np.array(node["densities"], dtype=float))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _fail(f"invalid marginal: {exc}") from exc
-    raise _fail(f"unknown marginal kind {kind!r}")
+    _require(isinstance(node, dict), "marginal must be an object")
+    kind = node.get("kind")
+    if kind == "student_t":
+        return StudentTDensity(*(_number(node.get(key), f"marginal {key}")
+                                 for key in ("df", "loc", "scale")))
+    if kind == "gaussian":
+        return GaussianDensity(_number(node.get("mean"), "marginal mean"),
+                               _number(node.get("stddev"), "marginal stddev"))
+    if kind == "grid":
+        knots, densities = node.get("knots"), node.get("densities")
+        _require(isinstance(knots, list) and isinstance(densities, list),
+                 "grid marginal needs lists of knots and densities")
+        return GridDensity(np.array([_number(s, "grid knot") for s in knots]),
+                           np.array([_number(d, "grid density") for d in densities]))
+    raise SpecValidationError(f"unknown marginal kind {kind!r}")
 
 
 def _make_payoff(node, y_dim: int):
@@ -340,31 +360,25 @@ def _make_payoff(node, y_dim: int):
     kind = node.get("kind")
     _require(kind in ("call", "put"), f"unknown payoff kind {kind!r}")
     coord = _coord(node.get("coord", 0), y_dim, "payoff")
-    strike = _finite(node.get("strike"), "payoff strike")
+    strike = _number(node.get("strike"), "payoff strike")
     if kind == "call":
         return lambda x, y: np.maximum(y[..., coord] - strike, 0.0)
     return lambda x, y: np.maximum(strike - y[..., coord], 0.0)
 
 
-def _parse_moments(nodes, view_map: LinearViewMap):
+def _parse_moments(nodes, y_dim: int):
     _require(isinstance(nodes, list), "moments must be a list")
-    y_dim = view_map.n - view_map.k1
     out = []
     for node in nodes:
-        _require(isinstance(node, dict) and "target" in node,
-                 "each moment view needs a target")
-        try:
-            if "coord" in node:
-                out.append(MomentView(target=float(node["target"]),
-                                      coord=int(node["coord"])))
-            elif "payoff" in node:
-                out.append(MomentView(target=float(node["target"]),
-                                      payoff=_make_payoff(node["payoff"], y_dim),
-                                      name=json.dumps(node["payoff"], sort_keys=True)))
-            else:
-                raise _fail("moment view needs 'coord' or 'payoff'")
-        except (ValueError, TypeError) as exc:
-            raise _fail(f"invalid moment view: {exc}") from exc
+        _require(isinstance(node, dict) and "target" in node
+                 and ("coord" in node) != ("payoff" in node),
+                 "each moment view needs a target and exactly one of 'coord' or 'payoff'")
+        target = _number(node["target"], "moment target")
+        if "coord" in node:
+            out.append(MomentView(target=target, coord=_coord(node["coord"], y_dim, "moment")))
+        else:
+            out.append(MomentView(target=target, payoff=_make_payoff(node["payoff"], y_dim),
+                                  name=json.dumps(node["payoff"], sort_keys=True)))
     return tuple(out)
 
 
@@ -407,13 +421,8 @@ def _write_json(path: str, payload: dict):
 
 
 class _TaskRunner:
-    def __init__(self, spec: CalibrationSpec, out_dir: str, seed: int | None,
-                 samples: int | None):
+    def __init__(self, spec: CalibrationSpec):
         self.spec = spec
-        self.seed = seed
-        self.samples = samples
-        self.out_dir = out_dir
-        self.y_dim = spec.prior.dim - spec.views.k1
         self.stamp = dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
         self.report: CalibrationReport | None = None
         self._posterior = None
@@ -441,28 +450,19 @@ class _TaskRunner:
         return self._batch_cache[key]
 
     # -- tasks -------------------------------------------------------------
-    def run_task(self, task: dict, stage: str):
-        kind = task["type"]
-        if kind == "calibrate":
-            self._task_calibrate(task, stage)
-        elif kind == "var":
-            self._task_var(task, stage)
-        elif kind == "price":
-            self._task_price(task, stage)
-        elif kind == "tail":
-            self._task_tail(task, stage)
-        elif kind == "sensitivities":
-            self._task_sensitivities(task, stage)
+    def run_task(self, task: Task, stage: str, seed: int | None, samples: int | None):
+        """Run a checked task; ``seed`` and ``samples``, when given, override its own."""
+        getattr(self, f"_task_{task.type}")(*task.args,
+                                            task.n_samples if samples is None else samples,
+                                            task.seed if seed is None else seed, stage)
 
-    def _task_calibrate(self, task: dict, stage: str):
+    def _task_calibrate(self, check_existence: bool, n_samples: int, seed: int, stage: str):
         post = self.posterior()
         report = self.report
         existence = "unchecked"
-        if task.get("check_existence", False):
-            existence = existence_check(
-                self.spec.prior, self.spec.views,
-                n_samples=self._samples_for(task), seed=self._seed_for(task),
-            )
+        if check_existence:
+            existence = existence_check(self.spec.prior, self.spec.views,
+                                        n_samples=n_samples, seed=seed)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "lambda": report.lam,
@@ -481,9 +481,8 @@ class _TaskRunner:
 
     def _write_density_files(self, post: GaussianMarginalPosterior, stage: str):
         prior_t = post.prior_t
-        names = list(self.spec.labels)
         targets = [("view", None)] if post.k1 == 1 else []
-        targets += [(names[i], i) for i in range(len(names))]
+        targets += [(name, i) for i, name in enumerate(self.spec.labels)]
         for name, idx in targets:
             if idx is None:
                 mean_pr = float(prior_t.mean[0])
@@ -509,50 +508,34 @@ class _TaskRunner:
             _write_csv(os.path.join(stage, f"density_{name}.csv"),
                        ["s", "prior_density", "posterior_density"], rows, self.stamp)
 
-    def _seed_for(self, task: dict) -> int:
-        if self.seed is not None:
-            return self.seed
-        return int(task.get("seed", 0))
-
-    def _samples_for(self, task: dict, default: int = 100_000) -> int:
-        if self.samples is not None:
-            return self.samples
-        return int(task.get("n_samples", default))
-
-    def _task_var(self, task: dict, stage: str):
-        weights, notional, levels = _parse_var_task(task, self.spec.prior.dim)
-        batch = self.batch(self._samples_for(task), self._seed_for(task))
+    def _task_var(self, weights, notional: float, levels: list, n_samples: int, seed: int,
+                  stage: str):
+        batch = self.batch(n_samples, seed)
         report = estimate_var(batch, weights, notional, levels)
-        rows = [(q, v, se) for q, v, se in report.as_rows()]
         _write_csv(os.path.join(stage, "var.csv"),
-                   ["level", "var", "std_error"], rows, self.stamp)
+                   ["level", "var", "std_error"], report.as_rows(), self.stamp)
 
-    def _task_price(self, task: dict, stage: str):
-        payoff, discount = _parse_price_task(task, self.y_dim)
+    def _task_price(self, payoff, payoff_node: dict, discount: float, n_samples: int, seed: int,
+                    stage: str):
         result = price_option(self.posterior(), payoff, discount,
-                              n_samples=self._samples_for(task, 200_000),
-                              seed=self._seed_for(task))
+                              n_samples=n_samples, seed=seed)
         _write_json(os.path.join(stage, "price.json"), {
             "schema_version": SCHEMA_VERSION,
-            "payoff": task["payoff"],
+            "payoff": payoff_node,
             "discount": discount,
             "price": result.price,
             "std_error": result.std_error,
             "method": result.method,
         })
 
-    def _task_tail(self, task: dict, stage: str):
-        _require(self.spec.views.is_coordinate_linear, "tail task requires coordinate moment views")
-        post = self.posterior()
-        coord, s_max, n_points = _parse_tail_task(task, self.y_dim)
-        report = tail_ratio_probe(post, coord=coord, s_max=s_max, n_points=n_points)
+    def _task_tail(self, coord: int, s_max, n_points: int, n_samples: int, seed: int, stage: str):
+        report = tail_ratio_probe(self.posterior(), coord=coord, s_max=s_max, n_points=n_points)
         rows = [(s, m, report.target_ratio)
                 for s, m in zip(report.probe_points, report.measured_ratios)]
         _write_csv(os.path.join(stage, "tail.csv"),
                    ["s", "measured_ratio", "target_ratio"], rows, self.stamp)
 
-    def _task_sensitivities(self, task: dict, stage: str):
-        w_z, wrt_loc = _parse_sensitivities_task(task, self.spec.prior.dim, self.spec.views)
+    def _task_sensitivities(self, w_z, wrt_loc: bool, n_samples: int, seed: int, stage: str):
         post = self.posterior()
         # r = w . Z = (V^-T w) . (x, y)
         r_view = np.linalg.solve(post.view_map.matrix.T, w_z)
@@ -584,23 +567,18 @@ def run(spec_path: str, out_dir: str, seed: int | None = None,
         return 3
     os.makedirs(out_dir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
-    runner = _TaskRunner(spec, out_dir, seed, samples)
+    runner = _TaskRunner(spec)
     try:
         for task in spec.tasks:
             try:
-                runner.run_task(task, stage)
-            except SpecValidationError:
-                raise
+                runner.run_task(task, stage, seed, samples)
             except (TiltcalError, ValueError) as exc:
-                print(json.dumps({"task": task["type"],
+                print(json.dumps({"task": task.type,
                                   "code": type(exc).__name__,
                                   "detail": str(exc)}), file=sys.stderr)
                 return 1
         for name in sorted(os.listdir(stage)):
             os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
-    except SpecValidationError as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
-        return 3
     finally:
         for name in os.listdir(stage):
             os.unlink(os.path.join(stage, name))
@@ -625,9 +603,7 @@ def main(argv=None) -> int:
     cal.add_argument("--samples", type=int, default=None,
                      help="override task sample counts")
     args = parser.parse_args(argv)
-    if args.command == "calibrate":
-        return run(args.spec, args.out, args.seed, args.samples)
-    return 3
+    return run(args.spec, args.out, args.seed, args.samples)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Spec-file driven runs: prior estimation, reports, exit codes, atomicity."""
 
+import copy
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +175,15 @@ def _write_spec(tmp_path, doc, name="spec.json"):
     return str(path)
 
 
+def _write_price_csv(path, labels):
+    """A six-index weekly price history with the given column names."""
+    prices = moment_matched_prices(SIX_INDEX_MEAN, SIX_INDEX_COV)
+    lines = ["date," + ",".join(labels)]
+    for d, row in zip(_dates(prices.shape[0]), prices):
+        lines.append(d.isoformat() + "," + ",".join(f"{v:.12f}" for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _read_csv(path):
     with open(path) as fh:
         rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
@@ -224,11 +235,7 @@ class TestRun:
         assert np.all(np.diff(data[:, 1]) <= 0)  # levels listed high to low
 
     def test_estimated_prior_from_csv(self, tmp_path):
-        prices = moment_matched_prices(SIX_INDEX_MEAN, SIX_INDEX_COV)
-        lines = ["date," + ",".join(SIX_INDEX_LABELS)]
-        for d, row in zip(_dates(prices.shape[0]), prices):
-            lines.append(d.isoformat() + "," + ",".join(f"{v:.12f}" for v in row))
-        (tmp_path / "prices.csv").write_text("\n".join(lines) + "\n")
+        _write_price_csv(tmp_path / "prices.csv", SIX_INDEX_LABELS)
         doc = six_index_spec([{"type": "calibrate"}])
         doc["prior"] = {"estimate_from": "prices.csv", "frequency": "weekly"}
         out = tmp_path / "out"
@@ -391,18 +398,105 @@ class TestRun:
         two_asset_spec([{"type": "calibrate", "check_existence": True, "seed": -1}]),
         two_asset_spec([{"type": "var", "seed": "7"}]),
         two_asset_spec([{"type": "var", "seed": True}]),
+        two_asset_spec([{"type": []}]),
+        two_asset_spec([{"type": "calibrate", "check_existence": "no"}]),
+        two_asset_spec([{"type": "var", "notional": "1e6"}]),
     ], ids=["tail-s_max-text", "tail-coord-outside-y", "price-no-payoff",
             "price-no-strike", "moment-no-strike", "sens-r-number", "sens-no-r",
             "sens-weights-short", "sens-weights-text", "sens-wrt_loc-text",
             "sens-payoff-views", "price-n_samples-0", "var-n_samples-text",
             "var-n_samples-float", "calibrate-seed-negative", "var-seed-text",
-            "var-seed-bool"])
+            "var-seed-bool", "type-list", "check_existence-text", "var-notional-text"])
     def test_malformed_task_fields_exit_3(self, tmp_path, capsys, doc):
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "validation"
         assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("doc", [
+        two_asset_spec() | {"moments": [{"coord": 0.9, "target": 1.5}]},
+        six_index_spec([{"type": "calibrate"}]) | {"moments": [
+            {"coord": 0, "target": 0.001}, {"coord": True, "target": 0.001},
+            {"coord": 2, "target": 0.0013}, {"coord": 3, "target": 0.0024},
+            {"coord": 4, "target": 0.0035}]},
+        two_asset_spec() | {"moments": [{"coord": 0, "target": 1.5, "payoff": {
+            "kind": "call", "coord": 0, "strike": 1.0}}]},
+        two_asset_spec() | {"moments": [{"coord": 0, "target": "1.5"}]},
+        two_asset_spec() | {"moments": [{"coord": 0, "target": True}]},
+        two_asset_spec() | {"view_map": {"matrix": [[0.7, 0.3], [0.0, 1.0]],
+                                         "k1": True, "k2": 2}},
+        two_asset_spec() | {"view_map": {"permutation": [0, "a"], "k1": 1, "k2": 2}},
+        two_asset_spec() | {"view_map": {"permutation": 5, "k1": 1, "k2": 2}},
+        two_asset_spec() | {"marginal": {"kind": "student_t", "df": "3", "loc": 1.5,
+                                         "scale": 2.412}},
+        two_asset_spec() | {"prior": {"mean": ["1.0", 1.0],
+                                      "covariance": [[9.1, 3.0], [3.0, 1.1]]}},
+        two_asset_spec() | {"prior": {"mean": [1.0, 1.0],
+                                      "covariance": [[9.1, 3.0], [3.0, 1.1]], "labels": 5}},
+        two_asset_spec() | {"prior": {"mean": [1.0, 1.0], "covariance": [[9.1, 3.0], [3.0, 1.1]],
+                                      "labels": ["a/b", "c"]}},
+        two_asset_spec() | {"prior": {"mean": [1.0, 1.0], "covariance": [[9.1, 3.0], [3.0, 1.1]],
+                                      "labels": ["", "c"]}},
+        two_asset_spec() | {"prior": {"mean": [1.0, 1.0], "covariance": [[9.1, 3.0], [3.0, 1.1]],
+                                      "labels": ["a", "a"]}},
+        six_index_spec([{"type": "calibrate"}]) | {"prior": {"estimate_from": "missing.csv"}},
+        six_index_spec([{"type": "calibrate"}]) | {"prior": {"estimate_from": 5}},
+        six_index_spec([{"type": "calibrate"}]) | {"prior": {"estimate_from": "header.csv"}},
+        six_index_spec([{"type": "calibrate"}]) | {"prior": {"estimate_from": "prices.csv",
+                                                             "frequency": "monthly"}},
+        six_index_spec([{"type": "calibrate"}]) | {"prior": {"estimate_from": "prices.csv",
+                                                             "return_kind": "weird"}},
+        six_index_spec([{"type": "calibrate"}]) | {"prior": {"estimate_from": "slashed.csv"}},
+    ], ids=["moment-coord-float", "moment-coord-bool", "moment-coord-and-payoff",
+            "moment-target-text", "moment-target-bool", "k1-bool", "permutation-text",
+            "permutation-number", "df-text", "mean-text", "labels-number", "labels-slash",
+            "labels-empty", "labels-duplicate", "csv-missing", "csv-number", "csv-no-rows", "csv-monthly",
+            "csv-return-kind", "csv-slashed-label"])
+    def test_malformed_model_values_exit_3(self, tmp_path, capsys, doc):
+        _write_price_csv(tmp_path / "prices.csv", SIX_INDEX_LABELS)
+        _write_price_csv(tmp_path / "slashed.csv", ("asx/x",) + SIX_INDEX_LABELS[1:])
+        (tmp_path / "header.csv").write_text("date," + ",".join(SIX_INDEX_LABELS) + "\n")
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "validation"
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("doc", [
+        two_asset_spec([
+            {"type": "calibrate", "check_existence": True, "n_samples": 3000, "seed": 1},
+            {"type": "var", "levels": [0.95, 0.75], "notional": 10.0,
+             "weights": [0.5, 0.5], "n_samples": 3000, "seed": 2},
+            {"type": "price", "payoff": {"kind": "call", "coord": 0, "strike": 1.0},
+             "discount": 0.01, "n_samples": 3000, "seed": 3},
+            {"type": "tail", "coord": 0, "s_max": 20.0, "n_points": 3},
+            {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}, "wrt_loc": True},
+        ]) | {"solver": {"n_x": 201, "n_y": 8, "tol": 1e-8, "max_iter": 50}},
+        payoff_spec() | {"view_map": {"permutation": [0, 1], "k1": 1, "k2": 1},
+                         "solver": {"n_x": 201, "n_y": 8}},
+    ], ids=["every-task", "payoff-view"])
+    def test_junk_leaf_never_escapes_run(self, tmp_path, capsys, doc):
+        """Each leaf of the spec in turn takes four values of a fixed junk list."""
+        junk = [None, True, False, "x", "1", 1.5, -1, 0, 2, [], {}, [1], float("nan"), 1e308]
+        failures = []
+        for i, path in enumerate(_leaves(doc)):
+            for value in (junk[(4 * i + j) % len(junk)] for j in range(4)):
+                case = copy.deepcopy(doc)
+                node = case
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                spec = _write_spec(tmp_path, case)
+                try:
+                    code = run(spec, str(tmp_path / "out"))
+                except Exception as exc:
+                    failures.append((path, value, repr(exc)))
+                else:
+                    if code not in (0, 1, 2, 3):
+                        failures.append((path, value, code))
+        assert failures == []
 
     @pytest.mark.parametrize("solver", [
         {"n_x": 0}, {"n_x": "abc"}, {"n_x": True}, {"n_y": 1.5}, {"n_y": 0},
@@ -461,6 +555,28 @@ class TestRun:
         assert run(_write_spec(tmp_path, doc), str(out)) == 0
         report = json.loads((out / "calibration.json").read_text())
         assert report["existence"] == "interior"
+
+
+def _leaves(node, path=()):
+    """Key paths to every scalar and empty container of a JSON tree."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+WORKLOAD_SPECS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", WORKLOAD_SPECS, ids=lambda path: path.stem)
+def test_benchmark_specs_load_as_checked_tasks(path):
+    tasks = json.loads(path.read_text())["tasks"]
+    spec = cli.load_spec(str(path))
+    assert [(t.type, t.n_samples, t.seed) for t in spec.tasks] == [
+        (t["type"], t.get("n_samples", 200_000 if t["type"] == "price" else 100_000),
+         t.get("seed", 0)) for t in tasks]
 
 
 class TestMainEntryPoint:

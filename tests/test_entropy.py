@@ -70,6 +70,26 @@ class TestTwoAssetModel:
         assert est > 0.0
         assert est == pytest.approx(brute, abs=1e-2)
 
+    def test_divergence_is_view_divergence_minus_dual_value(self, two_asset_prior):
+        """D(post || prior) = KL(g || f_X) - F(lam*) at the dual optimum.
+
+        A Gaussian view keeps the 2-D grid's tails negligible; a t(3) view
+        leaves ~0.25 of the divergence outside any practical grid.
+        """
+        vmap = tc.LinearViewMap(np.array([[0.7, 0.3], [0.0, 1.0]]), k1=1, k2=2)
+        g = tc.GaussianDensity(1.5, 2.412)
+        views = tc.ViewSet(vmap, g, (tc.MomentView(target=1.5, coord=0),))
+        problem = tc.build_dual_problem(two_asset_prior, views)
+        report = tc.solve_lambda_newton(two_asset_prior, views, problem=problem)
+        post = problem.posterior(report.lam)
+        lhs = tc.relative_entropy(
+            lambda z: tc.posterior_density_z(post, z, log=True), two_asset_prior.logpdf,
+            grid=(np.linspace(-60, 60, 1201), np.linspace(-15, 18, 661)), log_densities=True,
+        )
+        f_x = tc.GaussianDensity(post.prior_t.mean[0], np.sqrt(post.prior_t.covariance[0, 0]))
+        kl_view = tc.relative_entropy(g.pdf, f_x.pdf, grid=(np.linspace(-200, 200, 40001),))
+        assert lhs == pytest.approx(kl_view - report.dual_value, abs=1e-9)
+
 
 class TestDivergence:
     def test_raises_when_support_escapes(self):
