@@ -8,7 +8,6 @@ analysis and view-sensitivity analysis.
 """
 
 from .analytic import (
-    GaussianMarginalPosterior,
     build_posterior,
     posterior_density_z,
     posterior_marginal_linear,
@@ -18,6 +17,7 @@ from .calibration import (
     CalibrationReport,
     DualState,
     GaussianLinearProblem,
+    GaussianMarginalPosterior,
     QuadratureProblem,
     TiltedPosterior,
     build_dual_problem,
@@ -86,12 +86,12 @@ __all__ = [
     # entropy
     "relative_entropy",
     # calibration
-    "DualState", "CalibrationReport", "TiltedPosterior",
+    "DualState", "CalibrationReport", "GaussianMarginalPosterior", "TiltedPosterior",
     "GaussianLinearProblem", "QuadratureProblem", "build_dual_problem",
     "dual_eval", "solve_lambda_gaussian_linear", "solve_lambda_newton",
     "existence_check", "independence_check",
     # analytic posterior
-    "GaussianMarginalPosterior", "build_posterior", "posterior_density_z",
+    "build_posterior", "posterior_density_z",
     "posterior_marginal_linear", "posterior_marginal_y1",
     # monte carlo
     "SampleBatch", "sample_posterior", "VarReport", "estimate_var",

@@ -23,7 +23,6 @@ from .priors import GaussianPrior, _gaussian_logpdf
 from .views import ViewSet
 
 __all__ = [
-    "GaussianMarginalPosterior",
     "build_posterior",
     "posterior_density_z",
     "posterior_marginal_linear",

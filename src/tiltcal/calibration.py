@@ -17,11 +17,13 @@ the marginal view, inner nodes over y from a per-x conditional rule).
 Past the closed form the prior is seen only through ``conditional_law``, its
 law of Y given X with draws ``sample(x, rng)`` and a per-x rule ``rule(x, n)``;
 ``QuadratureProblem.from_prior`` builds the quadrature backend from it.
-Each backend hands out its own posterior type through ``posterior(lam)``.
+Each backend hands out its own posterior type through ``posterior(lam)``,
+and each posterior draws, prices and differentiates itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,7 @@ from .errors import (
     InconclusiveSample,
     NonIntegrablePayoff,
     NonIntegrableTilt,
+    NonSampleableConditional,
     SingularConditionalCovariance,
 )
 from .priors import (
@@ -61,6 +64,7 @@ __all__ = [
 ]
 
 _LOGZ_CAP = 1.0e4
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -201,10 +205,47 @@ class GaussianMarginalPosterior:
         u = np.concatenate([self.e_g_x, self.y_mean()])
         return self.view_map.invert(u)
 
-    def sample_xy(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draws of (X, Y) in view coordinates: X ~ g, then Y | X."""
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, None]:
+        """n exact draws of (X, Y) in view coordinates, X ~ g then Y | X; no log-weights."""
         x = _draw_x(self.marginal, self.k1, n, rng)
-        return np.column_stack([x, self.conditional.sample(x, rng)])
+        return np.column_stack([x, self.conditional.sample(x, rng)]), None
+
+    def price(self, payoff, n_samples: int, seed: int) -> tuple[float, float, str]:
+        """Monte Carlo mean and standard error of payoff(x, y); NonIntegrablePayoff if inf/NaN."""
+        sums, sq_sums = [], []
+        count = 0
+        for rng, m in _stream_rngs(seed, n_samples):
+            take = min(m, n_samples - count)
+            xy = self.draw(m, rng)[0][:take]
+            vals = np.asarray(payoff(xy[:, :self.k1], xy[:, self.k1:]), dtype=float)
+            if not np.all(np.isfinite(vals)):
+                raise NonIntegrablePayoff("payoff is not finite on sampled support")
+            sums.append(float(vals.sum()))
+            sq_sums.append(float((vals**2).sum()))
+            count += take
+        # per-stream subtotals reduce via compensated summation, so the result
+        # is independent of chunk evaluation order
+        mean = math.fsum(sums) / count
+        var = max(math.fsum(sq_sums) / count - mean**2, 0.0)
+        return mean, np.sqrt(var / count), "monte-carlo"
+
+    def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
+        """V = S_mm, Cov(r, h | X) = cy . S[:, coords] for r = r_weights . (x, y), and dPi/d loc.
+
+        dPi/d loc (None unless wrt_loc) is exactly c_x + c_y . slope at fixed multipliers.
+        """
+        if r_weights is None:
+            raise ValueError("Gaussian-conditional posteriors need r_weights (linear r)")
+        r_w = np.asarray(r_weights, dtype=float)
+        cx, cy = r_w[:self.k1], r_w[self.k1:]
+        cov, coords = self.conditional.cov, np.array(self.moment_coords, dtype=int)
+        d_loc = None
+        if wrt_loc:
+            if not hasattr(self.marginal, "dlogpdf_dloc") or self.k1 != 1:
+                raise ValueError("location sensitivity needs a 1-D marginal view with a "
+                                 "differentiable location parameter")
+            d_loc = float(cx[0] + cy @ self.conditional.slope[:, 0])
+        return cov[np.ix_(coords, coords)], cov[:, coords].T @ cy, d_loc
 
 
 class QuadratureProblem:
@@ -302,12 +343,15 @@ class QuadratureProblem:
         value = float(self.x_weights @ log_z - lam @ self.targets)
         cond_mean = np.einsum("knj,nj->kn", self.h, cond)
         gradient = cond_mean @ self.x_weights - self.targets
-        joint = cond * self.x_weights[:, None]
-        second = np.einsum("knj,mnj,nj->km", self.h, self.h, joint)
-        cross = np.einsum("kn,mn,n->km", cond_mean, cond_mean, self.x_weights)
-        hessian = second - cross
-        hessian = (hessian + hessian.T) / 2.0
-        return DualState(lam, value, gradient, hessian)
+        hessian = self._cov_with_h(cond * self.x_weights[:, None], cond_mean, self.h, cond_mean)
+        return DualState(lam, value, gradient, (hessian + hessian.T) / 2.0)
+
+    def _cov_with_h(self, joint, h_mean, values, values_mean) -> np.ndarray:
+        """E_g[Cov(values_m, h_k | X)] from the joint weights and the per-x means of h and values.
+
+        ``values`` has shape (m, n_x, n_y); for values = h this is the dual Hessian."""
+        second = np.einsum("knj,mnj,nj->km", values, self.h, joint)
+        return second - np.einsum("kn,mn,n->km", values_mean, h_mean, self.x_weights)
 
 
 def _row_logsumexp(scores: np.ndarray) -> np.ndarray:
@@ -346,6 +390,18 @@ def _view_tensor(moments, x, y) -> np.ndarray:
     if not rows:
         return np.zeros((0,) + shape)
     return np.stack([np.broadcast_to(r, shape) for r in rows])
+
+
+def _stream_rngs(seed: int, n: int):
+    """Independently seeded generator per fixed-size chunk.
+
+    Every stream always generates a full chunk (callers truncate), so the
+    first m samples are identical for any two runs with n >= m and the
+    chunks can be generated in parallel or serially with the same result.
+    """
+    n_chunks = max((n + _CHUNK - 1) // _CHUNK, 1)
+    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    return [(np.random.default_rng(c), _CHUNK) for c in children]
 
 
 def _draw_x(marginal, k1: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -472,7 +528,7 @@ class TiltedPosterior:
     """Calibrated model: marginal view times the tilted prior conditional.
 
     ``problem`` is the ``QuadratureProblem`` whose dual ``lam`` solves; the
-    posterior is priced on its node tensor and sampled with its law and rule.
+    posterior is priced and differentiated on its node tensor, sampled with its law and rule.
     """
 
     problem: QuadratureProblem = field(repr=False)
@@ -498,6 +554,60 @@ class TiltedPosterior:
         if not np.isfinite(value):
             raise NonIntegrablePayoff("payoff expectation diverges under the posterior")
         return value
+
+    @property
+    def view_map(self) -> LinearViewMap | None:
+        """The problem's view map; None for a ``from_discrete`` problem, which has no views."""
+        return getattr(self.problem.views, "view_map", None)
+
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """n prior-conditional draws of (X, Y) and their log-weights lam . h(x, y) - log Z(x).
+
+        log Z(x) takes the problem's own law and rule size n_y; a ``from_discrete``
+        problem or a rule of more than n_y nodes per draw is NonSampleableConditional.
+        """
+        problem, lam = self.problem, self.lam
+        law, views = problem.law, problem.views
+        # A Gaussian tensor rule over d > 1 conditional dimensions (n_y^d nodes
+        # per draw) would not fit in memory for a chunk of draws.
+        if law is None or problem.y_nodes.shape[1] > problem.n_y:
+            raise NonSampleableConditional(
+                "importance sampling needs a from_prior problem whose rule has at most n_y "
+                "nodes per draw: one conditional dimension for a Gaussian prior"
+            )
+        x = _draw_x(views.marginal, views.k1, n, rng)
+        y = law.sample(x, rng)
+        nodes, log_w = law.rule(x, problem.n_y)
+        scores = np.einsum("k,knj->nj", lam, _view_tensor(views.moments, x[:, None, :], nodes))
+        scores += log_w
+        log_weights = lam @ _view_tensor(views.moments, x, y) - _row_logsumexp(scores)
+        return np.column_stack([x, y]), log_weights
+
+    def price(self, payoff, n_samples: int, seed: int) -> tuple[float, None, str]:
+        """``expectation(payoff)`` on the node tensor; it has no standard error."""
+        return self.expectation(payoff), None, "quadrature"
+
+    def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
+        """The dual Hessian V, E_g[Cov(r, h | X)] and the score integral dPi/d loc on the nodes."""
+        problem = self.problem
+        x, y = problem.x_nodes[:, None, :], problem.y_nodes
+        if r_weights is not None:
+            k1 = x.shape[-1]
+            r = lambda x, y: x @ np.asarray(r_weights[:k1]) + y @ np.asarray(r_weights[k1:])
+        r_vals = np.broadcast_to(np.asarray(r(x, y), dtype=float), y.shape[:-1])
+        cond = problem._tilted_conditional(self.lam)[1]
+        joint = cond * problem.x_weights[:, None]
+        h_mean = np.einsum("knj,nj->kn", problem.h, cond)
+        v = problem._cov_with_h(joint, h_mean, problem.h, h_mean)
+        r_mean = np.einsum("nj,nj->n", cond, r_vals)
+        cov_rh = problem._cov_with_h(joint, h_mean, r_vals[None], r_mean[None])[0]
+        d_loc = None
+        if wrt_loc:
+            g = getattr(problem.views, "marginal", None)
+            if not hasattr(g, "dlogpdf_dloc"):
+                raise ValueError("marginal view has no differentiable location parameter")
+            d_loc = float(np.sum(joint * r_vals * g.dlogpdf_dloc(problem.x_nodes[:, 0])[:, None]))
+        return (v + v.T) / 2.0, cov_rh, d_loc
 
 
 def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator):

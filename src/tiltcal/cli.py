@@ -134,6 +134,12 @@ def _require(cond: bool, msg: str):
         raise SpecValidationError(msg)
 
 
+def _known_keys(node: dict, allowed, what: str):
+    """Refuse a key of ``node`` outside ``allowed``, naming it."""
+    unknown = sorted(set(node) - set(allowed))
+    _require(not unknown, f"unknown {what} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
 @dataclass(frozen=True)
 class Task:
     """A checked task: ``_TaskRunner._task_<type>`` runs it on ``args``."""
@@ -177,6 +183,8 @@ def _read_spec(doc, base_dir: str) -> CalibrationSpec:
     version = doc.get("schema_version")
     _require(type(version) is int and version == SCHEMA_VERSION,
              f"unsupported schema_version {version!r}")
+    _known_keys(doc, {"schema_version", "prior", "view_map", "marginal", "moments", "solver",
+                      "tasks"}, "spec")
     for key in ("prior", "view_map", "moments", "tasks"):
         _require(key in doc, f"spec is missing the '{key}' section")
 
@@ -193,7 +201,8 @@ def _read_spec(doc, base_dir: str) -> CalibrationSpec:
     for task in tasks:
         _require(isinstance(task, dict) and isinstance(task.get("type"), str)
                  and task["type"] in _TASKS, f"unknown task entry {task!r}")
-        reader, default_samples = _TASKS[task["type"]]
+        reader, default_samples, fields = _TASKS[task["type"]]
+        _known_keys(task, {"type", "n_samples", "seed", *fields}, f"{task['type']} task")
         records.append(Task(task["type"],
                             _integer(task.get("n_samples", default_samples), "task n_samples", 1),
                             _integer(task.get("seed", 0), "task seed", 0),
@@ -204,8 +213,7 @@ def _read_spec(doc, base_dir: str) -> CalibrationSpec:
 def _parse_solver(node) -> dict:
     """The solver settings, defaults filled in and checked."""
     _require(isinstance(node, dict), "solver section must be an object")
-    allowed = {"n_x", "n_y", "tol", "max_iter"}
-    _require(set(node) <= allowed, f"solver keys must be among {sorted(allowed)}")
+    _known_keys(node, {"n_x", "n_y", "tol", "max_iter"}, "solver")
     tol = _number(node.get("tol", 1e-8), "solver tol")
     _require(tol > 0, f"solver tol must be > 0; got {tol!r}")
     return {"n_x": _integer(node.get("n_x", 10_000), "solver n_x", 1),
@@ -252,17 +260,19 @@ def _parse_sensitivities_task(task: dict, n: int, views: ViewSet):
     node, wrt_loc = task.get("r"), task.get("wrt_loc", False)
     _require(isinstance(node, dict) and "weights" in node,
              "sensitivities task needs an object r with weights in Z coordinates")
+    _known_keys(node, {"weights"}, "sensitivities r")
     _require(isinstance(wrt_loc, bool), f"sensitivities wrt_loc must be a boolean; got {wrt_loc!r}")
     return _factor_weights(node["weights"], n, "sensitivities r.weights"), wrt_loc
 
 
-# Task type -> (reader (task, n, views) -> args of _TaskRunner._task_<type>, default n_samples).
+# Task type -> (reader (task, n, views) -> args of _TaskRunner._task_<type>, default n_samples,
+# the task's own keys besides type, n_samples and seed).
 _TASKS = {
-    "calibrate": (_parse_calibrate_task, 100_000),
-    "var": (_parse_var_task, 100_000),
-    "price": (_parse_price_task, 200_000),
-    "tail": (_parse_tail_task, 100_000),
-    "sensitivities": (_parse_sensitivities_task, 100_000),
+    "calibrate": (_parse_calibrate_task, 100_000, {"check_existence"}),
+    "var": (_parse_var_task, 100_000, {"levels", "weights", "notional"}),
+    "price": (_parse_price_task, 200_000, {"payoff", "discount"}),
+    "tail": (_parse_tail_task, 100_000, {"coord", "s_max", "n_points"}),
+    "sensitivities": (_parse_sensitivities_task, 100_000, {"r", "wrt_loc"}),
 }
 
 
@@ -295,11 +305,13 @@ def _parse_prior(node, base_dir: str):
     """The prior and its labels: one distinct non-empty name without '/' per factor."""
     _require(isinstance(node, dict), "prior must be an object")
     if "estimate_from" in node:
+        _known_keys(node, {"estimate_from", "frequency", "return_kind"}, "prior")
         _require(isinstance(node["estimate_from"], str), "prior estimate_from must be a path")
         series = load_price_csv(os.path.join(base_dir, node["estimate_from"]),
                                 node.get("frequency", "weekly"))
         prior, labels = estimate_prior(series, node.get("return_kind", "simple")), series.labels
     else:
+        _known_keys(node, {"mean", "covariance", "labels"}, "prior")
         _require("mean" in node and "covariance" in node,
                  "prior needs mean+covariance or estimate_from")
         mean, cov = node["mean"], node["covariance"]
@@ -318,6 +330,9 @@ def _parse_prior(node, base_dir: str):
 
 def _parse_view_map(node, n: int) -> LinearViewMap:
     _require(isinstance(node, dict), "view_map must be an object")
+    _known_keys(node, {"k1", "k2", "permutation", "matrix"}, "view_map")
+    _require(not {"permutation", "matrix"} <= set(node),
+             "view_map takes at most one of 'permutation' and 'matrix'")
     k1, k2 = (_integer(node.get(key), f"view_map {key}", 0) for key in ("k1", "k2"))
     _require(k1 <= k2 <= n, f"need 0 <= k1 <= k2 <= {n} (got k1={k1}, k2={k2})")
     if "permutation" in node:
@@ -340,12 +355,15 @@ def _parse_marginal(node):
     _require(isinstance(node, dict), "marginal must be an object")
     kind = node.get("kind")
     if kind == "student_t":
+        _known_keys(node, {"kind", "df", "loc", "scale"}, "student_t marginal")
         return StudentTDensity(*(_number(node.get(key), f"marginal {key}")
                                  for key in ("df", "loc", "scale")))
     if kind == "gaussian":
+        _known_keys(node, {"kind", "mean", "stddev"}, "gaussian marginal")
         return GaussianDensity(_number(node.get("mean"), "marginal mean"),
                                _number(node.get("stddev"), "marginal stddev"))
     if kind == "grid":
+        _known_keys(node, {"kind", "knots", "densities"}, "grid marginal")
         knots, densities = node.get("knots"), node.get("densities")
         _require(isinstance(knots, list) and isinstance(densities, list),
                  "grid marginal needs lists of knots and densities")
@@ -357,6 +375,7 @@ def _parse_marginal(node):
 def _make_payoff(node, y_dim: int):
     """A call or put on one Y-block coordinate, with a finite strike."""
     _require(isinstance(node, dict), "payoff must be an object")
+    _known_keys(node, {"kind", "coord", "strike"}, "payoff")
     kind = node.get("kind")
     _require(kind in ("call", "put"), f"unknown payoff kind {kind!r}")
     coord = _coord(node.get("coord", 0), y_dim, "payoff")
@@ -370,8 +389,9 @@ def _parse_moments(nodes, y_dim: int):
     _require(isinstance(nodes, list), "moments must be a list")
     out = []
     for node in nodes:
-        _require(isinstance(node, dict) and "target" in node
-                 and ("coord" in node) != ("payoff" in node),
+        _require(isinstance(node, dict), "each moment view must be an object")
+        _known_keys(node, {"target", "coord", "payoff"}, "moment view")
+        _require("target" in node and ("coord" in node) != ("payoff" in node),
                  "each moment view needs a target and exactly one of 'coord' or 'payoff'")
         target = _number(node["target"], "moment target")
         if "coord" in node:

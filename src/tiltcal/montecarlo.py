@@ -1,7 +1,7 @@
 """Posterior sampling, value-at-risk estimation and option pricing.
 
-Sampling follows the posterior's product structure: draw X from the
-marginal view by inverse CDF, then Y from the (tilted) conditional.
+Each posterior draws and prices itself (``draw`` and ``price``); this
+module maps its draws back to factor coordinates and discounts its prices.
 Generation is partitioned into independently seeded streams so chunked or
 parallel generation reproduces the same batch for a given seed.
 """
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import TiltedPosterior, _draw_x, _row_logsumexp, _view_tensor
-from .errors import InsufficientSamples, NonIntegrablePayoff, NonSampleableConditional
+from .calibration import _stream_rngs
+from .errors import InsufficientSamples
 
 __all__ = [
     "SampleBatch",
@@ -24,8 +24,6 @@ __all__ = [
     "PriceReport",
     "price_option",
 ]
-
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,62 +56,25 @@ class SampleBatch:
         return self.z_samples.shape[0]
 
 
-def _stream_rngs(seed: int, n: int):
-    """Independently seeded generator per fixed-size chunk.
-
-    Every stream always generates a full chunk (callers truncate), so the
-    first m samples are identical for any two runs with n >= m and the
-    chunks can be generated in parallel or serially with the same result.
-    """
-    n_chunks = max((n + _CHUNK - 1) // _CHUNK, 1)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    return [(np.random.default_rng(c), _CHUNK) for c in children]
-
-
 def sample_posterior(post, n: int, seed: int = 0) -> SampleBatch:
     """Draw ``n`` posterior samples, mapped back to original coordinates.
 
-    Gaussian-conditional posteriors are sampled exactly; generic tilted
-    posteriors are importance-sampled from the prior conditional with
-    weights exp(lam . h - log Z(x)), reported in the batch, where log Z(x)
-    takes the problem's own rule for Y | X = x.
+    ``post.draw`` gives each stream's draws in view coordinates and their
+    log-weights: None for exact draws, else importance weights, which the
+    batch reports normalised to mean one.
     """
-    if isinstance(post, TiltedPosterior):
-        return _sample_tilted(post, n, seed)
-    chunks = [_to_factors(post.view_map, post.sample_xy(m, rng))
-              for rng, m in _stream_rngs(seed, n)]
-    return SampleBatch(np.vstack(chunks)[:n], seed)
-
-
-def _to_factors(view_map, xy: np.ndarray) -> np.ndarray:
-    """Map draws in view coordinates back to original factor coordinates."""
-    if np.allclose(view_map.matrix, np.eye(view_map.n)):
-        return xy
-    return view_map.invert(xy)
-
-
-def _sample_tilted(post: TiltedPosterior, n: int, seed: int) -> SampleBatch:
-    problem, lam = post.problem, post.lam
-    law, views = problem.law, problem.views
-    # A Gaussian tensor rule over d > 1 conditional dimensions (n_y^d nodes
-    # per draw) would not fit in memory for a chunk of draws.
-    if law is None or problem.y_nodes.shape[1] > problem.n_y:
-        raise NonSampleableConditional(
-            "importance sampling needs a from_prior problem whose rule has at most n_y "
-            "nodes per draw: one conditional dimension for a Gaussian prior"
-        )
     chunks, logw = [], []
     for rng, m in _stream_rngs(seed, n):
-        x = _draw_x(views.marginal, views.k1, m, rng)
-        y = law.sample(x, rng)
-        nodes, log_w = law.rule(x, problem.n_y)
-        scores = np.einsum("k,knj->nj", lam, _view_tensor(views.moments, x[:, None, :], nodes))
-        scores += log_w
-        logw.append(lam @ _view_tensor(views.moments, x, y) - _row_logsumexp(scores))
-        chunks.append(_to_factors(views.view_map, np.column_stack([x, y])))
+        xy, log_w = post.draw(m, rng)
+        chunks.append(post.view_map.invert(xy))
+        logw.append(log_w)
+        del xy  # a mapped chunk is a copy; drop the draws before the next chunk
+    z = np.vstack(chunks)[:n]
+    if logw[0] is None:
+        return SampleBatch(z, seed)
     log_weights = np.concatenate(logw)
     w = np.exp(log_weights - log_weights.max())[:n]
-    return SampleBatch(np.vstack(chunks)[:n], seed, weights=w / w.mean())
+    return SampleBatch(z, seed, weights=w / w.mean())
 
 
 @dataclass(frozen=True)
@@ -263,31 +224,14 @@ def price_option(post, payoff, discount: float, *, n_samples: int = 200_000,
                  seed: int = 0) -> PriceReport:
     """Price a payoff under the calibrated model.
 
-    ``payoff(x, y)`` is vectorized over view coordinates.  Quadrature-backed
-    posteriors are priced on their node tensors; Gaussian-conditional
-    posteriors by Monte Carlo with a standard error.  Raises ValueError
-    when ``n_samples`` is below 1.
+    ``payoff(x, y)`` is vectorized over view coordinates.  ``post.price``
+    gives the undiscounted value, its standard error (None on a node tensor)
+    and method; Monte Carlo uses ``n_samples`` draws from ``seed``.  Raises
+    ValueError when ``n_samples`` is below 1.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if isinstance(post, TiltedPosterior):
-        return PriceReport(float(np.exp(-discount) * post.expectation(payoff)), None,
-                           "quadrature")
-    k1 = post.k1
-    sums, sq_sums = [], []
-    count = 0
-    for rng, m in _stream_rngs(seed, n_samples):
-        take = min(m, n_samples - count)
-        xy = post.sample_xy(m, rng)[:take]
-        vals = np.asarray(payoff(xy[:, :k1], xy[:, k1:]), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonIntegrablePayoff("payoff is not finite on sampled support")
-        sums.append(float(vals.sum()))
-        sq_sums.append(float((vals**2).sum()))
-        count += take
-    # per-stream subtotals reduce via compensated summation, so the result
-    # is independent of chunk evaluation order
-    mean = math.fsum(sums) / count
-    var = max(math.fsum(sq_sums) / count - mean**2, 0.0)
+    value, std_error, method = post.price(payoff, n_samples, seed)
     disc = np.exp(-discount)
-    return PriceReport(disc * mean, disc * np.sqrt(var / count), "monte-carlo")
+    return PriceReport(float(disc * value),
+                       None if std_error is None else float(disc * std_error), method)

@@ -262,7 +262,10 @@ class LinearViewMap:
         return z @ self.matrix.T if z.ndim > 1 else self.matrix @ z
 
     def invert(self, u) -> np.ndarray:
+        """Factor coordinates of view coordinates u; the identity map returns u itself."""
         u = np.asarray(u, dtype=float)
+        if np.array_equal(self.matrix, np.eye(self.n)):
+            return u
         sol = np.linalg.solve(self.matrix, u.T if u.ndim > 1 else u)
         return sol.T if u.ndim > 1 else sol
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import GaussianMarginalPosterior, posterior_marginal_y1
+from .analytic import posterior_marginal_y1
+from .calibration import GaussianMarginalPosterior
 from .densities import GaussianDensity, MarginalDensity, StudentTDensity
 from .errors import ZeroCorrelation
 

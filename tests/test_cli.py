@@ -175,9 +175,10 @@ def _write_spec(tmp_path, doc, name="spec.json"):
     return str(path)
 
 
-def _write_price_csv(path, labels):
+def _write_price_csv(path, labels, prices=None):
     """A six-index weekly price history with the given column names."""
-    prices = moment_matched_prices(SIX_INDEX_MEAN, SIX_INDEX_COV)
+    if prices is None:
+        prices = moment_matched_prices(SIX_INDEX_MEAN, SIX_INDEX_COV)
     lines = ["date," + ",".join(labels)]
     for d, row in zip(_dates(prices.shape[0]), prices):
         lines.append(d.isoformat() + "," + ",".join(f"{v:.12f}" for v in row))
@@ -448,11 +449,15 @@ class TestRun:
         six_index_spec([{"type": "calibrate"}]) | {"prior": {"estimate_from": "prices.csv",
                                                              "return_kind": "weird"}},
         six_index_spec([{"type": "calibrate"}]) | {"prior": {"estimate_from": "slashed.csv"}},
+        two_asset_spec() | {"view_map": {"permutation": [1, 0],
+                                         "matrix": [[0.7, 0.3], [0.0, 1.0]], "k1": 1, "k2": 2}},
+        two_asset_spec() | {"prior": {"mean": [1.0, 1.0], "covariance": [[1.0, 2.0], [2.0, 1.0]]}},
     ], ids=["moment-coord-float", "moment-coord-bool", "moment-coord-and-payoff",
             "moment-target-text", "moment-target-bool", "k1-bool", "permutation-text",
             "permutation-number", "df-text", "mean-text", "labels-number", "labels-slash",
             "labels-empty", "labels-duplicate", "csv-missing", "csv-number", "csv-no-rows", "csv-monthly",
-            "csv-return-kind", "csv-slashed-label"])
+            "csv-return-kind", "csv-slashed-label", "permutation-and-matrix",
+            "covariance-not-psd"])
     def test_malformed_model_values_exit_3(self, tmp_path, capsys, doc):
         _write_price_csv(tmp_path / "prices.csv", SIX_INDEX_LABELS)
         _write_price_csv(tmp_path / "slashed.csv", ("asx/x",) + SIX_INDEX_LABELS[1:])
@@ -461,6 +466,70 @@ class TestRun:
         assert run(_write_spec(tmp_path, doc), str(out)) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "validation"
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("doc, key", [
+        (two_asset_spec() | {"comment": "x"}, "comment"),
+        (two_asset_spec() | {"prior": {"mean": [1.0, 1.0], "covariance": [[9.1, 3.0], [3.0, 1.1]],
+                                       "lables": ["a1", "a2"]}}, "lables"),
+        (six_index_spec([{"type": "calibrate"}]) | {"prior": {
+            "estimate_from": "prices.csv", "labels": list(SIX_INDEX_LABELS)}}, "labels"),
+        (two_asset_spec() | {"view_map": {"matrix": [[0.7, 0.3], [0.0, 1.0]], "k1": 1, "k2": 2,
+                                          "k3": 2}}, "k3"),
+        (two_asset_spec() | {"marginal": {"kind": "student_t", "df": 3, "loc": 1.5,
+                                          "scale": 2.412, "dof": 4}}, "dof"),
+        (payoff_spec() | {"marginal": {"kind": "gaussian", "mean": 0.0, "stddev": 1.0,
+                                       "loc": 0.0}}, "loc"),
+        (two_asset_spec() | {"moments": [{"coord": 0, "target": 1.5, "trget": 2.0}]}, "trget"),
+        (payoff_spec() | {"moments": [{"payoff": {"kind": "call", "coord": 0, "strike": 0.4,
+                                                  "strke": 0.5}, "target": 0.45}]}, "strke"),
+        (two_asset_spec([{"type": "var", "n_sample": 5000}]), "n_sample"),
+        (two_asset_spec([{"type": "calibrate", "check_existance": True}]), "check_existance"),
+        (two_asset_spec([{"type": "price", "discount": 0.01, "payoff": {
+            "kind": "put", "coord": 0, "strike": 1.0, "notional": 2.0}}]), "notional"),
+        (two_asset_spec([{"type": "tail", "coord": 0, "n_point": 3}]), "n_point"),
+        (two_asset_spec([{"type": "sensitivities", "r": {"weights": [0.0, 1.0]},
+                          "wrt": True}]), "wrt"),
+        (two_asset_spec([{"type": "sensitivities", "r": {"weights": [0.0, 1.0],
+                                                         "wrt_loc": True}}]), "wrt_loc"),
+        (payoff_spec() | {"solver": {"n_x": 201, "ny": 8}}, "ny"),
+    ], ids=["root", "prior-moments", "prior-csv-labels", "view_map", "student_t", "gaussian",
+            "moment", "payoff", "var", "calibrate", "price-payoff", "tail", "sensitivities",
+            "sensitivities-r", "solver"])
+    def test_unknown_key_exits_3_naming_it(self, tmp_path, capsys, doc, key):
+        _write_price_csv(tmp_path / "prices.csv", SIX_INDEX_LABELS)
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "validation"
+        assert repr(key) in error["detail"]
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("text", [json.dumps(two_asset_spec())[:-7], ""],
+                             ids=["truncated", "empty"])
+    def test_malformed_json_text_exits_3(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert run(str(path), str(out)) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "validation"
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("k1", [1, 0])
+    def test_collinear_price_columns_exit_1(self, tmp_path, capsys, k1):
+        """Two proportional price columns give a singular viewed conditional covariance."""
+        prices = moment_matched_prices(SIX_INDEX_MEAN, SIX_INDEX_COV)
+        prices[:, 4] = 2.0 * prices[:, 3]
+        _write_price_csv(tmp_path / "prices.csv", SIX_INDEX_LABELS, prices)
+        doc = six_index_spec([{"type": "calibrate"}]) | {"prior": {"estimate_from": "prices.csv"}}
+        if k1 == 0:
+            del doc["marginal"]
+            doc["view_map"] = {"k1": 0, "k2": 5}
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["code"] == "SingularConditionalCovariance"
         assert not out.exists() or os.listdir(out) == []
 
     @pytest.mark.filterwarnings("ignore")

@@ -526,3 +526,70 @@ class TestPriceOption:
         bad = lambda x, y: np.where(y[..., 0] > 80.0, np.inf, 0.0)
         with pytest.raises(tc.NonIntegrablePayoff):
             tc.price_option(post, bad, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The posterior protocol: view_map, draw, price and sensitivity_terms
+# ---------------------------------------------------------------------------
+
+
+class StubPosterior:
+    """A posterior seen only through the protocol, returning fixed arrays."""
+
+    view_map = tc.LinearViewMap(np.array([[1.0, 1.0], [0.0, 2.0]]), 1, 2)
+    XY = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.5]])
+    V = np.array([[2.0, 0.5], [0.5, 1.0]])
+    COV_RH = np.array([1.0, -1.0])
+
+    def __init__(self, weighted=False, std_error=0.5):
+        self.weighted, self.std_error, self.calls = weighted, std_error, []
+
+    def draw(self, n, rng):
+        log_w = np.resize(np.log([1.0, 2.0, 3.0]), n) if self.weighted else None
+        return np.resize(self.XY, (n, 2)), log_w
+
+    def price(self, payoff, n_samples, seed):
+        self.calls.append((payoff, n_samples, seed))
+        return 2.0, self.std_error, "stub"
+
+    def sensitivity_terms(self, r, r_weights, wrt_loc):
+        self.calls.append((r, r_weights, wrt_loc))
+        return self.V, self.COV_RH, 0.25
+
+
+class TestPosteriorProtocol:
+    # XY mapped through the inverse of the stub's view map [[1, 1], [0, 2]]
+    Z = np.array([[0.0, 1.0], [5.0, -2.0], [0.25, 0.25], [0.0, 1.0], [5.0, -2.0]])
+
+    def test_sample_posterior_maps_exact_draws(self):
+        batch = tc.sample_posterior(StubPosterior(), 5, seed=1)
+        np.testing.assert_allclose(batch.z_samples, self.Z, rtol=0, atol=1e-15)
+        assert batch.weights is None and batch.seed == 1
+
+    def test_sample_posterior_normalises_log_weights(self):
+        batch = tc.sample_posterior(StubPosterior(weighted=True), 5, seed=1)
+        np.testing.assert_allclose(batch.z_samples, self.Z, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(batch.weights, np.array([1.0, 2.0, 3.0, 1.0, 2.0]) / 1.8,
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("std_error", [0.5, None])
+    def test_price_option_discounts_the_posterior_price(self, std_error):
+        post, payoff = StubPosterior(std_error=std_error), object()
+        res = tc.price_option(post, payoff, 0.1, n_samples=7, seed=3)
+        assert post.calls == [(payoff, 7, 3)]
+        assert res.price == pytest.approx(2.0 * np.exp(-0.1), rel=1e-15)
+        if std_error is None:
+            assert res.std_error is None
+        else:
+            assert res.std_error == pytest.approx(0.5 * np.exp(-0.1), rel=1e-15)
+        assert res.method == "stub"
+
+    def test_sensitivities_invert_v(self):
+        post, r_weights = StubPosterior(), np.array([0.3, 1.0])
+        report = tc.sensitivities(post, r_weights=r_weights, wrt_loc=True)
+        assert post.calls == [(None, r_weights, True)]
+        u = np.linalg.inv(StubPosterior.V)
+        np.testing.assert_array_equal(report.v_matrix, StubPosterior.V)
+        np.testing.assert_allclose(report.u_matrix, u, rtol=1e-14)
+        np.testing.assert_allclose(report.d_pi_d_c, u @ StubPosterior.COV_RH, rtol=1e-14)
+        assert report.d_pi_d_loc == 0.25
