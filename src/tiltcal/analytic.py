@@ -89,9 +89,7 @@ def posterior_density_z(post: GaussianMarginalPosterior, z,
     x, y = u[:, :k1], u[:, k1:]
     out = np.full(pts.shape[0], np.log(post.view_map.jacobian))
     if k1 > 0:
-        out = out + np.asarray(
-            post.marginal.logpdf(x[:, 0] if k1 == 1 else x), dtype=float
-        )
+        out = out + np.asarray(post.marginal.logpdf(x[:, 0]), dtype=float)
     cond = post.conditional
     if cond.y_dim > 0:
         out = out + _gaussian_logpdf(
@@ -156,8 +154,6 @@ def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, 
     if k1 == 0:
         out = _normal_pdf(s_arr, beta, var)
         return _match_shape(out, s)
-    if k1 != 1:
-        raise ValueError("marginal evaluation requires a one-dimensional X block")
 
     alpha = float(cx[0] + cy @ cond.slope[:, 0])
     g = post.marginal

@@ -113,10 +113,7 @@ class GaussianLinearProblem:
         self.conditional = gaussian_conditional(self.prior_t, views.k1)
         self.coords = np.array(views.moment_coords, dtype=int)
         self.targets = views.targets
-        if views.k1 > 0:
-            self.e_g_x = np.atleast_1d(np.asarray(views.marginal.mean(), dtype=float))
-        else:
-            self.e_g_x = np.zeros(0)
+        self.e_g_x = np.zeros(0) if views.marginal is None else np.array([views.marginal.mean()])
         self.m_g = self.conditional.mean(self.e_g_x)
         schur = self.conditional.cov
         self.s_cols = schur[:, self.coords]
@@ -144,57 +141,57 @@ class GaussianLinearProblem:
         self.require_pd_block()
         return linalg.solve(self.s_mm, self.targets - self.m_g[self.coords], assume_a="pos")
 
-    def conditional_shift(self, lam) -> np.ndarray:
-        """Shift of the full conditional mean of Y induced by the tilt."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return self.s_cols @ lam
-
     def posterior(self, lam) -> "GaussianMarginalPosterior":
-        """The calibrated model at multipliers lam: the prior conditional shifted by S_m lam.
-
-        Raises SingularConditionalCovariance when the viewed Schur block S_mm
-        is singular, since the multipliers then do not determine the model.
-        """
-        self.require_pd_block()
-        return GaussianMarginalPosterior(
-            view_map=self.views.view_map,
-            marginal=self.views.marginal,
-            conditional=self.conditional.shifted(self.conditional_shift(lam)),
-            lam=lam,
-            moment_coords=tuple(int(c) for c in self.coords),
-            prior_t=self.prior_t,
-        )
+        """The calibrated model at multipliers lam: the prior conditional shifted by S_m lam."""
+        return GaussianMarginalPosterior(self, lam)
 
 
 @dataclass(frozen=True)
 class GaussianMarginalPosterior:
     """Calibrated Gaussian-conditional model in view coordinates.
 
-    ``conditional`` is the posterior law of Y given X = x; ``marginal`` is
-    the density view on X (None when there is no marginal block) and
-    ``view_map`` carries the posterior back to original factor coordinates.
+    ``problem`` is the ``GaussianLinearProblem`` whose dual ``lam`` solves;
+    ``conditional``, the posterior law of Y given X = x, is its prior
+    conditional shifted by S_m lam.  Raises SingularConditionalCovariance when
+    the viewed Schur block S_mm is singular, since lam then does not determine
+    the model.
     """
 
-    view_map: LinearViewMap
-    marginal: MarginalDensity | None
-    conditional: GaussianConditional
+    problem: GaussianLinearProblem = field(repr=False)
     lam: np.ndarray
-    moment_coords: tuple[int, ...]
-    prior_t: GaussianPrior = field(repr=False)
+    conditional: GaussianConditional = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.problem.require_pd_block()
+        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "conditional",
+                           self.problem.conditional.shifted(self.problem.s_cols @ lam))
 
     @property
-    def cond_cov(self) -> np.ndarray:
-        return self.conditional.cov
+    def view_map(self) -> LinearViewMap:
+        return self.problem.views.view_map
+
+    @property
+    def marginal(self) -> MarginalDensity | None:
+        """The density view on X; None when there is no marginal block."""
+        return self.problem.views.marginal
+
+    @property
+    def prior_t(self) -> GaussianPrior:
+        return self.problem.prior_t
 
     @property
     def k1(self) -> int:
-        return self.view_map.k1
+        return self.problem.views.k1
 
     @property
     def e_g_x(self) -> np.ndarray:
-        if self.marginal is None:
-            return np.zeros(0)
-        return np.atleast_1d(np.asarray(self.marginal.mean(), dtype=float))
+        return self.problem.e_g_x
+
+    @property
+    def cond_cov(self) -> np.ndarray:
+        return self.problem.conditional.cov
 
     def y_mean(self) -> np.ndarray:
         """Posterior mean of the Y block; equals the targets on viewed coords."""
@@ -207,7 +204,7 @@ class GaussianMarginalPosterior:
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, None]:
         """n exact draws of (X, Y) in view coordinates, X ~ g then Y | X; no log-weights."""
-        x = _draw_x(self.marginal, self.k1, n, rng)
+        x = _draw_x(self.marginal, n, rng)
         return np.column_stack([x, self.conditional.sample(x, rng)]), None
 
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, float, str]:
@@ -230,7 +227,7 @@ class GaussianMarginalPosterior:
         return mean, np.sqrt(var / count), "monte-carlo"
 
     def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
-        """V = S_mm, Cov(r, h | X) = cy . S[:, coords] for r = r_weights . (x, y), and dPi/d loc.
+        """V = S_mm, Cov(r, h | X) = cy . S_m for r = r_weights . (x, y), and dPi/d loc.
 
         dPi/d loc (None unless wrt_loc) is exactly c_x + c_y . slope at fixed multipliers.
         """
@@ -238,14 +235,13 @@ class GaussianMarginalPosterior:
             raise ValueError("Gaussian-conditional posteriors need r_weights (linear r)")
         r_w = np.asarray(r_weights, dtype=float)
         cx, cy = r_w[:self.k1], r_w[self.k1:]
-        cov, coords = self.conditional.cov, np.array(self.moment_coords, dtype=int)
         d_loc = None
         if wrt_loc:
-            if not hasattr(self.marginal, "dlogpdf_dloc") or self.k1 != 1:
+            if not hasattr(self.marginal, "dlogpdf_dloc"):
                 raise ValueError("location sensitivity needs a 1-D marginal view with a "
                                  "differentiable location parameter")
             d_loc = float(cx[0] + cy @ self.conditional.slope[:, 0])
-        return cov[np.ix_(coords, coords)], cov[:, coords].T @ cy, d_loc
+        return self.problem.s_mm.copy(), self.problem.s_cols.T @ cy, d_loc
 
 
 class QuadratureProblem:
@@ -404,11 +400,11 @@ def _stream_rngs(seed: int, n: int):
     return [(np.random.default_rng(c), _CHUNK) for c in children]
 
 
-def _draw_x(marginal, k1: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of X from the marginal view, shape (n, k1)."""
-    if k1 == 0:
+def _draw_x(marginal, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of X from the marginal view, shape (n, 1); (n, 0) without one."""
+    if marginal is None:
         return np.zeros((n, 0))
-    return np.atleast_2d(marginal.sample(n, rng)).reshape(n, k1)
+    return marginal.sample(n, rng)[:, None]
 
 
 def conditional_law(prior, views: ViewSet):
@@ -575,7 +571,7 @@ class TiltedPosterior:
                 "importance sampling needs a from_prior problem whose rule has at most n_y "
                 "nodes per draw: one conditional dimension for a Gaussian prior"
             )
-        x = _draw_x(views.marginal, views.k1, n, rng)
+        x = _draw_x(views.marginal, n, rng)
         y = law.sample(x, rng)
         nodes, log_w = law.rule(x, problem.n_y)
         scores = np.einsum("k,knj->nj", lam, _view_tensor(views.moments, x[:, None, :], nodes))
@@ -613,7 +609,7 @@ class TiltedPosterior:
 def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator):
     """Draws of (h_1..h_k)(X, Y) under the prior conditional tilted to g."""
     law = conditional_law(prior, views)
-    x = _draw_x(views.marginal, views.k1, n_samples, rng)
+    x = _draw_x(views.marginal, n_samples, rng)
     return _view_tensor(views.moments, x, law.sample(x, rng)).T
 
 

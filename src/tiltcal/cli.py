@@ -501,7 +501,7 @@ class _TaskRunner:
 
     def _write_density_files(self, post: GaussianMarginalPosterior, stage: str):
         prior_t = post.prior_t
-        targets = [("view", None)] if post.k1 == 1 else []
+        targets = [("view", None)] if post.marginal is not None else []
         targets += [(name, i) for i, name in enumerate(self.spec.labels)]
         for name, idx in targets:
             if idx is None:

@@ -34,10 +34,6 @@ class MarginalDensity:
     """
 
     @property
-    def dim(self) -> int:
-        return 1
-
-    @property
     def tail_index(self) -> float | None:
         return None
 

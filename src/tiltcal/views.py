@@ -39,8 +39,8 @@ class MomentView:
 class ViewSet:
     """A marginal-density view on the X block plus moment views on Y.
 
-    ``marginal`` may be None only when ``view_map.k1 == 0`` (moment views
-    alone).  When every moment view is a coordinate view, the views must
+    ``marginal`` is a scalar density view (k1 == 1), or None when
+    ``view_map.k1 == 0`` (moment views alone).  When every moment view is a coordinate view, the views must
     target exactly the coordinates 0..k2-k1-1 of the Y block, in order.
     """
 
@@ -54,9 +54,8 @@ class ViewSet:
         if self.marginal is None:
             if k1 != 0:
                 raise ValueError("k1 > 0 requires a marginal density view")
-        else:
-            if k1 != self.marginal.dim:
-                raise ValueError("marginal dimension must equal k1")
+        elif k1 != 1:
+            raise ValueError("a marginal density view needs k1 == 1")
         if self.is_coordinate_linear:
             coords = [view.coord for view in self.moments]
             expected = list(range(self.view_map.k2 - k1))

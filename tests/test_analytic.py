@@ -63,7 +63,7 @@ class TestBuildPosterior:
         post = tc.build_posterior(two_asset_prior, two_asset_views)
         problem = tc.GaussianLinearProblem(two_asset_prior, two_asset_views)
         report = tc.solve_lambda_newton(two_asset_prior, two_asset_views, problem=problem)
-        shifted = problem.conditional.shifted(problem.conditional_shift(report.lam))
+        shifted = problem.posterior(report.lam).conditional
         xs = np.random.default_rng(3).standard_normal((100, 1)) * 3.0
         np.testing.assert_allclose(shifted.mean(xs), post.conditional.mean(xs), atol=1e-8)
         np.testing.assert_allclose(shifted.cov, post.cond_cov, atol=1e-10)
@@ -186,20 +186,6 @@ class TestPosteriorMarginals:
             integrand, -2500.0, 2500.0, points=[-20.0, 1.5, 20.0], limit=500
         )
         assert val == pytest.approx(1.5, abs=1e-6)
-
-    def test_multivariate_x_rejected(self):
-        prior = tc.GaussianPrior(np.zeros(3), np.eye(3))
-        cond = tc.gaussian_conditional(prior, 2)
-        post = tc.GaussianMarginalPosterior(
-            view_map=tc.LinearViewMap.identity(3, 2, 3),
-            marginal=None,
-            conditional=cond,
-            lam=np.zeros(0),
-            moment_coords=(),
-            prior_t=prior,
-        )
-        with pytest.raises(ValueError, match="one-dimensional"):
-            tc.posterior_marginal_y1(post, 0.0)
 
 
 def _quad_agreement(post, idx, s):

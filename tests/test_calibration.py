@@ -35,7 +35,7 @@ class TestClosedForm:
     def test_two_asset_posterior_mean_map(self, two_asset_prior, two_asset_views):
         lam = tc.solve_lambda_gaussian_linear(two_asset_prior, two_asset_views)
         problem = _two_asset_problem(two_asset_prior, two_asset_views)
-        shifted = problem.conditional.shifted(problem.conditional_shift(lam))
+        shifted = problem.posterior(lam).conditional
         # posterior conditional mean 0.8735 + 0.4177 x
         assert shifted.intercept[0] == pytest.approx(0.8735, abs=1e-3)
         assert shifted.slope[0, 0] == pytest.approx(0.4177, abs=1e-3)

@@ -79,14 +79,9 @@ class TestGaussianLinearPath:
 
         def pi_at(loc):
             g_eps = tc.StudentTDensity(df=4.0, loc=loc, scale=0.9)
-            shifted = tc.GaussianMarginalPosterior(
-                view_map=post.view_map,
-                marginal=g_eps,
-                conditional=post.conditional,  # multipliers held fixed
-                lam=post.lam,
-                moment_coords=post.moment_coords,
-                prior_t=post.prior_t,
-            )
+            # multipliers held fixed
+            shifted = tc.GaussianLinearProblem(
+                prior, tc.ViewSet(views.view_map, g_eps, views.moments)).posterior(post.lam)
             e_xy = np.concatenate([shifted.e_g_x, shifted.y_mean()])
             return float(r_view @ e_xy)
 
