@@ -237,9 +237,7 @@ class GaussianMarginalPosterior:
         cx, cy = r_w[:self.k1], r_w[self.k1:]
         d_loc = None
         if wrt_loc:
-            if not hasattr(self.marginal, "dlogpdf_dloc"):
-                raise ValueError("location sensitivity needs a 1-D marginal view with a "
-                                 "differentiable location parameter")
+            _location_score(self.marginal)
             d_loc = float(cx[0] + cy @ self.conditional.slope[:, 0])
         return self.problem.s_mm.copy(), self.problem.s_cols.T @ cy, d_loc
 
@@ -375,17 +373,20 @@ def _marginal_nodes(views: ViewSet, n_x: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _view_tensor(moments, x, y) -> np.ndarray:
-    """Evaluate every moment view on broadcast (x, y) node arrays."""
-    rows = []
-    for view in moments:
-        if view.coord is not None:
-            rows.append(np.broadcast_to(y[..., view.coord], y.shape[:-1]).copy())
-        else:
-            rows.append(np.asarray(view.payoff(x, y), dtype=float))
-    shape = y.shape[:-1]
-    if not rows:
-        return np.zeros((0,) + shape)
-    return np.stack([np.broadcast_to(r, shape) for r in rows])
+    """Every moment view on broadcast (x, y) node arrays, as one (k,) + y.shape[:-1] array."""
+    out = np.empty((len(moments),) + y.shape[:-1])
+    for row, view in zip(out, moments):
+        row[...] = y[..., view.coord] if view.coord is not None else view.payoff(x, y)
+    return out
+
+
+def _location_score(marginal):
+    """d log g / d loc of the marginal view g; ValueError when g has no location parameter."""
+    score = getattr(marginal, "dlogpdf_dloc", None)
+    if score is None:
+        raise ValueError("location sensitivity needs a marginal view with a "
+                         "differentiable location parameter")
+    return score
 
 
 def _stream_rngs(seed: int, n: int):
@@ -599,10 +600,8 @@ class TiltedPosterior:
         cov_rh = problem._cov_with_h(joint, h_mean, r_vals[None], r_mean[None])[0]
         d_loc = None
         if wrt_loc:
-            g = getattr(problem.views, "marginal", None)
-            if not hasattr(g, "dlogpdf_dloc"):
-                raise ValueError("marginal view has no differentiable location parameter")
-            d_loc = float(np.sum(joint * r_vals * g.dlogpdf_dloc(problem.x_nodes[:, 0])[:, None]))
+            score = _location_score(getattr(problem.views, "marginal", None))
+            d_loc = float(np.sum(joint * r_vals * score(problem.x_nodes[:, 0])[:, None]))
         return (v + v.T) / 2.0, cov_rh, d_loc
 
 

@@ -28,6 +28,7 @@ from .analytic import posterior_marginal_linear
 from .calibration import (
     CalibrationReport,
     GaussianMarginalPosterior,
+    _location_score,
     build_dual_problem,
     existence_check,
     solve_lambda_newton,
@@ -37,7 +38,7 @@ from .errors import InsufficientData, SpecValidationError, TiltcalError
 from .montecarlo import estimate_var, price_option, sample_posterior
 from .priors import GaussianPrior, LinearViewMap
 from .sensitivity import sensitivities
-from .tails import tail_ratio_probe
+from .tails import _probe_points, tail_ratio_probe
 from .views import MomentView, ViewSet
 
 __all__ = [
@@ -246,12 +247,14 @@ def _parse_price_task(task: dict, n: int, views: ViewSet):
 
 
 def _parse_tail_task(task: dict, n: int, views: ViewSet):
-    """A tail task's (coord, s_max, n_points), defaults filled in and checked."""
+    """A tail task's (coord, s_max, n_points), checked against the view's probe schedule."""
     _require(views.is_coordinate_linear, "tail task requires coordinate moment views")
     s_max = task.get("s_max")
-    return (_coord(task.get("coord", 0), n - views.k1, "tail"),
+    args = (_coord(task.get("coord", 0), n - views.k1, "tail"),
             None if s_max is None else _number(s_max, "tail s_max"),
             _integer(task.get("n_points", 10), "tail n_points", 1))
+    _probe_points(views.marginal, *args[1:])
+    return args
 
 
 def _parse_sensitivities_task(task: dict, n: int, views: ViewSet):
@@ -262,6 +265,8 @@ def _parse_sensitivities_task(task: dict, n: int, views: ViewSet):
              "sensitivities task needs an object r with weights in Z coordinates")
     _known_keys(node, {"weights"}, "sensitivities r")
     _require(isinstance(wrt_loc, bool), f"sensitivities wrt_loc must be a boolean; got {wrt_loc!r}")
+    if wrt_loc:
+        _location_score(views.marginal)
     return _factor_weights(node["weights"], n, "sensitivities r.weights"), wrt_loc
 
 
@@ -446,7 +451,6 @@ class _TaskRunner:
         self.stamp = dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
         self.report: CalibrationReport | None = None
         self._posterior = None
-        self._batch_cache: dict = {}
 
     def posterior(self):
         """The calibrated posterior: one dual problem, one Newton solve.
@@ -462,12 +466,6 @@ class _TaskRunner:
                                               tol=solver["tol"], max_iter=solver["max_iter"])
             self._posterior = problem.posterior(self.report.lam)
         return self._posterior
-
-    def batch(self, n: int, seed: int):
-        key = (n, seed)
-        if key not in self._batch_cache:
-            self._batch_cache[key] = sample_posterior(self.posterior(), n, seed)
-        return self._batch_cache[key]
 
     # -- tasks -------------------------------------------------------------
     def run_task(self, task: Task, stage: str, seed: int | None, samples: int | None):
@@ -530,8 +528,8 @@ class _TaskRunner:
 
     def _task_var(self, weights, notional: float, levels: list, n_samples: int, seed: int,
                   stage: str):
-        batch = self.batch(n_samples, seed)
-        report = estimate_var(batch, weights, notional, levels)
+        report = estimate_var(sample_posterior(self.posterior(), n_samples, seed),
+                              weights, notional, levels)
         _write_csv(os.path.join(stage, "var.csv"),
                    ["level", "var", "std_error"], report.as_rows(), self.stamp)
 

@@ -30,8 +30,12 @@ class MarginalDensity:
 
     Subclasses provide ``pdf``, ``logpdf``, ``cdf``, ``ppf``, ``mean``,
     ``sample`` and ``quadrature_nodes``.  ``tail_index`` is the power-law
-    index alpha for regularly varying kinds and ``None`` otherwise.
+    index alpha for regularly varying kinds and ``None`` otherwise;
+    ``tail_class`` is the kind's regular-variation class (see
+    ``tails.check_assumption``).
     """
+
+    tail_class = "unknown"
 
     @property
     def tail_index(self) -> float | None:
@@ -88,6 +92,7 @@ class MarginalDensity:
 class GaussianDensity(MarginalDensity):
     """Normal density with the given mean and standard deviation."""
 
+    tail_class = "inadmissible"
     mean_: float
     stddev: float
 
@@ -131,6 +136,7 @@ class StudentTDensity(MarginalDensity):
     varying with tail index ``df + 1``.
     """
 
+    tail_class = "admissible"
     df: float
     loc: float
     scale: float
@@ -219,7 +225,8 @@ class GridDensity(MarginalDensity):
 
     The table is renormalized to unit trapezoid mass at construction; the
     pre-normalization mass is kept in ``raw_mass``.  The density is zero
-    outside the knot range.
+    outside the knot range; ``cdf`` and ``ppf`` are exact for the
+    piecewise-linear pdf (piecewise quadratic in x).
     """
 
     def __init__(self, knots, densities):
@@ -241,8 +248,10 @@ class GridDensity(MarginalDensity):
         self.knots = knots
         self.densities = densities / raw
         self.raw_mass = raw
+        self._widths = np.diff(knots)
+        self._slopes = np.diff(self.densities) / self._widths
         cdf = np.concatenate(
-            [[0.0], np.cumsum(np.diff(knots) * (self.densities[1:] + self.densities[:-1]) / 2.0)]
+            [[0.0], np.cumsum(self._widths * (self.densities[1:] + self.densities[:-1]) / 2.0)]
         )
         self._cdf_knots = cdf / cdf[-1]
         self.knots.setflags(write=False)
@@ -266,12 +275,25 @@ class GridDensity(MarginalDensity):
         return np.interp(x, self.knots, self.densities, left=0.0, right=0.0)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.interp(x, self.knots, self._cdf_knots, left=0.0, right=1.0)
+        """The exact integral of the pdf, F_i + (x - x_i)(f_i + f(x)) / 2 on knot segment i."""
+        x = np.clip(np.asarray(x, dtype=float), self.knots[0], self.knots[-1])
+        i = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
+        t = x - self.knots[i]
+        f_mid = self.densities[i] + 0.5 * self._slopes[i] * t  # the pdf halfway to x
+        return np.minimum(self._cdf_knots[i] + t * f_mid, 1.0)
 
     def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.interp(u, self._cdf_knots, self.knots)
+        """The exact inverse of ``cdf``: on segment i, t = 2r / (f_i + sqrt(f_i^2 + 2 s_i r)).
+
+        r = u - F_i and s_i is the segment's slope; a segment without mass gives t = 0.
+        """
+        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        i = np.clip(np.searchsorted(self._cdf_knots, u, side="right") - 1, 0, self.knots.size - 2)
+        r = u - self._cdf_knots[i]
+        f = self.densities[i]
+        root = f + np.sqrt(np.maximum(f * f + 2.0 * self._slopes[i] * r, 0.0))
+        t = 2.0 * r / np.where(root > 0.0, root, np.inf)
+        return self.knots[i] + np.minimum(t, self._widths[i])
 
     def mean(self) -> float:
         return float(np.trapezoid(self.knots * self.densities, self.knots))

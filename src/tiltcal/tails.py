@@ -18,7 +18,6 @@ import numpy as np
 
 from .analytic import posterior_marginal_y1
 from .calibration import GaussianMarginalPosterior
-from .densities import GaussianDensity, MarginalDensity, StudentTDensity
 from .errors import ZeroCorrelation
 
 __all__ = ["TailReport", "check_assumption", "tail_ratio_probe"]
@@ -35,18 +34,33 @@ class TailReport:
     converged: bool
 
 
-def check_assumption(g: MarginalDensity) -> str:
-    """Classify a marginal view for regular variation.
+def check_assumption(g) -> str:
+    """Classify a marginal view for regular variation: its kind's ``tail_class``.
 
     Student-t densities are regularly varying with tail index df + 1 and
     satisfy the dominating-function bound; Gaussian tails decay faster than
     any power (inadmissible); a finite grid cannot certify a tail law.
     """
-    if isinstance(g, StudentTDensity):
-        return "admissible"
-    if isinstance(g, GaussianDensity):
-        return "inadmissible"
-    return "unknown"
+    return g.tail_class
+
+
+def _probe_points(g, s_max: float | None, n_points: int) -> np.ndarray:
+    """n_points of loc + scale * 2^j, j = 2, 3, ..., capped at s_max when given.
+
+    ValueError without a view (k1 = 0), for a view that is not admissible,
+    or when s_max excludes every point.
+    """
+    if g is None:
+        raise ValueError("tail analysis is defined for a scalar X block only")
+    status = check_assumption(g)
+    if status != "admissible":
+        raise ValueError(f"marginal view is {status}; tail index unavailable")
+    points = float(g.loc) + float(g.scale) * 2.0 ** np.arange(2, 2 + n_points)
+    if s_max is not None:
+        points = points[points <= s_max]
+        if points.size == 0:
+            raise ValueError("s_max excludes every probe point")
+    return points
 
 
 def tail_ratio_probe(post: GaussianMarginalPosterior, coord: int = 0,
@@ -59,12 +73,8 @@ def tail_ratio_probe(post: GaussianMarginalPosterior, coord: int = 0,
     block, an admissible marginal view, and positive prior covariance
     between X and the probed coordinate.
     """
-    if post.k1 != 1:
-        raise ValueError("tail analysis is defined for a scalar X block only")
     g = post.marginal
-    status = check_assumption(g)
-    if status != "admissible":
-        raise ValueError(f"marginal view is {status}; tail index unavailable")
+    points = _probe_points(g, s_max, n_points)
     alpha = float(g.tail_index)
     cov_t = post.prior_t.covariance
     sigma_xx = float(cov_t[0, 0])
@@ -76,14 +86,6 @@ def tail_ratio_probe(post: GaussianMarginalPosterior, coord: int = 0,
     if sigma_xy < 0:
         raise ValueError("tail probe requires positive covariance with the viewed block")
     target = float((sigma_xy / sigma_xx) ** (alpha - 1.0))
-
-    loc, scale = float(g.loc), float(g.scale)
-    exponents = np.arange(2, 2 + n_points)
-    points = loc + scale * 2.0 ** exponents
-    if s_max is not None:
-        points = points[points <= s_max]
-        if points.size == 0:
-            raise ValueError("s_max excludes every probe point")
     measured = posterior_marginal_y1(post, points, coord=coord) / g.pdf(points)
     converged = bool(abs(measured[-1] / target - 1.0) <= rel_band)
     return TailReport(alpha, target, points, measured, converged)

@@ -39,9 +39,10 @@ class MomentView:
 class ViewSet:
     """A marginal-density view on the X block plus moment views on Y.
 
-    ``marginal`` is a scalar density view (k1 == 1), or None when
-    ``view_map.k1 == 0`` (moment views alone).  When every moment view is a coordinate view, the views must
-    target exactly the coordinates 0..k2-k1-1 of the Y block, in order.
+    ``marginal`` is a scalar density view (k1 == 1), or None when k1 == 0
+    (moment views alone).  When every moment view is a coordinate view, the
+    views must target exactly the coordinates 0..k2-k1-1 of the Y block, in
+    order.
     """
 
     view_map: LinearViewMap

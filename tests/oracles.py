@@ -8,8 +8,9 @@ per-point adaptive quadrature for posterior marginal densities,
 raw-coordinate hull gauges, one LP over the whole standardised sample and
 the padded feasibility-probe classifier for the existence check, a VaR
 bootstrap that builds and sorts every resample, ``scipy.stats``'
-location-scale cdf/ppf for the density views, and mpmath's incomplete beta
-for the far left tail of the t cdf and quantile.
+location-scale cdf/ppf for the density views, adaptive quadrature of a
+grid view's pdf for its cdf, mpmath's incomplete beta for the far left tail
+of the t cdf and quantile, and a per-view loop for the moment-view tensor.
 """
 
 from __future__ import annotations
@@ -71,6 +72,18 @@ def student_t_ppf_mpmath(u: float, df: float, dps: int = 50) -> float:
         return float(-mpmath.sqrt(df * (1 - x) / x))
 
 
+def grid_cdf_quad(g, x) -> np.ndarray:
+    """cdf of a grid view at each x: adaptive ``quad`` of its pdf from the first knot."""
+    lo, top = float(g.knots[0]), float(g.knots[-1])
+    out = []
+    for xv in np.atleast_1d(np.asarray(x, dtype=float)):
+        hi = min(max(xv, lo), top)
+        pts = [k for k in g.knots if lo < k < hi]
+        out.append(integrate.quad(g.pdf, lo, hi, points=pts or None, limit=200 + len(pts),
+                                  epsabs=1e-15, epsrel=1e-13)[0])
+    return np.array(out)
+
+
 # ---------------------------------------------------------------------------
 # Conditional covariance via the inverse-of-the-inverse identity
 # ---------------------------------------------------------------------------
@@ -80,6 +93,23 @@ def conditional_cov_block_inverse(cov: np.ndarray, split: int) -> np.ndarray:
     """Cov(Y | X) as inv(inv(Sigma)[yy]) -- no Schur-complement formula."""
     prec = np.linalg.inv(cov)
     return np.linalg.inv(prec[split:, split:])
+
+
+# ---------------------------------------------------------------------------
+# Moment-view tensor, one view at a time
+# ---------------------------------------------------------------------------
+
+
+def view_tensor_loop(moments, x, y) -> np.ndarray:
+    """h_i(x, y) for each view in turn, broadcast to y.shape[:-1] and stacked."""
+    shape = y.shape[:-1]
+    rows = []
+    for view in moments:
+        if view.coord is not None:
+            rows.append(np.array(np.broadcast_to(y[..., view.coord], shape)))
+        else:
+            rows.append(np.broadcast_to(np.asarray(view.payoff(x, y), dtype=float), shape))
+    return np.stack(rows) if rows else np.zeros((0,) + shape)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from oracles import (
     hull_gauge_full_lp,
     padded_probe_class,
     ray_lp_gauge,
+    view_tensor_loop,
 )
 
 
@@ -128,6 +129,35 @@ class TestDualEval:
         state = tc.dual_eval(two_asset_prior, two_asset_views, [0.7])
         np.testing.assert_allclose(state.hessian, state.hessian.T)
         assert np.linalg.eigvalsh(state.hessian).min() >= -1e-12
+
+
+class TestViewTensor:
+    """``_view_tensor`` against a per-view loop, on the shapes its three callers pass."""
+
+    MOMENTS = (
+        tc.MomentView(target=0.0, coord=1),
+        tc.MomentView(target=0.0, payoff=lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0)),
+        tc.MomentView(target=0.0, payoff=lambda x, y: x[..., 0]),  # (n_x, 1) on node grids
+        tc.MomentView(target=0.0, payoff=lambda x, y: 2),  # a scalar
+        tc.MomentView(target=0.0, coord=0),
+    )
+
+    @pytest.mark.parametrize("shape", ["from_discrete", "from_prior", "draw"])
+    def test_matches_per_view_loop(self, shape):
+        rng = np.random.default_rng(5)
+        n_x, n_y = 7, 4
+        if shape == "from_discrete":  # a two-column X block; y nodes shared by every x
+            x = rng.standard_normal((n_x, 2))[:, None, :]
+            y = np.broadcast_to(rng.standard_normal((n_y, 2)), (n_x, n_y, 2))
+        elif shape == "from_prior":  # also the rule nodes of TiltedPosterior.draw
+            x = rng.standard_normal((n_x, 1))[:, None, :]
+            y = rng.standard_normal((n_x, n_y, 2))
+        else:
+            x, y = rng.standard_normal((n_x, 1)), rng.standard_normal((n_x, 2))
+        got = tc.calibration._view_tensor(self.MOMENTS, x, y)
+        np.testing.assert_array_equal(got, view_tensor_loop(self.MOMENTS, x, y))
+        assert got.shape == (len(self.MOMENTS),) + y.shape[:-1] and got.dtype == float
+        assert tc.calibration._view_tensor((), x, y).shape == (0,) + y.shape[:-1]
 
 
 # ---------------------------------------------------------------------------

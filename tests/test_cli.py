@@ -111,6 +111,9 @@ class TestLoadPriceCsv:
 # ---------------------------------------------------------------------------
 
 
+WORKLOAD_DIR = Path(__file__).parents[1] / "perfbench" / "workloads"
+
+
 def two_asset_spec(tasks=None):
     return {
         "schema_version": 1,
@@ -258,13 +261,16 @@ class TestRun:
         assert run(_write_spec(tmp_path, doc), str(out)) == 3
         assert not out.exists() or os.listdir(out) == []
 
-    def test_runtime_task_error_exits_1_without_partial_output(self, tmp_path):
+    def test_runtime_task_error_exits_1_without_partial_output(self, tmp_path, capsys):
         doc = two_asset_spec(
             [{"type": "calibrate"}, {"type": "tail", "coord": 0}]
         )
-        doc["marginal"] = {"kind": "gaussian", "mean": 1.5, "stddev": 2.412}
+        # X and Y uncorrelated: the tail probe has no limit to converge to
+        doc["prior"]["covariance"] = [[9.1, 0.0], [0.0, 1.1]]
+        doc["view_map"] = {"k1": 1, "k2": 2}
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 1
+        assert "ZeroCorrelation" in capsys.readouterr().err
         assert os.listdir(out) == []  # staging discarded atomically
 
     def test_singular_viewed_schur_block_exits_1(self, tmp_path, capsys):
@@ -402,12 +408,21 @@ class TestRun:
         two_asset_spec([{"type": []}]),
         two_asset_spec([{"type": "calibrate", "check_existence": "no"}]),
         two_asset_spec([{"type": "var", "notional": "1e6"}]),
+        # what a task needs of the marginal view is checked before calibration
+        two_asset_spec([{"type": "sensitivities", "r": {"weights": [0.0, 1.0]}, "wrt_loc": True}])
+        | {"marginal": {"kind": "grid", "knots": [0.0, 1.5, 3.0], "densities": [0.0, 1.0, 0.0]}},
+        two_asset_spec([{"type": "tail", "coord": 0}])
+        | {"marginal": {"kind": "gaussian", "mean": 1.5, "stddev": 2.412}},
+        json.loads((WORKLOAD_DIR / "six_index_mean_audit.json").read_text())
+        | {"tasks": [{"type": "tail", "coord": 0}]},
+        two_asset_spec([{"type": "tail", "coord": 0, "s_max": 0.0}]),
     ], ids=["tail-s_max-text", "tail-coord-outside-y", "price-no-payoff",
             "price-no-strike", "moment-no-strike", "sens-r-number", "sens-no-r",
             "sens-weights-short", "sens-weights-text", "sens-wrt_loc-text",
             "sens-payoff-views", "price-n_samples-0", "var-n_samples-text",
             "var-n_samples-float", "calibrate-seed-negative", "var-seed-text",
-            "var-seed-bool", "type-list", "check_existence-text", "var-notional-text"])
+            "var-seed-bool", "type-list", "check_existence-text", "var-notional-text",
+            "sens-wrt_loc-grid", "tail-gaussian", "tail-k1-0", "tail-s_max-below-schedule"])
     def test_malformed_task_fields_exit_3(self, tmp_path, capsys, doc):
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 3
@@ -636,7 +651,7 @@ def _leaves(node, path=()):
         yield path
 
 
-WORKLOAD_SPECS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.json"))
+WORKLOAD_SPECS = sorted(WORKLOAD_DIR.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", WORKLOAD_SPECS, ids=lambda path: path.stem)

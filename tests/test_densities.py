@@ -8,6 +8,7 @@ import tiltcal as tc
 from oracles import (
     gaussian_cdf_stats,
     gaussian_ppf_stats,
+    grid_cdf_quad,
     student_t_cdf_mpmath,
     student_t_cdf_stats,
     student_t_ppf_mpmath,
@@ -108,6 +109,33 @@ class TestGrid:
         grid = tc.GridDensity(knots, np.exp(-0.5 * (knots - 1.0) ** 2))
         u = np.linspace(0.01, 0.99, 25)
         np.testing.assert_allclose(grid.cdf(grid.ppf(u)), u, atol=2e-3)
+
+    def test_triangle_cdf_and_ppf_are_exact(self):
+        """The pdf is piecewise linear, so the cdf is piecewise quadratic, not linear."""
+        tri = tc.GridDensity([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        assert tri.cdf(0.5) == pytest.approx(0.125, abs=1e-15)
+        assert tri.cdf(1.5) == pytest.approx(0.875, abs=1e-15)
+        assert tri.ppf(0.125) == pytest.approx(0.5, abs=1e-15)
+        assert tri.ppf(0.875) == pytest.approx(1.5, abs=1e-15)
+        np.testing.assert_array_equal(tri.cdf(np.array([-1.0, 0.0, 1.0, 3.0])),
+                                      [0.0, 0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(tri.ppf(np.array([0.0, 0.5, 1.0])), [0.0, 1.0, 2.0])
+
+    def test_triangle_draws_have_its_variance(self):
+        tri = tc.GridDensity([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        draws = tri.sample(200_000, np.random.default_rng(3))
+        # the variance of the sample variance is (1/15 - 1/36) / n: SE 4.4e-4
+        assert draws.var() == pytest.approx(1.0 / 6.0, abs=2e-3)
+
+    def test_cdf_and_ppf_match_quad_of_the_pdf(self):
+        """A skewed 13-knot grid with a zero-density knot inside."""
+        knots = np.array([-2.0, -1.7, -1.0, -0.6, -0.5, 0.0, 0.3, 0.9, 1.0, 1.8, 2.5, 4.0, 7.0])
+        dens = np.array([0.0, 0.3, 0.9, 1.4, 1.1, 0.0, 0.6, 0.8, 0.4, 0.35, 0.2, 0.05, 0.0])
+        grid = tc.GridDensity(knots, dens)
+        x = np.concatenate([knots, np.linspace(-2.5, 7.5, 101)])
+        np.testing.assert_allclose(grid.cdf(x), grid_cdf_quad(grid, x), rtol=0, atol=1e-14)
+        u = np.linspace(0.0, 1.0, 201)
+        np.testing.assert_allclose(grid_cdf_quad(grid, grid.ppf(u)), u, rtol=0, atol=1e-14)
 
     def test_unknown_tail(self):
         grid = tc.GridDensity([0.0, 1.0], [1.0, 1.0])
