@@ -129,7 +129,7 @@ def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, 
                                 rel_tol: float) -> float | np.ndarray:
     """Density of c . (X, Y) at s, with c in view coordinates.
 
-    Closed forms when there is no X block, no x dependence, or no Y
+    Closed forms when alpha = 0 (no x dependence, as with no X block) or no Y
     variance.  Otherwise the density at s is  int phi(s; beta + alpha x,
     sigma^2) g(x) dx, a Gaussian kernel of width h = sigma / |alpha| around
     c = (s - beta) / alpha in x.  It is integrated over the kernel window
@@ -151,17 +151,13 @@ def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, 
     beta = float(cy @ cond.intercept)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
 
-    if k1 == 0:
-        out = _normal_pdf(s_arr, beta, var)
-        return _match_shape(out, s)
-
-    alpha = float(cx[0] + cy @ cond.slope[:, 0])
-    g = post.marginal
-    scale = np.sqrt(max(g.var(), 0.0)) if np.isfinite(g.var()) else 1.0
-
+    alpha = float(cx[0] + cy @ cond.slope[:, 0]) if k1 else 0.0
     if abs(alpha) < 1e-14 * max(1.0, abs(beta)):
         out = _normal_pdf(s_arr, beta, var)
         return _match_shape(out, s)
+
+    g = post.marginal
+    scale = np.sqrt(max(g.var(), 0.0)) if np.isfinite(g.var()) else 1.0
     if var <= 1e-14 * (alpha * scale) ** 2:
         # combination is an affine image of X alone
         out = g.pdf((s_arr - beta) / alpha) / abs(alpha)

@@ -136,10 +136,12 @@ class GaussianLinearProblem:
                     "conditional covariance of the viewed coordinates is singular")
 
     def solve_closed_form(self) -> np.ndarray:
+        """Newton's first step from lam = 0, which solves this quadratic dual exactly."""
         if self.n_moments == 0:
             return np.zeros(0)
         self.require_pd_block()
-        return linalg.solve(self.s_mm, self.targets - self.m_g[self.coords], assume_a="pos")
+        state = self.dual_state(np.zeros(self.n_moments))
+        return -linalg.cho_solve(linalg.cho_factor(state.hessian), state.gradient)
 
     def posterior(self, lam) -> "GaussianMarginalPosterior":
         """The calibrated model at multipliers lam: the prior conditional shifted by S_m lam."""
@@ -204,8 +206,7 @@ class GaussianMarginalPosterior:
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, None]:
         """n exact draws of (X, Y) in view coordinates, X ~ g then Y | X; no log-weights."""
-        x = _draw_x(self.marginal, n, rng)
-        return np.column_stack([x, self.conditional.sample(x, rng)]), None
+        return np.column_stack(_draw_xy(self.marginal, self.conditional, n, rng)), None
 
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, float, str]:
         """Monte Carlo mean and standard error of payoff(x, y); NonIntegrablePayoff if inf/NaN."""
@@ -214,7 +215,7 @@ class GaussianMarginalPosterior:
         for rng, m in _stream_rngs(seed, n_samples):
             take = min(m, n_samples - count)
             xy = self.draw(m, rng)[0][:take]
-            vals = np.asarray(payoff(xy[:, :self.k1], xy[:, self.k1:]), dtype=float)
+            vals = _on_nodes(payoff, xy[:, :self.k1], xy[:, self.k1:])
             if not np.all(np.isfinite(vals)):
                 raise NonIntegrablePayoff("payoff is not finite on sampled support")
             sums.append(float(vals.sum()))
@@ -372,6 +373,11 @@ def _marginal_nodes(views: ViewSet, n_x: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes[:, None], weights
 
 
+def _on_nodes(func, x, y) -> np.ndarray:
+    """func(x, y) as floats broadcast to the node shape y.shape[:-1]; scalars included."""
+    return np.broadcast_to(np.asarray(func(x, y), dtype=float), y.shape[:-1])
+
+
 def _view_tensor(moments, x, y) -> np.ndarray:
     """Every moment view on broadcast (x, y) node arrays, as one (k,) + y.shape[:-1] array."""
     out = np.empty((len(moments),) + y.shape[:-1])
@@ -401,18 +407,17 @@ def _stream_rngs(seed: int, n: int):
     return [(np.random.default_rng(c), _CHUNK) for c in children]
 
 
-def _draw_x(marginal, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of X from the marginal view, shape (n, 1); (n, 0) without one."""
-    if marginal is None:
-        return np.zeros((n, 0))
-    return marginal.sample(n, rng)[:, None]
+def _draw_xy(marginal, law, n: int, rng: np.random.Generator):
+    """n draws of X ~ g, shape (n, 1) or (n, 0) without a marginal view, then Y | X from law."""
+    x = np.zeros((n, 0)) if marginal is None else marginal.sample(n, rng)[:, None]
+    return x, law.sample(x, rng)
 
 
 def conditional_law(prior, views: ViewSet):
-    """The prior's law of Y given X in view coordinates; the only prior-type dispatch.
+    """The prior's law of Y given X in view coordinates; one of two prior-type tests.
 
     A Gaussian prior gives its ``GaussianConditional``; a ``GenericPrior`` is
-    its own law and needs the identity view map.
+    its own law and needs the identity view map (``build_dual_problem`` is the other).
     """
     if isinstance(prior, GaussianPrior):
         return gaussian_conditional(transform_prior(prior, views.view_map), views.k1)
@@ -543,8 +548,7 @@ class TiltedPosterior:
         Raises NonIntegrablePayoff when the payoff or its expectation is not finite.
         """
         problem = self.problem
-        values = np.asarray(func(problem.x_nodes[:, None, :], problem.y_nodes), dtype=float)
-        values = np.broadcast_to(values, problem.y_nodes.shape[:-1])
+        values = _on_nodes(func, problem.x_nodes[:, None, :], problem.y_nodes)
         if not np.all(np.isfinite(values)):
             raise NonIntegrablePayoff("payoff is not finite on the posterior support")
         value = problem.expectation(self.lam, values)
@@ -572,8 +576,7 @@ class TiltedPosterior:
                 "importance sampling needs a from_prior problem whose rule has at most n_y "
                 "nodes per draw: one conditional dimension for a Gaussian prior"
             )
-        x = _draw_x(views.marginal, n, rng)
-        y = law.sample(x, rng)
+        x, y = _draw_xy(views.marginal, law, n, rng)
         nodes, log_w = law.rule(x, problem.n_y)
         scores = np.einsum("k,knj->nj", lam, _view_tensor(views.moments, x[:, None, :], nodes))
         scores += log_w
@@ -591,7 +594,7 @@ class TiltedPosterior:
         if r_weights is not None:
             k1 = x.shape[-1]
             r = lambda x, y: x @ np.asarray(r_weights[:k1]) + y @ np.asarray(r_weights[k1:])
-        r_vals = np.broadcast_to(np.asarray(r(x, y), dtype=float), y.shape[:-1])
+        r_vals = _on_nodes(r, x, y)
         cond = problem._tilted_conditional(self.lam)[1]
         joint = cond * problem.x_weights[:, None]
         h_mean = np.einsum("knj,nj->kn", problem.h, cond)
@@ -607,9 +610,8 @@ class TiltedPosterior:
 
 def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator):
     """Draws of (h_1..h_k)(X, Y) under the prior conditional tilted to g."""
-    law = conditional_law(prior, views)
-    x = _draw_x(views.marginal, n_samples, rng)
-    return _view_tensor(views.moments, x, law.sample(x, rng)).T
+    x, y = _draw_xy(views.marginal, conditional_law(prior, views), n_samples, rng)
+    return _view_tensor(views.moments, x, y).T
 
 
 def linprog(*args, **kwargs):

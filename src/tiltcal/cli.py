@@ -259,7 +259,6 @@ def _parse_tail_task(task: dict, n: int, views: ViewSet):
 
 def _parse_sensitivities_task(task: dict, n: int, views: ViewSet):
     """A sensitivities task's (r weights in Z coordinates, wrt_loc), checked."""
-    _require(views.is_coordinate_linear, "sensitivities task requires coordinate moment views")
     node, wrt_loc = task.get("r"), task.get("wrt_loc", False)
     _require(isinstance(node, dict) and "weights" in node,
              "sensitivities task needs an object r with weights in Z coordinates")

@@ -64,8 +64,8 @@ class MarginalDensity:
     def quadrature_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights integrating smooth functions against the density.
 
-        Analytic kinds use midpoint-stratified quantiles (equal weights);
-        grid kind overrides with exact trapezoid weights on its knots.
+        Analytic kinds use midpoint-stratified quantiles (equal weights); the
+        grid kind returns its knots and their exact masses (``GridDensity``).
         """
         u = (np.arange(n) + 0.5) / n
         return self.ppf(u), np.full(n, 1.0 / n)
@@ -225,8 +225,9 @@ class GridDensity(MarginalDensity):
 
     The table is renormalized to unit trapezoid mass at construction; the
     pre-normalization mass is kept in ``raw_mass``.  The density is zero
-    outside the knot range; ``cdf`` and ``ppf`` are exact for the
-    piecewise-linear pdf (piecewise quadratic in x).
+    outside the knot range.  ``cdf``, ``ppf`` (piecewise quadratic in x) and the
+    knot masses w_i = int hat_i f of the knots' hat functions are exact for the
+    piecewise-linear pdf f; w integrates every function linear between knots.
     """
 
     def __init__(self, knots, densities):
@@ -254,8 +255,12 @@ class GridDensity(MarginalDensity):
             [[0.0], np.cumsum(self._widths * (self.densities[1:] + self.densities[:-1]) / 2.0)]
         )
         self._cdf_knots = cdf / cdf[-1]
-        self.knots.setflags(write=False)
-        self.densities.setflags(write=False)
+        # segment i gives hat_i d_i (2 f_i + f_{i+1}) / 6 and hat_{i+1} d_i (f_i + 2 f_{i+1}) / 6
+        f, d = self.densities, self._widths
+        masses = np.r_[d * (2.0 * f[:-1] + f[1:]), 0.0] + np.r_[0.0, d * (f[:-1] + 2.0 * f[1:])]
+        self._masses = masses / masses.sum()  # the common factor 1/6 cancels
+        for arr in (self.knots, self.densities, self._masses):
+            arr.setflags(write=False)
 
     @classmethod
     def from_function(cls, pdf, lo: float, hi: float, n: int = 1001,
@@ -296,29 +301,20 @@ class GridDensity(MarginalDensity):
         return self.knots[i] + np.minimum(t, self._widths[i])
 
     def mean(self) -> float:
-        return float(np.trapezoid(self.knots * self.densities, self.knots))
+        return float(self._masses @ self.knots)
 
     def var(self) -> float:
-        m = self.mean()
-        return float(np.trapezoid((self.knots - m) ** 2 * self.densities, self.knots))
+        """sum_i w_i (x_i - m)^2 less each segment's chord excess d^3 (f_i + f_{i+1}) / 12."""
+        excess = self._widths**3 * (self.densities[:-1] + self.densities[1:]) / 12.0
+        return float(self._masses @ (self.knots - self.mean()) ** 2 - excess.sum())
 
     def support(self) -> tuple[float, float]:
         return float(self.knots[0]), float(self.knots[-1])
 
     def quadrature_nodes(self, n: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Exact trapezoid rule on the knots (n is ignored)."""
-        w = _trapezoid_weights(self.knots) * self.densities
-        return self.knots, w / w.sum()
+        """The knots and their masses w_i (n is ignored), so that nodes @ weights is ``mean()``."""
+        return self.knots, self._masses
 
     def normalization(self) -> float:
         return float(np.trapezoid(self.densities, self.knots))
-
-
-def _trapezoid_weights(knots: np.ndarray) -> np.ndarray:
-    """Trapezoid-rule weights on strictly increasing knots."""
-    w = np.zeros_like(knots)
-    d = np.diff(knots)
-    w[:-1] += d / 2.0
-    w[1:] += d / 2.0
-    return w
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .densities import _trapezoid_weights
 from .errors import DivergentEntropy
 
 __all__ = ["relative_entropy"]
@@ -72,6 +71,15 @@ def relative_entropy(numerator_pdf, denominator_pdf, *, grid=None, samples=None,
         has_mass &= ~vanishes
     p = np.exp(log_p[has_mass])
     return float(np.sum(weights[has_mass] * p * (log_p[has_mass] - log_q[has_mass])))
+
+
+def _trapezoid_weights(knots: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on strictly increasing knots."""
+    w = np.zeros_like(knots)
+    d = np.diff(knots)
+    w[:-1] += d / 2.0
+    w[1:] += d / 2.0
+    return w
 
 
 def _log_values(numerator, denominator, pts, log_densities):

@@ -152,10 +152,6 @@ class GaussianConditional:
     def y_dim(self) -> int:
         return self.intercept.size
 
-    @property
-    def x_dim(self) -> int:
-        return self.slope.shape[1]
-
     def shifted(self, delta: np.ndarray) -> "GaussianConditional":
         return GaussianConditional(self.intercept + delta, self.slope, self.cov)
 
@@ -165,7 +161,7 @@ class GaussianConditional:
         return _psd_root(self.cov)
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        """One draw of Y | X = x per row of x (shape (n, x_dim)); returns (n, y_dim)."""
+        """One draw of Y | X = x per row of x; returns (n, y_dim)."""
         x = np.asarray(x, dtype=float)
         return self.mean(x) + rng.standard_normal((x.shape[0], self.y_dim)) @ self.root.T
 
@@ -300,10 +296,6 @@ class GenericPrior:
     conditional_sampler: Callable | None = None
     conditional_quadrature: Callable | None = None
     label: str = field(default="generic")
-
-    @property
-    def dim(self) -> int:
-        return self.x_dim + self.y_dim
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
         """One draw of Y | X = x per row of x; shape (n, y_dim)."""

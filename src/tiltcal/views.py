@@ -71,10 +71,6 @@ class ViewSet:
         return self.view_map.k1
 
     @property
-    def k2(self) -> int:
-        return self.view_map.k2
-
-    @property
     def n_moments(self) -> int:
         return len(self.moments)
 

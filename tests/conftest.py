@@ -99,8 +99,10 @@ def closed_form_posteriors(prior, views):
     """The two public constructions of the closed-form posterior.
 
     ``build_posterior``, and the GaussianLinearProblem's posterior at Newton's
-    multipliers (the command-line path).  Consumers must give bit-identical
-    results for both.
+    multipliers (the command-line path).  They are bit-identical because they
+    compute one formula: the closed form is Newton's first step from lam = 0,
+    which solves the quadratic dual, so Newton stops there.  Consumers must
+    give bit-identical results for both.
     """
     problem = tc.GaussianLinearProblem(prior, views)
     report = tc.solve_lambda_newton(prior, views, problem=problem)

@@ -9,8 +9,9 @@ raw-coordinate hull gauges, one LP over the whole standardised sample and
 the padded feasibility-probe classifier for the existence check, a VaR
 bootstrap that builds and sorts every resample, ``scipy.stats``'
 location-scale cdf/ppf for the density views, adaptive quadrature of a
-grid view's pdf for its cdf, mpmath's incomplete beta for the far left tail
-of the t cdf and quantile, and a per-view loop for the moment-view tensor.
+grid view's pdf for its cdf and moments, mpmath's incomplete beta for the far
+left tail of the t cdf and quantile, and a per-view loop for the moment-view
+tensor.
 """
 
 from __future__ import annotations
@@ -82,6 +83,18 @@ def grid_cdf_quad(g, x) -> np.ndarray:
         out.append(integrate.quad(g.pdf, lo, hi, points=pts or None, limit=200 + len(pts),
                                   epsabs=1e-15, epsrel=1e-13)[0])
     return np.array(out)
+
+
+def grid_moments_quad(g) -> tuple[float, float]:
+    """Mean and variance of a grid view: adaptive ``quad`` of x f and (x - m)^2 f per segment."""
+    segments = list(zip(g.knots[:-1], g.knots[1:]))
+
+    def integral(func):
+        return sum(integrate.quad(lambda x: func(x) * g.pdf(x), a, b,
+                                  epsabs=1e-15, epsrel=1e-13)[0] for a, b in segments)
+
+    mean = integral(lambda x: x)
+    return mean, integral(lambda x: (x - mean) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from conftest import (
     SIX_INDEX_MEAN,
     TWO_ASSET_COV,
     heavy_tail_views,
+    mean_only_views,
     random_gaussian_linear_problem,
 )
 from oracles import marginal_density_quad
@@ -186,6 +187,15 @@ class TestPosteriorMarginals:
             integrand, -2500.0, 2500.0, points=[-20.0, 1.5, 20.0], limit=500
         )
         assert val == pytest.approx(1.5, abs=1e-6)
+
+    def test_no_x_block_gives_the_exact_normal_pdf(self, six_index_prior):
+        """At k1 = 0 the posterior is the prior shifted in mean, so w . Z is normal."""
+        post = tc.build_posterior(six_index_prior, mean_only_views())
+        w = np.array([0.3, -0.1, 0.2, 0.25, 0.15, 0.2])
+        mean, sd = w @ post.z_mean(), np.sqrt(w @ SIX_INDEX_COV @ w)
+        s = mean + sd * np.linspace(-6.0, 6.0, 41)
+        np.testing.assert_allclose(tc.posterior_marginal_linear(post, w, s),
+                                   stats.norm.pdf(s, mean, sd), rtol=1e-12)
 
 
 def _quad_agreement(post, idx, s):

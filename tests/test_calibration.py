@@ -9,6 +9,7 @@ import tiltcal as tc
 from conftest import (
     TWO_ASSET_MAP,
     TWO_ASSET_T,
+    closed_form_posteriors,
     mean_only_views,
     random_gaussian_linear_problem,
     random_spd,
@@ -176,6 +177,18 @@ class TestNewton:
             assert report.converged
             assert report.iterations <= 15
             np.testing.assert_allclose(report.lam, lam_star, atol=1e-8)
+
+    def test_closed_form_is_newtons_first_step_bit_for_bit(self, two_asset_prior,
+                                                          two_asset_views):
+        """build_posterior and the Newton posterior solve the one formula, so every bit agrees."""
+        rng = np.random.default_rng(5)
+        models = [(two_asset_prior, two_asset_views)] + [
+            random_gaussian_linear_problem(rng, n) for n in range(2, 7) for _ in range(60)]
+        for prior, views in models:
+            closed, newton = closed_form_posteriors(prior, views)
+            np.testing.assert_array_equal(closed.lam, newton.lam)
+            np.testing.assert_array_equal(closed.conditional.intercept,
+                                          newton.conditional.intercept)
 
     def test_consistent_views_need_no_iterations(self):
         prior = tc.GaussianPrior([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]])

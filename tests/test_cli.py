@@ -172,6 +172,14 @@ def payoff_spec():
     }
 
 
+def student_t_payoff_spec(tasks):
+    """A call-payoff moment view on a Gaussian pair with a Student-t view, calibrated first."""
+    return payoff_spec() | {
+        "marginal": {"kind": "student_t", "df": 4, "loc": 0.0, "scale": 0.8},
+        "tasks": [{"type": "calibrate"}, *tasks],
+    }
+
+
 def _write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -301,25 +309,42 @@ class TestRun:
         assert "up to 3 dims" in error["detail"]
         assert os.listdir(out) == []
 
-    @pytest.mark.parametrize("task", [
-        {"type": "tail", "coord": 0},
-        {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}},
-    ])
-    def test_closed_form_tasks_reject_payoff_views(self, tmp_path, task):
-        doc = {
-            "schema_version": 1,
-            "prior": {"mean": [0.0, 0.1], "covariance": [[1.0, 0.6], [0.6, 1.2]]},
-            "view_map": {"k1": 1, "k2": 1},
-            "marginal": {"kind": "student_t", "df": 4, "loc": 0.0, "scale": 0.8},
-            "moments": [
-                {"payoff": {"kind": "call", "coord": 0, "strike": 0.4}, "target": 0.45}
-            ],
-            "solver": {"n_x": 501, "n_y": 16},
-            "tasks": [{"type": "calibrate"}, task],
-        }
+    def test_closed_form_tasks_reject_payoff_views(self, tmp_path):
+        doc = student_t_payoff_spec([{"type": "tail", "coord": 0}])
+        doc["solver"] = {"n_x": 501, "n_y": 16}
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 3
         assert not out.exists() or os.listdir(out) == []
+
+    def test_sensitivities_run_on_payoff_views(self, tmp_path):
+        """dPi/dc matches a central difference of re-calibrations, dPi/d loc one at fixed lam."""
+        task = {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}, "wrt_loc": True}
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, student_t_payoff_spec([task])), str(out)) == 0
+        report = json.loads((out / "sensitivities.json").read_text())
+        prior = tc.GaussianPrior([0.0, 0.1], [[1.0, 0.6], [0.6, 1.2]])
+        call = lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0)
+
+        def problem(target, loc=0.0):
+            views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 1),
+                               tc.StudentTDensity(df=4.0, loc=loc, scale=0.8),
+                               (tc.MomentView(target=target, payoff=call),))
+            return tc.QuadratureProblem.from_prior(prior, views, n_x=2001, n_y=64)
+
+        def pi(problem, lam):
+            return problem.posterior(lam).expectation(lambda x, y: y[..., 0])
+
+        def calibrated(target):
+            p = problem(target)
+            return p, tc.solve_lambda_newton(prior, p.views, problem=p, tol=1e-13).lam
+
+        eps = 1e-4
+        d_pi_d_c = (pi(*calibrated(0.45 + eps)) - pi(*calibrated(0.45 - eps))) / (2 * eps)
+        assert report["d_pi_d_c"][0] == pytest.approx(d_pi_d_c, rel=1e-7)
+        lam = calibrated(0.45)[1]
+        d_pi_d_loc = (pi(problem(0.45, eps), lam) - pi(problem(0.45, -eps), lam)) / (2 * eps)
+        # moving loc moves the outer nodes; the score integral stays on them
+        assert report["d_pi_d_loc"] == pytest.approx(d_pi_d_loc, rel=1e-5)
 
     def test_not_converged_exits_2(self, tmp_path):
         doc = {
@@ -396,8 +421,6 @@ class TestRun:
         two_asset_spec([{"type": "sensitivities", "r": {"weights": [0.0, "x"]}}]),
         two_asset_spec([{"type": "sensitivities", "r": {"weights": [0.0, 1.0]},
                          "wrt_loc": "yes"}]),
-        payoff_spec() | {"tasks": [{"type": "calibrate"},
-                                   {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}}]},
         two_asset_spec([{"type": "price", "payoff": {"kind": "call", "strike": 1.0},
                          "n_samples": 0}]),
         two_asset_spec([{"type": "var", "n_samples": "100000"}]),
@@ -419,7 +442,7 @@ class TestRun:
     ], ids=["tail-s_max-text", "tail-coord-outside-y", "price-no-payoff",
             "price-no-strike", "moment-no-strike", "sens-r-number", "sens-no-r",
             "sens-weights-short", "sens-weights-text", "sens-wrt_loc-text",
-            "sens-payoff-views", "price-n_samples-0", "var-n_samples-text",
+            "price-n_samples-0", "var-n_samples-text",
             "var-n_samples-float", "calibrate-seed-negative", "var-seed-text",
             "var-seed-bool", "type-list", "check_existence-text", "var-notional-text",
             "sens-wrt_loc-grid", "tail-gaussian", "tail-k1-0", "tail-s_max-below-schedule"])
@@ -661,6 +684,23 @@ def test_benchmark_specs_load_as_checked_tasks(path):
     assert [(t.type, t.n_samples, t.seed) for t in spec.tasks] == [
         (t["type"], t.get("n_samples", 200_000 if t["type"] == "price" else 100_000),
          t.get("seed", 0)) for t in tasks]
+
+
+_INDEX_DENSITIES = {f"density_{label}.csv" for label in SIX_INDEX_LABELS}
+WORKLOAD_OUTPUTS = {
+    "six_index_heavy_tail": _INDEX_DENSITIES | {"calibration.json", "density_view.csv",
+                                                "sensitivities.json", "tail.csv", "var.csv"},
+    "six_index_mean_audit": _INDEX_DENSITIES | {"calibration.json", "var.csv"},
+    "option_chain": {"calibration.json", "price.json", "var.csv"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_OUTPUTS))
+def test_benchmark_specs_run(tmp_path, name):
+    """Every benchmark workload runs end to end, at fewer samples, and writes all its reports."""
+    out = tmp_path / "out"
+    assert run(str(WORKLOAD_DIR / f"{name}.json"), str(out), samples=20_000) == 0
+    assert set(os.listdir(out)) == WORKLOAD_OUTPUTS[name]
 
 
 class TestMainEntryPoint:

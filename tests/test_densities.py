@@ -9,6 +9,7 @@ from oracles import (
     gaussian_cdf_stats,
     gaussian_ppf_stats,
     grid_cdf_quad,
+    grid_moments_quad,
     student_t_cdf_mpmath,
     student_t_cdf_stats,
     student_t_ppf_mpmath,
@@ -136,6 +137,46 @@ class TestGrid:
         np.testing.assert_allclose(grid.cdf(x), grid_cdf_quad(grid, x), rtol=0, atol=1e-14)
         u = np.linspace(0.0, 1.0, 201)
         np.testing.assert_allclose(grid_cdf_quad(grid, grid.ppf(u)), u, rtol=0, atol=1e-14)
+
+    @staticmethod
+    def _skewed():
+        """The 13-knot skewed grid above."""
+        knots = np.array([-2.0, -1.7, -1.0, -0.6, -0.5, 0.0, 0.3, 0.9, 1.0, 1.8, 2.5, 4.0, 7.0])
+        dens = np.array([0.0, 0.3, 0.9, 1.4, 1.1, 0.0, 0.6, 0.8, 0.4, 0.35, 0.2, 0.05, 0.0])
+        return tc.GridDensity(knots, dens)
+
+    def test_moments_match_quad_of_the_pdf(self):
+        grid = self._skewed()
+        mean, var = grid_moments_quad(grid)
+        assert grid.mean() == pytest.approx(mean, rel=1e-13)
+        assert grid.var() == pytest.approx(var, rel=1e-13)
+
+    def test_triangle_moments_are_exact(self):
+        tri = tc.GridDensity([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        assert tri.mean() == pytest.approx(1.0, abs=1e-15)
+        assert tri.var() == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+    def test_quadrature_nodes_give_the_mean_bit_for_bit(self, two_asset_prior):
+        """Both dual backends read the exact E_g[X] off the same masses."""
+        grid = self._skewed()
+        nodes, weights = grid.quadrature_nodes(0)
+        assert float(weights @ nodes) == grid.mean()
+        assert grid.mean() == pytest.approx(grid_moments_quad(grid)[0], rel=1e-13)
+        views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 2), grid,
+                           (tc.MomentView(target=0.5, coord=0),))
+        closed = tc.GaussianLinearProblem(two_asset_prior, views)
+        quad = tc.QuadratureProblem.from_prior(two_asset_prior, views)
+        assert closed.e_g_x[0] == grid.mean()
+        assert float(quad.x_weights @ quad.x_nodes[:, 0]) == grid.mean()
+
+    def test_closed_form_posterior_draws_hit_the_moment_target(self):
+        grid = self._skewed()
+        prior = tc.GaussianPrior([0.0, 0.0], [[2.0, 1.0], [1.0, 1.5]])
+        views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 2), grid,
+                           (tc.MomentView(target=0.5, coord=0),))
+        z = tc.sample_posterior(tc.build_posterior(prior, views), 1_000_000, seed=0).z_samples
+        se = z.std(axis=0, ddof=1) / np.sqrt(z.shape[0])
+        np.testing.assert_array_less(np.abs(z.mean(axis=0) - [grid.mean(), 0.5]), 4 * se)
 
     def test_unknown_tail(self):
         grid = tc.GridDensity([0.0, 1.0], [1.0, 1.0])

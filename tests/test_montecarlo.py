@@ -490,6 +490,13 @@ class TestPriceOption:
         with pytest.raises(ValueError, match="n_samples"):
             tc.price_option(post, one, 0.05, n_samples=0)
 
+    def test_scalar_payoff_prices_to_its_value(self, two_asset_prior, two_asset_views):
+        """A payoff may return a plain number; both posteriors broadcast it."""
+        for post in (tc.build_posterior(two_asset_prior, two_asset_views),
+                     calibrated_stock_problem()[0]):
+            res = tc.price_option(post, lambda x, y: 1.0, 0.0, n_samples=1000)
+            assert res.price == pytest.approx(1.0, rel=1e-12)
+
     def test_calibration_instrument_reprices_to_target(self):
         post, report, payoff, target, _, _, discount, _ = calibrated_stock_problem()
         assert report.converged

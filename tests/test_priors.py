@@ -30,6 +30,20 @@ class TestGaussianPrior:
         )
 
 
+    def test_rank_deficient_prior_draws_through_the_eigenvalue_root(self):
+        """Z1 = Z0 + 1 exactly, so the covariance has no Cholesky factor."""
+        from scipy import linalg
+
+        cov = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 2.0]])
+        prior = tc.GaussianPrior([0.0, 1.0, 2.0], cov)
+        with pytest.raises(linalg.LinAlgError):
+            linalg.cholesky(prior.covariance, lower=True)
+        z = prior.sample(200_000, np.random.default_rng(4))
+        np.testing.assert_allclose(z[:, 0] - z[:, 1], -1.0, rtol=0, atol=2e-15)
+        # the SE of each sample covariance entry is at most 2 sqrt(2 / n) = 0.0063
+        np.testing.assert_allclose(np.cov(z.T), cov, rtol=0, atol=0.03)
+
+
 class TestGaussianConditional:
     def test_two_asset_schur_value(self):
         prior_t = tc.GaussianPrior([1.0, 1.0], [[5.818, 2.43], [2.43, 1.1]])
