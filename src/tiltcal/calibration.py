@@ -65,6 +65,9 @@ __all__ = [
 
 _LOGZ_CAP = 1.0e4
 _CHUNK = 1 << 16
+# TiltedPosterior.draw takes log Z(x) for blocks of draws of at most this many
+# rule nodes: 1 MiB per float temporary, small enough to stay in cache.
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -564,7 +567,9 @@ class TiltedPosterior:
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """n prior-conditional draws of (X, Y) and their log-weights lam . h(x, y) - log Z(x).
 
-        log Z(x) takes the problem's own law and rule size n_y; a ``from_discrete``
+        log Z(x) takes the problem's own law and rule size n_y, in blocks of
+        draws of at most ``_BLOCK_VALUES`` rule nodes; each row depends only on
+        its own draw, so the blocks change no value.  A ``from_discrete``
         problem or a rule of more than n_y nodes per draw is NonSampleableConditional.
         """
         problem, lam = self.problem, self.lam
@@ -577,10 +582,16 @@ class TiltedPosterior:
                 "nodes per draw: one conditional dimension for a Gaussian prior"
             )
         x, y = _draw_xy(views.marginal, law, n, rng)
-        nodes, log_w = law.rule(x, problem.n_y)
-        scores = np.einsum("k,knj->nj", lam, _view_tensor(views.moments, x[:, None, :], nodes))
-        scores += log_w
-        log_weights = lam @ _view_tensor(views.moments, x, y) - _row_logsumexp(scores)
+        log_z = np.empty(n)
+        rows = max(1, _BLOCK_VALUES // problem.y_nodes.shape[1])
+        for start in range(0, n, rows):
+            block = x[start:start + rows]
+            nodes, log_w = law.rule(block, problem.n_y)
+            scores = np.einsum("k,knj->nj", lam,
+                               _view_tensor(views.moments, block[:, None, :], nodes))
+            scores += log_w
+            log_z[start:start + rows] = _row_logsumexp(scores)
+        log_weights = lam @ _view_tensor(views.moments, x, y) - log_z
         return np.column_stack([x, y]), log_weights
 
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, None, str]:

@@ -55,6 +55,13 @@ class SampleBatch:
     def n(self) -> int:
         return self.z_samples.shape[0]
 
+    @property
+    def ess(self) -> float:
+        """Kish's effective sample size (sum w)^2 / sum w^2; n for an exact batch."""
+        if self.weights is None:
+            return self.n
+        return self.weights.sum() ** 2 / (self.weights**2).sum()
+
 
 def sample_posterior(post, n: int, seed: int = 0) -> SampleBatch:
     """Draw ``n`` posterior samples, mapped back to original coordinates.
@@ -68,7 +75,7 @@ def sample_posterior(post, n: int, seed: int = 0) -> SampleBatch:
         xy, log_w = post.draw(m, rng)
         chunks.append(post.view_map.invert(xy))
         logw.append(log_w)
-        del xy  # a mapped chunk is a copy; drop the draws before the next chunk
+        del xy  # frees a chunk that invert copied; the identity map returns xy itself
     z = np.vstack(chunks)[:n]
     if logw[0] is None:
         return SampleBatch(z, seed)
@@ -177,8 +184,7 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
     resample's quantiles are read from its per-rank draw counts, so the
     cost per resample is linear in n with no sort.  Raises
     InsufficientSamples when fewer than 20 samples are expected beyond some
-    level, counting an importance-weighted batch by its Kish effective
-    sample size (sum w)^2 / sum w^2 (n for an exact batch).
+    level, counting a batch by its Kish effective sample size ``batch.ess``.
     """
     w = np.asarray(portfolio_weights, dtype=float)
     if w.size != batch.z_samples.shape[1]:
@@ -193,7 +199,7 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ValueError("levels must lie in (0, 1)")
     n = batch.n
-    ess = n if batch.weights is None else batch.weights.sum() ** 2 / (batch.weights**2).sum()
+    ess = batch.ess
     worst = min(ess * (1.0 - q) for q in levels)
     if worst < 20:
         raise InsufficientSamples(

@@ -8,7 +8,7 @@ to operate on non-Gaussian models such as lognormal pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,23 +108,28 @@ def _gaussian_logpdf(dev: np.ndarray, cov: np.ndarray, error: type, message: str
     return -0.5 * (np.sum(sol**2, axis=0) + logdet + cov.shape[0] * np.log(2.0 * np.pi))
 
 
+@lru_cache(maxsize=8)
 def _hermite_tensor(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Hermite rule normalized for N(0, I).
 
-    Raises QuadratureFailure beyond 3 dims, where the n**dim tensor is too big.
+    Memoised, so its arrays are shared and read-only.  Raises
+    QuadratureFailure beyond 3 dims, where the n**dim tensor is too big.
     """
     if dim == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    if dim > 3:
+        nodes, weights = np.zeros((1, 0)), np.ones(1)
+    elif dim > 3:
         raise QuadratureFailure("Gauss-Hermite tensor rule is practical only up to 3 dims")
-    t, w = roots_hermite(n)
-    nodes = t[:, None]
-    weights = w / np.sqrt(np.pi)
-    for _ in range(dim - 1):
-        nodes = np.column_stack(
-            [np.repeat(nodes, n, axis=0), np.tile(t, nodes.shape[0])[:, None]]
-        )
-        weights = np.outer(weights, w / np.sqrt(np.pi)).ravel()
+    else:
+        t, w = roots_hermite(n)
+        nodes = t[:, None]
+        weights = w / np.sqrt(np.pi)
+        for _ in range(dim - 1):
+            nodes = np.column_stack(
+                [np.repeat(nodes, n, axis=0), np.tile(t, nodes.shape[0])[:, None]]
+            )
+            weights = np.outer(weights, w / np.sqrt(np.pi)).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
 
 

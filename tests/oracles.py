@@ -10,8 +10,9 @@ the padded feasibility-probe classifier for the existence check, a VaR
 bootstrap that builds and sorts every resample, ``scipy.stats``'
 location-scale cdf/ppf for the density views, adaptive quadrature of a
 grid view's pdf for its cdf and moments, mpmath's incomplete beta for the far
-left tail of the t cdf and quantile, and a per-view loop for the moment-view
-tensor.
+left tail of the t cdf and quantile, a per-view loop for the moment-view
+tensor, and an importance-sampling draw whose normalizer takes one rule over
+the whole stream.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy import integrate, stats
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from tiltcal.errors import InconclusiveSample
+from tiltcal.errors import InconclusiveSample, NonIntegrableTilt
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,34 @@ def view_tensor_loop(moments, x, y) -> np.ndarray:
         else:
             rows.append(np.broadcast_to(np.asarray(view.payoff(x, y), dtype=float), shape))
     return np.stack(rows) if rows else np.zeros((0,) + shape)
+
+
+# ---------------------------------------------------------------------------
+# Importance-sampling draw with one inner rule over the whole stream
+# ---------------------------------------------------------------------------
+
+
+def tilted_draw_unblocked(post, n: int, rng: np.random.Generator):
+    """``TiltedPosterior.draw`` with log Z(x) taken on one rule over all n draws.
+
+    X ~ g, then Y | X from the problem's law; the log-weight of a draw is
+    lam . h(x, y) - log Z(x), the normalizer by max-shifted exponentials on
+    the law's n_y-node rule.  Raises NonIntegrableTilt when some log Z(x) is
+    not finite or exceeds 1e4.
+    """
+    problem, lam = post.problem, post.lam
+    law, views = problem.law, problem.views
+    x = np.zeros((n, 0)) if views.marginal is None else views.marginal.sample(n, rng)[:, None]
+    y = law.sample(x, rng)
+    nodes, log_w = law.rule(x, problem.n_y)
+    scores = np.einsum("k,knj->nj", lam, view_tensor_loop(views.moments, x[:, None, :], nodes))
+    scores += log_w
+    peak = np.max(scores, axis=1, keepdims=True)
+    log_z = peak[:, 0] + np.log(np.sum(np.exp(scores - peak), axis=1))
+    if not np.all(np.isfinite(log_z)) or np.max(log_z) > 1.0e4:
+        raise NonIntegrableTilt("tilted conditional normalizer overflows; "
+                                "the tilt is not integrable")
+    return np.column_stack([x, y]), lam @ view_tensor_loop(views.moments, x, y) - log_z
 
 
 # ---------------------------------------------------------------------------

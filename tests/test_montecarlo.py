@@ -1,5 +1,8 @@
 """Sampling, VaR estimation, and option pricing."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +11,7 @@ from scipy import stats
 from scipy.special import logsumexp, roots_hermite
 
 import tiltcal as tc
+from tiltcal import calibration, cli
 from conftest import (
     SIX_INDEX_COV,
     SIX_INDEX_MEAN,
@@ -15,7 +19,7 @@ from conftest import (
     heavy_tail_views,
     random_gaussian_linear_problem,
 )
-from oracles import price_tilted_lognormal_2d, var_bootstrap_loop
+from oracles import price_tilted_lognormal_2d, tilted_draw_unblocked, var_bootstrap_loop
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +227,87 @@ class TestSamplePosterior:
 
 
 # ---------------------------------------------------------------------------
+# The importance sampler's normalizer, taken in blocks of draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tilted_posteriors():
+    """(a) call/put views on a Gaussian prior at n_y = 64; (b) a lognormal GenericPrior at 256."""
+    prior = tc.GaussianPrior([0.0, 0.1], [[1.0, 0.6], [0.6, 1.2]])
+    views = tc.ViewSet(
+        tc.LinearViewMap.identity(2, 1, 2), tc.StudentTDensity(df=4, loc=0.0, scale=0.8),
+        (tc.MomentView(target=0.45, payoff=lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0)),
+         tc.MomentView(target=0.25, payoff=lambda x, y: np.maximum(-0.4 - y[..., 0], 0.0))),
+    )
+    problem = tc.QuadratureProblem.from_prior(prior, views, n_x=2000, n_y=64)
+    gaussian = problem.posterior(tc.solve_lambda_newton(prior, views, problem=problem).lam)
+    return {"gaussian": gaussian, "generic": calibrated_stock_problem()[0]}
+
+
+def _block_rows(monkeypatch, post, rows):
+    """Make a block of TiltedPosterior.draw hold ``rows`` draws of ``post``."""
+    monkeypatch.setattr(calibration, "_BLOCK_VALUES", rows * post.problem.y_nodes.shape[1])
+
+
+class TestBlockedDraw:
+    @pytest.mark.parametrize("kind", ["gaussian", "generic"])
+    @pytest.mark.parametrize("rows,n", [(1, 64), (7, 3000), (2048, 3000), (4000, 3000)])
+    def test_every_block_size_matches_the_unblocked_oracle(self, monkeypatch,
+                                                          tilted_posteriors, kind, rows, n):
+        """One row, ragged 7-row blocks, two blocks, and one block larger than n."""
+        post = tilted_posteriors[kind]
+        _block_rows(monkeypatch, post, rows)
+        for s in (0, 5):
+            xy, log_w = post.draw(n, np.random.default_rng(s))
+            xy_ref, log_w_ref = tilted_draw_unblocked(post, n, np.random.default_rng(s))
+            assert np.array_equal(xy, xy_ref)
+            assert np.array_equal(log_w, log_w_ref)
+
+    def test_overflow_in_some_blocks_raises_as_the_oracle(self, monkeypatch):
+        """log Z overflows only where x > 1.5; one-row blocks must still raise."""
+        def cond_quad(x, n):
+            nodes = np.broadcast_to(stats.t.ppf((np.arange(n) + 0.5) / n, 2.1), (x.shape[0], n))
+            return nodes[:, :, None], np.full(nodes.shape, 1.0 / n)
+
+        gp = tc.GenericPrior(
+            x_dim=1, y_dim=1, conditional_quadrature=cond_quad,
+            conditional_sampler=lambda x, rng: rng.standard_t(2.1, (x.shape[0], 1)))
+        views = tc.ViewSet(
+            tc.LinearViewMap.identity(2, 1, 1), tc.GaussianDensity(0.0, 1.0),
+            (tc.MomentView(target=0.0, payoff=lambda x, y: y[..., 0] * (x[..., 0] > 1.5)),),
+        )
+        post = tc.QuadratureProblem.from_prior(gp, views, n_x=64, n_y=64).posterior([2e4])
+        _block_rows(monkeypatch, post, 1)
+        n, seed = 64, 2
+        x = views.marginal.sample(n, np.random.default_rng(seed))
+        assert 0 < np.sum(x > 1.5) < n and x[0] <= 1.5  # only some blocks overflow
+        with pytest.raises(tc.NonIntegrableTilt) as oracle:
+            tilted_draw_unblocked(post, n, np.random.default_rng(seed))
+        with pytest.raises(tc.NonIntegrableTilt) as blocked:
+            post.draw(n, np.random.default_rng(seed))
+        assert str(blocked.value) == str(oracle.value)
+
+    def test_option_chain_chunk_peak_memory(self):
+        """One 65,536-draw chunk of the option_chain posterior stays under 32 MiB traced.
+
+        numpy reports its data buffers to tracemalloc, so the peak is deterministic;
+        one rule over the whole chunk peaked at 161 MiB.
+        """
+        spec = cli.load_spec(str(Path(__file__).parents[1] / "perfbench" / "workloads"
+                                 / "option_chain.json"))
+        post = cli._TaskRunner(spec).posterior()
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            post.draw(65_536, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # Value-at-risk
 # ---------------------------------------------------------------------------
 
@@ -270,6 +355,15 @@ class TestEstimateVar:
         with pytest.raises(tc.InsufficientSamples, match="effective sample size 500.0"):
             tc.estimate_var(batch, [0.5, 0.5], 1e6, [0.975])  # 12.5 (25 rows)
         tc.estimate_var(tc.SampleBatch(z, seed=0), [0.5, 0.5], 1e6, [0.975])
+
+    def test_ess_is_kish_for_weighted_batches_and_n_for_exact_ones(self):
+        z = np.random.default_rng(1).standard_normal((1000, 2))
+        assert tc.SampleBatch(z, seed=0).ess == 1000
+        w = np.tile([2.0, 0.0], 500)
+        assert tc.SampleBatch(z, seed=0, weights=w).ess == 500.0
+        w = np.random.default_rng(2).exponential(size=1000)
+        w /= w.mean()
+        assert tc.SampleBatch(z, seed=0, weights=w).ess == w.sum() ** 2 / np.sum(w**2)
 
     def test_level_validation(self):
         batch = self._prior_batch(n=1000)

@@ -1,9 +1,14 @@
 """Gaussian priors, conditionals, and linear changes of variables."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 import tiltcal as tc
+from tiltcal import cli
+from tiltcal.priors import _hermite_tensor
 from conftest import TWO_ASSET_COV, TWO_ASSET_MAP, TWO_ASSET_MEAN, random_spd
 from oracles import conditional_cov_block_inverse
 
@@ -92,6 +97,28 @@ class TestGaussianConditional:
             2 * np.pi * var_y
         )
         np.testing.assert_allclose(cond_pdf * marg_x, joint, atol=1e-6)
+
+
+class TestHermiteRule:
+    def test_rule_is_memoised_and_read_only(self):
+        nodes, weights = _hermite_tensor(1, 64)
+        again = _hermite_tensor(1, 64)
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights, *_hermite_tensor(0, 64)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_option_chain_rule_equals_a_fresh_gauss_hermite_rule(self):
+        spec = cli.load_spec(str(Path(__file__).parents[1] / "perfbench" / "workloads"
+                                 / "option_chain.json"))
+        _hermite_tensor(1, spec.solver["n_y"])
+        problem = tc.QuadratureProblem.from_prior(spec.prior, spec.views,
+                                                  n_x=spec.solver["n_x"], n_y=spec.solver["n_y"])
+        t, w = roots_hermite(spec.solver["n_y"])
+        law = problem.law
+        expected = law.mean(problem.x_nodes)[:, None, :] + np.sqrt(2.0) * t[:, None] @ law.root.T
+        assert np.array_equal(problem.y_nodes, expected)
+        assert np.array_equal(problem.log_y_weights, np.log(w / np.sqrt(np.pi)))
 
 
 class TestLinearViewMap:
