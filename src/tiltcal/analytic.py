@@ -112,8 +112,7 @@ def posterior_marginal_linear(post: GaussianMarginalPosterior, weights_z, s,
     QuadratureFailure is raised; exact in the degenerate cases (no x
     dependence, or a combination lying in the X block).
     """
-    w = np.asarray(weights_z, dtype=float)
-    c = np.linalg.solve(post.view_map.matrix.T, w)
+    c = np.asarray(weights_z, dtype=float) @ post.view_map.inverse
     return _marginal_from_view_weights(post, c, s, rel_tol)
 
 

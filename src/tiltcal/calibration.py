@@ -212,23 +212,23 @@ class GaussianMarginalPosterior:
         return np.column_stack(_draw_xy(self.marginal, self.conditional, n, rng)), None
 
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, float, str]:
-        """Monte Carlo mean and standard error of payoff(x, y); NonIntegrablePayoff if inf/NaN."""
-        sums, sq_sums = [], []
-        count = 0
-        for rng, m in _stream_rngs(seed, n_samples):
-            take = min(m, n_samples - count)
-            xy = self.draw(m, rng)[0][:take]
+        """Monte Carlo mean and standard error of payoff(x, y); NonIntegrablePayoff if inf/NaN.
+
+        Each stream sums the values' deviations from ``ref``, the first
+        stream's mean, and their squares, so a large mean cancels in neither.
+        """
+        ref, sums, sq_sums = None, [], []
+        for xy, _ in _streams(self, n_samples, seed):
             vals = _on_nodes(payoff, xy[:, :self.k1], xy[:, self.k1:])
             if not np.all(np.isfinite(vals)):
                 raise NonIntegrablePayoff("payoff is not finite on sampled support")
-            sums.append(float(vals.sum()))
-            sq_sums.append(float((vals**2).sum()))
-            count += take
-        # per-stream subtotals reduce via compensated summation, so the result
-        # is independent of chunk evaluation order
-        mean = math.fsum(sums) / count
-        var = max(math.fsum(sq_sums) / count - mean**2, 0.0)
-        return mean, np.sqrt(var / count), "monte-carlo"
+            ref = float(vals.mean()) if ref is None else ref
+            dev = vals - ref
+            sums.append(float(dev.sum()))
+            sq_sums.append(float((dev**2).sum()))
+        shift = math.fsum(sums) / n_samples
+        var = max(math.fsum(sq_sums) / n_samples - shift**2, 0.0)
+        return ref + shift, np.sqrt(var / n_samples), "monte-carlo"
 
     def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
         """V = S_mm, Cov(r, h | X) = cy . S_m for r = r_weights . (x, y), and dPi/d loc.
@@ -398,16 +398,17 @@ def _location_score(marginal):
     return score
 
 
-def _stream_rngs(seed: int, n: int):
-    """Independently seeded generator per fixed-size chunk.
+def _streams(post, n: int, seed: int):
+    """Yield the n draws of ``post`` from ``seed``, in view coordinates, and their log-weights.
 
-    Every stream always generates a full chunk (callers truncate), so the
-    first m samples are identical for any two runs with n >= m and the
-    chunks can be generated in parallel or serially with the same result.
+    Stream i draws a full ``_CHUNK`` from the i-th child of ``SeedSequence(seed)`` and yields
+    the rows the run keeps, so the first m rows are the same for every n >= m and the
+    streams can be drawn in parallel or serially with the same result.
     """
-    n_chunks = max((n + _CHUNK - 1) // _CHUNK, 1)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    return [(np.random.default_rng(c), _CHUNK) for c in children]
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n // _CHUNK))):
+        keep, rng = n - i * _CHUNK, np.random.default_rng(child)
+        # bind no name to the whole chunk, so it is freed before the next draw
+        yield tuple(a if a is None else a[:keep] for a in post.draw(_CHUNK, rng))
 
 
 def _draw_xy(marginal, law, n: int, rng: np.random.Generator):
@@ -420,13 +421,18 @@ def conditional_law(prior, views: ViewSet):
     """The prior's law of Y given X in view coordinates; one of two prior-type tests.
 
     A Gaussian prior gives its ``GaussianConditional``; a ``GenericPrior`` is
-    its own law and needs the identity view map (``build_dual_problem`` is the other).
+    its own law and needs the identity view map and the views' x_dim = k1 and
+    y_dim = n - k1 (``build_dual_problem`` is the other).
     """
     if isinstance(prior, GaussianPrior):
         return gaussian_conditional(transform_prior(prior, views.view_map), views.k1)
     if isinstance(prior, GenericPrior):
-        if not np.allclose(views.view_map.matrix, np.eye(views.view_map.n)):
+        n = views.view_map.n
+        if not np.allclose(views.view_map.matrix, np.eye(n)):
             raise ValueError("generic priors require an identity view map")
+        if (prior.x_dim, prior.y_dim) != (views.k1, n - views.k1):
+            raise ValueError(f"generic prior declares x_dim={prior.x_dim}, y_dim={prior.y_dim}; "
+                             f"the views need x_dim={views.k1}, y_dim={n - views.k1}")
         return prior
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
@@ -742,9 +748,11 @@ def independence_check(prior, views: ViewSet) -> float:
     """Smallest eigenvalue of ``build_dual_problem``'s Hessian E_g[Cov(h | X)] at lam = 0.
 
     A positive value certifies (numerically) the linear-independence
-    hypothesis that makes the calibrated model unique.  It is
-    ``solve_lambda_newton``'s ``independence_min_eig`` bit for bit, and NaN
-    without moment views.
+    hypothesis that makes the calibrated model unique; NaN without moment
+    views.  It is ``solve_lambda_newton``'s ``independence_min_eig`` bit for
+    bit when both build the problem alike: always for the closed form, and
+    for the quadrature backend at the default n_x and n_y, which this check
+    uses whatever a spec's solver section says.
     """
     problem = build_dual_problem(prior, views)
     return _min_eigenvalue(problem.dual_state(np.zeros(problem.n_moments)).hessian)

@@ -555,7 +555,7 @@ class _TaskRunner:
     def _task_sensitivities(self, w_z, wrt_loc: bool, n_samples: int, seed: int, stage: str):
         post = self.posterior()
         # r = w . Z = (V^-T w) . (x, y)
-        r_view = np.linalg.solve(post.view_map.matrix.T, w_z)
+        r_view = w_z @ post.view_map.inverse
         report = sensitivities(post, r_weights=r_view, wrt_loc=wrt_loc)
         _write_json(os.path.join(stage, "sensitivities.json"), {
             "schema_version": SCHEMA_VERSION,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import _stream_rngs
+from .calibration import _streams
 from .errors import InsufficientSamples
 
 __all__ = [
@@ -64,23 +64,24 @@ class SampleBatch:
 
 
 def sample_posterior(post, n: int, seed: int = 0) -> SampleBatch:
-    """Draw ``n`` posterior samples, mapped back to original coordinates.
+    """Draw ``n`` (at least 1) posterior samples, mapped back to original coordinates.
 
-    ``post.draw`` gives each stream's draws in view coordinates and their
+    ``calibration._streams`` gives the draws in view coordinates and their
     log-weights: None for exact draws, else importance weights, which the
-    batch reports normalised to mean one.
+    batch reports normalised to mean one over its n draws.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     chunks, logw = [], []
-    for rng, m in _stream_rngs(seed, n):
-        xy, log_w = post.draw(m, rng)
+    for xy, log_w in _streams(post, n, seed):
         chunks.append(post.view_map.invert(xy))
         logw.append(log_w)
-        del xy  # frees a chunk that invert copied; the identity map returns xy itself
-    z = np.vstack(chunks)[:n]
+        del xy  # a view of the whole chunk; invert copied it unless the map is the identity
+    z = np.vstack(chunks)
     if logw[0] is None:
         return SampleBatch(z, seed)
     log_weights = np.concatenate(logw)
-    w = np.exp(log_weights - log_weights.max())[:n]
+    w = np.exp(log_weights - log_weights.max())
     return SampleBatch(z, seed, weights=w / w.mean())
 
 

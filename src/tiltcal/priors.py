@@ -214,12 +214,13 @@ class LinearViewMap:
     """Invertible linear map V from raw factors Z to view coordinates (X, Y).
 
     Rows 0..k1-1 define the marginal-constrained block X; rows k1..k2-1 are
-    the moment-view coordinates.
+    the moment-view coordinates.  ``inverse`` is V^-1, computed once, read-only.
     """
 
     matrix: np.ndarray
     k1: int
     k2: int
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
@@ -234,8 +235,9 @@ class LinearViewMap:
         det = np.linalg.det(matrix)
         if abs(det) <= 1e-10 * max(scale, 1e-300):
             raise SingularMap("view map is singular at tolerance")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        for name, arr in (("matrix", matrix), ("inverse", np.linalg.inv(matrix))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def identity(cls, n: int, k1: int, k2: int) -> "LinearViewMap":
@@ -263,12 +265,12 @@ class LinearViewMap:
         return z @ self.matrix.T if z.ndim > 1 else self.matrix @ z
 
     def invert(self, u) -> np.ndarray:
-        """Factor coordinates of view coordinates u; the identity map returns u itself."""
+        """Factors V^-1 u of view coordinates u, F-ordered per row as ``np.linalg.solve``
+        gives them; the identity map returns u itself."""
         u = np.asarray(u, dtype=float)
         if np.array_equal(self.matrix, np.eye(self.n)):
             return u
-        sol = np.linalg.solve(self.matrix, u.T if u.ndim > 1 else u)
-        return sol.T if u.ndim > 1 else sol
+        return (self.inverse @ u.T).T
 
 
 def transform_prior(prior: GaussianPrior, view_map: LinearViewMap) -> GaussianPrior:
@@ -287,8 +289,8 @@ class GenericPrior:
     returns one y per x row (shape (n,) or (n, y_dim)), and
     ``conditional_quadrature(x, n)`` returns nodes of shape (len(x), n, y_dim)
     or (len(x), n) with weights (len(x), n) integrating functions of y
-    against f(y | x).  Evaluators must be pure given their inputs and the
-    explicitly passed generator.
+    against f(y | x); y of any other width raises ValueError.  Evaluators
+    must be pure given their inputs and the explicitly passed generator.
 
     The dual and the independence check need the quadrature rule or the
     sampler (seeded draws then form a nested Monte Carlo rule); the
@@ -307,7 +309,7 @@ class GenericPrior:
         if self.conditional_sampler is None:
             raise NonSampleableConditional("generic prior provides no conditional sampler")
         y = np.asarray(self.conditional_sampler(x, rng), dtype=float)
-        return y if y.ndim == 2 else y[:, None]
+        return self._checked(y if y.ndim == 2 else y[:, None], "conditional_sampler")
 
     def rule(self, x, n: int, rng: np.random.Generator | None = None):
         """Rule for Y | X = x: nodes (len(x), n, y_dim) and log-weights.
@@ -320,7 +322,8 @@ class GenericPrior:
             nodes = np.asarray(nodes, dtype=float)
             with np.errstate(divide="ignore"):
                 log_w = np.log(np.asarray(weights, dtype=float))
-            return (nodes if nodes.ndim == 3 else nodes[:, :, None]), log_w
+            return self._checked(nodes if nodes.ndim == 3 else nodes[:, :, None],
+                                 "conditional_quadrature"), log_w
         if self.conditional_sampler is not None and rng is not None:
             nodes = np.stack([self.sample(x, rng) for _ in range(n)], axis=1)
             return nodes, np.full(n, np.log(1.0 / n))
@@ -328,3 +331,10 @@ class GenericPrior:
             "generic prior provides no conditional quadrature rule "
             "(nor a sampler with a seeded generator)"
         )
+
+    def _checked(self, y: np.ndarray, callback: str) -> np.ndarray:
+        """y, unless its last axis is not y_dim long: then ValueError naming the callback."""
+        if y.shape[-1] != self.y_dim:
+            raise ValueError(f"{callback} returned {y.shape[-1]} columns of y; "
+                             f"the prior declares y_dim={self.y_dim}")
+        return y

@@ -11,8 +11,9 @@ bootstrap that builds and sorts every resample, ``scipy.stats``'
 location-scale cdf/ppf for the density views, adaptive quadrature of a
 grid view's pdf for its cdf and moments, mpmath's incomplete beta for the far
 left tail of the t cdf and quantile, a per-view loop for the moment-view
-tensor, and an importance-sampling draw whose normalizer takes one rule over
-the whole stream.
+tensor, an importance-sampling draw whose normalizer takes one rule over
+the whole stream, and a posterior sample drawn as whole streams, solved back
+to factors by LU and cut to n.
 """
 
 from __future__ import annotations
@@ -152,6 +153,34 @@ def tilted_draw_unblocked(post, n: int, rng: np.random.Generator):
         raise NonIntegrableTilt("tilted conditional normalizer overflows; "
                                 "the tilt is not integrable")
     return np.column_stack([x, y]), lam @ view_tensor_loop(views.moments, x, y) - log_z
+
+
+# ---------------------------------------------------------------------------
+# Posterior sample: whole streams, each solved back by LU, stacked and cut to n
+# ---------------------------------------------------------------------------
+
+
+def sample_posterior_loop(post, n: int, seed: int, chunk: int = 1 << 16):
+    """``sample_posterior``'s draws and weights, computed stream by stream.
+
+    Stream i draws ``chunk`` rows from the i-th child of ``SeedSequence(seed)``
+    and maps them back to factors with ``np.linalg.solve`` (the identity map
+    keeps them as drawn).  The streams are stacked and cut to n rows; the
+    weights are exp(log w - max) over those n rows, normalised to mean one.
+    Returns ``(z, weights)``, weights None for exact draws.
+    """
+    v = post.view_map.matrix
+    z, log_w = [], []
+    for child in np.random.SeedSequence(seed).spawn(-(-n // chunk)):
+        xy, lw = post.draw(chunk, np.random.default_rng(child))
+        z.append(xy if np.array_equal(v, np.eye(v.shape[0])) else np.linalg.solve(v, xy.T).T)
+        log_w.append(lw)
+    z = np.vstack(z)[:n]
+    if log_w[0] is None:
+        return z, None
+    kept = np.concatenate(log_w)[:n]
+    w = np.exp(kept - kept.max())
+    return z, w / w.mean()
 
 
 # ---------------------------------------------------------------------------

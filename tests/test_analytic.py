@@ -1,5 +1,8 @@
 """Closed-form Gaussian-conditional posterior and its marginals."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import tiltcal as tc
+from tiltcal import analytic, cli
 from conftest import (
     SIX_INDEX_COV,
     SIX_INDEX_LABELS,
@@ -264,3 +268,29 @@ class TestMarginalPanelRule:
         with pytest.raises(tc.QuadratureFailure, match="relative error"):
             tc.posterior_marginal_y1(two_asset_posterior, np.linspace(0.0, 3.0, 7),
                                      rel_tol=1e-300)
+
+
+def test_permutation_map_marginal_and_sensitivities_match_the_solve(tmp_path):
+    """On six_index_heavy_tail's permutation map, w @ V^-1 is V^-T w bit for bit.
+
+    ``posterior_marginal_linear`` and the sensitivities task once took their
+    view weights from ``np.linalg.solve(V.T, w)``; both results are unchanged.
+    """
+    spec = cli.load_spec(str(Path(__file__).parents[1] / "perfbench" / "workloads"
+                             / "six_index_heavy_tail.json"))
+    runner = cli._TaskRunner(spec)
+    post = runner.posterior()
+    v = post.view_map.matrix
+    grid = np.linspace(-0.12, 0.12, 41)
+    for w in np.eye(6):
+        want = analytic._marginal_from_view_weights(post, np.linalg.solve(v.T, w), grid, 1e-6)
+        assert np.array_equal(tc.posterior_marginal_linear(post, w, grid), want)
+    task = next(task for task in spec.tasks if task.type == "sensitivities")
+    runner.run_task(task, str(tmp_path), None, None)
+    w_z, wrt_loc = task.args
+    report = tc.sensitivities(post, r_weights=np.linalg.solve(v.T, w_z), wrt_loc=wrt_loc)
+    written = json.loads((tmp_path / "sensitivities.json").read_text())
+    assert written["d_pi_d_c"] == report.d_pi_d_c.tolist()
+    assert written["V"] == report.v_matrix.tolist()
+    assert written["U"] == report.u_matrix.tolist()
+    assert written["d_pi_d_loc"] == report.d_pi_d_loc

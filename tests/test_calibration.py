@@ -1,5 +1,7 @@
 """Dual evaluation, Newton solve, and existence/uniqueness diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -755,6 +757,45 @@ class TestGenericPrior:
             tc.existence_check(generic, views, n_samples=2_000)
         with pytest.raises(ValueError, match="identity view map"):
             tc.independence_check(generic, views)
+
+    @pytest.mark.parametrize("dims", [(3, 7), (1, 2), (0, 2), (2, 0)], ids=str)
+    def test_declared_dimensions_must_fit_the_views(self, dims):
+        """x_dim = k1 and x_dim + y_dim = n, or no entry point takes the prior."""
+        views = self._views()
+        generic = dataclasses.replace(self._generic(), x_dim=dims[0], y_dim=dims[1])
+        with pytest.raises(ValueError, match="declares x_dim"):
+            tc.build_dual_problem(generic, views, n_x=50, n_y=8)
+        with pytest.raises(ValueError, match="declares x_dim"):
+            tc.existence_check(generic, views, n_samples=2_000)
+        with pytest.raises(ValueError, match="declares x_dim"):
+            tc.independence_check(generic, views)
+
+    def test_callbacks_must_return_y_dim_columns(self):
+        """A sampler or a rule with 3 columns of y for y_dim = 1 is named in the error."""
+        good = self._generic()
+        wide = dataclasses.replace(
+            good,
+            conditional_sampler=lambda x, rng: np.tile(good.sample(x, rng), 3),
+            conditional_quadrature=lambda x, n: (np.zeros((x.shape[0], n, 3)),
+                                                 np.full((x.shape[0], n), 1.0 / n)),
+        )
+        x = np.zeros((4, 1))
+        with pytest.raises(ValueError, match="conditional_sampler returned 3 columns"):
+            wide.sample(x, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="conditional_quadrature returned 3 columns"):
+            wide.rule(x, 8)
+        with pytest.raises(ValueError, match="conditional_sampler returned 3 columns"):
+            dataclasses.replace(wide, conditional_quadrature=None).rule(
+                x, 8, np.random.default_rng(0))
+
+    def test_wide_sampler_stops_posterior_sampling(self):
+        """Once a silent (1000, 4) batch on a 2-factor map; the rule itself is fine."""
+        good = self._generic()
+        wide = dataclasses.replace(
+            good, conditional_sampler=lambda x, rng: np.tile(good.sample(x, rng), 3))
+        problem = tc.build_dual_problem(wide, self._views(), n_x=500, n_y=32)
+        with pytest.raises(ValueError, match="conditional_sampler returned 3 columns"):
+            tc.sample_posterior(problem.posterior(np.zeros(1)), 1_000, seed=0)
 
     def test_sampler_only_prior_dual_but_no_posterior_sampling(self):
         """Nested Monte Carlo needs a seeded generator; the importance sampler has none."""

@@ -19,7 +19,14 @@ from conftest import (
     heavy_tail_views,
     random_gaussian_linear_problem,
 )
-from oracles import price_tilted_lognormal_2d, tilted_draw_unblocked, var_bootstrap_loop
+from oracles import (
+    price_tilted_lognormal_2d,
+    sample_posterior_loop,
+    tilted_draw_unblocked,
+    var_bootstrap_loop,
+)
+
+WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads"
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +231,85 @@ class TestSamplePosterior:
             y = batch.z_samples[:, 1]
             se = y.std(ddof=1) / np.sqrt(n)
             assert abs(y.mean() - 1.5) <= 4 * se
+
+
+# ---------------------------------------------------------------------------
+# Streams: how a seed becomes n posterior draws
+# ---------------------------------------------------------------------------
+
+
+class GaussianStub:
+    """Weighted draws that depend on the generator alone: normal draws and log-weights."""
+
+    view_map = tc.LinearViewMap.identity(2, 1, 2)
+
+    def draw(self, n, rng):
+        return rng.standard_normal((n, 2)), rng.standard_normal(n)
+
+
+class HeavyDroppedRowsStub:
+    """Unit-weight draws, except that rows past a stream's first 1,000 have log-weight 800."""
+
+    view_map = tc.LinearViewMap.identity(2, 1, 2)
+
+    def draw(self, n, rng):
+        return rng.standard_normal((n, 2)), np.where(np.arange(n) < 1000, 0.0, 800.0)
+
+
+class TestStreams:
+    NS = (0, 1, 65_535, 65_536, 65_537, 131_073)
+
+    @pytest.mark.parametrize("kind", ["closed-form", "weighted-stub"])
+    def test_streams_yield_n_rows_whose_prefixes_agree(self, two_asset_posterior, kind):
+        """n rows in all, in streams of at most 2^16; the first m rows agree for every n >= m."""
+        post = two_asset_posterior if kind == "closed-form" else GaussianStub()
+        runs = {}
+        for n in self.NS:
+            streams = list(calibration._streams(post, n, 9))
+            assert all(xy.shape[0] <= calibration._CHUNK for xy, _ in streams)
+            xy = np.vstack([xy for xy, _ in streams] or [np.zeros((0, 2))])
+            log_w = [lw for _, lw in streams]
+            assert xy.shape == (n, 2)
+            if kind == "closed-form":
+                assert all(lw is None for lw in log_w)
+                runs[n] = xy, None
+            else:
+                runs[n] = xy, np.concatenate(log_w or [np.zeros(0)])
+                assert runs[n][1].shape == (n,)
+        longest = runs[self.NS[-1]]
+        for n, (xy, log_w) in runs.items():
+            assert np.array_equal(xy, longest[0][:n])
+            if log_w is not None:
+                assert np.array_equal(log_w, longest[1][:n])
+
+    def test_dropped_draws_do_not_enter_the_weights(self):
+        """The max that normalises the weights is taken over the kept draws only.
+
+        Over the whole stream it would be 800, every kept weight would underflow
+        to 0 and their mean-one normalisation would be 0 / 0.
+        """
+        batch = tc.sample_posterior(HeavyDroppedRowsStub(), 1000, seed=0)
+        assert np.array_equal(batch.weights, np.ones(1000))
+
+    @pytest.mark.parametrize("workload", ["six_index_heavy_tail", "option_chain"])
+    def test_sample_posterior_equals_the_stream_loop_oracle(self, workload):
+        """The var task's batch at seed 0, bit for bit in z, in z @ w (so its layout) and w."""
+        spec = cli.load_spec(str(WORKLOADS / f"{workload}.json"))
+        post = cli._TaskRunner(spec).posterior()
+        task = next(task for task in spec.tasks if task.type == "var")
+        batch = tc.sample_posterior(post, task.n_samples, seed=0)
+        z, w = sample_posterior_loop(post, task.n_samples, 0)
+        assert np.array_equal(batch.z_samples, z)
+        portfolio = task.args[0]
+        assert np.array_equal(batch.z_samples @ portfolio, z @ portfolio)
+        if w is None:
+            assert batch.weights is None
+        else:
+            assert np.array_equal(batch.weights, w)
+
+    def test_no_draws_is_a_value_error(self, two_asset_posterior):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            tc.sample_posterior(two_asset_posterior, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +676,20 @@ class TestPriceOption:
                      calibrated_stock_problem()[0]):
             res = tc.price_option(post, lambda x, y: 1.0, 0.0, n_samples=1000)
             assert res.price == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [1e4, 1e8, 1e9])
+    def test_large_mean_keeps_the_standard_error(self, shift):
+        """Monte Carlo sums deviations from a reference, so shift + y keeps y's SE."""
+        prior = tc.GaussianPrior([0.0, 0.0], [[2.0, 1.0], [1.0, 1.5]])
+        views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 2), tc.GaussianDensity(0.0, 1.0),
+                           (tc.MomentView(target=0.5, coord=0),))
+        post = tc.build_posterior(prior, views)
+        base = tc.price_option(post, lambda x, y: y[..., 0], 0.0, n_samples=200_000, seed=3)
+        res = tc.price_option(post, lambda x, y: shift + y[..., 0], 0.0,
+                              n_samples=200_000, seed=3)
+        assert base.std_error > 0.002
+        assert res.std_error == pytest.approx(base.std_error, rel=1e-6)
+        assert res.price - shift == pytest.approx(base.price, abs=max(1e-7, 2 * np.spacing(shift)))
 
     def test_calibration_instrument_reprices_to_target(self):
         post, report, payoff, target, _, _, discount, _ = calibrated_stock_problem()

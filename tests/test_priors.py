@@ -145,6 +145,60 @@ class TestLinearViewMap:
             tc.LinearViewMap(np.eye(2), 2, 1)
 
 
+WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads"
+
+
+class TestViewMapInverse:
+    """``invert`` multiplies by the stored V^-1 where it once solved V u = z by LU."""
+
+    U = np.random.default_rng(8).standard_normal((1000, 6)) * 3.0
+
+    def test_identity_invert_returns_its_input(self):
+        vmap = tc.LinearViewMap.identity(6, 1, 6)
+        assert np.array_equal(vmap.inverse, np.eye(6))
+        assert vmap.invert(self.U) is self.U
+        assert np.array_equal(vmap.invert(self.U), np.linalg.solve(vmap.matrix, self.U.T).T)
+
+    @pytest.mark.parametrize("order", [
+        "six_index_heavy_tail", "six_index_mean_audit", [5, 4, 3, 2, 1, 0], [2, 0, 1],
+    ], ids=str)
+    def test_permutation_invert_is_the_solve_bit_for_bit(self, order):
+        """Values and F order, for a batch and a single vector."""
+        if isinstance(order, str):
+            vmap = cli.load_spec(str(WORKLOADS / f"{order}.json")).views.view_map
+        else:
+            vmap = tc.LinearViewMap.from_permutation(order, 1, len(order))
+        u = self.U[:, :vmap.n]
+        got, want = vmap.invert(u), np.linalg.solve(vmap.matrix, u.T).T
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous and want.flags.f_contiguous
+        assert np.array_equal(vmap.invert(u[3]), np.linalg.solve(vmap.matrix, u[3]))
+        assert np.array_equal(vmap.inverse, vmap.matrix.T)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3], ids=lambda s: f"seed={s}")
+    def test_dense_invert_agrees_with_the_solve(self, seed):
+        """The README map, then random well-conditioned maps of 2 to 6 factors."""
+        if seed is None:
+            matrix = TWO_ASSET_MAP
+        else:
+            rng = np.random.default_rng(seed)
+            n = 2 + seed + (seed > 1)
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            matrix = q + 0.1 * rng.standard_normal((n, n))
+            assert np.linalg.cond(matrix) < 10.0
+        vmap = tc.LinearViewMap(matrix, 1, matrix.shape[0])
+        u = self.U[:, :vmap.n]
+        got, want = vmap.invert(u), np.linalg.solve(vmap.matrix, u.T).T
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert got.flags.f_contiguous
+
+    def test_inverse_is_read_only(self):
+        vmap = tc.LinearViewMap(TWO_ASSET_MAP, 1, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            vmap.inverse[0, 0] = 1.0
+        np.testing.assert_allclose(vmap.inverse @ vmap.matrix, np.eye(2), atol=1e-15)
+
+
 class TestTransformPrior:
     def test_two_asset_values(self):
         prior = tc.GaussianPrior(TWO_ASSET_MEAN, TWO_ASSET_COV)
