@@ -207,9 +207,13 @@ class GaussianMarginalPosterior:
         u = np.concatenate([self.e_g_x, self.y_mean()])
         return self.view_map.invert(u)
 
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, None]:
-        """n exact draws of (X, Y) in view coordinates, X ~ g then Y | X; no log-weights."""
-        return np.column_stack(_draw_xy(self.marginal, self.conditional, n, rng)), None
+    def draw(self, n: int, rng: np.random.Generator,
+             keep: int | None = None) -> tuple[np.ndarray, None]:
+        """The first ``keep`` (default n) of n exact draws of (X, Y) in view coordinates.
+
+        X ~ g then Y | X (``_draw_xy``); there are no log-weights.
+        """
+        return np.column_stack(_draw_xy(self.marginal, self.conditional, n, rng, keep)), None
 
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, float, str]:
         """Monte Carlo mean and standard error of payoff(x, y); NonIntegrablePayoff if inf/NaN.
@@ -401,20 +405,30 @@ def _location_score(marginal):
 def _streams(post, n: int, seed: int):
     """Yield the n draws of ``post`` from ``seed``, in view coordinates, and their log-weights.
 
-    Stream i draws a full ``_CHUNK`` from the i-th child of ``SeedSequence(seed)`` and yields
-    the rows the run keeps, so the first m rows are the same for every n >= m and the
-    streams can be drawn in parallel or serially with the same result.
+    Stream i is a ``_CHUNK`` of draws from the i-th child of ``SeedSequence(seed)``, of
+    which ``post.draw(_CHUNK, rng, keep)`` returns the rows the run keeps, bit for bit the
+    first rows of the whole chunk.  So the first m rows are the same for every n >= m and
+    the streams can be drawn in parallel or serially with the same result.
     """
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n // _CHUNK))):
-        keep, rng = n - i * _CHUNK, np.random.default_rng(child)
-        # bind no name to the whole chunk, so it is freed before the next draw
-        yield tuple(a if a is None else a[:keep] for a in post.draw(_CHUNK, rng))
+        yield post.draw(_CHUNK, np.random.default_rng(child), min(n - i * _CHUNK, _CHUNK))
 
 
-def _draw_xy(marginal, law, n: int, rng: np.random.Generator):
-    """n draws of X ~ g, shape (n, 1) or (n, 0) without a marginal view, then Y | X from law."""
-    x = np.zeros((n, 0)) if marginal is None else marginal.sample(n, rng)[:, None]
-    return x, law.sample(x, rng)
+def _draw_xy(marginal, law, n: int, rng: np.random.Generator, keep: int | None = None):
+    """The first ``keep`` (default n) of n draws of X ~ g, then Y | X from law.
+
+    X has shape (keep, 1), or (keep, 0) without a marginal view.  Its
+    uniforms are drawn for all n rows, but only the kept rows are
+    transformed and conditioned when the law draws row by row
+    (``law.draws_by_row``); else, as a generic sampler may use the generator
+    in any pattern, all n are and the rest are dropped.  At least two rows
+    go through the transform, as a matrix product of one row takes another
+    BLAS path, which may round differently.
+    """
+    keep = n if keep is None else keep
+    rows = min(max(keep, 2), n) if law.draws_by_row else n
+    x = np.zeros((rows, 0)) if marginal is None else marginal.sample(n, rng, rows)[:, None]
+    return x[:keep], law.sample(x, rng)[:keep]
 
 
 def conditional_law(prior, views: ViewSet):
@@ -570,9 +584,11 @@ class TiltedPosterior:
         """The problem's view map; None for a ``from_discrete`` problem, which has no views."""
         return getattr(self.problem.views, "view_map", None)
 
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """n prior-conditional draws of (X, Y) and their log-weights lam . h(x, y) - log Z(x).
+    def draw(self, n: int, rng: np.random.Generator,
+             keep: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``keep`` (default n) of n prior-conditional draws of (X, Y), and log-weights.
 
+        The draws come from ``_draw_xy``; a draw's log-weight is lam . h(x, y) - log Z(x).
         log Z(x) takes the problem's own law and rule size n_y, in blocks of
         draws of at most ``_BLOCK_VALUES`` rule nodes; each row depends only on
         its own draw, so the blocks change no value.  A ``from_discrete``
@@ -587,10 +603,10 @@ class TiltedPosterior:
                 "importance sampling needs a from_prior problem whose rule has at most n_y "
                 "nodes per draw: one conditional dimension for a Gaussian prior"
             )
-        x, y = _draw_xy(views.marginal, law, n, rng)
-        log_z = np.empty(n)
+        x, y = _draw_xy(views.marginal, law, n, rng, keep)
+        log_z = np.empty(x.shape[0])
         rows = max(1, _BLOCK_VALUES // problem.y_nodes.shape[1])
-        for start in range(0, n, rows):
+        for start in range(0, x.shape[0], rows):
             block = x[start:start + rows]
             nodes, log_w = law.rule(block, problem.n_y)
             scores = np.einsum("k,knj->nj", lam,
@@ -744,15 +760,16 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
     return "boundary"
 
 
-def independence_check(prior, views: ViewSet) -> float:
-    """Smallest eigenvalue of ``build_dual_problem``'s Hessian E_g[Cov(h | X)] at lam = 0.
+def independence_check(prior, views: ViewSet, *, problem=None,
+                       n_x: int = 10_000, n_y: int = 64) -> float:
+    """Smallest eigenvalue of the dual Hessian E_g[Cov(h | X)] at lam = 0.
 
     A positive value certifies (numerically) the linear-independence
     hypothesis that makes the calibrated model unique; NaN without moment
-    views.  It is ``solve_lambda_newton``'s ``independence_min_eig`` bit for
-    bit when both build the problem alike: always for the closed form, and
-    for the quadrature backend at the default n_x and n_y, which this check
-    uses whatever a spec's solver section says.
+    views.  The problem is ``problem``, else ``build_dual_problem`` at n_x
+    and n_y, as in ``solve_lambda_newton``; given the same problem or sizes,
+    it is that solve's ``independence_min_eig`` bit for bit.
     """
-    problem = build_dual_problem(prior, views)
+    if problem is None:
+        problem = build_dual_problem(prior, views, n_x=n_x, n_y=n_y)
     return _min_eigenvalue(problem.dual_state(np.zeros(problem.n_moments)).hessian)

@@ -146,8 +146,8 @@ class Task:
     """A checked task: ``_TaskRunner._task_<type>`` runs it on ``args``."""
 
     type: str
-    n_samples: int
-    seed: int
+    n_samples: int | None  # None, like seed, for a task that draws no samples
+    seed: int | None
     args: tuple
 
 
@@ -203,10 +203,13 @@ def _read_spec(doc, base_dir: str) -> CalibrationSpec:
         _require(isinstance(task, dict) and isinstance(task.get("type"), str)
                  and task["type"] in _TASKS, f"unknown task entry {task!r}")
         reader, default_samples, fields = _TASKS[task["type"]]
-        _known_keys(task, {"type", "n_samples", "seed", *fields}, f"{task['type']} task")
+        draws = default_samples is not None
+        _known_keys(task, {"type", *fields} | ({"n_samples", "seed"} if draws else set()),
+                    f"{task['type']} task")
         records.append(Task(task["type"],
-                            _integer(task.get("n_samples", default_samples), "task n_samples", 1),
-                            _integer(task.get("seed", 0), "task seed", 0),
+                            _integer(task.get("n_samples", default_samples), "task n_samples", 1)
+                            if draws else None,
+                            _integer(task.get("seed", 0), "task seed", 0) if draws else None,
                             reader(task, n, views)))
     return CalibrationSpec(prior, views, labels, records, _parse_solver(doc.get("solver", {})))
 
@@ -270,13 +273,14 @@ def _parse_sensitivities_task(task: dict, n: int, views: ViewSet):
 
 
 # Task type -> (reader (task, n, views) -> args of _TaskRunner._task_<type>, default n_samples,
-# the task's own keys besides type, n_samples and seed).
+# or None for a task that draws no samples and so takes no n_samples or seed key, the task's
+# own keys besides type, n_samples and seed).
 _TASKS = {
     "calibrate": (_parse_calibrate_task, 100_000, {"check_existence"}),
     "var": (_parse_var_task, 100_000, {"levels", "weights", "notional"}),
     "price": (_parse_price_task, 200_000, {"payoff", "discount"}),
-    "tail": (_parse_tail_task, 100_000, {"coord", "s_max", "n_points"}),
-    "sensitivities": (_parse_sensitivities_task, 100_000, {"r", "wrt_loc"}),
+    "tail": (_parse_tail_task, None, {"coord", "s_max", "n_points"}),
+    "sensitivities": (_parse_sensitivities_task, None, {"r", "wrt_loc"}),
 }
 
 
@@ -468,10 +472,13 @@ class _TaskRunner:
 
     # -- tasks -------------------------------------------------------------
     def run_task(self, task: Task, stage: str, seed: int | None, samples: int | None):
-        """Run a checked task; ``seed`` and ``samples``, when given, override its own."""
-        getattr(self, f"_task_{task.type}")(*task.args,
-                                            task.n_samples if samples is None else samples,
-                                            task.seed if seed is None else seed, stage)
+        """Run a checked task; ``seed`` and ``samples``, when given, override its own.
+
+        A task that draws no samples has neither, and takes neither.
+        """
+        draws = () if task.n_samples is None else (
+            task.n_samples if samples is None else samples, task.seed if seed is None else seed)
+        getattr(self, f"_task_{task.type}")(*task.args, *draws, stage)
 
     def _task_calibrate(self, check_existence: bool, n_samples: int, seed: int, stage: str):
         post = self.posterior()
@@ -545,14 +552,14 @@ class _TaskRunner:
             "method": result.method,
         })
 
-    def _task_tail(self, coord: int, s_max, n_points: int, n_samples: int, seed: int, stage: str):
+    def _task_tail(self, coord: int, s_max, n_points: int, stage: str):
         report = tail_ratio_probe(self.posterior(), coord=coord, s_max=s_max, n_points=n_points)
         rows = [(s, m, report.target_ratio)
                 for s, m in zip(report.probe_points, report.measured_ratios)]
         _write_csv(os.path.join(stage, "tail.csv"),
                    ["s", "measured_ratio", "target_ratio"], rows, self.stamp)
 
-    def _task_sensitivities(self, w_z, wrt_loc: bool, n_samples: int, seed: int, stage: str):
+    def _task_sensitivities(self, w_z, wrt_loc: bool, stage: str):
         post = self.posterior()
         # r = w . Z = (V^-T w) . (x, y)
         r_view = w_z @ post.view_map.inverse

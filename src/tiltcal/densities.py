@@ -57,9 +57,12 @@ class MarginalDensity:
     def mean(self) -> float:
         raise NotImplementedError
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-CDF sampling; deterministic given the generator state."""
-        return self.ppf(rng.random(n))
+    def sample(self, n: int, rng: np.random.Generator, keep: int | None = None) -> np.ndarray:
+        """Inverse-CDF sampling of the first ``keep`` (default n) of n uniforms.
+
+        Deterministic given the generator state, which moves past all n.
+        """
+        return self.ppf(rng.random(n)[:keep])
 
     def quadrature_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights integrating smooth functions against the density.

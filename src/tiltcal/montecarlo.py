@@ -76,7 +76,7 @@ def sample_posterior(post, n: int, seed: int = 0) -> SampleBatch:
     for xy, log_w in _streams(post, n, seed):
         chunks.append(post.view_map.invert(xy))
         logw.append(log_w)
-        del xy  # a view of the whole chunk; invert copied it unless the map is the identity
+        del xy  # invert copied it unless the map is the identity: free it before the next draw
     z = np.vstack(chunks)
     if logw[0] is None:
         return SampleBatch(z, seed)
@@ -99,33 +99,26 @@ class VarReport:
         return list(zip(self.levels, self.var_values, self.std_errors))
 
 
-def _count_quantiles(v: np.ndarray, w: np.ndarray | None, counts: np.ndarray,
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """numpy's default ('linear') quantile between order statistics a <= b at fraction t."""
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def _count_quantiles(v: np.ndarray, w: np.ndarray, counts: np.ndarray,
                      q: np.ndarray) -> np.ndarray:
-    """Quantiles at ``q`` of the sample holding ``counts[i]`` copies of ``v[i]``.
+    """Weighted quantiles at ``q`` of the sample holding ``counts[i]`` copies of ``v[i]``.
 
-    ``v`` is sorted ascending and ``w`` (None when unweighted) holds the
-    per-copy weights in the same order.  The expanded sorted sample is never
-    built; its order statistics and cumulative weights are read off the
-    cumulative counts by binary search.
-
-    Unweighted, this is numpy's default ('linear') quantile: the two order
-    statistics around (m - 1) q, m = counts.sum(), combined by numpy's lerp.
-    Weighted, it is ``np.interp(q * total, knots, values)`` over the expanded
+    ``v`` is sorted ascending and ``w`` holds the per-copy weights in the same
+    order.  The expanded sorted sample is never built; its cumulative
+    weights are read off the cumulative counts by binary search.  The
+    quantile is ``np.interp(q * total, knots, values)`` over the expanded
     sample with each copy's knot at the midpoint of its cumulative weight:
     a value with c copies of weight w spans the knots start + w/2 ..
     end - w/2 and is joined linearly to the neighbouring present values.
     """
     n_le = np.cumsum(counts)  # copies with rank <= i
     m = n_le[-1]
-    if w is None:
-        pos = (m - 1) * q
-        lo = np.minimum(np.floor(pos).astype(np.intp), m - 1)
-        hi = np.minimum(lo + 1, m - 1)
-        a = v[np.searchsorted(n_le, lo, side="right")]
-        b = v[np.searchsorted(n_le, hi, side="right")]
-        t = pos - lo
-        diff = b - a
-        return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
     mass = np.cumsum(counts * w)
     if mass[-1] == 0.0:  # every draw has zero weight: no quantile
         return np.full(q.shape, np.nan)
@@ -147,23 +140,57 @@ def _count_quantiles(v: np.ndarray, w: np.ndarray | None, counts: np.ndarray,
     return np.where(interp, slope * (t - x0) + y0, v[k])
 
 
+def _resample_ranks(n: int, ks: np.ndarray, n_boot: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Ranks in the sorted batch of order statistics ``ks`` of ``n_boot`` resamples.
+
+    ``ks`` is ascending.  A resample's k-th order statistic (0-based) is
+    row floor(n U_(k+1)) of the sorted batch, U_(j) the j-th of n uniform
+    order statistics; they are drawn in order, all resamples at once, by
+    U_(k+1) = U_(k'+1) + (1 - U_(k'+1)) Beta(k - k', n - k) from the previous
+    k' (U_(0) = 0).  Returns shape (n_boot, ks.size).
+    """
+    ranks = np.empty((n_boot, ks.size), dtype=np.intp)
+    u, prev = np.zeros(n_boot), -1
+    for j, k in enumerate(ks):
+        u += (1.0 - u) * rng.beta(k - prev, n - k, n_boot)
+        ranks[:, j] = np.minimum(np.floor(n * u).astype(np.intp), n - 1)
+        prev = k
+    return ranks
+
+
 def _bootstrap_quantiles(returns: np.ndarray, weights: np.ndarray | None,
                          q: np.ndarray, n_boot: int, boot_seed: int) -> np.ndarray:
     """Quantiles of the returns (row 0) and of ``n_boot`` bootstrap resamples.
 
     The returns are sorted once (stably, so tied returns keep their row
-    order).  Resample b is the rows ``rng.integers(0, n, n)``, the b-th such
-    draw from ``default_rng(boot_seed)``; it enters only as the count of
-    draws per rank.
+    order) and every generator is ``default_rng(boot_seed)``.  Unweighted,
+    a quantile reads the two order statistics around (n - 1) q, and a
+    resample's are drawn straight from their exact joint law
+    (``_resample_ranks``): the resamples then cost O(n_boot) per order
+    statistic, not O(n) each.  Weighted, a quantile depends on every row's
+    weight, so resample b is the rows ``rng.integers(0, n, n)``, the b-th
+    such draw, entering as the count of draws per rank.
     """
     n = returns.size
     order = np.argsort(returns, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
     v = returns[order]
-    w = None if weights is None else weights[order]
     rng = np.random.default_rng(boot_seed)
     out = np.empty((n_boot + 1, q.size))
+    if weights is None:
+        pos = (n - 1) * q
+        lo = np.minimum(np.floor(pos).astype(np.intp), n - 1)
+        hi = np.minimum(lo + 1, n - 1)
+        t = pos - lo
+        out[0] = _lerp(v[lo], v[hi], t)
+        ks = np.union1d(lo, hi)
+        ranks = _resample_ranks(n, ks, n_boot, rng)
+        out[1:] = _lerp(v[ranks[:, np.searchsorted(ks, lo)]],
+                        v[ranks[:, np.searchsorted(ks, hi)]], t)
+        return out
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    w = weights[order]
     out[0] = _count_quantiles(v, w, np.ones(n, dtype=np.intp), q)
     for b in range(1, n_boot + 1):
         counts = np.bincount(rank[rng.integers(0, n, n)], minlength=n)
@@ -180,10 +207,13 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
     any level above the return median: numpy's default ('linear') quantile
     for an exact batch, the interpolated midpoint-weight quantile for an
     importance-weighted one.  Standard errors come from ``n_boot`` bootstrap
-    resamples of the batch, the row draws ``rng.integers(0, n, n)`` of
-    ``default_rng(boot_seed)``.  The returns are sorted once and each
-    resample's quantiles are read from its per-rank draw counts, so the
-    cost per resample is linear in n with no sort.  Raises
+    resamples of the batch, drawn from ``default_rng(boot_seed)``
+    (``_bootstrap_quantiles``).  The returns are sorted once.  An exact
+    batch's resamples draw only the order statistics its quantiles read,
+    from their exact joint law, so they cost no work linear in n; an
+    importance-weighted batch's resamples are the row draws
+    ``rng.integers(0, n, n)``, each read from its per-rank draw counts in
+    time linear in n with no sort.  Raises
     InsufficientSamples when fewer than 20 samples are expected beyond some
     level, counting a batch by its Kish effective sample size ``batch.ess``.
     """

@@ -141,6 +141,9 @@ class GaussianConditional:
     slope: np.ndarray
     cov: np.ndarray
 
+    # sample(x[:m], rng) is sample(x, rng)[:m] from the same generator state
+    draws_by_row = True
+
     def __post_init__(self):
         for name in ("intercept", "slope", "cov"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
@@ -303,6 +306,9 @@ class GenericPrior:
     conditional_sampler: Callable | None = None
     conditional_quadrature: Callable | None = None
     label: str = field(default="generic")
+
+    # the sampler may use the generator in any pattern, so it always gets a whole chunk
+    draws_by_row = False
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
         """One draw of Y | X = x per row of x; shape (n, y_dim)."""

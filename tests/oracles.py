@@ -541,3 +541,15 @@ def var_bootstrap_loop(returns: np.ndarray, q, weights: np.ndarray | None,
         bw = None if weights is None else weights[idx]
         boot[b] = _weighted_quantile(returns[idx], q, bw)
     return point, boot
+
+
+def bootstrap_resamples_sorted(returns: np.ndarray, n_boot: int, boot_seed: int) -> np.ndarray:
+    """``var_bootstrap_loop``'s unweighted resamples, each sorted: shape (n_boot, n).
+
+    Resample b is the rows ``rng.integers(0, n, n)`` of the b-th draw from
+    ``default_rng(boot_seed)``; column k holds every resample's k-th order
+    statistic.
+    """
+    n = returns.size
+    rng = np.random.default_rng(boot_seed)
+    return np.sort(np.stack([returns[rng.integers(0, n, n)] for _ in range(n_boot)]), axis=1)

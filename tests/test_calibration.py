@@ -633,6 +633,17 @@ class TestIndependence:
         assert eig == tc.solve_lambda_newton(prior, views).independence_min_eig
         assert eig == pytest.approx(expected, rel=1e-12, abs=0)
 
+    def test_solver_sizes_reach_the_check(self):
+        """At n_x = 2,000 and n_y = 16, by sizes or by the solve's own problem, as Newton."""
+        prior, views = self._option_chain()
+        sizes = {"n_x": 2000, "n_y": 16}
+        newton = tc.solve_lambda_newton(prior, views, **sizes).independence_min_eig
+        assert newton == pytest.approx(0.15839245347692096, rel=1e-12, abs=0)
+        assert tc.independence_check(prior, views, **sizes) == newton
+        problem = tc.build_dual_problem(prior, views, **sizes)
+        assert tc.independence_check(prior, views, problem=problem) == newton
+        assert tc.independence_check(prior, views) != newton  # the default 10,000 x 64
+
     def test_no_moment_views_give_nan(self, two_asset_prior):
         views = tc.ViewSet(tc.LinearViewMap(TWO_ASSET_MAP, 1, 1),
                            tc.StudentTDensity(**TWO_ASSET_T), ())

@@ -543,6 +543,32 @@ class TestRun:
         assert repr(key) in error["detail"]
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("key, value", [("n_samples", 50_000), ("seed", 3)])
+    @pytest.mark.parametrize("task", [
+        {"type": "tail", "coord": 0},
+        {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}},
+    ], ids=["tail", "sensitivities"])
+    def test_sample_keys_on_a_task_that_draws_none_exit_3(self, tmp_path, capsys, task, key,
+                                                          value):
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, two_asset_spec([task | {key: value}])), str(out)) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "validation"
+        assert repr(key) in error["detail"] and task["type"] in error["detail"]
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_quadrature_price_ignores_its_sample_keys(self, tmp_path):
+        """A node-tensor price reads neither n_samples nor seed: the reports are identical."""
+        reports = []
+        for i, keys in enumerate([{}, {"n_samples": 5, "seed": 11}]):
+            doc = payoff_spec()
+            doc["tasks"][1] |= keys
+            out = tmp_path / f"out{i}"
+            assert run(_write_spec(tmp_path, doc, f"spec{i}.json"), str(out)) == 0
+            reports.append(json.loads((out / "price.json").read_text()))
+        assert reports[0]["method"] == "quadrature"
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("text", [json.dumps(two_asset_spec())[:-7], ""],
                              ids=["truncated", "empty"])
     def test_malformed_json_text_exits_3(self, tmp_path, capsys, text):
@@ -681,7 +707,9 @@ WORKLOAD_SPECS = sorted(WORKLOAD_DIR.glob("*.json"))
 def test_benchmark_specs_load_as_checked_tasks(path):
     tasks = json.loads(path.read_text())["tasks"]
     spec = cli.load_spec(str(path))
+    draws_none = ("tail", "sensitivities")  # no n_samples or seed
     assert [(t.type, t.n_samples, t.seed) for t in spec.tasks] == [
+        (t["type"], None, None) if t["type"] in draws_none else
         (t["type"], t.get("n_samples", 200_000 if t["type"] == "price" else 100_000),
          t.get("seed", 0)) for t in tasks]
 

@@ -20,6 +20,7 @@ from conftest import (
     random_gaussian_linear_problem,
 )
 from oracles import (
+    bootstrap_resamples_sorted,
     price_tilted_lognormal_2d,
     sample_posterior_loop,
     tilted_draw_unblocked,
@@ -243,8 +244,8 @@ class GaussianStub:
 
     view_map = tc.LinearViewMap.identity(2, 1, 2)
 
-    def draw(self, n, rng):
-        return rng.standard_normal((n, 2)), rng.standard_normal(n)
+    def draw(self, n, rng, keep=None):
+        return rng.standard_normal((n, 2))[:keep], rng.standard_normal(n)[:keep]
 
 
 class HeavyDroppedRowsStub:
@@ -252,8 +253,9 @@ class HeavyDroppedRowsStub:
 
     view_map = tc.LinearViewMap.identity(2, 1, 2)
 
-    def draw(self, n, rng):
-        return rng.standard_normal((n, 2)), np.where(np.arange(n) < 1000, 0.0, 800.0)
+    def draw(self, n, rng, keep=None):
+        log_w = np.where(np.arange(n) < 1000, 0.0, 800.0)
+        return rng.standard_normal((n, 2))[:keep], log_w[:keep]
 
 
 class TestStreams:
@@ -310,6 +312,59 @@ class TestStreams:
     def test_no_draws_is_a_value_error(self, two_asset_posterior):
         with pytest.raises(ValueError, match="n must be at least 1"):
             tc.sample_posterior(two_asset_posterior, 0)
+
+    @pytest.mark.parametrize("workload", ["six_index_heavy_tail", "option_chain"])
+    def test_kept_rows_are_the_first_rows_of_the_whole_chunk(self, workload):
+        """draw(n, rng, keep) is draw(n, rng)[:keep] bit for bit, one kept row included.
+
+        A one-row matrix product may round unlike the whole chunk's (it does at
+        about one seed in three on the six-index conditional), hence eight seeds.
+        """
+        spec = cli.load_spec(str(WORKLOADS / f"{workload}.json"))
+        post = cli._TaskRunner(spec).posterior()
+        for seed in range(8):
+            whole = post.draw(calibration._CHUNK, np.random.default_rng(seed))
+            for keep in (1, 2, 17, 34_464, calibration._CHUNK) if seed == 0 else (1,):
+                xy, log_w = post.draw(calibration._CHUNK, np.random.default_rng(seed), keep)
+                assert np.array_equal(xy, whole[0][:keep])
+                assert (log_w is None) == (whole[1] is None)
+                if log_w is not None:
+                    assert np.array_equal(log_w, whole[1][:keep])
+
+    @pytest.mark.parametrize("workload", ["six_index_heavy_tail", "option_chain"])
+    def test_dropped_rows_are_not_transformed(self, workload, monkeypatch):
+        """At n = 100,000 the view's ppf sees a whole stream, then only the 34,464 kept rows."""
+        spec = cli.load_spec(str(WORKLOADS / f"{workload}.json"))
+        post = cli._TaskRunner(spec).posterior()
+        sizes, ppf = [], tc.StudentTDensity.ppf
+        monkeypatch.setattr(tc.StudentTDensity, "ppf",
+                            lambda self, u: sizes.append(np.size(u)) or ppf(self, u))
+        tc.sample_posterior(post, 100_000, seed=0)
+        assert sizes == [calibration._CHUNK, 100_000 - calibration._CHUNK]
+
+    def test_generic_prior_streams_keep_their_prefixes(self):
+        """A sampler that draws its batch back to front still gives every n the same prefix.
+
+        A generic sampler may use the generator in any pattern, so it draws whole streams.
+        """
+        prior, g, *_ = make_lognormal_pair()
+        sampler = prior.conditional_sampler
+        backwards = lambda x, rng: sampler(x[::-1], rng)[::-1]
+        prior = tc.GenericPrior(1, 1, backwards, prior.conditional_quadrature)
+        views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 1), g, (tc.MomentView(
+            target=4.0, payoff=lambda x, y: np.maximum(y[..., 0] - 80.0, 0.0)),))
+        problem = tc.QuadratureProblem.from_prior(prior, views, n_x=2000, n_y=32)
+        post = problem.posterior(tc.solve_lambda_newton(prior, views, problem=problem).lam)
+        assert post.lam[0] != 0.0
+        runs = {}
+        for n in (1, 2, 1000, 65_537, 100_000):
+            streams = list(calibration._streams(post, n, 4))
+            runs[n] = [np.concatenate(part) for part in zip(*streams)]
+            assert runs[n][0].shape == (n, 2) and runs[n][1].shape == (n,)
+        xy, log_w = runs[100_000]
+        for n, (xy_n, log_w_n) in runs.items():
+            assert np.array_equal(xy_n, xy[:n])
+            assert np.array_equal(log_w_n, log_w[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +580,12 @@ BOOT_LEVELS = (0.9975, 0.95, 0.5, 0.25)
 
 
 class TestVarBootstrap:
-    """The sort-once count bootstrap against the per-resample loop oracle."""
+    """The sort-once bootstrap against the per-resample loop oracle.
+
+    Weighted resamples equal the oracle's; unweighted ones are drawn from
+    the exact law of their order statistics, so they match it in law
+    (``TestOrderStatisticBootstrap``) and their point quantiles bit for bit.
+    """
 
     @pytest.mark.parametrize("n_boot", [2, 60])
     @pytest.mark.parametrize("case", VAR_CASES)
@@ -534,9 +594,10 @@ class TestVarBootstrap:
         pw = np.full(z.shape[1], 1.0 / z.shape[1])
         report = tc.estimate_var(tc.SampleBatch(z, seed=0), pw, 1e6, BOOT_LEVELS,
                                  n_boot=n_boot, boot_seed=3)
-        point, boot = var_bootstrap_loop(z @ pw, BOOT_LEVELS, None, n_boot, 3)
+        point, _ = var_bootstrap_loop(z @ pw, BOOT_LEVELS, None, n_boot, 3)
         assert np.array_equal(report.var_values, point * 1e6)
-        assert np.array_equal(report.std_errors, boot.std(axis=0, ddof=1) * 1e6)
+        assert report.std_errors.shape == (len(BOOT_LEVELS),)
+        assert np.all(np.isfinite(report.std_errors)) and np.all(report.std_errors >= 0)
 
     @pytest.mark.parametrize("n_boot", [2, 60])
     @pytest.mark.parametrize("case", VAR_CASES[:2] + ["exact_zeros"] + VAR_CASES[2:])
@@ -595,8 +656,10 @@ class TestVarBootstrap:
         fast = tc.montecarlo._bootstrap_quantiles(returns, w, q, n_boot, seed)
         point, boot = var_bootstrap_loop(returns, q, w, n_boot, seed)
         expected = np.vstack([point, boot])
-        if w is None:
-            assert np.array_equal(fast, expected)
+        if w is None:  # resamples agree in law only (TestOrderStatisticBootstrap)
+            assert np.array_equal(fast[0], point)
+            assert fast.shape == expected.shape
+            assert np.all((fast[1:] >= returns.min()) & (fast[1:] <= returns.max()))
         else:
             assert np.abs(fast - expected).max() <= 1e-12 * np.ptp(returns)
 
@@ -643,6 +706,108 @@ class TestVarBootstrap:
         z = np.full((1000, 2), 1e308)
         with pytest.raises(ValueError, match="overflow"):
             tc.estimate_var(tc.SampleBatch(z, seed=0), [1.0, 1.0], 1.0, [0.5])
+
+
+def _pooled_chisquare(observed: np.ndarray, expected: np.ndarray, floor: float = 5.0) -> float:
+    """Chi-square p-value, the bins expecting under ``floor`` at each end pooled inward."""
+    keep = np.flatnonzero(expected >= floor)
+    lo, hi = keep[0], keep[-1] + 1
+    obs, exp = observed[lo:hi].astype(float), expected[lo:hi].copy()
+    obs[0], exp[0] = obs[0] + observed[:lo].sum(), exp[0] + expected[:lo].sum()
+    obs[-1], exp[-1] = obs[-1] + observed[hi:].sum(), exp[-1] + expected[hi:].sum()
+    return stats.chisquare(obs, exp).pvalue
+
+
+def _pooled_contingency(a: np.ndarray, b: np.ndarray, floor: int = 20) -> float:
+    """Chi-square p-value that two samples of value tuples share a law.
+
+    Tuples seen fewer than ``floor`` times in both samples together form one pooled cell.
+    """
+    cells, inverse = np.unique(np.vstack([a, b]), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    counts = np.bincount(inverse, minlength=len(cells))
+    cell = np.where(counts[inverse] >= floor, inverse, len(cells))
+    table = np.vstack([np.bincount(cell[:len(a)], minlength=len(cells) + 1),
+                       np.bincount(cell[len(a):], minlength=len(cells) + 1)])
+    return stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+class TestOrderStatisticBootstrap:
+    """An exact batch's resampled order statistics follow their exact joint law."""
+
+    N = 40
+    # (n - 1) q at these levels puts the lo/hi ranks at 38/39, 37/38, 19/20 and 9/10
+    LEVELS = np.array(BOOT_LEVELS)
+
+    def _tied_returns(self):
+        return np.round(np.random.default_rng(8).standard_t(3, self.N))
+
+    def test_each_rank_follows_its_binomial_law(self):
+        """P(r_(k) <= j) = P(Binom(n, (j + 1) / n) >= k + 1) for every order statistic k."""
+        n = self.N
+        ks = np.array([0, 9, 10, 19, 20, 37, 38, 39])
+        ranks = tc.montecarlo._resample_ranks(n, ks, 200_000, np.random.default_rng(11))
+        assert ranks.shape == (200_000, ks.size)
+        assert np.all(np.diff(ranks, axis=1) >= 0)
+        cdf_at = (np.arange(n) + 1) / n
+        for col, k in enumerate(ks):
+            pmf = np.diff(stats.binom.sf(k, n, cdf_at), prepend=0.0)
+            observed = np.bincount(ranks[:, col], minlength=n)
+            assert _pooled_chisquare(observed, pmf * ranks.shape[0]) > 1e-3, k
+
+    def test_joint_order_statistics_match_the_loop_oracle(self):
+        """Each level's (lo, hi) pair of values, and its quantile, against resorted resamples."""
+        returns, n_boot = self._tied_returns(), 100_000
+        assert np.unique(returns).size < self.N // 2  # heavily tied
+        v = np.sort(returns)
+        pos = (self.N - 1) * self.LEVELS
+        lo = np.floor(pos).astype(np.intp)
+        hi = np.minimum(lo + 1, self.N - 1)
+        ks = np.union1d(lo, hi)
+        ranks = tc.montecarlo._resample_ranks(self.N, ks, n_boot, np.random.default_rng(5))
+        fast = tc.montecarlo._bootstrap_quantiles(returns, None, self.LEVELS, n_boot, 5)
+        resamples = bootstrap_resamples_sorted(returns, n_boot, 6)
+        loop = np.quantile(resamples, self.LEVELS, axis=1).T
+        for i in range(self.LEVELS.size):
+            pairs = v[ranks[:, np.searchsorted(ks, [lo[i], hi[i]])]]
+            assert _pooled_contingency(pairs, resamples[:, [lo[i], hi[i]]]) > 1e-3, i
+            assert _pooled_contingency(fast[1:, [i]], loop[:, [i]]) > 1e-3, i
+
+    def test_standard_errors_match_the_loop_oracle_over_boot_seeds(self):
+        """At n = 100,000 the mean SE over 20 boot seeds is the oracle's within 4 of its SEs."""
+        returns = np.random.default_rng(4).standard_t(3, 100_000)
+        q = np.array([0.9975, 0.995, 0.9925, 0.95, 0.75, 0.5])
+        seeds = range(100, 120)
+        fast = np.array([tc.montecarlo._bootstrap_quantiles(returns, None, q, 200, s)[1:]
+                         .std(axis=0, ddof=1) for s in seeds])
+        loop = np.array([var_bootstrap_loop(returns, q, None, 200, s)[1].std(axis=0, ddof=1)
+                         for s in seeds])
+        sem = np.sqrt((fast.var(axis=0, ddof=1) + loop.var(axis=0, ddof=1)) / len(seeds))
+        assert np.all(np.abs(fast.mean(axis=0) - loop.mean(axis=0)) <= 4 * sem)
+
+    def test_unweighted_resamples_draw_no_rows(self, monkeypatch):
+        """No row index is drawn and no rank counted; a weighted bootstrap does both."""
+        calls = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        default_rng, bincount = np.random.default_rng, np.bincount
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Recording(default_rng(seed)))
+        monkeypatch.setattr(np, "bincount",
+                            lambda *a, **k: calls.append("bincount") or bincount(*a, **k))
+        z, w = _weighted_case("plain")
+        tc.estimate_var(tc.SampleBatch(z, seed=0), [0.5, 0.5], 1.0, BOOT_LEVELS, n_boot=50)
+        assert "beta" in calls
+        assert "integers" not in calls and "bincount" not in calls
+        tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), [0.5, 0.5], 1.0, BOOT_LEVELS[1:],
+                        n_boot=5)
+        assert "integers" in calls and "bincount" in calls
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +910,8 @@ class StubPosterior:
     def __init__(self, weighted=False, std_error=0.5):
         self.weighted, self.std_error, self.calls = weighted, std_error, []
 
-    def draw(self, n, rng):
+    def draw(self, n, rng, keep=None):
+        n = n if keep is None else keep
         log_w = np.resize(np.log([1.0, 2.0, 3.0]), n) if self.weighted else None
         return np.resize(self.XY, (n, 2)), log_w
 
