@@ -70,7 +70,7 @@ from .priors import (
 )
 from .sensitivity import SensitivityReport, sensitivities
 from .tails import TailReport, check_assumption, tail_ratio_probe
-from .views import MomentView, ViewSet
+from .views import MomentView, OptionPayoff, ViewSet
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,7 @@ __all__ = [
     "GaussianPrior", "GenericPrior", "GaussianConditional", "LinearViewMap",
     "gaussian_conditional", "transform_prior",
     # views
-    "MomentView", "ViewSet",
+    "MomentView", "OptionPayoff", "ViewSet",
     # entropy
     "relative_entropy",
     # calibration

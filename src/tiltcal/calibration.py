@@ -46,7 +46,7 @@ from .priors import (
     gaussian_conditional,
     transform_prior,
 )
-from .views import ViewSet
+from .views import OptionPayoff, ViewSet
 
 __all__ = [
     "DualState",
@@ -66,7 +66,9 @@ __all__ = [
 _LOGZ_CAP = 1.0e4
 _CHUNK = 1 << 16
 # TiltedPosterior.draw takes log Z(x) for blocks of draws of at most this many
-# rule nodes: 1 MiB per float temporary, small enough to stay in cache.
+# rule nodes: 1 MiB per float temporary, small enough to stay in cache.  Its
+# exact path keeps about a dozen (pieces x draws) temporaries alive at once, so
+# its blocks hold a quarter as many piece values.
 _BLOCK_VALUES = 1 << 17
 
 
@@ -414,21 +416,49 @@ def _streams(post, n: int, seed: int):
         yield post.draw(_CHUNK, np.random.default_rng(child), min(n - i * _CHUNK, _CHUNK))
 
 
-def _draw_xy(marginal, law, n: int, rng: np.random.Generator, keep: int | None = None):
+def _draw_xy(marginal, law, n: int, rng: np.random.Generator, keep: int | None = None,
+             sample=None):
     """The first ``keep`` (default n) of n draws of X ~ g, then Y | X from law.
 
-    X has shape (keep, 1), or (keep, 0) without a marginal view.  Its
-    uniforms are drawn for all n rows, but only the kept rows are
-    transformed and conditioned when the law draws row by row
-    (``law.draws_by_row``); else, as a generic sampler may use the generator
-    in any pattern, all n are and the rest are dropped.  At least two rows
-    go through the transform, as a matrix product of one row takes another
-    BLAS path, which may round differently.
+    Y is ``sample(x, rng)``, by default ``law.sample``.  X has shape (keep, 1),
+    or (keep, 0) without a marginal view.  Its uniforms are drawn for all n
+    rows, but only the kept rows are transformed and conditioned when the law
+    draws row by row (``law.draws_by_row``); else, as a generic sampler may
+    use the generator in any pattern, all n are and the rest are dropped.  At
+    least two rows go through the transform, as a matrix product of one row
+    takes another BLAS path, which may round differently.
     """
     keep = n if keep is None else keep
     rows = min(max(keep, 2), n) if law.draws_by_row else n
     x = np.zeros((rows, 0)) if marginal is None else marginal.sample(n, rng, rows)[:, None]
-    return x[:keep], law.sample(x, rng)[:keep]
+    return x[:keep], (law.sample if sample is None else sample)(x, rng)[:keep]
+
+
+def _piecewise_tilt(moments, lam):
+    """lam . h(y) on a one-dimensional Y block as linear pieces a_p + b_p y, if declared.
+
+    Returns the knots (the sorted distinct strikes) and the intercepts a_p
+    and slopes b_p of the pieces between them, piece p lying between knots
+    p - 1 and p; or None unless every view is a coordinate view or a declared
+    ``OptionPayoff``.  A coordinate view adds its multiplier to every slope.
+    """
+    if not all(view.coord is not None or isinstance(view.payoff, OptionPayoff)
+               for view in moments):
+        return None
+    knots = np.unique([view.payoff.strike for view in moments if view.coord is None])
+    piece = np.arange(knots.size + 1)
+    intercepts, slopes = np.zeros(piece.size), np.zeros(piece.size)
+    for lam_i, view in zip(lam, moments):
+        if view.coord is not None:
+            slopes += lam_i
+            continue
+        payoff = view.payoff
+        j = np.searchsorted(knots, payoff.strike)
+        # a call pays y - K above its strike, a put K - y below it
+        sign, on = (1.0, piece > j) if payoff.kind == "call" else (-1.0, piece <= j)
+        slopes[on] += sign * lam_i
+        intercepts[on] -= sign * lam_i * payoff.strike
+    return knots, intercepts, slopes
 
 
 def conditional_law(prior, views: ViewSet):
@@ -585,17 +615,35 @@ class TiltedPosterior:
         return getattr(self.problem.views, "view_map", None)
 
     def draw(self, n: int, rng: np.random.Generator,
-             keep: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The first ``keep`` (default n) of n prior-conditional draws of (X, Y), and log-weights.
+             keep: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+        """The first ``keep`` (default n) of n draws of (X, Y), and their log-weights.
 
-        The draws come from ``_draw_xy``; a draw's log-weight is lam . h(x, y) - log Z(x).
-        log Z(x) takes the problem's own law and rule size n_y, in blocks of
-        draws of at most ``_BLOCK_VALUES`` rule nodes; each row depends only on
-        its own draw, so the blocks change no value.  A ``from_discrete``
-        problem or a rule of more than n_y nodes per draw is NonSampleableConditional.
+        Exact where the law can draw its tilt: when it has ``sample_tilted``
+        (a Gaussian conditional), Y is one-dimensional and every view is a
+        coordinate view or a declared ``OptionPayoff``, Y | X is drawn from the
+        tilted law itself (``_piecewise_tilt``), in blocks of draws that change
+        no value, and the log-weights are None.
+        Otherwise the draws are prior-conditional (``_draw_xy``) and a draw's
+        log-weight is lam . h(x, y) - log Z(x).  log Z(x) takes the problem's
+        own law and rule size n_y, in blocks of draws of at most
+        ``_BLOCK_VALUES`` rule nodes; each row depends only on its own draw, so
+        the blocks change no value.  A ``from_discrete`` problem or a rule of
+        more than n_y nodes per draw is NonSampleableConditional.
         """
         problem, lam = self.problem, self.lam
         law, views = problem.law, problem.views
+        sample_tilted = getattr(law, "sample_tilted", None)
+        tilt = None if sample_tilted is None or law.y_dim != 1 else _piecewise_tilt(
+            views.moments, lam)
+        if tilt is not None:
+            rows = max(1, _BLOCK_VALUES // (4 * tilt[1].size))
+
+            def sample(x, rng):  # row by row, so the blocks change no value
+                return np.concatenate([sample_tilted(x[i:i + rows], rng, *tilt)
+                                       for i in range(0, x.shape[0] or 1, rows)])
+
+            x, y = _draw_xy(views.marginal, law, n, rng, keep, sample)
+            return np.column_stack([x, y]), None
         # A Gaussian tensor rule over d > 1 conditional dimensions (n_y^d nodes
         # per draw) would not fit in memory for a chunk of draws.
         if law is None or problem.y_nodes.shape[1] > problem.n_y:

@@ -39,7 +39,7 @@ from .montecarlo import estimate_var, price_option, sample_posterior
 from .priors import GaussianPrior, LinearViewMap
 from .sensitivity import sensitivities
 from .tails import _probe_points, tail_ratio_probe
-from .views import MomentView, ViewSet
+from .views import MomentView, OptionPayoff, ViewSet
 
 __all__ = [
     "PriceSeries",
@@ -381,16 +381,13 @@ def _parse_marginal(node):
 
 
 def _make_payoff(node, y_dim: int):
-    """A call or put on one Y-block coordinate, with a finite strike."""
+    """A declared call or put on one Y-block coordinate, with a finite strike."""
     _require(isinstance(node, dict), "payoff must be an object")
     _known_keys(node, {"kind", "coord", "strike"}, "payoff")
     kind = node.get("kind")
     _require(kind in ("call", "put"), f"unknown payoff kind {kind!r}")
-    coord = _coord(node.get("coord", 0), y_dim, "payoff")
-    strike = _number(node.get("strike"), "payoff strike")
-    if kind == "call":
-        return lambda x, y: np.maximum(y[..., coord] - strike, 0.0)
-    return lambda x, y: np.maximum(strike - y[..., coord], 0.0)
+    return OptionPayoff(kind, _coord(node.get("coord", 0), y_dim, "payoff"),
+                        _number(node.get("strike"), "payoff strike"))
 
 
 def _parse_moments(nodes, y_dim: int):

@@ -22,8 +22,6 @@ __all__ = [
     "GridDensity",
 ]
 
-_NORM_TOL = 1e-6
-
 
 class MarginalDensity:
     """Common interface for the supported univariate density kinds.
@@ -76,19 +74,6 @@ class MarginalDensity:
     def support(self) -> tuple[float, float]:
         """Interval holding all mass up to numerical resolution."""
         return float(self.ppf(1e-15)), float(self.ppf(1.0 - 1e-15))
-
-    def normalization(self) -> float:
-        """Trapezoid integral of the pdf over its support (should be ~1).
-
-        Composite rule: a fine uniform grid over the bulk plus
-        quantile-spaced wings, so heavy tails are resolved too.
-        """
-        u_wing = np.geomspace(1e-13, 1e-6, 2001)
-        lo_wing = np.asarray(self.ppf(u_wing), dtype=float)
-        hi_wing = np.asarray(self.ppf(1.0 - u_wing), dtype=float)[::-1]
-        bulk = np.linspace(lo_wing[-1], hi_wing[0], 200_001)
-        grid = np.unique(np.concatenate([lo_wing, bulk, hi_wing]))
-        return float(np.trapezoid(self.pdf(grid), grid))
 
 
 @dataclass(frozen=True)
@@ -226,11 +211,11 @@ class StudentTDensity(MarginalDensity):
 class GridDensity(MarginalDensity):
     """Tabulated density on strictly increasing knots, linearly interpolated.
 
-    The table is renormalized to unit trapezoid mass at construction; the
-    pre-normalization mass is kept in ``raw_mass``.  The density is zero
-    outside the knot range.  ``cdf``, ``ppf`` (piecewise quadratic in x) and the
-    knot masses w_i = int hat_i f of the knots' hat functions are exact for the
-    piecewise-linear pdf f; w integrates every function linear between knots.
+    The table is renormalized to unit trapezoid mass at construction.  The
+    density is zero outside the knot range.  ``cdf``, ``ppf`` (piecewise
+    quadratic in x) and the knot masses w_i = int hat_i f of the knots' hat
+    functions are exact for the piecewise-linear pdf f; w integrates every
+    function linear between knots.
     """
 
     def __init__(self, knots, densities):
@@ -251,7 +236,6 @@ class GridDensity(MarginalDensity):
             raise ValueError("grid density has zero mass")
         self.knots = knots
         self.densities = densities / raw
-        self.raw_mass = raw
         self._widths = np.diff(knots)
         self._slopes = np.diff(self.densities) / self._widths
         cdf = np.concatenate(
@@ -317,7 +301,4 @@ class GridDensity(MarginalDensity):
     def quadrature_nodes(self, n: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The knots and their masses w_i (n is ignored), so that nodes @ weights is ``mean()``."""
         return self.knots, self._masses
-
-    def normalization(self) -> float:
-        return float(np.trapezoid(self.densities, self.knots))
 

@@ -30,8 +30,10 @@ __all__ = [
 class SampleBatch:
     """Posterior draws in original factor coordinates.
 
-    ``weights`` is None for exact draws and a mean-one nonnegative vector
-    for importance-sampled generic posteriors.
+    ``weights`` is None for exact draws, which every Gaussian prior with
+    coordinate views and declared calls and puts gives, and a mean-one
+    nonnegative vector for importance-sampled ones: a ``GenericPrior`` or
+    payoff views that are undeclared callables.
     """
 
     z_samples: np.ndarray
@@ -168,7 +170,8 @@ def _bootstrap_quantiles(returns: np.ndarray, weights: np.ndarray | None,
     a quantile reads the two order statistics around (n - 1) q, and a
     resample's are drawn straight from their exact joint law
     (``_resample_ranks``): the resamples then cost O(n_boot) per order
-    statistic, not O(n) each.  Weighted, a quantile depends on every row's
+    statistic, not O(n) each.  Weighted (only a ``GenericPrior`` or an
+    undeclared payoff gives weights), a quantile depends on every row's
     weight, so resample b is the rows ``rng.integers(0, n, n)``, the b-th
     such draw, entering as the count of draws per rank.
     """
@@ -210,12 +213,13 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
     resamples of the batch, drawn from ``default_rng(boot_seed)``
     (``_bootstrap_quantiles``).  The returns are sorted once.  An exact
     batch's resamples draw only the order statistics its quantiles read,
-    from their exact joint law, so they cost no work linear in n; an
-    importance-weighted batch's resamples are the row draws
-    ``rng.integers(0, n, n)``, each read from its per-rank draw counts in
-    time linear in n with no sort.  Raises
-    InsufficientSamples when fewer than 20 samples are expected beyond some
-    level, counting a batch by its Kish effective sample size ``batch.ess``.
+    from their exact joint law, so they cost no work linear in n.  An
+    importance-weighted batch (from a ``GenericPrior`` or undeclared payoffs;
+    declared calls and puts on a Gaussian prior draw exactly) resamples the
+    rows ``rng.integers(0, n, n)``, each read from its per-rank draw counts
+    in time linear in n with no sort.  Raises InsufficientSamples when fewer
+    than 20 samples are expected beyond some level, counting a batch by its
+    Kish effective sample size ``batch.ess``.
     """
     w = np.asarray(portfolio_weights, dtype=float)
     if w.size != batch.z_samples.shape[1]:

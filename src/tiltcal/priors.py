@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import linalg
-from scipy.special import roots_hermite
+from scipy.special import log_ndtr, ndtri_exp, roots_hermite
 
 from .errors import NonSampleableConditional, QuadratureFailure, SingularBlock, SingularMap
 
@@ -172,6 +172,68 @@ class GaussianConditional:
         """One draw of Y | X = x per row of x; returns (n, y_dim)."""
         x = np.asarray(x, dtype=float)
         return self.mean(x) + rng.standard_normal((x.shape[0], self.y_dim)) @ self.root.T
+
+    def sample_tilted(self, x, rng: np.random.Generator, knots, intercepts,
+                      slopes) -> np.ndarray:
+        """One exact draw per row of x of Y | X = x tilted by exp(a_p + b_p y) on piece p.
+
+        For y_dim == 1.  Piece p lies between ``knots[p - 1]`` and ``knots[p]``
+        (ascending, with -inf and +inf at the ends); a_p and b_p are
+        ``intercepts[p]`` and ``slopes[p]``.  Given x the tilted law is a
+        mixture of truncated normals (Tallis 1961): piece p is N(m + b_p s^2, s^2)
+        on its interval, with log-mass a_p + b_p m + b_p^2 s^2 / 2 + log(Phi(beta_p)
+        - Phi(alpha_p)), taken with ``log_ndtr`` at the finite edges only and
+        through the complement for a piece above its own mean.  Row i takes the
+        uniforms ``rng.random((len(x), 2))[i]``: the first picks a piece, the
+        second inverts Phi inside it from the lower tail, or from the upper tail
+        where its CDF passes 1/2.  So ``sample_tilted(x[:m], ...)`` gives the
+        first m rows of the whole call.  With zero Schur variance Y = m(x).
+        """
+        mean = self.mean(np.asarray(x, dtype=float))[:, 0]
+        u = rng.random((mean.size, 2))
+        sd = float(abs(self.root[0, 0]))
+        if sd == 0.0:
+            return mean[:, None]
+        # Arrays are (pieces, rows).  Piece p has standardised edges
+        # alpha_p = z0[p - 1] - b_p s and beta_p = z0[p] - b_p s.  A piece wholly
+        # above its mean (alpha_p > 0) is read mirrored, in -z, so that each
+        # piece's inner edge (nearer its mean) and outer edge are lower tails.
+        a, b = (np.asarray(v, dtype=float)[:, None] for v in (intercepts, slopes))
+        knots = np.asarray(knots, dtype=float)
+        bounds = np.concatenate([[-np.inf], knots, [np.inf]])
+        bs = b * sd
+        z0 = (knots[:, None] - mean) / sd
+        alpha, beta = z0 - bs[1:], z0 - bs[:-1]
+        above = np.zeros((b.size, mean.size), dtype=bool)
+        above[1:] = alpha > 0
+        log_lo = np.empty(above.shape)  # log Phi at the lower edge, mirrored where above
+        log_lo[0] = -np.inf
+        log_lo[1:] = log_ndtr(-np.abs(alpha))
+        log_hi = np.empty(above.shape)  # and at the upper edge
+        log_hi[:-1] = log_ndtr(np.where(above[:-1], -beta, beta))
+        log_hi[-1] = np.where(above[-1], -np.inf, 0.0)
+        log_inner = np.where(above, log_lo, log_hi)
+        log_outer = np.where(above, log_hi, log_lo)
+        with np.errstate(divide="ignore"):  # a piece too thin to hold mass gets -inf
+            log_std_mass = log_inner + np.log(-np.expm1(log_outer - log_inner))
+        log_mass = log_std_mass + (a + 0.5 * bs**2) + b * mean
+        cum = np.exp(log_mass - log_mass.max(axis=0)).cumsum(axis=0)
+        piece = np.sum(cum[:-1] < (1.0 - u[:, 0]) * cum[-1], axis=0)
+        # Invert inside the chosen piece at v = u + 2^-54, the midpoint of u's cell:
+        # Phi(z) = Phi(alpha) + v mass, read as Phi(-z) = Phi(-beta) + (1 - v) mass
+        # where mirrored, and as 1 - Phi(z) = Phi(-beta) + (1 - v) mass past 1/2.
+        cols = np.arange(mean.size)
+        log_m, flip, bp = log_std_mass[piece, cols], above[piece, cols], bs[piece, 0]
+        log_v, log_1mv = np.log(u[:, 1] + 2.0**-54), np.log((1.0 - u[:, 1]) - 2.0**-54)
+        log_p = np.logaddexp(log_outer[piece, cols], np.where(flip, log_1mv, log_v) + log_m)
+        upper = (log_p > -np.log(2.0)) & ~flip  # only a piece straddling its mean gets there
+        if upper.any():
+            inner = (bounds[piece[upper] + 1] - mean[upper]) / sd - bp[upper]
+            log_p[upper] = np.logaddexp(log_ndtr(-inner), log_1mv[upper] + log_m[upper])
+        z = ndtri_exp(log_p)
+        z[upper ^ flip] *= -1.0
+        y = np.clip(mean + bp * sd + sd * z, bounds[piece], bounds[piece + 1])
+        return y[:, None]
 
     def rule(self, x, n: int, rng: np.random.Generator | None = None):
         """Gauss-Hermite rule for Y | X = x with n nodes per dimension.

@@ -10,7 +10,30 @@ import numpy as np
 from .densities import MarginalDensity
 from .priors import LinearViewMap
 
-__all__ = ["MomentView", "ViewSet"]
+__all__ = ["OptionPayoff", "MomentView", "ViewSet"]
+
+
+@dataclass(frozen=True)
+class OptionPayoff:
+    """A declared call max(y_c - K, 0) or put max(K - y_c, 0) on Y-block coordinate c.
+
+    Callable as a vectorized payoff h(x, y) on any broadcast shape.  Declaring
+    the kind, coordinate and strike lets a one-dimensional Gaussian conditional
+    draw its tilt exactly (``GaussianConditional.sample_tilted``).
+    """
+
+    kind: str
+    coord: int
+    strike: float
+
+    def __post_init__(self):
+        if self.kind not in ("call", "put"):
+            raise ValueError(f"unknown payoff kind {self.kind!r}")
+
+    def __call__(self, x, y):
+        if self.kind == "call":
+            return np.maximum(y[..., self.coord] - self.strike, 0.0)
+        return np.maximum(self.strike - y[..., self.coord], 0.0)
 
 
 @dataclass(frozen=True)

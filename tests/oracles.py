@@ -12,8 +12,10 @@ location-scale cdf/ppf for the density views, adaptive quadrature of a
 grid view's pdf for its cdf and moments, mpmath's incomplete beta for the far
 left tail of the t cdf and quantile, a per-view loop for the moment-view
 tensor, an importance-sampling draw whose normalizer takes one rule over
-the whole stream, and a posterior sample drawn as whole streams, solved back
-to factors by LU and cut to n.
+the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
+truncated-normal pieces, adaptive quadrature of a density view's total mass,
+and a posterior sample drawn as whole streams, solved back to factors by LU
+and cut to n.
 """
 
 from __future__ import annotations
@@ -99,6 +101,21 @@ def grid_moments_quad(g) -> tuple[float, float]:
     return mean, integral(lambda x: (x - mean) ** 2)
 
 
+def density_mass_quad(g) -> float:
+    """Total mass of a density view: adaptive ``quad`` of its pdf.
+
+    Per knot segment for a grid view; else over the two half-lines either
+    side of its median.
+    """
+    knots = getattr(g, "knots", None)
+    if knots is not None:
+        return sum(integrate.quad(g.pdf, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                   for a, b in zip(knots[:-1], knots[1:]))
+    mid = float(g.ppf(0.5))
+    return sum(integrate.quad(g.pdf, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+               for a, b in ((-np.inf, mid), (mid, np.inf)))
+
+
 # ---------------------------------------------------------------------------
 # Conditional covariance via the inverse-of-the-inverse identity
 # ---------------------------------------------------------------------------
@@ -153,6 +170,104 @@ def tilted_draw_unblocked(post, n: int, rng: np.random.Generator):
         raise NonIntegrableTilt("tilted conditional normalizer overflows; "
                                 "the tilt is not integrable")
     return np.column_stack([x, y]), lam @ view_tensor_loop(views.moments, x, y) - log_z
+
+
+# ---------------------------------------------------------------------------
+# Gaussian law tilted by calls, puts and y itself: its truncated-normal pieces
+# ---------------------------------------------------------------------------
+
+
+def tilted_gaussian_pieces(m: float, s: float, views):
+    """N(m, s^2) tilted by exp(sum_i lam_i h_i(y)), as a mixture of truncated normals.
+
+    ``views`` holds (kind, strike, lam) triples, kind "call" (h = (y - K)+),
+    "put" (h = (K - y)+) or "coord" (h = y, strike ignored).  Piece p lies
+    between edges[p] and edges[p + 1], the sorted distinct strikes with -inf
+    and +inf at the ends.  Its tilt a + b y is read off lam . h at two points
+    inside it, and its mass is exp(a + b m + b^2 s^2 / 2) times the
+    ``scipy.stats.norm`` mass of the piece under N(m + b s^2, s^2), in logs
+    (``logsf`` above that mean, ``logcdf`` below).  Returns (edges, masses,
+    laws): the normalised masses and each piece's ``scipy.stats.truncnorm``.
+    """
+    def tilt(y):
+        total = 0.0
+        for kind, strike, lam in views:
+            if kind == "coord":
+                total += lam * y
+            else:
+                total += lam * max(y - strike if kind == "call" else strike - y, 0.0)
+        return total
+
+    edges = np.r_[-np.inf, np.unique([k for kind, k, _ in views if kind != "coord"]), np.inf]
+    log_mass, laws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if np.isfinite(lo) and np.isfinite(hi):
+            y1, y2 = lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
+        elif np.isfinite(lo) or np.isfinite(hi):
+            y1, y2 = (lo + 1.0, lo + 2.0) if np.isfinite(lo) else (hi - 2.0, hi - 1.0)
+        else:
+            y1, y2 = 0.0, 1.0
+        b = (tilt(y2) - tilt(y1)) / (y2 - y1)
+        a = tilt(y1) - b * y1
+        mu = m + b * s**2
+        lo_z, hi_z = (lo - mu) / s, (hi - mu) / s
+        if lo_z > 0:
+            ends = stats.norm.logsf([lo_z, hi_z])
+        else:
+            ends = stats.norm.logcdf([hi_z, lo_z])
+        log_piece = ends[0] + np.log1p(-np.exp(ends[1] - ends[0]))
+        log_mass.append(a + b * m + 0.5 * (b * s) ** 2 + log_piece)
+        laws.append(stats.truncnorm(lo_z, hi_z, loc=mu, scale=s))
+    log_mass = np.array(log_mass)
+    masses = np.exp(log_mass - log_mass.max())
+    return edges, masses / masses.sum(), laws
+
+
+def tilted_gaussian_draw_mpmath(m: float, s: float, views, u, dps: int = 50) -> np.ndarray:
+    """The exact draw of ``tilted_gaussian_pieces``' law for each uniform pair in u, by mpmath.
+
+    Row (u0, u1) takes the first piece whose cumulative mass reaches
+    (1 - u0) times the total, then the quantile of its truncated normal at
+    u1 + 2^-54, the midpoint of u1's 2^-53 cell: Phi^-1 is sqrt(2) erfinv(2q - 1)
+    at ``dps`` digits.  Piece tilts are read off lam . h at two points as in
+    ``tilted_gaussian_pieces``.
+    """
+    edges = [-mpmath.inf] + sorted({mpmath.mpf(k) for kind, k, _ in views if kind != "coord"})
+    edges.append(mpmath.inf)
+    out = []
+    with mpmath.workdps(dps):
+        m, s = mpmath.mpf(m), mpmath.mpf(s)
+
+        def tilt(y):
+            return mpmath.fsum(lam * (y if kind == "coord" else
+                                      max(y - k if kind == "call" else k - y, 0))
+                               for kind, k, lam in views)
+
+        pieces = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if mpmath.isfinite(lo) and mpmath.isfinite(hi):
+                y1, y2 = lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
+            elif mpmath.isfinite(lo) or mpmath.isfinite(hi):
+                y1 = lo + 1 if mpmath.isfinite(lo) else hi - 2
+                y2 = y1 + 1
+            else:
+                y1, y2 = mpmath.mpf(0), mpmath.mpf(1)
+            b = (tilt(y2) - tilt(y1)) / (y2 - y1)
+            a = tilt(y1) - b * y1
+            mu = m + b * s**2
+            lo_cdf, hi_cdf = (mpmath.ncdf((e - mu) / s) for e in (lo, hi))
+            pieces.append((mu, lo_cdf, hi_cdf,
+                           mpmath.exp(a + b * m + (b * s) ** 2 / 2) * (hi_cdf - lo_cdf)))
+        total = mpmath.fsum(p[3] for p in pieces)
+        for u0, u1 in np.asarray(u, dtype=float):
+            cum, t = 0, (1 - mpmath.mpf(u0)) * total
+            for mu, lo_cdf, hi_cdf, mass in pieces:
+                cum += mass
+                if cum >= t:
+                    break
+            q = lo_cdf + (mpmath.mpf(u1) + mpmath.mpf(2) ** -54) * (hi_cdf - lo_cdf)
+            out.append(float(mu + s * mpmath.sqrt(2) * mpmath.erfinv(2 * q - 1)))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -203,11 +203,16 @@ class TestPosteriorMarginals:
 
 
 def _quad_agreement(post, idx, s):
-    """Max relative gap between the panel rule and the adaptive-quad oracle."""
+    """Max relative gap between the panel rule and the adaptive-quad oracle.
+
+    Where the oracle reads exactly 0 the gap is 0 if the rule does too, else inf.
+    """
     w = np.eye(post.view_map.n)[idx]
     got = tc.posterior_marginal_linear(post, w, s)
     want = marginal_density_quad(post, np.linalg.solve(post.view_map.matrix.T, w), s, 1e-10)
-    return float(np.max(np.abs(got - want) / want))
+    gap = np.abs(got - want)
+    return float(np.max(np.divide(gap, want, out=np.where(gap > 0, np.inf, 0.0),
+                                  where=want > 0)))
 
 
 class TestMarginalPanelRule:
@@ -242,6 +247,7 @@ class TestMarginalPanelRule:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.sampled_from([2, 3]),
            kind=st.sampled_from(["student_t", "gaussian", "grid"]))
+    @example(seed=265, n=2, kind="grid")  # both densities are exactly 0 at the ends
     def test_random_models_match_quad(self, seed, n, kind):
         rng = np.random.default_rng(seed)
         prior, views = random_gaussian_linear_problem(rng, n)

@@ -731,6 +731,31 @@ def test_benchmark_specs_run(tmp_path, name):
     assert set(os.listdir(out)) == WORKLOAD_OUTPUTS[name]
 
 
+def _lambda_twin(make_payoff):
+    """``_make_payoff`` giving the plain lambda that evaluates each declared payoff."""
+    def make(node, y_dim):
+        payoff = make_payoff(node, y_dim)
+        coord, strike = payoff.coord, payoff.strike
+        if payoff.kind == "call":
+            return lambda x, y: np.maximum(y[..., coord] - strike, 0.0)
+        return lambda x, y: np.maximum(strike - y[..., coord], 0.0)
+    return make
+
+
+def test_declared_payoffs_calibrate_and_price_as_their_lambda_twins(tmp_path, monkeypatch):
+    """option_chain's declared payoffs and their lambda twins give the same calibration.json
+    (lambda included) and price.json byte for byte; only the draws behind var.csv differ."""
+    declared, twin = tmp_path / "declared", tmp_path / "twin"
+    spec = str(WORKLOAD_DIR / "option_chain.json")
+    assert isinstance(cli.load_spec(spec).views.moments[0].payoff, tc.OptionPayoff)
+    assert run(spec, str(declared), samples=20_000) == 0
+    monkeypatch.setattr(cli, "_make_payoff", _lambda_twin(cli._make_payoff))
+    assert not isinstance(cli.load_spec(spec).views.moments[0].payoff, tc.OptionPayoff)
+    assert run(spec, str(twin), samples=20_000) == 0
+    for name in ("calibration.json", "price.json"):
+        assert (declared / name).read_bytes() == (twin / name).read_bytes()
+
+
 class TestMainEntryPoint:
     def test_calibrate_subcommand(self, tmp_path):
         spec = _write_spec(tmp_path, two_asset_spec())

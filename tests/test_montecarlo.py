@@ -1,6 +1,7 @@
 """Sampling, VaR estimation, and option pricing."""
 
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from oracles import (
     price_tilted_lognormal_2d,
     sample_posterior_loop,
     tilted_draw_unblocked,
+    tilted_gaussian_draw_mpmath,
+    tilted_gaussian_pieces,
     var_bootstrap_loop,
 )
 
@@ -446,6 +449,173 @@ class TestBlockedDraw:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Exact draws from a Gaussian conditional tilted by declared calls and puts
+# ---------------------------------------------------------------------------
+
+
+def _declared_moments(views):
+    """MomentViews and multipliers from (kind, strike, lam) triples; kind "coord" is y_0."""
+    moments = tuple(tc.MomentView(target=0.0, coord=0) if kind == "coord" else
+                    tc.MomentView(target=0.0, payoff=tc.OptionPayoff(kind, 0, strike))
+                    for kind, strike, _ in views)
+    return moments, np.array([lam for *_, lam in views])
+
+
+def _option_chain_problem(payoffs, n_x=50, n_y=8, cov=((1.0, 0.6), (0.6, 1.2))):
+    """option_chain's model with the given call and put payoffs, at small rule sizes."""
+    prior = tc.GaussianPrior([0.0, 0.1], cov)
+    views = tc.ViewSet(
+        tc.LinearViewMap.identity(2, 1, 2), tc.StudentTDensity(df=4, loc=0.0, scale=0.8),
+        tuple(tc.MomentView(target=t, payoff=h) for t, h in zip((0.45, 0.25), payoffs)))
+    return tc.QuadratureProblem.from_prior(prior, views, n_x=n_x, n_y=n_y)
+
+
+DECLARED = (tc.OptionPayoff("call", 0, 0.4), tc.OptionPayoff("put", 0, -0.4))
+LAMBDAS = (lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0),
+           lambda x, y: np.maximum(-0.4 - y[..., 0], 0.0))
+
+
+@pytest.fixture(scope="module")
+def option_chain_posterior():
+    spec = cli.load_spec(str(WORKLOADS / "option_chain.json"))
+    return spec, cli._TaskRunner(spec).posterior()
+
+
+class TestExactTiltedDraw:
+    # (intercept, slope, variance) of Y | X, the fixed x, and (kind, strike, lam) views
+    CASES = {
+        # option_chain's law and multipliers at x = -2: the middle piece lies
+        # wholly above its mean, so its mass goes through the complement
+        "option-chain-low-x": ((0.1, 0.6, 0.84), -2.0,
+                               (("call", 0.4, 0.5265), ("put", -0.4, 0.1637))),
+        # a strike 9 s above m(x); the upper piece lies 8.5 s above its own mean
+        # yet holds ~14% of the mass, which plain Phi differences would round to 0
+        "far-strike": ((0.0, 1.0, 1.0), 0.0, (("call", 9.0, -9.0), ("coord", None, 9.5))),
+        # the same 50 s above m(x), |lam| ~ 50: the upper piece, 49.5 s above its
+        # mean, holds ~2% of the mass, past where Phi itself rounds to 1
+        "strike-50s": ((0.0, 1.0, 1.0), 0.0, (("call", 50.0, -50.0), ("coord", None, 50.5))),
+        "six-pieces": ((0.2, 0.5, 1.3), 0.5,
+                       (("call", 0.0, 1.3), ("put", 0.0, -0.7), ("call", 2.0, -0.5),
+                        ("put", -1.0, 0.8), ("call", 0.5, 0.3), ("coord", None, 0.2))),
+    }
+
+    @staticmethod
+    def _draw(law, x0, moments, lam, n, seed, block=1 << 16):
+        """n draws of Y | X = x0, in blocks from one generator (row by row, so as one call)."""
+        tilt = calibration._piecewise_tilt(moments, lam)
+        rng = np.random.default_rng(seed)
+        return np.concatenate([law.sample_tilted(np.full((min(block, n - i), 1), x0), rng, *tilt)
+                               for i in range(0, n, block)])[:, 0]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_piece_frequencies_and_in_piece_laws_match_the_oracle(self, case):
+        (c0, c1, var), x0, views = self.CASES[case]
+        law = tc.GaussianConditional([c0], [[c1]], [[var]])
+        moments, lam = _declared_moments(views)
+        n = 1_000_000
+        y = self._draw(law, x0, moments, lam, n, seed=3)
+        assert np.all(np.isfinite(y))
+        edges, masses, laws = tilted_gaussian_pieces(c0 + c1 * x0, np.sqrt(var), views)
+        piece = np.searchsorted(edges, y) - 1  # piece p is (edges[p], edges[p + 1]]
+        counts = np.bincount(piece, minlength=masses.size)
+        assert counts.size == masses.size
+        assert np.all(np.abs(counts - n * masses) <= 4 * np.sqrt(n * masses * (1 - masses)))
+        for p, law_p in enumerate(laws):
+            if counts[p] >= 50:
+                assert stats.kstest(y[piece == p], law_p.cdf).pvalue > 1e-3, p
+        if case in ("far-strike", "strike-50s"):
+            assert laws[-1].a > 8 and counts[-1] > 0.02 * n
+
+    class _FixedUniforms:
+        def __init__(self, u):
+            self.u = np.asarray(u, dtype=float)
+
+        def random(self, shape):
+            assert shape == self.u.shape
+            return self.u
+
+    @pytest.mark.parametrize("case,u", [
+        ("option-chain-low-x", [(0.9, 0.2), (0.9, 0.8), (0.5, 1e-3), (0.5, 0.99), (0.01, 0.6)]),
+        ("far-strike", [(0.5, 0.2), (0.5, 0.8), (0.05, 1e-3), (0.05, 0.3), (0.05, 0.999)]),
+        # a piece 5.5 to 6 s above its mean, chosen by u0 = 1e-8: Phi there is within
+        # 2e-8 of 1, so a quantile read off plain Phi would be off by ~1e-8 s
+        ("six-sigma", [(1e-8, 0.1), (1e-8, 0.5), (1e-8, 0.9)]),
+        ("strike-50s", [(0.5, 0.5), (0.01, 1e-3), (0.01, 0.999)]),
+    ])
+    def test_each_draw_is_the_exact_quantile(self, case, u):
+        """Given its two uniforms a draw is the mixture quantile to 1e-12, by mpmath."""
+        cases = self.CASES | {"six-sigma": ((0.0, 1.0, 1.0), 0.0,
+                                            (("call", 5.5, 0.0), ("call", 6.0, 0.0)))}
+        (c0, c1, var), x0, views = cases[case]
+        law = tc.GaussianConditional([c0], [[c1]], [[var]])
+        moments, lam = _declared_moments(views)
+        tilt = calibration._piecewise_tilt(moments, lam)
+        y = law.sample_tilted(np.full((len(u), 1), x0), self._FixedUniforms(u), *tilt)[:, 0]
+        # 600 digits resolve Phi within 1e-536 of 1, 49.5 s above the mean
+        want = tilted_gaussian_draw_mpmath(c0 + c1 * x0, np.sqrt(var), views, u,
+                                           dps=600 if case == "strike-50s" else 50)
+        np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+
+    def test_zero_schur_variance_draws_the_conditional_mean(self):
+        """Covariance [[1, 1], [1, 1]]: Y = m(x), as the importance sampler's unit weights say."""
+        cov = ((1.0, 1.0), (1.0, 1.0))
+        declared = _option_chain_problem(DECLARED, cov=cov).posterior([0.3, 0.2])
+        twin = _option_chain_problem(LAMBDAS, cov=cov).posterior([0.3, 0.2])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            xy, log_w = declared.draw(1000, np.random.default_rng(4))
+        assert log_w is None
+        assert np.array_equal(xy[:, 1:], declared.problem.law.mean(xy[:, :1]))
+        xy_twin, log_w_twin = twin.draw(1000, np.random.default_rng(4))
+        assert np.array_equal(xy_twin, xy)
+        np.testing.assert_allclose(np.exp(log_w_twin), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("lam", [(50.0, 50.0), (50.0, -50.0), (-50.0, 50.0), (-50.0, -50.0)])
+    def test_large_multipliers_draw_finite_values_without_warnings(self, lam):
+        post = _option_chain_problem(DECLARED).posterior(lam)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            xy, log_w = post.draw(20_000, np.random.default_rng(5))
+        assert log_w is None
+        assert np.all(np.isfinite(xy))
+
+    def test_declared_payoffs_on_two_conditional_dimensions_are_not_sampleable(self):
+        """Only a one-dimensional Y block draws its tilt exactly; d > 1 is refused as before."""
+        prior = tc.GaussianPrior(np.zeros(3), np.eye(3) + 0.3)
+        views = tc.ViewSet(tc.LinearViewMap.identity(3, 1, 1), tc.GaussianDensity(0.0, 1.0),
+                           (tc.MomentView(target=0.45, payoff=DECLARED[0]),))
+        problem = tc.QuadratureProblem.from_prior(prior, views, n_x=50, n_y=8)
+        with pytest.raises(tc.NonSampleableConditional):
+            tc.sample_posterior(problem.posterior(np.zeros(1)), 1_000, seed=0)
+
+    def test_undeclared_payoffs_keep_the_importance_sampler(self, tilted_posteriors):
+        xy, log_w = tilted_posteriors["gaussian"].draw(1000, np.random.default_rng(0))
+        assert log_w is not None
+
+    @pytest.mark.parametrize("rows", [1, 7, 3000])
+    def test_every_block_size_gives_the_same_draws(self, monkeypatch, rows):
+        post = _option_chain_problem(DECLARED).posterior([0.5265, 0.1637])
+        whole = post.draw(3000, np.random.default_rng(6))[0]
+        monkeypatch.setattr(calibration, "_BLOCK_VALUES", 4 * 3 * rows)
+        assert np.array_equal(post.draw(3000, np.random.default_rng(6))[0], whole)
+
+    def test_option_chain_var_batch_is_unweighted(self, option_chain_posterior):
+        spec, post = option_chain_posterior
+        task = next(task for task in spec.tasks if task.type == "var")
+        batch = tc.sample_posterior(post, task.n_samples, seed=task.seed)
+        assert batch.weights is None
+        assert batch.ess == batch.n == task.n_samples
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_option_chain_draws_hit_the_view_targets(self, option_chain_posterior, seed):
+        spec, post = option_chain_posterior
+        batch = tc.sample_posterior(post, 1_000_000, seed=seed)
+        for view in spec.views.moments:
+            h = view.payoff(batch.z_samples[:, :1], batch.z_samples[:, 1:])
+            assert abs(h.mean() - view.target) <= 4 * h.std(ddof=1) / np.sqrt(h.size)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import tiltcal as tc
 from conftest import random_gaussian_linear_problem, random_spd
+from oracles import density_mass_quad
 
 
 @settings(max_examples=40, deadline=None)
@@ -35,7 +36,7 @@ def test_transform_round_trip_recovers_prior(entries, jitter):
 def test_grid_density_always_normalized(values, width):
     knots = np.linspace(0.0, width, len(values))
     g = tc.GridDensity(knots, values)
-    assert g.normalization() == pytest.approx(1.0, abs=1e-9)
+    assert density_mass_quad(g) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None)

@@ -22,6 +22,19 @@ class TestMomentView:
             tc.MomentView(target=np.nan, coord=0)
 
 
+class TestOptionPayoff:
+    def test_pays_the_call_or_put_on_any_broadcast_shape(self):
+        y = np.random.default_rng(0).normal(size=(4, 5, 2))
+        call, put = tc.OptionPayoff("call", 1, 0.3), tc.OptionPayoff("put", 1, 0.3)
+        np.testing.assert_array_equal(call(None, y), np.maximum(y[..., 1] - 0.3, 0.0))
+        np.testing.assert_array_equal(put(None, y), np.maximum(0.3 - y[..., 1], 0.0))
+        assert call(None, y).shape == (4, 5)
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown payoff kind"):
+            tc.OptionPayoff("straddle", 0, 1.0)
+
+
 class TestViewSet:
     def test_marginal_required_when_k1_positive(self):
         vmap = tc.LinearViewMap.identity(2, 1, 2)
