@@ -23,7 +23,6 @@ and each posterior draws, prices and differentiates itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,21 +219,13 @@ class GaussianMarginalPosterior:
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, float, str]:
         """Monte Carlo mean and standard error of payoff(x, y); NonIntegrablePayoff if inf/NaN.
 
-        Each stream sums the values' deviations from ``ref``, the first
-        stream's mean, and their squares, so a large mean cancels in neither.
+        The standard deviation is numpy's two-pass one, so a large mean does not cancel it.
         """
-        ref, sums, sq_sums = None, [], []
-        for xy, _ in _streams(self, n_samples, seed):
-            vals = _on_nodes(payoff, xy[:, :self.k1], xy[:, self.k1:])
-            if not np.all(np.isfinite(vals)):
-                raise NonIntegrablePayoff("payoff is not finite on sampled support")
-            ref = float(vals.mean()) if ref is None else ref
-            dev = vals - ref
-            sums.append(float(dev.sum()))
-            sq_sums.append(float((dev**2).sum()))
-        shift = math.fsum(sums) / n_samples
-        var = max(math.fsum(sq_sums) / n_samples - shift**2, 0.0)
-        return ref + shift, np.sqrt(var / n_samples), "monte-carlo"
+        vals = np.concatenate([_on_nodes(payoff, xy[:, :self.k1], xy[:, self.k1:])
+                               for xy, _ in _streams(self, n_samples, seed)])
+        if not np.all(np.isfinite(vals)):
+            raise NonIntegrablePayoff("payoff is not finite on sampled support")
+        return float(vals.mean()), float(vals.std() / np.sqrt(n_samples)), "monte-carlo"
 
     def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
         """V = S_mm, Cov(r, h | X) = cy . S_m for r = r_weights . (x, y), and dPi/d loc.
@@ -304,19 +295,19 @@ class QuadratureProblem:
         return cls(x_values, x_weights, y_nodes, log_weights, h, targets)
 
     @classmethod
-    def from_prior(cls, prior, views: ViewSet, *, n_x: int = 10_000, n_y: int = 64,
-                   seed: int = 0) -> "QuadratureProblem":
+    def from_prior(cls, prior, views: ViewSet, *, n_x: int = 10_000,
+                   n_y: int = 64) -> "QuadratureProblem":
         """Outer rule over the marginal view, and the prior's rule for Y | X per x node.
 
         A Gaussian prior gives a Gauss-Hermite rule with n_y nodes per
         conditional dimension; a generic prior its quadrature callback or,
         without one, n_y equally weighted sampler draws per outer node
-        (seeded, so the problem is reproducible; the inner-integral noise
-        then scales as 1/sqrt(n_y)).
+        (from ``SeedSequence(0)``, so the problem is reproducible; the
+        inner-integral noise then scales as 1/sqrt(n_y)).
         """
         law = conditional_law(prior, views)
         x_nodes, x_weights = _marginal_nodes(views, n_x)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(np.random.SeedSequence(0))
         y_nodes, log_y_weights = law.rule(x_nodes, n_y, rng)
         h = _view_tensor(views.moments, x_nodes[:, None, :], y_nodes)
         return cls(x_nodes, x_weights, y_nodes, log_y_weights, h, views.targets,
@@ -430,7 +421,7 @@ def _draw_xy(marginal, law, n: int, rng: np.random.Generator, keep: int | None =
     """
     keep = n if keep is None else keep
     rows = min(max(keep, 2), n) if law.draws_by_row else n
-    x = np.zeros((rows, 0)) if marginal is None else marginal.sample(n, rng, rows)[:, None]
+    x = np.zeros((rows, 0)) if marginal is None else marginal.ppf(rng.random(n)[:rows])[:, None]
     return x[:keep], (law.sample if sample is None else sample)(x, rng)[:keep]
 
 

@@ -36,9 +36,9 @@ from .calibration import (
 from .densities import GaussianDensity, GridDensity, StudentTDensity
 from .errors import InsufficientData, SpecValidationError, TiltcalError
 from .montecarlo import estimate_var, price_option, sample_posterior
-from .priors import GaussianPrior, LinearViewMap
+from .priors import GaussianPrior, LinearViewMap, transform_prior
 from .sensitivity import sensitivities
-from .tails import _probe_points, tail_ratio_probe
+from .tails import _probe_points, _target_ratio, tail_ratio_probe
 from .views import MomentView, OptionPayoff, ViewSet
 
 __all__ = [
@@ -60,7 +60,6 @@ class PriceSeries:
     dates: tuple
     prices: np.ndarray
     labels: tuple[str, ...]
-    frequency: str = "weekly"
 
     def __post_init__(self):
         prices = np.asarray(self.prices, dtype=float)
@@ -71,11 +70,9 @@ class PriceSeries:
             raise ValueError("prices must be positive and finite")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError("dates must be strictly increasing")
-        if self.frequency not in ("daily", "weekly"):
-            raise ValueError("frequency must be 'daily' or 'weekly'")
 
 
-def load_price_csv(path: str, frequency: str = "weekly") -> PriceSeries:
+def load_price_csv(path: str) -> PriceSeries:
     """Read a price CSV: header `date,<name>...`, ISO dates, decimal prices.
 
     Rows with any missing or unparsable cell are dropped with a warning.
@@ -101,7 +98,7 @@ def load_price_csv(path: str, frequency: str = "weekly") -> PriceSeries:
             rows.append(values)
     if not rows:
         raise InsufficientData("price CSV contains no usable rows")
-    return PriceSeries(tuple(dates), np.array(rows), labels, frequency)
+    return PriceSeries(tuple(dates), np.array(rows), labels)
 
 
 def estimate_prior(series: PriceSeries, return_kind: str = "simple") -> GaussianPrior:
@@ -210,7 +207,7 @@ def _read_spec(doc, base_dir: str) -> CalibrationSpec:
                             _integer(task.get("n_samples", default_samples), "task n_samples", 1)
                             if draws else None,
                             _integer(task.get("seed", 0), "task seed", 0) if draws else None,
-                            reader(task, n, views)))
+                            reader(task, prior, views)))
     return CalibrationSpec(prior, views, labels, records, _parse_solver(doc.get("solver", {})))
 
 
@@ -226,15 +223,16 @@ def _parse_solver(node) -> dict:
             "tol": tol}
 
 
-def _parse_calibrate_task(task: dict, n: int, views: ViewSet):
+def _parse_calibrate_task(task: dict, prior: GaussianPrior, views: ViewSet):
     """A calibrate task's (check_existence,), checked."""
     check = task.get("check_existence", False)
     _require(isinstance(check, bool), f"check_existence must be a boolean; got {check!r}")
     return (check,)
 
 
-def _parse_var_task(task: dict, n: int, views: ViewSet):
+def _parse_var_task(task: dict, prior: GaussianPrior, views: ViewSet):
     """A var task's (weights, notional, levels), defaults filled in and checked."""
+    n = prior.dim
     levels = task.get("levels", [0.9975, 0.995, 0.9925, 0.95, 0.75, 0.5])
     _require(isinstance(levels, list) and levels, "var levels must be a non-empty list")
     levels = [_number(q, "var level") for q in levels]
@@ -243,24 +241,26 @@ def _parse_var_task(task: dict, n: int, views: ViewSet):
             _number(task.get("notional", 1.0), "var notional"), levels)
 
 
-def _parse_price_task(task: dict, n: int, views: ViewSet):
+def _parse_price_task(task: dict, prior: GaussianPrior, views: ViewSet):
     """A price task's (payoff, payoff spec node, discount), checked."""
     node = task.get("payoff")
-    return _make_payoff(node, n - views.k1), node, _number(task.get("discount", 0.0), "discount")
+    return (_make_payoff(node, prior.dim - views.k1), node,
+            _number(task.get("discount", 0.0), "discount"))
 
 
-def _parse_tail_task(task: dict, n: int, views: ViewSet):
-    """A tail task's (coord, s_max, n_points), checked against the view's probe schedule."""
+def _parse_tail_task(task: dict, prior: GaussianPrior, views: ViewSet):
+    """A tail task's (coord, s_max, n_points), checked by the probe's schedule and target."""
     _require(views.is_coordinate_linear, "tail task requires coordinate moment views")
     s_max = task.get("s_max")
-    args = (_coord(task.get("coord", 0), n - views.k1, "tail"),
+    args = (_coord(task.get("coord", 0), prior.dim - views.k1, "tail"),
             None if s_max is None else _number(s_max, "tail s_max"),
             _integer(task.get("n_points", 10), "tail n_points", 1))
     _probe_points(views.marginal, *args[1:])
+    _target_ratio(views.marginal, transform_prior(prior, views.view_map).covariance, args[0])
     return args
 
 
-def _parse_sensitivities_task(task: dict, n: int, views: ViewSet):
+def _parse_sensitivities_task(task: dict, prior: GaussianPrior, views: ViewSet):
     """A sensitivities task's (r weights in Z coordinates, wrt_loc), checked."""
     node, wrt_loc = task.get("r"), task.get("wrt_loc", False)
     _require(isinstance(node, dict) and "weights" in node,
@@ -269,12 +269,12 @@ def _parse_sensitivities_task(task: dict, n: int, views: ViewSet):
     _require(isinstance(wrt_loc, bool), f"sensitivities wrt_loc must be a boolean; got {wrt_loc!r}")
     if wrt_loc:
         _location_score(views.marginal)
-    return _factor_weights(node["weights"], n, "sensitivities r.weights"), wrt_loc
+    return _factor_weights(node["weights"], prior.dim, "sensitivities r.weights"), wrt_loc
 
 
-# Task type -> (reader (task, n, views) -> args of _TaskRunner._task_<type>, default n_samples,
-# or None for a task that draws no samples and so takes no n_samples or seed key, the task's
-# own keys besides type, n_samples and seed).
+# Task type -> (reader (task, prior, views) -> args of _TaskRunner._task_<type>, default
+# n_samples, or None for a task that draws no samples and so takes no n_samples or seed key,
+# the task's own keys besides type, n_samples and seed).
 _TASKS = {
     "calibrate": (_parse_calibrate_task, 100_000, {"check_existence"}),
     "var": (_parse_var_task, 100_000, {"levels", "weights", "notional"}),
@@ -313,10 +313,9 @@ def _parse_prior(node, base_dir: str):
     """The prior and its labels: one distinct non-empty name without '/' per factor."""
     _require(isinstance(node, dict), "prior must be an object")
     if "estimate_from" in node:
-        _known_keys(node, {"estimate_from", "frequency", "return_kind"}, "prior")
+        _known_keys(node, {"estimate_from", "return_kind"}, "prior")
         _require(isinstance(node["estimate_from"], str), "prior estimate_from must be a path")
-        series = load_price_csv(os.path.join(base_dir, node["estimate_from"]),
-                                node.get("frequency", "weekly"))
+        series = load_price_csv(os.path.join(base_dir, node["estimate_from"]))
         prior, labels = estimate_prior(series, node.get("return_kind", "simple")), series.labels
     else:
         _known_keys(node, {"mean", "covariance", "labels"}, "prior")

@@ -55,12 +55,9 @@ class MarginalDensity:
     def mean(self) -> float:
         raise NotImplementedError
 
-    def sample(self, n: int, rng: np.random.Generator, keep: int | None = None) -> np.ndarray:
-        """Inverse-CDF sampling of the first ``keep`` (default n) of n uniforms.
-
-        Deterministic given the generator state, which moves past all n.
-        """
-        return self.ppf(rng.random(n)[:keep])
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Inverse-CDF sampling of n uniforms; deterministic given the generator state."""
+        return self.ppf(rng.random(n))
 
     def quadrature_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights integrating smooth functions against the density.
@@ -250,16 +247,13 @@ class GridDensity(MarginalDensity):
             arr.setflags(write=False)
 
     @classmethod
-    def from_function(cls, pdf, lo: float, hi: float, n: int = 1001,
-                      min_coverage: float = 0.9999) -> "GridDensity":
-        """Tabulate an analytic pdf on [lo, hi]; reject if coverage < min_coverage."""
+    def from_function(cls, pdf, lo: float, hi: float, n: int = 1001) -> "GridDensity":
+        """Tabulate an analytic pdf on [lo, hi]; ValueError if it covers under 0.9999 of the mass."""
         knots = np.linspace(lo, hi, n)
         vals = np.asarray(pdf(knots), dtype=float)
         mass = float(np.trapezoid(vals, knots))
-        if mass < min_coverage:
-            raise ValueError(
-                f"grid covers only {mass:.6f} of the mass (< {min_coverage}); widen the range"
-            )
+        if mass < 0.9999:
+            raise ValueError(f"grid covers only {mass:.6f} of the mass (< 0.9999); widen the range")
         return cls(knots, vals)
 
     def pdf(self, x):

@@ -218,8 +218,9 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
     declared calls and puts on a Gaussian prior draw exactly) resamples the
     rows ``rng.integers(0, n, n)``, each read from its per-rank draw counts
     in time linear in n with no sort.  Raises InsufficientSamples when fewer
-    than 20 samples are expected beyond some level, counting a batch by its
-    Kish effective sample size ``batch.ess``.
+    than 20 samples are expected beyond some level, in the nearer tail
+    (ess * min(q, 1 - q)), counting a batch by its Kish effective sample size
+    ``batch.ess``.
     """
     w = np.asarray(portfolio_weights, dtype=float)
     if w.size != batch.z_samples.shape[1]:
@@ -235,7 +236,7 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
         raise ValueError("levels must lie in (0, 1)")
     n = batch.n
     ess = batch.ess
-    worst = min(ess * (1.0 - q) for q in levels)
+    worst = min(ess * min(q, 1.0 - q) for q in levels)
     if worst < 20:
         raise InsufficientSamples(
             f"only {worst:.1f} expected tail samples beyond the extreme level "

@@ -63,20 +63,13 @@ def _probe_points(g, s_max: float | None, n_points: int) -> np.ndarray:
     return points
 
 
-def tail_ratio_probe(post: GaussianMarginalPosterior, coord: int = 0,
-                     s_max: float | None = None, n_points: int = 10,
-                     rel_band: float = 0.05) -> TailReport:
-    """Probe convergence of the posterior Y-coordinate tail to its limit.
+def _target_ratio(g, cov_t: np.ndarray, coord: int) -> float:
+    """The tail ratio's limit (sigma_xy / sigma_xx)^(alpha - 1) for Y-coordinate ``coord``.
 
-    Points follow the geometric schedule loc + scale * 2^j, j = 2, 3, ...
-    (n_points of them, capped at s_max when given).  Requires a scalar X
-    block, an admissible marginal view, and positive prior covariance
-    between X and the probed coordinate.
+    ``cov_t`` is the prior covariance in view coordinates and g an admissible
+    view.  ZeroCorrelation when sigma_xy is zero to rounding, ValueError when
+    it is negative.
     """
-    g = post.marginal
-    points = _probe_points(g, s_max, n_points)
-    alpha = float(g.tail_index)
-    cov_t = post.prior_t.covariance
     sigma_xx = float(cov_t[0, 0])
     sigma_xy = float(cov_t[0, 1 + coord])
     if abs(sigma_xy) <= 1e-14 * np.sqrt(sigma_xx * cov_t[1 + coord, 1 + coord]):
@@ -85,7 +78,22 @@ def tail_ratio_probe(post: GaussianMarginalPosterior, coord: int = 0,
         )
     if sigma_xy < 0:
         raise ValueError("tail probe requires positive covariance with the viewed block")
-    target = float((sigma_xy / sigma_xx) ** (alpha - 1.0))
+    return float((sigma_xy / sigma_xx) ** (float(g.tail_index) - 1.0))
+
+
+def tail_ratio_probe(post: GaussianMarginalPosterior, coord: int = 0,
+                     s_max: float | None = None, n_points: int = 10) -> TailReport:
+    """Probe convergence of the posterior Y-coordinate tail to its limit.
+
+    Points follow the geometric schedule loc + scale * 2^j, j = 2, 3, ...
+    (n_points of them, capped at s_max when given).  Requires a scalar X
+    block, an admissible marginal view, and positive prior covariance
+    between X and the probed coordinate (``_target_ratio``).  The probe has
+    converged when its last ratio is within 5 % of the limit.
+    """
+    g = post.marginal
+    points = _probe_points(g, s_max, n_points)
+    target = _target_ratio(g, post.prior_t.covariance, coord)
     measured = posterior_marginal_y1(post, points, coord=coord) / g.pdf(points)
-    converged = bool(abs(measured[-1] / target - 1.0) <= rel_band)
-    return TailReport(alpha, target, points, measured, converged)
+    converged = bool(abs(measured[-1] / target - 1.0) <= 0.05)
+    return TailReport(float(g.tail_index), target, points, measured, converged)

@@ -274,13 +274,13 @@ class TestNewton:
         views = tc.ViewSet(
             tc.LinearViewMap.identity(2, 1, 2), g, (tc.MomentView(target=0.3, coord=0),)
         )
-        problem = tc.QuadratureProblem.from_prior(gp, views, n_x=2000, n_y=512, seed=4)
+        problem = tc.QuadratureProblem.from_prior(gp, views, n_x=2000, n_y=512)
         report = tc.solve_lambda_newton(gp, views, problem=problem)
         assert report.converged
         # closed form for the equivalent Gaussian model: lam = (a - E0[y]) / var
         expected = (0.3 - 0.5 * 0.2) / 0.4**2
         assert report.lam[0] == pytest.approx(expected, rel=0.1)
-        again = tc.QuadratureProblem.from_prior(gp, views, n_x=2000, n_y=512, seed=4)
+        again = tc.QuadratureProblem.from_prior(gp, views, n_x=2000, n_y=512)
         np.testing.assert_array_equal(problem.y_nodes, again.y_nodes)
 
     def test_constraint_satisfaction_verified_by_monte_carlo(self):
@@ -812,7 +812,7 @@ class TestGenericPrior:
         """Nested Monte Carlo needs a seeded generator; the importance sampler has none."""
         views = self._views()
         generic = self._generic(with_quadrature=False)
-        problem = tc.QuadratureProblem.from_prior(generic, views, n_x=500, n_y=64, seed=3)
+        problem = tc.QuadratureProblem.from_prior(generic, views, n_x=500, n_y=64)
         assert problem.y_nodes.shape == (500, 64, 1)
         np.testing.assert_array_equal(problem.log_y_weights, np.log(np.full(64, 1 / 64)))
         post = tc.TiltedPosterior(problem, np.zeros(1))

@@ -249,7 +249,7 @@ class TestRun:
     def test_estimated_prior_from_csv(self, tmp_path):
         _write_price_csv(tmp_path / "prices.csv", SIX_INDEX_LABELS)
         doc = six_index_spec([{"type": "calibrate"}])
-        doc["prior"] = {"estimate_from": "prices.csv", "frequency": "weekly"}
+        doc["prior"] = {"estimate_from": "prices.csv"}
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 0
         report = json.loads((out / "calibration.json").read_text())
@@ -270,15 +270,13 @@ class TestRun:
         assert not out.exists() or os.listdir(out) == []
 
     def test_runtime_task_error_exits_1_without_partial_output(self, tmp_path, capsys):
+        # 1,000 draws expect 2.5 beyond the 0.9975 level, below the floor of 20
         doc = two_asset_spec(
-            [{"type": "calibrate"}, {"type": "tail", "coord": 0}]
+            [{"type": "calibrate"}, {"type": "var", "levels": [0.9975], "n_samples": 1000}]
         )
-        # X and Y uncorrelated: the tail probe has no limit to converge to
-        doc["prior"]["covariance"] = [[9.1, 0.0], [0.0, 1.1]]
-        doc["view_map"] = {"k1": 1, "k2": 2}
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 1
-        assert "ZeroCorrelation" in capsys.readouterr().err
+        assert "InsufficientSamples" in capsys.readouterr().err
         assert os.listdir(out) == []  # staging discarded atomically
 
     def test_singular_viewed_schur_block_exits_1(self, tmp_path, capsys):
@@ -439,13 +437,21 @@ class TestRun:
         json.loads((WORKLOAD_DIR / "six_index_mean_audit.json").read_text())
         | {"tasks": [{"type": "tail", "coord": 0}]},
         two_asset_spec([{"type": "tail", "coord": 0, "s_max": 0.0}]),
+        # X and Y uncorrelated: the tail ratio has no limit
+        two_asset_spec([{"type": "calibrate"}, {"type": "tail", "coord": 0}])
+        | {"prior": {"mean": [1.0, 1.0], "covariance": [[9.1, 0.0], [0.0, 1.1]]},
+           "view_map": {"k1": 1, "k2": 2}},
+        two_asset_spec([{"type": "calibrate"}, {"type": "tail", "coord": 0}])
+        | {"prior": {"mean": [1.0, 1.0], "covariance": [[9.1, -3.0], [-3.0, 1.1]]},
+           "view_map": {"k1": 1, "k2": 2}},
     ], ids=["tail-s_max-text", "tail-coord-outside-y", "price-no-payoff",
             "price-no-strike", "moment-no-strike", "sens-r-number", "sens-no-r",
             "sens-weights-short", "sens-weights-text", "sens-wrt_loc-text",
             "price-n_samples-0", "var-n_samples-text",
             "var-n_samples-float", "calibrate-seed-negative", "var-seed-text",
             "var-seed-bool", "type-list", "check_existence-text", "var-notional-text",
-            "sens-wrt_loc-grid", "tail-gaussian", "tail-k1-0", "tail-s_max-below-schedule"])
+            "sens-wrt_loc-grid", "tail-gaussian", "tail-k1-0", "tail-s_max-below-schedule",
+            "tail-zero-covariance", "tail-negative-covariance"])
     def test_malformed_task_fields_exit_3(self, tmp_path, capsys, doc):
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 3

@@ -658,6 +658,14 @@ class TestEstimateVar:
         with pytest.raises(tc.InsufficientSamples):
             tc.estimate_var(batch, np.full(6, 1 / 6), 1e6, [0.9975])
 
+    @pytest.mark.parametrize("thin, enough", [(0.001, 0.025), (0.999, 0.975)])
+    def test_tail_floor_counts_the_nearer_tail(self, thin, enough):
+        """A level below the median reads its quantile from ess * q samples."""
+        batch = tc.SampleBatch(np.random.default_rng(1).standard_normal((1000, 1)), seed=0)
+        with pytest.raises(tc.InsufficientSamples, match="only 1.0 expected"):
+            tc.estimate_var(batch, [1.0], 1.0, [thin])
+        tc.estimate_var(batch, [1.0], 1.0, [enough])  # 25 expected samples
+
     def test_weighted_tail_floor_counts_effective_samples(self):
         z = np.random.default_rng(1).standard_normal((1000, 2))
         w = np.tile([2.0, 0.0], 500)  # Kish ESS 500 of 1,000 rows
