@@ -24,6 +24,7 @@ and each posterior draws, prices and differentiates itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg
@@ -45,7 +46,7 @@ from .priors import (
     gaussian_conditional,
     transform_prior,
 )
-from .views import OptionPayoff, ViewSet
+from .views import MomentView, OptionPayoff, ViewSet
 
 __all__ = [
     "DualState",
@@ -246,34 +247,60 @@ class GaussianMarginalPosterior:
 class QuadratureProblem:
     """Discrete/quadrature dual backend.
 
-    Holds outer x nodes and weights, per-x inner y nodes and their
-    log-weights (shape (n_x, n_y), or (n_y,) when every x shares them), and
-    the precomputed view tensor h of shape (k, n_x, n_y).  All dual
-    quantities reduce to stabilized log-sum-exp arithmetic on that tensor.
-    ``from_prior`` records the conditional law, its rule size ``n_y`` and
-    the views, which its posterior samples with; all three are None for
-    ``from_discrete``, whose posterior is not sampleable.
+    Holds outer x nodes and weights and the moment targets.  When the
+    conditional law tilts exactly (``_exact_tilt``: a one-dimensional Gaussian
+    Y | X with coordinate views and declared calls and puts), ``exact`` holds
+    each view's piece coefficients, and the dual is a closed form in the
+    truncated-normal piece moments at each outer node.  Otherwise the dual
+    reduces to stabilized log-sum-exp arithmetic on per-x inner y nodes with
+    their log-weights (shape (n_x, n_y), or (n_y,) when every x shares them)
+    and the view tensor h of shape (k, n_x, n_y).  ``from_prior`` records the
+    conditional law, its rule size ``n_y`` and the views, which its posterior
+    samples with, and builds the tensor only when something needs it; all
+    three are None for ``from_discrete``, whose posterior is not sampleable.
     """
 
-    def __init__(self, x_nodes, x_weights, y_nodes, log_y_weights, h_tensor, targets,
-                 *, law=None, n_y: int | None = None, views: ViewSet | None = None):
+    def __init__(self, x_nodes, x_weights, targets, *, tensor=None, law=None,
+                 n_y: int | None = None, views: ViewSet | None = None):
         self.law = law
         self.n_y = n_y
         self.views = views
         self.x_nodes = np.asarray(x_nodes, dtype=float)
         self.x_weights = np.asarray(x_weights, dtype=float)
-        self.y_nodes = np.asarray(y_nodes, dtype=float)
-        self.log_y_weights = np.asarray(log_y_weights, dtype=float)
-        self.h = np.asarray(h_tensor, dtype=float)
         self.targets = np.asarray(targets, dtype=float)
-        if self.h.ndim != 3:
-            raise ValueError("h tensor must have shape (k, n_x, n_y)")
         if abs(self.x_weights.sum() - 1.0) > 1e-9:
             raise ValueError("x weights must sum to 1")
+        self.exact = None if views is None else _exact_tilt(law, views.moments)
+        if tensor is not None:
+            self._tensor = tensor
+
+    @cached_property
+    def _tensor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y_nodes, log_y_weights, h): the law's rule at every outer node and the views on it.
+
+        A generic law without a quadrature callback takes its n_y sampler
+        draws per node from ``SeedSequence(0)``, so the rule is reproducible.
+        """
+        rng = np.random.default_rng(np.random.SeedSequence(0))
+        y_nodes, log_y_weights = self.law.rule(self.x_nodes, self.n_y, rng)
+        return y_nodes, log_y_weights, _view_tensor(self.views.moments,
+                                                    self.x_nodes[:, None, :], y_nodes)
+
+    @property
+    def y_nodes(self) -> np.ndarray:
+        return self._tensor[0]
+
+    @property
+    def log_y_weights(self) -> np.ndarray:
+        return self._tensor[1]
+
+    @property
+    def h(self) -> np.ndarray:
+        return self._tensor[2]
 
     @property
     def n_moments(self) -> int:
-        return self.h.shape[0]
+        return self.targets.size
 
     @classmethod
     def from_discrete(cls, x_values, x_weights, cond_weights, y_values, moments):
@@ -292,53 +319,74 @@ class QuadratureProblem:
         targets = np.array([view.target for view in moments], dtype=float)
         with np.errstate(divide="ignore"):
             log_weights = np.log(np.asarray(cond_weights, dtype=float))
-        return cls(x_values, x_weights, y_nodes, log_weights, h, targets)
+        return cls(x_values, x_weights, targets, tensor=(y_nodes, log_weights, h))
 
     @classmethod
     def from_prior(cls, prior, views: ViewSet, *, n_x: int = 10_000,
                    n_y: int = 64) -> "QuadratureProblem":
-        """Outer rule over the marginal view, and the prior's rule for Y | X per x node.
+        """Outer rule over the marginal view, and the prior's law of Y | X per x node.
 
-        A Gaussian prior gives a Gauss-Hermite rule with n_y nodes per
-        conditional dimension; a generic prior its quadrature callback or,
-        without one, n_y equally weighted sampler draws per outer node
-        (from ``SeedSequence(0)``, so the problem is reproducible; the
-        inner-integral noise then scales as 1/sqrt(n_y)).
+        An exact problem builds no inner rule unless an undeclared payoff is
+        priced on it.  Any other builds it here: a Gaussian prior a
+        Gauss-Hermite rule with n_y nodes per conditional dimension, a
+        generic prior its quadrature callback or, without one, n_y equally
+        weighted sampler draws per outer node (the inner-integral noise then
+        scales as 1/sqrt(n_y)).
         """
         law = conditional_law(prior, views)
         x_nodes, x_weights = _marginal_nodes(views, n_x)
-        rng = np.random.default_rng(np.random.SeedSequence(0))
-        y_nodes, log_y_weights = law.rule(x_nodes, n_y, rng)
-        h = _view_tensor(views.moments, x_nodes[:, None, :], y_nodes)
-        return cls(x_nodes, x_weights, y_nodes, log_y_weights, h, views.targets,
-                   law=law, n_y=n_y, views=views)
+        problem = cls(x_nodes, x_weights, views.targets, law=law, n_y=n_y, views=views)
+        if problem.exact is None:
+            problem._tensor  # a rule that cannot be built fails here, not in the solve
+        return problem
 
     def posterior(self, lam) -> "TiltedPosterior":
         """The calibrated model at multipliers lam, tilted on this problem's nodes."""
         return TiltedPosterior(self, lam)
 
     def _tilted_conditional(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """log Z_lam(x_i) and the tilted conditional weights per outer node."""
+        """log Z_lam(x_i) and the tilted conditional weights per outer node, on the tensor."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         scores = self.log_y_weights + np.einsum("k,knj->nj", lam, self.h)
         log_z = _row_logsumexp(scores)
         return log_z, np.exp(scores - log_z[:, None])
 
     def posterior_weights(self, lam) -> np.ndarray:
-        """Joint posterior weights over (x_i, y_j); rows scaled by x weight."""
+        """Joint posterior weights over (x_i, y_j) on the tensor; rows scaled by x weight."""
         return self._tilted_conditional(lam)[1] * self.x_weights[:, None]
 
     def expectation(self, lam, values) -> float:
-        """Posterior expectation of a precomputed (n_x, n_y) value table."""
+        """Posterior expectation of a precomputed (n_x, n_y) value table on the tensor."""
         return float(np.sum(self.posterior_weights(lam) * values))
+
+    def _pieces(self, lam, extra=()):
+        """The exact tilt at lam on the outer nodes, with the strikes of ``extra`` as knots.
+
+        Returns log Z(x), P(piece p | x) of shape (pieces, n_x), Y's mean and
+        variance on each piece, and the piece coefficients (c, d) of the views
+        followed by the extra payoffs.
+        """
+        moments = self.views.moments + tuple(MomentView(0.0, payoff=payoff) for payoff in extra)
+        c, d = self.exact if not extra else _exact_tilt(self.law, moments)
+        knots, a, b = _piecewise_tilt(moments, np.concatenate([lam, np.zeros(len(extra))]))
+        pieces = self.law.tilt_pieces(self.x_nodes, knots, a, b)
+        log_z = _row_logsumexp(pieces.log_mass.T)
+        return (log_z, np.exp(pieces.log_mass - log_z), *pieces.y_moments, c, d)
 
     def dual_state(self, lam) -> DualState:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        log_z, cond = self._tilted_conditional(lam)
+        if self.exact is not None:
+            log_z, cond, y_mean, y_var, c, d = self._pieces(lam)
+            h = c[:, :, None] + d[:, :, None] * y_mean
+            gradient = np.einsum("kpn,pn->kn", h, cond) @ self.x_weights - self.targets
+            hessian = _total_cov(cond, self.x_weights, y_var, (h, d), (h, d))
+        else:
+            log_z, cond = self._tilted_conditional(lam)
+            cond_mean = np.einsum("knj,nj->kn", self.h, cond)
+            gradient = cond_mean @ self.x_weights - self.targets
+            hessian = self._cov_with_h(cond * self.x_weights[:, None], cond_mean, self.h,
+                                       cond_mean)
         value = float(self.x_weights @ log_z - lam @ self.targets)
-        cond_mean = np.einsum("knj,nj->kn", self.h, cond)
-        gradient = cond_mean @ self.x_weights - self.targets
-        hessian = self._cov_with_h(cond * self.x_weights[:, None], cond_mean, self.h, cond_mean)
         return DualState(lam, value, gradient, (hessian + hessian.T) / 2.0)
 
     def _cov_with_h(self, joint, h_mean, values, values_mean) -> np.ndarray:
@@ -425,16 +473,21 @@ def _draw_xy(marginal, law, n: int, rng: np.random.Generator, keep: int | None =
     return x[:keep], (law.sample if sample is None else sample)(x, rng)[:keep]
 
 
+def _declared(payoff) -> bool:
+    """True for a declared ``OptionPayoff`` on Y-block coordinate 0."""
+    return isinstance(payoff, OptionPayoff) and payoff.coord == 0
+
+
 def _piecewise_tilt(moments, lam):
     """lam . h(y) on a one-dimensional Y block as linear pieces a_p + b_p y, if declared.
 
     Returns the knots (the sorted distinct strikes) and the intercepts a_p
     and slopes b_p of the pieces between them, piece p lying between knots
-    p - 1 and p; or None unless every view is a coordinate view or a declared
-    ``OptionPayoff``.  A coordinate view adds its multiplier to every slope.
+    p - 1 and p; or None unless every view is coordinate 0 of Y or a
+    declared payoff on it (``_declared``).  A coordinate view adds its
+    multiplier to every slope.
     """
-    if not all(view.coord is not None or isinstance(view.payoff, OptionPayoff)
-               for view in moments):
+    if not all(view.coord == 0 or _declared(view.payoff) for view in moments):
         return None
     knots = np.unique([view.payoff.strike for view in moments if view.coord is None])
     piece = np.arange(knots.size + 1)
@@ -450,6 +503,39 @@ def _piecewise_tilt(moments, lam):
         slopes[on] += sign * lam_i
         intercepts[on] -= sign * lam_i * payoff.strike
     return knots, intercepts, slopes
+
+
+def _exact_tilt(law, moments):
+    """Each view's piece coefficients (c, d), h_k = c_kp + d_kp y on piece p, if the tilt is exact.
+
+    The pieces are ``_piecewise_tilt``'s, and row k is its intercepts and
+    slopes at the k-th unit vector.  The tilt is exact, for the dual, the
+    prices and the draws alike, when ``law`` has ``tilt_pieces`` (a Gaussian
+    conditional), Y is one-dimensional and every view is on it; else None.
+    """
+    zero = _piecewise_tilt(moments, np.zeros(len(moments)))
+    if getattr(law, "tilt_pieces", None) is None or law.y_dim != 1 or zero is None:
+        return None
+    c, d = np.zeros((2, len(moments), zero[0].size + 1))
+    for k, unit in enumerate(np.eye(len(moments))):
+        _, c[k], d[k] = _piecewise_tilt(moments, unit)
+    return c, d
+
+
+def _total_cov(cond, x_weights, y_var, f, g) -> np.ndarray:
+    """E_g[Cov(f_k, g_l | X)] for functions linear in y on each exact-tilt piece.
+
+    ``f`` is (values, slopes): E[f_k | X = x_i, piece p] of shape (m, pieces,
+    n_x) and the slope of f_k in y on each piece, (m, pieces); ``g`` likewise.
+    By the law of total covariance over the pieces, given x it is the
+    covariance of the piece means plus slope_f slope_g Var(Y | piece), each
+    weighted by P(piece | x) (``cond``); the x-average takes ``x_weights``.
+    """
+    joint = cond * x_weights
+    (f_val, f_slope), (g_val, g_slope) = f, g
+    f_dev, g_dev = (v - np.einsum("kpn,pn->kn", v, cond)[:, None] for v in (f_val, g_val))
+    return (np.einsum("kpn,lpn,pn->kl", f_dev, g_dev, joint)
+            + (f_slope * np.sum(joint * y_var, axis=1)) @ g_slope.T)
 
 
 def conditional_law(prior, views: ViewSet):
@@ -573,8 +659,10 @@ def solve_lambda_newton(prior, views: ViewSet, *, tol: float = 1e-8,
 class TiltedPosterior:
     """Calibrated model: marginal view times the tilted prior conditional.
 
-    ``problem`` is the ``QuadratureProblem`` whose dual ``lam`` solves; the
-    posterior is priced and differentiated on its node tensor, sampled with its law and rule.
+    ``problem`` is the ``QuadratureProblem`` whose dual ``lam`` solves.  On an
+    exact problem the posterior prices declared payoffs and linear statistics
+    from its truncated-normal pieces; otherwise, and for undeclared payoffs,
+    on its node tensor.  It samples with its law (and rule).
     """
 
     problem: QuadratureProblem = field(repr=False)
@@ -587,15 +675,23 @@ class TiltedPosterior:
         object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, dtype=float)))
 
     def expectation(self, func) -> float:
-        """Posterior expectation of a vectorized payoff func(x, y) on the node tensor.
+        """Posterior expectation of a vectorized payoff func(x, y).
 
-        Raises NonIntegrablePayoff when the payoff or its expectation is not finite.
+        On an exact problem a declared ``OptionPayoff`` on y_0 is integrated
+        exactly: its strike joins the knots, and it is linear on each piece.
+        Any other payoff is summed on the node tensor.  Raises
+        NonIntegrablePayoff when the payoff or its expectation is not finite.
         """
         problem = self.problem
-        values = _on_nodes(func, problem.x_nodes[:, None, :], problem.y_nodes)
-        if not np.all(np.isfinite(values)):
-            raise NonIntegrablePayoff("payoff is not finite on the posterior support")
-        value = problem.expectation(self.lam, values)
+        if problem.exact is not None and _declared(func):
+            _, cond, y_mean, _, c, d = problem._pieces(self.lam, (func,))
+            per_x = np.einsum("pn,pn->n", cond, c[-1][:, None] + d[-1][:, None] * y_mean)
+            value = float(per_x @ problem.x_weights)
+        else:
+            values = _on_nodes(func, problem.x_nodes[:, None, :], problem.y_nodes)
+            if not np.all(np.isfinite(values)):
+                raise NonIntegrablePayoff("payoff is not finite on the posterior support")
+            value = problem.expectation(self.lam, values)
         if not np.isfinite(value):
             raise NonIntegrablePayoff("payoff expectation diverges under the posterior")
         return value
@@ -609,11 +705,9 @@ class TiltedPosterior:
              keep: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
         """The first ``keep`` (default n) of n draws of (X, Y), and their log-weights.
 
-        Exact where the law can draw its tilt: when it has ``sample_tilted``
-        (a Gaussian conditional), Y is one-dimensional and every view is a
-        coordinate view or a declared ``OptionPayoff``, Y | X is drawn from the
-        tilted law itself (``_piecewise_tilt``), in blocks of draws that change
-        no value, and the log-weights are None.
+        Exact on an exact problem (``QuadratureProblem.exact``): Y | X is drawn
+        from the tilted law itself (``sample_tilted`` at ``_piecewise_tilt``),
+        in blocks of draws that change no value, and the log-weights are None.
         Otherwise the draws are prior-conditional (``_draw_xy``) and a draw's
         log-weight is lam . h(x, y) - log Z(x).  log Z(x) takes the problem's
         own law and rule size n_y, in blocks of draws of at most
@@ -623,14 +717,12 @@ class TiltedPosterior:
         """
         problem, lam = self.problem, self.lam
         law, views = problem.law, problem.views
-        sample_tilted = getattr(law, "sample_tilted", None)
-        tilt = None if sample_tilted is None or law.y_dim != 1 else _piecewise_tilt(
-            views.moments, lam)
-        if tilt is not None:
+        if problem.exact is not None:
+            tilt = _piecewise_tilt(views.moments, lam)
             rows = max(1, _BLOCK_VALUES // (4 * tilt[1].size))
 
             def sample(x, rng):  # row by row, so the blocks change no value
-                return np.concatenate([sample_tilted(x[i:i + rows], rng, *tilt)
+                return np.concatenate([law.sample_tilted(x[i:i + rows], rng, *tilt)
                                        for i in range(0, x.shape[0] or 1, rows)])
 
             x, y = _draw_xy(views.marginal, law, n, rng, keep, sample)
@@ -656,27 +748,42 @@ class TiltedPosterior:
         return np.column_stack([x, y]), log_weights
 
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, None, str]:
-        """``expectation(payoff)`` on the node tensor; it has no standard error."""
+        """``expectation(payoff)``, by quadrature; it has no standard error."""
         return self.expectation(payoff), None, "quadrature"
 
     def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
-        """The dual Hessian V, E_g[Cov(r, h | X)] and the score integral dPi/d loc on the nodes."""
+        """The dual Hessian V, E_g[Cov(r, h | X)] and the score integral dPi/d loc.
+
+        Exact for r = r_weights . (x, y) on an exact problem, from the pieces'
+        means and variances of Y; otherwise on the node tensor.
+        """
         problem = self.problem
-        x, y = problem.x_nodes[:, None, :], problem.y_nodes
-        if r_weights is not None:
-            k1 = x.shape[-1]
-            r = lambda x, y: x @ np.asarray(r_weights[:k1]) + y @ np.asarray(r_weights[k1:])
-        r_vals = _on_nodes(r, x, y)
-        cond = problem._tilted_conditional(self.lam)[1]
-        joint = cond * problem.x_weights[:, None]
-        h_mean = np.einsum("knj,nj->kn", problem.h, cond)
-        v = problem._cov_with_h(joint, h_mean, problem.h, h_mean)
-        r_mean = np.einsum("nj,nj->n", cond, r_vals)
-        cov_rh = problem._cov_with_h(joint, h_mean, r_vals[None], r_mean[None])[0]
+        k1 = problem.x_nodes.shape[1]
+        if r_weights is not None and problem.exact is not None:
+            cx, (cy,) = np.asarray(r_weights[:k1], dtype=float), r_weights[k1:]
+            _, cond, y_mean, y_var, c, d = problem._pieces(self.lam)
+            h = (c[:, :, None] + d[:, :, None] * y_mean, d)
+            y = (y_mean[None], np.ones((1, d.shape[1])))
+            v = _total_cov(cond, problem.x_weights, y_var, h, h)
+            cov_rh = cy * _total_cov(cond, problem.x_weights, y_var, y, h)[0]
+            r_mean = problem.x_nodes @ cx + cy * np.einsum("pn,pn->n", cond, y_mean)
+            r_joint = (problem.x_weights * r_mean)[:, None]  # g(x) E[r | x], one column
+        else:
+            x, y = problem.x_nodes[:, None, :], problem.y_nodes
+            if r_weights is not None:
+                r = lambda x, y: x @ np.asarray(r_weights[:k1]) + y @ np.asarray(r_weights[k1:])
+            r_vals = _on_nodes(r, x, y)
+            cond = problem._tilted_conditional(self.lam)[1]
+            joint = cond * problem.x_weights[:, None]
+            h_mean = np.einsum("knj,nj->kn", problem.h, cond)
+            v = problem._cov_with_h(joint, h_mean, problem.h, h_mean)
+            r_mean = np.einsum("nj,nj->n", cond, r_vals)
+            cov_rh = problem._cov_with_h(joint, h_mean, r_vals[None], r_mean[None])[0]
+            r_joint = joint * r_vals
         d_loc = None
         if wrt_loc:
             score = _location_score(getattr(problem.views, "marginal", None))
-            d_loc = float(np.sum(joint * r_vals * score(problem.x_nodes[:, 0])[:, None]))
+            d_loc = float(np.sum(r_joint * score(problem.x_nodes[:, 0])[:, None]))
         return (v + v.T) / 2.0, cov_rh, d_loc
 
 

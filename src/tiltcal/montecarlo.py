@@ -165,22 +165,26 @@ def _bootstrap_quantiles(returns: np.ndarray, weights: np.ndarray | None,
                          q: np.ndarray, n_boot: int, boot_seed: int) -> np.ndarray:
     """Quantiles of the returns (row 0) and of ``n_boot`` bootstrap resamples.
 
-    The returns are sorted once (stably, so tied returns keep their row
-    order) and every generator is ``default_rng(boot_seed)``.  Unweighted,
-    a quantile reads the two order statistics around (n - 1) q, and a
-    resample's are drawn straight from their exact joint law
+    The returns are sorted once and every generator is
+    ``default_rng(boot_seed)``.  Unweighted, only the sorted values are read,
+    so they come from ``np.sort``.  It may put tied -0.0 and +0.0 in either
+    order, where a stable sort keeps their row order; the quantiles then
+    compare equal to the stable sort's, but a zero quantile may carry the
+    other sign.  A quantile reads the two order statistics around (n - 1) q,
+    and a resample's are drawn straight from their exact joint law
     (``_resample_ranks``): the resamples then cost O(n_boot) per order
     statistic, not O(n) each.  Weighted (only a ``GenericPrior`` or an
     undeclared payoff gives weights), a quantile depends on every row's
-    weight, so resample b is the rows ``rng.integers(0, n, n)``, the b-th
-    such draw, entering as the count of draws per rank.
+    weight, so the sort is a stable argsort (tied returns keep their row
+    order, and so their weights) and resample b is the rows
+    ``rng.integers(0, n, n)``, the b-th such draw, entering as the count of
+    draws per rank.
     """
     n = returns.size
-    order = np.argsort(returns, kind="stable")
-    v = returns[order]
     rng = np.random.default_rng(boot_seed)
     out = np.empty((n_boot + 1, q.size))
     if weights is None:
+        v = np.sort(returns)
         pos = (n - 1) * q
         lo = np.minimum(np.floor(pos).astype(np.intp), n - 1)
         hi = np.minimum(lo + 1, n - 1)
@@ -191,6 +195,8 @@ def _bootstrap_quantiles(returns: np.ndarray, weights: np.ndarray | None,
         out[1:] = _lerp(v[ranks[:, np.searchsorted(ks, lo)]],
                         v[ranks[:, np.searchsorted(ks, hi)]], t)
         return out
+    order = np.argsort(returns, kind="stable")
+    v = returns[order]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     w = weights[order]

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import linalg
-from scipy.special import log_ndtr, ndtri_exp, roots_hermite
+from scipy.special import erfcx, log_ndtr, ndtri_exp, roots_hermite
 
 from .errors import NonSampleableConditional, QuadratureFailure, SingularBlock, SingularMap
 
@@ -134,6 +134,70 @@ def _hermite_tensor(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class TiltPieces:
+    """A call/put-tilted Gaussian Y | X as truncated-normal pieces (``tilt_pieces``).
+
+    Arrays are (pieces, rows).  Piece p of row i is N(mean[i] + shift[p] sd,
+    sd^2) truncated to the standardised edges ``lo`` .. ``hi`` (in units of sd
+    from that mean; -inf and +inf at the ends).  ``above`` marks a piece wholly
+    above its own mean, which is read mirrored, in -z, so that its inner edge
+    (nearer its mean) and its outer edge are lower tails; ``log_inner`` and
+    ``log_outer`` are log Phi there.  ``log_std_mass`` is log(Phi(hi) -
+    Phi(lo)) and ``log_mass`` the piece's log-mass under the tilt.
+    """
+
+    mean: np.ndarray
+    sd: float
+    shift: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    above: np.ndarray
+    log_inner: np.ndarray
+    log_outer: np.ndarray
+    log_std_mass: np.ndarray
+    log_mass: np.ndarray
+
+    @cached_property
+    def y_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and variance of Y on each piece, from the truncated-normal moments.
+
+        With r = phi(edge) / (Phi(hi) - Phi(lo)), the standardised mean is
+        r_lo - r_hi and the second moment 1 + lo r_lo - hi r_hi (Tallis 1961).
+        r is exp(log phi - log mass), except where the inner edge, as a lower
+        tail, lies below -5: there both logs are large and nearly cancel, so
+        r takes the Mills ratio phi / Phi from ``erfcx``.  The mean is clipped
+        to the piece and the variance to [0, (width / 2)^2], which bounds the
+        rounding of pieces too thin for their phi differences; a piece without
+        mass gets r = 0.
+        """
+        shape = self.log_std_mass.shape
+        if self.sd == 0.0:
+            return np.broadcast_to(self.mean, shape), np.zeros(shape)
+        held = np.isfinite(self.log_std_mass)
+        log_mass = np.where(held, self.log_std_mass, np.inf)
+        log_phi0 = -0.5 * np.log(2.0 * np.pi)
+        r_lo, r_hi = np.zeros(shape), np.zeros(shape)
+        with np.errstate(over="ignore"):  # only where the erfcx branch replaces r
+            r_lo[1:] = np.exp(log_phi0 - 0.5 * self.lo[1:] ** 2 - log_mass[1:])
+            r_hi[:-1] = np.exp(log_phi0 - 0.5 * self.hi[:-1] ** 2 - log_mass[:-1])
+        inner = np.where(self.above, -self.lo, self.hi)  # as a lower tail
+        far = held & (inner < -5.0)
+        if far.any():
+            up, u = self.above[far], inner[far]
+            v = np.where(up, -self.hi[far], self.lo[far])  # the outer edge, likewise
+            r_in = (np.sqrt(2.0 / np.pi) / erfcx(-u / np.sqrt(2.0))
+                    / -np.expm1(self.log_outer[far] - self.log_inner[far]))
+            r_out = r_in * np.exp(0.5 * (u - v) * (u + v))
+            r_lo[far], r_hi[far] = np.where(up, r_in, r_out), np.where(up, r_out, r_in)
+        second = np.ones(shape)
+        second[1:] += self.lo[1:] * r_lo[1:]
+        second[:-1] -= self.hi[:-1] * r_hi[:-1]
+        z_mean = np.clip(r_lo - r_hi, self.lo, self.hi)
+        z_var = np.clip(second - z_mean**2, 0.0, (0.5 * (self.hi - self.lo)) ** 2)
+        return self.mean + self.sd * (self.shift + z_mean), self.sd**2 * z_var
+
+
+@dataclass(frozen=True)
 class GaussianConditional:
     """Affine conditional law Y | X = x  ~  N(intercept + slope x, cov)."""
 
@@ -173,9 +237,8 @@ class GaussianConditional:
         x = np.asarray(x, dtype=float)
         return self.mean(x) + rng.standard_normal((x.shape[0], self.y_dim)) @ self.root.T
 
-    def sample_tilted(self, x, rng: np.random.Generator, knots, intercepts,
-                      slopes) -> np.ndarray:
-        """One exact draw per row of x of Y | X = x tilted by exp(a_p + b_p y) on piece p.
+    def tilt_pieces(self, x, knots, intercepts, slopes) -> "TiltPieces":
+        """Y | X = x tilted by exp(a_p + b_p y) on piece p, one column per row of x.
 
         For y_dim == 1.  Piece p lies between ``knots[p - 1]`` and ``knots[p]``
         (ascending, with -inf and +inf at the ends); a_p and b_p are
@@ -183,33 +246,33 @@ class GaussianConditional:
         mixture of truncated normals (Tallis 1961): piece p is N(m + b_p s^2, s^2)
         on its interval, with log-mass a_p + b_p m + b_p^2 s^2 / 2 + log(Phi(beta_p)
         - Phi(alpha_p)), taken with ``log_ndtr`` at the finite edges only and
-        through the complement for a piece above its own mean.  Row i takes the
-        uniforms ``rng.random((len(x), 2))[i]``: the first picks a piece, the
-        second inverts Phi inside it from the lower tail, or from the upper tail
-        where its CDF passes 1/2.  So ``sample_tilted(x[:m], ...)`` gives the
-        first m rows of the whole call.  With zero Schur variance Y = m(x).
+        through the complement for a piece above its own mean.  With zero Schur
+        variance Y = m(x): the piece holding m(x) has all of the mass.
         """
         mean = self.mean(np.asarray(x, dtype=float))[:, 0]
-        u = rng.random((mean.size, 2))
         sd = float(abs(self.root[0, 0]))
-        if sd == 0.0:
-            return mean[:, None]
-        # Arrays are (pieces, rows).  Piece p has standardised edges
-        # alpha_p = z0[p - 1] - b_p s and beta_p = z0[p] - b_p s.  A piece wholly
-        # above its mean (alpha_p > 0) is read mirrored, in -z, so that each
-        # piece's inner edge (nearer its mean) and outer edge are lower tails.
         a, b = (np.asarray(v, dtype=float)[:, None] for v in (intercepts, slopes))
         knots = np.asarray(knots, dtype=float)
-        bounds = np.concatenate([[-np.inf], knots, [np.inf]])
         bs = b * sd
+        shape = (b.size, mean.size)
+        lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
+        above = np.zeros(shape, dtype=bool)
+        if sd == 0.0:
+            log_std_mass = np.where(np.arange(b.size)[:, None] == np.searchsorted(knots, mean),
+                                    0.0, -np.inf)
+            return TiltPieces(mean, sd, bs, lo, hi, above, log_std_mass, np.full(shape, -np.inf),
+                              log_std_mass, log_std_mass + a + b * mean)
+        # Piece p has standardised edges alpha_p = z0[p - 1] - b_p s and
+        # beta_p = z0[p] - b_p s; it is mirrored where alpha_p > 0.
         z0 = (knots[:, None] - mean) / sd
-        alpha, beta = z0 - bs[1:], z0 - bs[:-1]
-        above = np.zeros((b.size, mean.size), dtype=bool)
+        alpha, beta = lo[1:], hi[:-1]
+        np.subtract(z0, bs[1:], out=alpha)
+        np.subtract(z0, bs[:-1], out=beta)
         above[1:] = alpha > 0
-        log_lo = np.empty(above.shape)  # log Phi at the lower edge, mirrored where above
+        log_lo = np.empty(shape)  # log Phi at the lower edge, mirrored where above
         log_lo[0] = -np.inf
         log_lo[1:] = log_ndtr(-np.abs(alpha))
-        log_hi = np.empty(above.shape)  # and at the upper edge
+        log_hi = np.empty(shape)  # and at the upper edge
         log_hi[:-1] = log_ndtr(np.where(above[:-1], -beta, beta))
         log_hi[-1] = np.where(above[-1], -np.inf, 0.0)
         log_inner = np.where(above, log_lo, log_hi)
@@ -217,22 +280,42 @@ class GaussianConditional:
         with np.errstate(divide="ignore"):  # a piece too thin to hold mass gets -inf
             log_std_mass = log_inner + np.log(-np.expm1(log_outer - log_inner))
         log_mass = log_std_mass + (a + 0.5 * bs**2) + b * mean
-        cum = np.exp(log_mass - log_mass.max(axis=0)).cumsum(axis=0)
+        return TiltPieces(mean, sd, bs, lo, hi, above, log_inner, log_outer, log_std_mass,
+                          log_mass)
+
+    def sample_tilted(self, x, rng: np.random.Generator, knots, intercepts,
+                      slopes) -> np.ndarray:
+        """One exact draw per row of x of Y | X = x tilted by exp(a_p + b_p y) on piece p.
+
+        The pieces are ``tilt_pieces(x, knots, intercepts, slopes)``.  Row i
+        takes the uniforms ``rng.random((len(x), 2))[i]``: the first picks a
+        piece by its mass, the second inverts Phi inside it from the lower
+        tail, or from the upper tail where its CDF passes 1/2.  So
+        ``sample_tilted(x[:m], ...)`` gives the first m rows of the whole call.
+        With zero Schur variance Y = m(x).
+        """
+        p = self.tilt_pieces(x, knots, intercepts, slopes)
+        u = rng.random((p.mean.size, 2))
+        if p.sd == 0.0:
+            return p.mean[:, None]
+        knots = np.asarray(knots, dtype=float)
+        bounds = np.concatenate([[-np.inf], knots, [np.inf]])
+        cum = np.exp(p.log_mass - p.log_mass.max(axis=0)).cumsum(axis=0)
         piece = np.sum(cum[:-1] < (1.0 - u[:, 0]) * cum[-1], axis=0)
         # Invert inside the chosen piece at v = u + 2^-54, the midpoint of u's cell:
         # Phi(z) = Phi(alpha) + v mass, read as Phi(-z) = Phi(-beta) + (1 - v) mass
         # where mirrored, and as 1 - Phi(z) = Phi(-beta) + (1 - v) mass past 1/2.
-        cols = np.arange(mean.size)
-        log_m, flip, bp = log_std_mass[piece, cols], above[piece, cols], bs[piece, 0]
+        cols = np.arange(p.mean.size)
+        log_m, flip, bp = p.log_std_mass[piece, cols], p.above[piece, cols], p.shift[piece, 0]
         log_v, log_1mv = np.log(u[:, 1] + 2.0**-54), np.log((1.0 - u[:, 1]) - 2.0**-54)
-        log_p = np.logaddexp(log_outer[piece, cols], np.where(flip, log_1mv, log_v) + log_m)
+        log_p = np.logaddexp(p.log_outer[piece, cols], np.where(flip, log_1mv, log_v) + log_m)
         upper = (log_p > -np.log(2.0)) & ~flip  # only a piece straddling its mean gets there
         if upper.any():
-            inner = (bounds[piece[upper] + 1] - mean[upper]) / sd - bp[upper]
+            inner = p.hi[piece[upper], cols[upper]]
             log_p[upper] = np.logaddexp(log_ndtr(-inner), log_1mv[upper] + log_m[upper])
         z = ndtri_exp(log_p)
         z[upper ^ flip] *= -1.0
-        y = np.clip(mean + bp * sd + sd * z, bounds[piece], bounds[piece + 1])
+        y = np.clip(p.mean + bp * p.sd + p.sd * z, bounds[piece], bounds[piece + 1])
         return y[:, None]
 
     def rule(self, x, n: int, rng: np.random.Generator | None = None):

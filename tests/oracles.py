@@ -13,9 +13,10 @@ grid view's pdf for its cdf and moments, mpmath's incomplete beta for the far
 left tail of the t cdf and quantile, a per-view loop for the moment-view
 tensor, an importance-sampling draw whose normalizer takes one rule over
 the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
-truncated-normal pieces, adaptive quadrature of a density view's total mass,
-and a posterior sample drawn as whole streams, solved back to factors by LU
-and cut to n.
+truncated-normal pieces, piecewise Gauss-Legendre quadrature of the dual of
+that law, adaptive quadrature of a density view's total mass, and a
+posterior sample drawn as whole streams, solved back to factors by LU and
+cut to n.
 """
 
 from __future__ import annotations
@@ -268,6 +269,85 @@ def tilted_gaussian_draw_mpmath(m: float, s: float, views, u, dps: int = 50) -> 
             q = lo_cdf + (mpmath.mpf(u1) + mpmath.mpf(2) ** -54) * (hi_cdf - lo_cdf)
             out.append(float(mu + s * mpmath.sqrt(2) * mpmath.erfinv(2 * q - 1)))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Dual of a call/put-tilted Gaussian Y | X by Gauss-Legendre, split at the kinks
+# ---------------------------------------------------------------------------
+
+
+def tilted_gaussian_legendre(m, s: float, x_weights, h, lam, kinks, f=None, block: int = 500):
+    """E_g[log Z], E_g[h], E_g[Cov(h | X)] and E_g[f] for Y | X = x_i ~ N(m_i, s^2) tilted
+    by exp(lam . h(y)), by piecewise Gauss-Legendre quadrature in y.
+
+    ``h(y)`` maps a 1-D array of y to the (k, len(y)) view values and ``f(y)``
+    (optional) to len(y) values.  Each is continuous and linear between the
+    ``kinks`` with slopes 0 or +-1 (calls, puts, y itself), so on each piece
+    the tilted density is a Gaussian whose mean lies within reach s^2 of m_i,
+    reach = sum |lam|.  One y grid serves every outer node: it spans
+    [min m - half, max m + half], half = (12 + reach s) s, is cut at the kinks
+    and into panels no wider than s, and each panel takes a 20-point
+    Gauss-Legendre rule, on which the integrand is analytic.  Sums are in
+    logs, and the covariance is taken from deviations about the mean.
+    """
+    m, x_weights, lam = (np.asarray(v, dtype=float) for v in (m, x_weights, lam))
+    half = (12.0 + np.abs(lam).sum() * s) * s
+    lo, hi = m.min() - half, m.max() + half
+    edges = np.unique(np.r_[lo, [k for k in kinks if lo < k < hi], hi])
+    t, w = np.polynomial.legendre.leggauss(20)
+    y, log_w = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        cuts = np.linspace(a, b, int(np.ceil((b - a) / s)) + 1)
+        mid, rad = (cuts[1:] + cuts[:-1]) / 2, (cuts[1:] - cuts[:-1]) / 2
+        y.append((mid[:, None] + rad[:, None] * t).ravel())
+        log_w.append(np.log(rad[:, None] * w).ravel())
+    y, log_w = np.concatenate(y), np.concatenate(log_w)
+    hy = np.asarray(h(y), dtype=float)
+    fy = None if f is None else np.asarray(f(y), dtype=float)
+    tilt = log_w + lam @ hy - np.log(s * np.sqrt(2.0 * np.pi))
+    k = hy.shape[0]
+    log_z, mean, cov, f_mean = (np.empty(m.size), np.empty((m.size, k)),
+                                np.empty((m.size, k, k)), np.empty(m.size))
+    for start in range(0, m.size, block):
+        rows = slice(start, start + block)
+        scores = tilt - 0.5 * ((y - m[rows, None]) / s) ** 2
+        peak = scores.max(axis=1, keepdims=True)
+        log_z[rows] = peak[:, 0] + np.log(np.exp(scores - peak).sum(axis=1))
+        q = np.exp(scores - log_z[rows, None])
+        mean[rows] = q @ hy.T
+        dev = hy[None] - mean[rows, :, None]
+        cov[rows] = np.einsum("bj,bkj,blj->bkl", q, dev, dev)
+        if fy is not None:
+            f_mean[rows] = q @ fy
+    return (float(x_weights @ log_z), x_weights @ mean, np.einsum("b,bkl->kl", x_weights, cov),
+            None if fy is None else float(x_weights @ f_mean))
+
+
+def solve_tilted_gaussian_legendre(m, s: float, x_weights, h, targets, kinks,
+                                   tol: float = 1e-14, max_iter: int = 50) -> np.ndarray:
+    """The multipliers at which ``tilted_gaussian_legendre``'s E_g[h] meets the targets.
+
+    Newton's method from lam = 0 on the dual E_g[log Z] - lam . targets,
+    halving a step until max |gradient| falls, to max |gradient| <= tol or
+    until no step lowers it.
+    """
+    targets = np.asarray(targets, dtype=float)
+    lam = np.zeros(targets.size)
+    _, mean, cov, _ = tilted_gaussian_legendre(m, s, x_weights, h, lam, kinks)
+    for _ in range(max_iter):
+        grad = np.abs(mean - targets).max()
+        if grad <= tol:
+            break
+        step = -np.linalg.solve(cov, mean - targets)
+        for t in 0.5 ** np.arange(20):
+            _, trial_mean, trial_cov, _ = tilted_gaussian_legendre(
+                m, s, x_weights, h, lam + t * step, kinks)
+            if np.abs(trial_mean - targets).max() < grad:
+                break
+        else:
+            break
+        lam, mean, cov = lam + t * step, trial_mean, trial_cov
+    return lam
 
 
 # ---------------------------------------------------------------------------

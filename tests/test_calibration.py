@@ -1,6 +1,7 @@
 """Dual evaluation, Newton solve, and existence/uniqueness diagnostics."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from oracles import (
     hull_gauge_full_lp,
     padded_probe_class,
     ray_lp_gauge,
+    solve_tilted_gaussian_legendre,
+    tilted_gaussian_legendre,
     view_tensor_loop,
 )
 
@@ -161,6 +164,131 @@ class TestViewTensor:
         np.testing.assert_array_equal(got, view_tensor_loop(self.MOMENTS, x, y))
         assert got.shape == (len(self.MOMENTS),) + y.shape[:-1] and got.dtype == float
         assert tc.calibration._view_tensor((), x, y).shape == (0,) + y.shape[:-1]
+
+
+# ---------------------------------------------------------------------------
+# Exact dual for declared calls and puts on a one-dimensional Gaussian Y | X
+# ---------------------------------------------------------------------------
+
+
+def _declared_problem(views, n_x=400, mean=(0.0, 0.1), cov=((1.0, 0.6), (0.6, 1.2)),
+                      marginal=None):
+    """option_chain's model with (payoff, target) views, "y" for coordinate 0 of Y."""
+    moments = tuple(tc.MomentView(target, coord=0) if payoff == "y" else
+                    tc.MomentView(target, payoff=payoff) for payoff, target in views)
+    prior = tc.GaussianPrior(mean, cov)
+    views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 2),
+                       marginal or tc.StudentTDensity(df=4, loc=0.0, scale=0.8), moments)
+    return prior, views, tc.QuadratureProblem.from_prior(prior, views, n_x=n_x)
+
+
+def _legendre_args(problem, *strikes):
+    """Conditional means, sd, the views as h(y) and the kinks, for the Legendre oracle."""
+    law, moments = problem.law, problem.views.moments
+    h = lambda y: view_tensor_loop(moments, np.zeros((y.size, 1)), y[:, None])
+    kinks = [view.payoff.strike for view in moments if view.coord is None] + list(strikes)
+    return law.mean(problem.x_nodes)[:, 0], float(np.sqrt(law.cov[0, 0])), h, kinks
+
+
+def _assert_state_matches_legendre(problem, lam, payoff, rtol_hessian=1e-12):
+    """Dual value, gradient, Hessian and a declared price against the Legendre oracle."""
+    m, s, h, kinks = _legendre_args(problem, payoff.strike)
+    f = lambda y: payoff(None, y[:, None])
+    value, mean, cov, price = tilted_gaussian_legendre(m, s, problem.x_weights, h, lam,
+                                                       kinks, f=f)
+    state = problem.dual_state(lam)
+    assert state.value + lam @ problem.targets == pytest.approx(value, rel=1e-12, abs=1e-14)
+    np.testing.assert_allclose(state.gradient + problem.targets, mean, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(state.hessian, cov, rtol=rtol_hessian, atol=1e-15)
+    assert problem.posterior(lam).expectation(payoff) == pytest.approx(price, rel=1e-12,
+                                                                       abs=1e-15)
+
+
+CALL, PUT = tc.OptionPayoff("call", 0, 0.4), tc.OptionPayoff("put", 0, -0.4)
+
+
+class TestExactDual:
+    # The put-only target sits away from the prior's E[put] ~ 0.23, so lambda is not near 0:
+    # below |gradient| ~ 1e-13 Newton's Armijo test no longer sees the dual fall.
+    CASES = {
+        "option-chain": ((CALL, 0.45), (PUT, 0.25)),
+        "put-only": ((PUT, 0.4),),
+        "call-and-y": ((CALL, 0.45), ("y", 0.12)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_lambda_matches_the_legendre_oracle(self, case):
+        """On the same outer nodes, lambda is the oracle's to 1e-12; no inner rule is built."""
+        prior, views, problem = _declared_problem(self.CASES[case])
+        report = tc.solve_lambda_newton(prior, views, problem=problem, tol=1e-13)
+        assert report.converged
+        m, s, h, kinks = _legendre_args(problem)
+        want = solve_tilted_gaussian_legendre(m, s, problem.x_weights, h, views.targets, kinks)
+        np.testing.assert_allclose(report.lam, want, rtol=1e-12, atol=0)
+        assert problem.exact is not None and "_tensor" not in vars(problem)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("payoff", [tc.OptionPayoff("call", 0, 0.8),
+                                        tc.OptionPayoff("put", 0, 0.1)])
+    def test_state_and_price_match_the_legendre_oracle(self, case, payoff):
+        problem = _declared_problem(self.CASES[case])[2]
+        lam = np.array([0.7, -0.3])[:problem.n_moments]
+        _assert_state_matches_legendre(problem, lam, payoff)
+
+    @pytest.mark.parametrize("strike", [9.0, 50.0])
+    def test_far_strikes_read_mirrored_pieces(self, strike):
+        """A call K = 9 s and 50 s above m(x) with lam = (-K, K + 1/2), as the draw tests:
+        the upper piece lies far above its own mean, yet holds over half a percent of the mass."""
+        problem = _declared_problem(
+            ((tc.OptionPayoff("call", 0, strike), 0.0), ("y", 0.0)), n_x=200, mean=(0.0, 0.0),
+            cov=((1.0, 0.5), (0.5, 1.25)), marginal=tc.GaussianDensity(0.0, 1.0))[2]
+        lam = np.array([-strike, strike + 0.5])
+        pieces = problem.law.tilt_pieces(problem.x_nodes, *tc.calibration._piecewise_tilt(
+            problem.views.moments, lam))
+        assert pieces.above[-1].all()
+        assert np.exp(pieces.log_mass[-1] - np.logaddexp(*pieces.log_mass)).min() > 0.005
+        # the far piece's variance is 1 - r (r - alpha) with r ~ alpha ~ K, so its
+        # rounding is ~K^2 eps relative to the within-piece variance
+        _assert_state_matches_legendre(problem, lam, tc.OptionPayoff("call", 0, strike + 0.5),
+                                       rtol_hessian=1e-9)
+
+    @pytest.mark.parametrize("lam", [(50.0, 50.0), (50.0, -50.0), (-50.0, 50.0), (-50.0, -50.0)])
+    def test_large_multipliers_evaluate_without_warnings(self, lam):
+        problem = _declared_problem(self.CASES["option-chain"], n_x=200)[2]
+        lam = np.array(lam)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            state = problem.dual_state(lam)
+            price = problem.posterior(lam).expectation(tc.OptionPayoff("call", 0, 0.8))
+        assert np.isfinite(state.value) and np.all(np.isfinite(state.hessian))
+        assert np.isfinite(price)
+        _assert_state_matches_legendre(problem, lam, tc.OptionPayoff("call", 0, 0.8),
+                                       rtol_hessian=1e-9)
+
+    def test_zero_schur_variance_is_y_at_its_conditional_mean(self):
+        """Covariance [[1, 1], [1, 1]]: Y = m(x), as the Gauss-Hermite twin's nodes all are."""
+        cov = ((1.0, 1.0), (1.0, 1.0))
+        problem = _declared_problem(self.CASES["option-chain"], n_x=200, cov=cov)[2]
+        lam = np.array([0.3, 0.2])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            state = problem.dual_state(lam)
+            price = problem.posterior(lam).expectation(tc.OptionPayoff("call", 0, 0.8))
+        m = problem.law.mean(problem.x_nodes)[:, 0]
+        h = np.stack([np.maximum(m - 0.4, 0.0), np.maximum(-0.4 - m, 0.0)])
+        assert state.value == pytest.approx(problem.x_weights @ (lam @ h) - lam @ problem.targets,
+                                            rel=1e-14, abs=1e-15)
+        np.testing.assert_allclose(state.gradient + problem.targets, h @ problem.x_weights,
+                                   rtol=1e-14)
+        assert np.array_equal(state.hessian, np.zeros((2, 2)))
+        assert price == pytest.approx(problem.x_weights @ np.maximum(m - 0.8, 0.0), rel=1e-14)
+
+    def test_tilt_past_the_cap_is_not_integrable(self):
+        """log Z(x) grows like lam^2 s^2 / 2: past 1e4 the tilt is refused, as on the tensor."""
+        problem = _declared_problem(self.CASES["option-chain"], n_x=200)[2]
+        problem.dual_state(np.array([140.0, 0.0]))
+        with pytest.raises(tc.NonIntegrableTilt):
+            problem.dual_state(np.array([200.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +745,18 @@ class TestIndependence:
         )
         return prior, views
 
+    @staticmethod
+    def _option_chain_declared():
+        """The same views declared, as the command line builds them."""
+        prior, views = TestIndependence._option_chain()
+        moments = (tc.MomentView(target=0.45, payoff=CALL), tc.MomentView(target=0.25, payoff=PUT))
+        return prior, tc.ViewSet(views.view_map, views.marginal, moments)
+
     @pytest.mark.parametrize("model, expected", [
         ("two_asset", 0.0850635957373671),  # closed form: the Schur block S_mm
         ("option_chain", 0.15843580595482792),  # quadrature Hessian
+        # exact piece moments; the Legendre oracle gives 0.15843899956813295
+        ("option_chain_declared", 0.1584389995681328),
         ("generic", 0.49),  # Gauss-Hermite rule for Var(Y | X) = S^2
     ])
     def test_equals_newton_diagnostic_bit_for_bit(self, model, expected,
@@ -627,6 +764,7 @@ class TestIndependence:
         prior, views = {
             "two_asset": lambda: (two_asset_prior, two_asset_views),
             "option_chain": self._option_chain,
+            "option_chain_declared": self._option_chain_declared,
             "generic": lambda: (TestGenericPrior()._generic(), TestGenericPrior()._views()),
         }[model]()
         eig = tc.independence_check(prior, views)

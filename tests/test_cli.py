@@ -13,6 +13,7 @@ import tiltcal as tc
 from tiltcal import cli
 from tiltcal.cli import main, run
 from conftest import SIX_INDEX_COV, SIX_INDEX_LABELS, SIX_INDEX_MEAN
+from oracles import solve_tilted_gaussian_legendre, tilted_gaussian_legendre, view_tensor_loop
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +316,16 @@ class TestRun:
         assert not out.exists() or os.listdir(out) == []
 
     def test_sensitivities_run_on_payoff_views(self, tmp_path):
-        """dPi/dc matches a central difference of re-calibrations, dPi/d loc one at fixed lam."""
+        """dPi/dc matches a central difference of re-calibrations, dPi/d loc one at fixed lam.
+
+        The view is the declared call and E[y] is E[(y)+] - E[(-y)+], so both
+        sides integrate Y | X exactly."""
         task = {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}, "wrt_loc": True}
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, student_t_payoff_spec([task])), str(out)) == 0
         report = json.loads((out / "sensitivities.json").read_text())
         prior = tc.GaussianPrior([0.0, 0.1], [[1.0, 0.6], [0.6, 1.2]])
-        call = lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0)
+        call = tc.OptionPayoff("call", 0, 0.4)
 
         def problem(target, loc=0.0):
             views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 1),
@@ -330,7 +334,9 @@ class TestRun:
             return tc.QuadratureProblem.from_prior(prior, views, n_x=2001, n_y=64)
 
         def pi(problem, lam):
-            return problem.posterior(lam).expectation(lambda x, y: y[..., 0])
+            post = problem.posterior(lam)
+            return (post.expectation(tc.OptionPayoff("call", 0, 0.0))
+                    - post.expectation(tc.OptionPayoff("put", 0, 0.0)))
 
         def calibrated(target):
             p = problem(target)
@@ -345,13 +351,14 @@ class TestRun:
         assert report["d_pi_d_loc"] == pytest.approx(d_pi_d_loc, rel=1e-5)
 
     def test_not_converged_exits_2(self, tmp_path):
+        """A call's expectation is never negative, so no multiplier reaches a target of -1."""
         doc = {
             "schema_version": 1,
             "prior": {"mean": [0.0, 0.0], "covariance": [[1.0, 0.3], [0.3, 1.0]]},
             "view_map": {"k1": 1, "k2": 1},
             "marginal": {"kind": "gaussian", "mean": 0.0, "stddev": 1.0},
             "moments": [
-                {"payoff": {"kind": "call", "coord": 0, "strike": 0.0}, "target": 50.0}
+                {"payoff": {"kind": "call", "coord": 0, "strike": 0.0}, "target": -1.0}
             ],
             "solver": {"n_x": 201, "n_y": 16, "max_iter": 10},
             "tasks": [{"type": "calibrate"}],
@@ -748,18 +755,56 @@ def _lambda_twin(make_payoff):
     return make
 
 
-def test_declared_payoffs_calibrate_and_price_as_their_lambda_twins(tmp_path, monkeypatch):
-    """option_chain's declared payoffs and their lambda twins give the same calibration.json
-    (lambda included) and price.json byte for byte; only the draws behind var.csv differ."""
-    declared, twin = tmp_path / "declared", tmp_path / "twin"
-    spec = str(WORKLOAD_DIR / "option_chain.json")
-    assert isinstance(cli.load_spec(spec).views.moments[0].payoff, tc.OptionPayoff)
-    assert run(spec, str(declared), samples=20_000) == 0
+def _option_chain_doc(**solver):
+    """The option_chain workload spec with the given solver settings."""
+    doc = json.loads((WORKLOAD_DIR / "option_chain.json").read_text())
+    doc["solver"] |= solver
+    return doc
+
+
+def test_declared_payoffs_match_the_legendre_oracle(tmp_path, monkeypatch):
+    """option_chain's declared calls and puts are solved and priced exactly: lambda and the
+    price match piecewise Gauss-Legendre on the same outer nodes to 1e-12.  Their lambda
+    twins stay on the Gauss-Hermite tensor, whose lambda error shrinks from n_y = 64 to 128."""
+    doc = _option_chain_doc(n_x=2000, tol=1e-13)
+    path = _write_spec(tmp_path, doc)
+    out = tmp_path / "declared"
+    assert run(path, str(out), samples=20_000) == 0
+    lam = np.array(json.loads((out / "calibration.json").read_text())["lambda"])
+    price = json.loads((out / "price.json").read_text())["price"]
+    spec = cli.load_spec(path)
+    problem = tc.build_dual_problem(spec.prior, spec.views, n_x=2000)
+    m, s = problem.law.mean(problem.x_nodes)[:, 0], float(np.sqrt(problem.law.cov[0, 0]))
+    h = lambda y: view_tensor_loop(spec.views.moments, np.zeros((y.size, 1)), y[:, None])
+    strikes = [view.payoff.strike for view in spec.views.moments]
+    want = solve_tilted_gaussian_legendre(m, s, problem.x_weights, h, spec.views.targets,
+                                          strikes)
+    np.testing.assert_allclose(lam, want, rtol=1e-12, atol=0)
+    task = next(task for task in doc["tasks"] if task["type"] == "price")
+    strike = task["payoff"]["strike"]
+    value = tilted_gaussian_legendre(m, s, problem.x_weights, h, want, strikes + [strike],
+                                     f=lambda y: np.maximum(y - strike, 0.0))[3]
+    assert price == pytest.approx(np.exp(-task["discount"]) * value, rel=1e-12, abs=0)
     monkeypatch.setattr(cli, "_make_payoff", _lambda_twin(cli._make_payoff))
-    assert not isinstance(cli.load_spec(spec).views.moments[0].payoff, tc.OptionPayoff)
-    assert run(spec, str(twin), samples=20_000) == 0
-    for name in ("calibration.json", "price.json"):
-        assert (declared / name).read_bytes() == (twin / name).read_bytes()
+    gaps = []
+    for n_y in (64, 128):
+        twin = tmp_path / f"twin-{n_y}"
+        twin_doc = _option_chain_doc(n_x=2000, n_y=n_y, tol=1e-13)
+        assert run(_write_spec(tmp_path, twin_doc, f"twin-{n_y}.json"), str(twin),
+                   samples=20_000) == 0
+        twin_lam = np.array(json.loads((twin / "calibration.json").read_text())["lambda"])
+        gaps.append(np.abs(twin_lam / want - 1).max())
+    assert 0 < gaps[1] < gaps[0] < 1e-4
+
+
+def test_option_chain_run_builds_no_inner_rule(tmp_path, monkeypatch):
+    """Every task of option_chain is exact: no Gauss-Hermite rule is built for it."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("GaussianConditional.rule was called")
+
+    monkeypatch.setattr(tc.GaussianConditional, "rule", refuse)
+    assert run(str(WORKLOAD_DIR / "option_chain.json"), str(tmp_path / "out"),
+               samples=20_000) == 0
 
 
 class TestMainEntryPoint:

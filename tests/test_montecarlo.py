@@ -843,7 +843,7 @@ class TestVarBootstrap:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_one_sort_whatever_the_resample_count(self, weighted, monkeypatch):
-        calls = {"argsort": 0, "quantile": 0}
+        calls = {"argsort": 0, "sort": 0, "quantile": 0}
 
         def counted(name):
             original = getattr(np, name)
@@ -863,6 +863,23 @@ class TestVarBootstrap:
             tc.estimate_var(batch, [0.5, 0.5], 1.0, BOOT_LEVELS[1:], n_boot=n_boot)
             seen.append({name: calls[name] - before[name] for name in calls})
         assert seen[0] == seen[1]
+
+    def test_unweighted_sort_equals_the_stable_argsort(self, monkeypatch):
+        """np.sort gives the quantiles a stable argsort and gather give, ties and -0.0 included."""
+        returns = np.round(np.random.default_rng(8).standard_t(3, 100_000), 1)
+        assert np.any(np.signbit(returns) & (returns == 0)) and np.any(returns == 0)
+        q = np.array([0.9975, 0.995, 0.9925, 0.95, 0.75, 0.5, 0.31])
+        fast = tc.montecarlo._bootstrap_quantiles(returns, None, q, 200, 5)
+        sorts = []
+
+        def stable(a):
+            sorts.append(a)
+            return a[np.argsort(a, kind="stable")]
+
+        monkeypatch.setattr(np, "sort", stable)
+        slow = tc.montecarlo._bootstrap_quantiles(returns, None, q, 200, 5)
+        assert len(sorts) == 1
+        assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("kwargs", [
         {"portfolio_weights": [np.nan, 0.5]},
