@@ -30,19 +30,36 @@ __all__ = [
 ]
 
 # Marginal densities (see ``_marginal_from_view_weights``): kernel marks in
-# units of h around c, the view quantiles used as marks, and the two
-# Gauss-Legendre rules whose difference is the error estimate.
+# units of h around c (the outer two bound the kernel window), the view
+# quantiles used as marks, and QUADPACK's 15-point Kronrod rule ``qk15``
+# (Piessens et al. 1983) with the weights of the 7-point Gauss rule it embeds
+# (zero at the Kronrod-only nodes); their difference is the error estimate.
 _KERNEL_MARKS = np.array([-10.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 10.0])
 _TAIL_U = np.array([1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5])
 _VIEW_QUANTILES = np.concatenate([_TAIL_U, 1.0 - _TAIL_U])
-_GL_LOW_X, _GL_LOW_W = np.polynomial.legendre.leggauss(16)
-_GL_HIGH_X, _GL_HIGH_W = np.polynomial.legendre.leggauss(32)
-_GL_LOW_N = _GL_LOW_X.size
-_GL_NODES = np.concatenate([_GL_LOW_X, _GL_HIGH_X])
+_XGK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                 0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                 0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                 0.207784955007898467600689403773245, 0.0])
+_WGK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+                0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
+_K15_X = np.concatenate([-_XGK, _XGK[-2::-1]])
+_K15_W = np.concatenate([_WGK, _WGK[-2::-1]])
+_G7_W = np.concatenate([_WG, _WG[-2::-1]])
+# Columns: the Kronrod sum and its gap to the Gauss sum.
+_RULE = np.column_stack([_K15_W, _K15_W - _G7_W])
+# The kernel exp(-u^2 / 2) is below e^-50 outside the window |u| <= 10 and g
+# has mass at most 1 there, so the window rung leaves out at most e^-50.
+_WINDOW_TAIL = np.exp(-50.0)
 # Values per (points, panels, nodes) block: 2^15 doubles is 256 KiB.
 _CHUNK_VALUES = 1 << 15
-# Points whose error estimate misses the tolerance are retried with every
-# panel halved, at most this many times, before QuadratureFailure.
+# Points whose error estimate misses the tolerance on the kernel window are
+# retried on the window joined with g's range, then with every panel halved,
+# at most this many times, before QuadratureFailure.
 _MAX_HALVINGS = 4
 
 
@@ -107,7 +124,7 @@ def posterior_marginal_linear(post: GaussianMarginalPosterior, weights_z, s,
 
     Conditional on X = x the combination is Gaussian with an affine mean
     in x, so the marginal is a one-dimensional mixture integral over g.
-    All points are evaluated at once by a composite Gauss-Legendre panel
+    All points are evaluated at once by a composite Gauss-Kronrod panel
     rule whose error estimate must stay within ``rel_tol`` relative, else
     QuadratureFailure is raised; exact in the degenerate cases (no x
     dependence, or a combination lying in the X block).
@@ -131,17 +148,16 @@ def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, 
     Closed forms when alpha = 0 (no x dependence, as with no X block) or no Y
     variance.  Otherwise the density at s is  int phi(s; beta + alpha x,
     sigma^2) g(x) dx, a Gaussian kernel of width h = sigma / |alpha| around
-    c = (s - beta) / alpha in x.  It is integrated over the kernel window
-    [c - 10h, c + 10h] joined with g's range [ppf(1e-12), ppf(1 - 1e-12)],
-    cut into panels at the kernel marks c + h * {0, +-1, +-2, +-4} and at
-    g's own quantiles (plus a grid view's knots), so that both the kernel
-    and a narrow view spike are resolved.  Each panel is summed with 16 and
-    with 32 Gauss-Legendre nodes; the 32-node sum is the value and the gap
-    to the 16-node sum its error estimate, which must stay within
-    ``rel_tol`` relative.  Points that miss it are retried with every panel
-    halved, up to _MAX_HALVINGS times, before QuadratureFailure.  Points
-    are processed in chunks that bound the (points, panels, nodes)
-    temporaries to a few hundred KiB.
+    c = (s - beta) / alpha in x.  Panels are cut at the kernel marks
+    c + h * {0, +-1, +-2, +-4, +-10} and at g's own quantiles (plus a grid
+    view's knots), so that both the kernel and a narrow view spike are
+    resolved, and each is summed with the 15-point Kronrod rule; the gap to
+    its embedded 7-point Gauss rule is the error estimate, which must stay
+    within ``rel_tol`` relative.  The first rung integrates over the kernel
+    window [c - 10h, c + 10h] only, and its estimate carries e^-50 for the
+    part it leaves out.  Points that miss the tolerance there are retried on
+    the window joined with g's range [ppf(1e-12), ppf(1 - 1e-12)], then with
+    every panel halved, up to _MAX_HALVINGS times, before QuadratureFailure.
     """
     k1 = post.k1
     cond = post.conditional
@@ -172,8 +188,9 @@ def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, 
     out = np.empty_like(s_arr)
     err = np.empty_like(s_arr)
     rows = np.arange(s_arr.size)
-    for halvings in range(1 + _MAX_HALVINGS):
-        out[rows], err[rows] = _panel_sums(g, centers[rows], h, view_marks, halvings)
+    for rung in range(2 + _MAX_HALVINGS):
+        out[rows], err[rows] = _panel_sums(g, centers[rows], h, view_marks,
+                                           window=rung == 0, halvings=max(rung - 1, 0))
         rows = rows[err[rows] > rel_tol * np.abs(out[rows])]
         if rows.size == 0:
             break
@@ -187,35 +204,56 @@ def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, 
     return _match_shape(out, s)
 
 
-def _panel_sums(g, centers: np.ndarray, h: float, view_marks: np.ndarray, halvings: int):
+def _panel_sums(g, centers: np.ndarray, h: float, view_marks: np.ndarray, *,
+                window: bool, halvings: int):
     """Integral of exp(-((x - c) / h)^2 / 2) g(x) for each c in ``centers``.
 
     The panels of c run between its sorted kernel marks c + h * _KERNEL_MARKS
-    and ``view_marks``, each split into 2^halvings equal parts, so they cover
-    [c - 10h, c + 10h] joined with the view marks' range.  Returns the
-    32-node sums and their error estimates: the distance to the 16-node
-    sums, but never below the rounding unit of the sum.  Works through the
-    centres in chunks of at most _CHUNK_VALUES nodes.
+    and the sorted ``view_marks``: with ``window`` only the marks strictly
+    inside the kernel window [c - 10h, c + 10h], so that the panels cover the
+    window, else all of them, so that they cover the window joined with the
+    marks' range.  Each panel is split into 2^halvings equal parts.  Returns
+    the 15-point Kronrod sums and their error estimates: the distance to the
+    embedded 7-point Gauss sums, but never below the rounding unit of the
+    sum, plus e^-50 with ``window`` for the integral outside it.
+
+    Rows are taken in order of their number of marks, in chunks of at most
+    _CHUNK_VALUES nodes; a chunk's rows with fewer marks than its last are
+    padded with zero-width panels at the window's right end, which add
+    exactly 0 to the sequential sum over panels.
     """
-    high = np.empty(centers.size)
-    low = np.empty(centers.size)
-    n_panels = (_KERNEL_MARKS.size + view_marks.size - 1) << halvings
-    step = max(1, _CHUNK_VALUES // (n_panels * _GL_NODES.size))
-    for start in range(0, centers.size, step):
-        rows = slice(start, start + step)
-        c = centers[rows, None]
-        edges = np.sort(np.concatenate(
-            [c + h * _KERNEL_MARKS, np.broadcast_to(view_marks, (c.size, view_marks.size))],
-            axis=1,
-        ), axis=1)
+    kern = centers[:, None] + h * _KERNEL_MARKS
+    if window:
+        first = np.searchsorted(view_marks, kern[:, 0], side="right")
+        counts = np.searchsorted(view_marks, kern[:, -1], side="left") - first
+    else:
+        first = np.zeros(centers.size, dtype=int)
+        counts = np.full(centers.size, view_marks.size)
+    order = np.argsort(counts, kind="stable")
+    # nodes of the rows in that order, padded as if each ended a chunk
+    nodes = ((_KERNEL_MARKS.size - 1 + counts[order]) << halvings) * _K15_X.size
+    sums = np.empty((centers.size, 2))
+    start = 0
+    while start < order.size:
+        # the most rows from ``start`` whose padded block fits in _CHUNK_VALUES
+        span = nodes[start:start + max(1, _CHUNK_VALUES // nodes[start])]
+        fits = np.count_nonzero(np.arange(1, span.size + 1) * span <= _CHUNK_VALUES)
+        rows = order[start:start + max(1, fits)]
+        pick = first[rows, None] + np.arange(counts[rows[-1]])
+        marks = np.where(pick < (first + counts)[rows, None],
+                         view_marks[np.minimum(pick, view_marks.size - 1)], kern[rows, -1:])
+        edges = np.sort(np.concatenate([kern[rows], marks], axis=1), axis=1)
         for _ in range(halvings):
             edges = _halve_panels(edges)
         half = 0.5 * np.diff(edges, axis=1)[:, :, None]
-        x = (edges[:, :-1, None] + half) + half * _GL_NODES
-        f = np.exp(-0.5 * ((x - c[:, :, None]) / h) ** 2) * g.pdf(x) * half
-        low[rows] = (f[:, :, :_GL_LOW_N] @ _GL_LOW_W).sum(axis=1)
-        high[rows] = (f[:, :, _GL_LOW_N:] @ _GL_HIGH_W).sum(axis=1)
-    return high, np.maximum(np.abs(high - low), np.finfo(float).eps * np.abs(high))
+        x = (edges[:, :-1, None] + half) + half * _K15_X
+        f = np.exp(-0.5 * ((x - centers[rows, None, None]) / h) ** 2) * g.pdf(x) * half
+        # summed in a fixed order, so that a row's value does not depend on its chunk
+        sums[rows] = (f.sum(axis=1)[:, :, None] * _RULE).sum(axis=1)
+        start += rows.size
+    value = sums[:, 0]
+    err = np.maximum(np.abs(sums[:, 1]), np.finfo(float).eps * np.abs(value))
+    return value, err + _WINDOW_TAIL if window else err
 
 
 def _halve_panels(edges: np.ndarray) -> np.ndarray:

@@ -65,6 +65,11 @@ __all__ = [
 
 _LOGZ_CAP = 1.0e4
 _CHUNK = 1 << 16
+# Newton accepts a step that fails the Armijo test when the dual value moved
+# by at most this many units of its rounding, eps * max(1, |F|), and the
+# largest gradient entry fell: near the solution the dual falls by only
+# ~|gradient|^2 / H, below the rounding of its value.
+_FLAT_ULPS = 8.0
 # TiltedPosterior.draw takes log Z(x) for blocks of draws of at most this many
 # rule nodes: 1 MiB per float temporary, small enough to stay in cache.  Its
 # exact path keeps about a dozen (pieces x draws) temporaries alive at once, so
@@ -588,9 +593,12 @@ def solve_lambda_newton(prior, views: ViewSet, *, tol: float = 1e-8,
                         n_x: int = 10_000, n_y: int = 64) -> CalibrationReport:
     """Damped Newton descent on the strictly convex dual from lam = 0.
 
-    Uses backtracking line search on F (monotone dual values); when the
-    Hessian factorization fails the step falls back to steepest descent and
-    the report flags the linear-independence hypothesis, whose certificate
+    Uses backtracking line search on F, whose values are monotone up to
+    rounding: a step that fails the Armijo test is also taken when F moved
+    only within its rounding and the largest gradient entry fell, so that
+    ``tol`` may come close to the gradient's own rounding.  When the Hessian
+    factorization fails the step falls back to steepest descent and the
+    report flags the linear-independence hypothesis, whose certificate
     ``independence_min_eig`` is ``independence_check``'s value at lam = 0.
     Non-convergence returns the best iterate with ``converged=False``.
     """
@@ -629,7 +637,10 @@ def solve_lambda_newton(prior, views: ViewSet, *, tol: float = 1e-8,
             except NonIntegrableTilt:
                 t /= 2.0
                 continue
-            if trial.value <= state.value + 1e-4 * t * slope:
+            flat = abs(trial.value - state.value) <= (
+                _FLAT_ULPS * np.finfo(float).eps * max(1.0, abs(state.value)))
+            if trial.value <= state.value + 1e-4 * t * slope or (
+                    flat and np.max(np.abs(trial.gradient)) < np.max(np.abs(state.gradient))):
                 accepted = trial
                 break
             t /= 2.0

@@ -411,18 +411,18 @@ def _parse_moments(nodes, y_dim: int):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    """Locale-independent full-precision formatting (17 significant digits)."""
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: str, header: list[str], rows, stamp: str):
+    """The stamp line, the header through ``csv.writer`` and the numeric rows.
+
+    Every cell is written with 17 significant digits, locale-independent, in
+    one ``%``-format call over all cells; the line ends are csv's ``\\r\\n``.
+    """
+    cells = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"# generated {stamp}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
+        csv.writer(fh).writerow(header)
+        fh.write((line * cells.shape[0]) % tuple(cells.ravel().tolist()))
 
 
 def _write_json(path: str, payload: dict):
@@ -524,9 +524,9 @@ class _TaskRunner:
                 post_pdf = post.marginal.pdf(grid)
             else:
                 post_pdf = posterior_marginal_linear(post, np.eye(post.view_map.n)[idx], grid)
-            rows = zip(grid, prior_pdf, post_pdf)
             _write_csv(os.path.join(stage, f"density_{name}.csv"),
-                       ["s", "prior_density", "posterior_density"], rows, self.stamp)
+                       ["s", "prior_density", "posterior_density"],
+                       np.column_stack([grid, prior_pdf, post_pdf]), self.stamp)
 
     def _task_var(self, weights, notional: float, levels: list, n_samples: int, seed: int,
                   stage: str):

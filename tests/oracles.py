@@ -16,10 +16,12 @@ the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
 truncated-normal pieces, piecewise Gauss-Legendre quadrature of the dual of
 that law, adaptive quadrature of a density view's total mass, and a
 posterior sample drawn as whole streams, solved back to factors by LU and
-cut to n.
+cut to n, and the report CSV written cell by cell through ``csv.writer``.
 """
 
 from __future__ import annotations
+
+import csv
 
 import mpmath
 import numpy as np
@@ -748,3 +750,19 @@ def bootstrap_resamples_sorted(returns: np.ndarray, n_boot: int, boot_seed: int)
     n = returns.size
     rng = np.random.default_rng(boot_seed)
     return np.sort(np.stack([returns[rng.integers(0, n, n)] for _ in range(n_boot)]), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Report CSV files
+# ---------------------------------------------------------------------------
+
+
+def write_csv_per_cell(path, header, rows, stamp: str):
+    """A report CSV: the stamp line, then every row through ``csv.writer``, each
+    cell formatted alone by ``format(float(x), ".17g")``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# generated {stamp}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(cell), ".17g") for cell in row])

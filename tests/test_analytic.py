@@ -22,6 +22,8 @@ from conftest import (
 )
 from oracles import marginal_density_quad
 
+WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads"
+
 
 class TestBuildPosterior:
     def test_two_asset_closed_forms(self, two_asset_posterior):
@@ -275,6 +277,95 @@ class TestMarginalPanelRule:
             tc.posterior_marginal_y1(two_asset_posterior, np.linspace(0.0, 3.0, 7),
                                      rel_tol=1e-300)
 
+    @pytest.mark.parametrize("label", [lb for lb in SIX_INDEX_LABELS if lb != "dax"])
+    def test_thousand_knot_grid_view_matches_quad(self, label):
+        """The heavy-tail t view tabulated on 1,001 knots: each point's panels take
+        only the knots inside its kernel window."""
+        t_views = heavy_tail_views(1, 3.0)
+        t_view = t_views.marginal
+        g = tc.GridDensity.from_function(t_view.pdf, float(t_view.ppf(1e-6)),
+                                         float(t_view.ppf(1.0 - 1e-6)), n=1001)
+        post = tc.build_posterior(tc.GaussianPrior(SIX_INDEX_MEAN, SIX_INDEX_COV),
+                                  tc.ViewSet(t_views.view_map, g, t_views.moments))
+        idx = SIX_INDEX_LABELS.index(label)
+        sd = np.sqrt(SIX_INDEX_COV[idx, idx])
+        s = post.z_mean()[idx] + sd * np.linspace(-6.0, 6.0, 5)
+        assert _quad_agreement(post, idx, s) <= 1e-6
+
+    def test_far_tail_point_retries_beyond_the_kernel_window(self, monkeypatch):
+        """Y's marginal is N(0, 1).  At |s| >= 18 (rho = 0.2) the kernel window
+        [c - 10h, c + 10h] lies where the view's pdf underflows to 0, so the window
+        rung sums exactly 0 and only its e^-50 bound sends those points on."""
+        rho = 0.2
+        prior = tc.GaussianPrior([0.0, 0.0], [[1.0, rho], [rho, 1.0]])
+        views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 2), tc.GaussianDensity(0.0, 1.0),
+                           (tc.MomentView(target=0.0, coord=0),))
+        post = tc.build_posterior(prior, views)
+        calls = _spy_panel_sums(monkeypatch)
+        s = np.array([-20.0, -18.0, 0.0, 1.0, 18.0, 20.0])
+        got = tc.posterior_marginal_y1(post, s)
+        assert calls[:2] == [(True, 6), (False, 4)]
+        assert _quad_agreement(post, 1, s) <= 1e-6
+        np.testing.assert_allclose(got, stats.norm.pdf(s), rtol=1e-12)
+
+    def test_six_index_heavy_tail_columns_need_no_retry(self, monkeypatch, tmp_path):
+        """Every density column and the tail probe are certified on the kernel window."""
+        spec = cli.load_spec(str(WORKLOADS / "six_index_heavy_tail.json"))
+        runner = cli._TaskRunner(spec)
+        calls = _spy_panel_sums(monkeypatch)
+        for task in spec.tasks:
+            if task.type in ("calibrate", "tail"):
+                runner.run_task(task, str(tmp_path), None, None)
+        assert calls == [(True, 401)] * 5 + [(True, 10)]
+
+    def test_a_point_does_not_depend_on_the_points_beside_it(self):
+        """Rows with fewer marks in their window are padded to their chunk's widest."""
+        post = tc.build_posterior(tc.GaussianPrior(SIX_INDEX_MEAN, SIX_INDEX_COV),
+                                  heavy_tail_views(1, 3.0))
+        s = np.linspace(-0.15, 0.15, 61)
+        for idx in (0, 4):
+            w = np.eye(6)[idx]
+            together = tc.posterior_marginal_linear(post, w, s)
+            alone = [tc.posterior_marginal_linear(post, w, sv) for sv in s]
+            np.testing.assert_array_equal(together, alone)
+
+
+def _spy_panel_sums(monkeypatch):
+    """Record (window, number of points) of every ``analytic._panel_sums`` call."""
+    calls = []
+    panel_sums = analytic._panel_sums
+
+    def spy(g, centers, h, view_marks, *, window, halvings):
+        calls.append((window, centers.size))
+        return panel_sums(g, centers, h, view_marks, window=window, halvings=halvings)
+
+    monkeypatch.setattr(analytic, "_panel_sums", spy)
+    return calls
+
+
+class TestKronrodRule:
+    """QUADPACK's qk15 constants: K15 is exact to degree 22, its embedded G7 to 13."""
+
+    @staticmethod
+    def _monomial_errors(weights, degrees):
+        exact = np.array([0.0 if d % 2 else 2.0 / (d + 1) for d in degrees])
+        return np.array([weights @ analytic._K15_X**d for d in degrees]) - exact
+
+    def test_kronrod_integrates_monomials_to_degree_22(self):
+        errors = self._monomial_errors(analytic._K15_W, range(23))
+        np.testing.assert_allclose(errors, 0.0, atol=1e-15)
+
+    def test_gauss_integrates_monomials_to_degree_13_on_seven_nodes(self):
+        w = analytic._G7_W
+        np.testing.assert_allclose(self._monomial_errors(w, range(14)), 0.0, atol=1e-15)
+        assert abs(self._monomial_errors(w, [14])[0]) > 1e-4
+        np.testing.assert_allclose(analytic._K15_X[w > 0],
+                                   np.polynomial.legendre.leggauss(7)[0], atol=1e-15)
+
+    def test_rule_columns_are_kronrod_and_its_gap_to_gauss(self):
+        np.testing.assert_array_equal(analytic._RULE[:, 0], analytic._K15_W)
+        np.testing.assert_array_equal(analytic._RULE[:, 1], analytic._K15_W - analytic._G7_W)
+
 
 def test_permutation_map_marginal_and_sensitivities_match_the_solve(tmp_path):
     """On six_index_heavy_tail's permutation map, w @ V^-1 is V^-T w bit for bit.
@@ -282,8 +373,7 @@ def test_permutation_map_marginal_and_sensitivities_match_the_solve(tmp_path):
     ``posterior_marginal_linear`` and the sensitivities task once took their
     view weights from ``np.linalg.solve(V.T, w)``; both results are unchanged.
     """
-    spec = cli.load_spec(str(Path(__file__).parents[1] / "perfbench" / "workloads"
-                             / "six_index_heavy_tail.json"))
+    spec = cli.load_spec(str(WORKLOADS / "six_index_heavy_tail.json"))
     runner = cli._TaskRunner(spec)
     post = runner.posterior()
     v = post.view_map.matrix

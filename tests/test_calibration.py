@@ -208,8 +208,7 @@ CALL, PUT = tc.OptionPayoff("call", 0, 0.4), tc.OptionPayoff("put", 0, -0.4)
 
 
 class TestExactDual:
-    # The put-only target sits away from the prior's E[put] ~ 0.23, so lambda is not near 0:
-    # below |gradient| ~ 1e-13 Newton's Armijo test no longer sees the dual fall.
+    # The put-only target sits away from the prior's E[put] ~ 0.23, so lambda is not near 0.
     CASES = {
         "option-chain": ((CALL, 0.45), (PUT, 0.25)),
         "put-only": ((PUT, 0.4),),
@@ -226,6 +225,19 @@ class TestExactDual:
         want = solve_tilted_gaussian_legendre(m, s, problem.x_weights, h, views.targets, kinks)
         np.testing.assert_allclose(report.lam, want, rtol=1e-12, atol=0)
         assert problem.exact is not None and "_tensor" not in vars(problem)
+
+    @pytest.mark.parametrize("target, tol", [(0.35, 1e-13), (0.25, 1e-14)])
+    def test_newton_reaches_a_tolerance_below_the_dual_value_rounding(self, target, tol):
+        """Near the solution the dual falls by ~|gradient|^2 / H, below its value's rounding,
+        so Armijo refuses the full step; it is taken because the gradient falls."""
+        prior, views, problem = _declared_problem(((PUT, target),))
+        report = tc.solve_lambda_newton(prior, views, problem=problem, tol=tol)
+        assert report.converged and report.max_residual <= tol and report.iterations <= 6
+        m, s, h, kinks = _legendre_args(problem)
+        want = solve_tilted_gaussian_legendre(m, s, problem.x_weights, h, views.targets, kinks)
+        np.testing.assert_allclose(report.lam, want, rtol=1e-12, atol=0)
+        path = np.array(report.dual_path)
+        assert np.all(np.diff(path) <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(path[:-1])))
 
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("payoff", [tc.OptionPayoff("call", 0, 0.8),

@@ -13,7 +13,12 @@ import tiltcal as tc
 from tiltcal import cli
 from tiltcal.cli import main, run
 from conftest import SIX_INDEX_COV, SIX_INDEX_LABELS, SIX_INDEX_MEAN
-from oracles import solve_tilted_gaussian_legendre, tilted_gaussian_legendre, view_tensor_loop
+from oracles import (
+    solve_tilted_gaussian_legendre,
+    tilted_gaussian_legendre,
+    view_tensor_loop,
+    write_csv_per_cell,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +810,25 @@ def test_option_chain_run_builds_no_inner_rule(tmp_path, monkeypatch):
     monkeypatch.setattr(tc.GaussianConditional, "rule", refuse)
     assert run(str(WORKLOAD_DIR / "option_chain.json"), str(tmp_path / "out"),
                samples=20_000) == 0
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 401])
+def test_csv_rows_match_the_per_cell_writer(tmp_path, n_rows):
+    """One format call over every cell writes what csv.writer did cell by cell."""
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, 5e-324, -2.5e-310, 1e22,
+               0.1, 1.0 / 3.0, -123456789.0, 7, np.float64(0.30000000000000004)]
+    rng = np.random.default_rng(4)
+    cells = special + list(rng.standard_normal(3 * n_rows) * 10.0 ** rng.integers(-30, 30,
+                                                                                   3 * n_rows))
+    rows = [tuple(cells[3 * i:3 * i + 3]) for i in range(n_rows)]
+    header = ["s", "prior_density", "posterior_density"]
+    cli._write_csv(tmp_path / "one_call.csv", header, rows, "stamp")
+    write_csv_per_cell(tmp_path / "per_cell.csv", header, rows, "stamp")
+    assert ((tmp_path / "one_call.csv").read_bytes()
+            == (tmp_path / "per_cell.csv").read_bytes())
+    cli._write_csv(tmp_path / "array.csv", header, np.array(rows, dtype=float).reshape(-1, 3),
+                   "stamp")
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
 
 
 class TestMainEntryPoint:
