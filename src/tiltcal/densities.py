@@ -5,7 +5,8 @@ tabulated grid densities with piecewise-linear interpolation.  Grid densities
 are renormalized at construction.  All objects are immutable and evaluation is
 pure, so instances can be shared freely across threads.  The analytic
 kinds' cdf and ppf call the ``scipy.special`` kernels that ``scipy.stats``
-uses for them, without loading ``scipy.stats``.
+uses for them, without loading ``scipy.stats``, except the t quantile at
+df = 3: its cdf is elementary, and ``_t3_ppf`` inverts it in numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, ndtr, ndtri, stdtr, stdtrit
+from scipy.special import betaln, factorial, gammaln, ndtr, ndtri, stdtr, stdtrit
 
 __all__ = [
     "MarginalDensity",
@@ -67,10 +68,6 @@ class MarginalDensity:
         """
         u = (np.arange(n) + 0.5) / n
         return self.ppf(u), np.full(n, 1.0 / n)
-
-    def support(self) -> tuple[float, float]:
-        """Interval holding all mass up to numerical resolution."""
-        return float(self.ppf(1e-15)), float(self.ppf(1.0 - 1e-15))
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ class StudentTDensity(MarginalDensity):
         return u
 
     def ppf(self, u):
-        """Quantile: ``stdtrit``, except in the far left tail.
+        """Quantile: ``_t3_ppf`` at df = 3, else ``stdtrit`` except in the far left tail.
 
         There u = I_x(df/2, 1/2) / 2 with x = df / (df + t^2), whose leading
         term x^(df/2) / (df B(df/2, 1/2)) is exact to double precision once
@@ -182,6 +179,8 @@ class StudentTDensity(MarginalDensity):
         """
         u = np.asarray(u, dtype=float)
         df = self.df
+        if df == 3.0:
+            return _t3_ppf(u) * self.scale + self.loc
         beta = np.exp(betaln(df / 2.0, 0.5))
         exact = 2.0 ** (-26.5 * df) / (df * beta)  # x <= 2^-53 for u up to here
         t = stdtrit(df, u)
@@ -203,6 +202,144 @@ class StudentTDensity(MarginalDensity):
     def dlogpdf_dloc(self, x):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
         return (self.df + 1.0) * u / (self.scale * (self.df + u * u))
+
+
+# The t(3) quantile.  With t = sqrt(3) tan(theta) the t(3) cdf is
+# 1/2 + (2 theta + sin 2 theta) / (2 pi) (Shaw 2006, J. Comput. Finance
+# 9(4):37-73), so t at lower tail probability l = min(u, 1 - u) solves one of
+# two angle equations:
+#   tail,   l < _T3_SWITCH:  psi - sin psi = 2 pi l,  t = -sqrt(3) cot(psi / 2);
+#   centre, l >= _T3_SWITCH: arctan(tau) + tau / (1 + tau^2) = pi (1/2 - l),
+#                            t = -sqrt(3) tau.
+# Each takes two Halley steps from a series start.  Their residuals are formed
+# so that the large terms cancel exactly (Sterbenz), with 2 pi l, pi (1/2 - l)
+# and the last steps carried as unevaluated sums hi + lo (Dekker's exact
+# product), so the result is within ~1.5 ulp of the exact quantile.
+_T3_SWITCH = 0.15
+_T3_AT_SWITCH = -1.2497781050332253  # the t(3) quantile at _T3_SWITCH, correctly rounded
+_T3_CHUNK = 8192  # values per pass; the temporaries then stay in cache
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+_SQRT3, _SQRT3_LO = 1.7320508075688772, 1.0035084221806903e-16  # sqrt(3) = hi + lo
+_PI_LO = 1.2246467991473532e-16  # pi - np.pi
+_12PI, _12PI_LO = 37.69911184307752, 1.4695761589768238e-15  # 12 pi = hi + lo
+# 6 (psi - sin psi) = psi^3 - psi^5 sum_k _SIN_TAIL[k] psi^2k; k <= 10 reaches
+# double precision for psi^2 <= 3.6 (psi at l = _T3_SWITCH is 1.89)
+_SIN_TAIL = tuple((-1) ** k * 6.0 / factorial(2 * k + 5, exact=True) for k in range(11))
+
+
+def _two_prod(a, b):
+    """fl(a b) and its rounding error a b - fl(a b), both exact (Dekker 1971)."""
+    p = a * b
+    s = _SPLIT * a
+    a_hi = s - (s - a)
+    s = _SPLIT * b
+    b_hi = s - (s - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _t3_tail(l):
+    """t(3) quantile at 0 < l < _T3_SWITCH from psi - sin psi = 2 pi l.
+
+    Solved as psi^3 - psi^5 S(psi^2) = 12 pi l in units where l carries a
+    factor 2^162 and psi 2^54, so that psi^3 stays normal for subnormal l.
+    The start is the series psi = x (1 + x^2/60 + x^4/1400 + x^6/25200) in
+    x = (12 pi l)^(1/3); the second Halley step forms psi^3 exactly.  With
+    z = tan(psi / 2), psi - sin psi has derivative 2 z^2 / (1 + z^2) and
+    second derivative 2 z / (1 + z^2).
+    """
+    ls = l * 2.0**162
+    c, c_lo = _two_prod(ls, _12PI)
+    c_lo = c_lo + _12PI_LO * ls
+    x = np.cbrt(c)
+    y = (x * 2.0**-54) ** 2
+    p = x * (1.0 + y * (1.0 / 60.0 + y * (1.0 / 1400.0 + y / 25200.0)))
+    for last in (False, True):
+        psi = p * 2.0**-54
+        s = psi * psi
+        series = _SIN_TAIL[-1]
+        for coef in _SIN_TAIL[-2::-1]:
+            series = series * s + coef
+        if last:
+            p2, p2_lo = _two_prod(p, p)
+            p3, p3_lo = _two_prod(p2, p)
+            p3_lo = p3_lo + p2_lo * p
+        else:
+            p3, p3_lo = p * p * p, 0.0
+        f = ((p3 - c) + (p3_lo - c_lo)) - p3 * s * series  # 6 (psi - sin psi) - 12 pi l
+        z = np.tan(0.5 * psi)
+        zs = z * 2.0**54
+        newton = f * (1.0 + z * z) / (12.0 * zs * zs)
+        step = newton / (1.0 - newton / (2.0 * zs))
+        p_new = p - step
+        p_lo = (p - p_new) - step  # psi = p_new + p_lo after the last step
+        p = p_new
+    z = np.tan(p * 2.0**-55)
+    zs = z * 2.0**54
+    dz = 0.5 * p_lo * (1.0 + z * z)  # tan((psi + d) / 2) - tan(psi / 2)
+    # t = -sqrt(3) / (zs + dz), the quotient's remainder kept exactly
+    h = _SQRT3 / zs
+    hz, hz_lo = _two_prod(h, zs)
+    rem = ((_SQRT3 - hz) - hz_lo) + _SQRT3_LO - h * dz
+    return -(h + rem / zs) * 2.0**54
+
+
+def _t3_centre(l):
+    """t(3) quantile at _T3_SWITCH <= l <= 1/2 from arctan(tau) + tau / (1 + tau^2) = pi (1/2 - l).
+
+    The start is tau = tan(r / 2) with r the series root of r + sin r = 2c,
+    r = c + c^3/12 + c^5/60 + 43 c^7/10080 + 223 c^9/181440.  The left side
+    has derivative 2 / (1 + tau^2)^2 and second derivative -8 tau / (1 + tau^2)^3;
+    in the residual arctan(tau) - c, then + tau, then - tau^3 / (1 + tau^2) each
+    cancel exactly for tau <= 1.
+    """
+    h = 0.5 - l
+    h_lo = (0.5 - h) - l
+    c, c_lo = _two_prod(h, np.pi)
+    c_lo = c_lo + _PI_LO * h + np.pi * h_lo
+    c2 = c * c
+    r = c * (1.0 + c2 * (1.0 / 12.0 + c2 * (1.0 / 60.0 + c2 * (43.0 / 10080.0
+                                                              + c2 * (223.0 / 181440.0)))))
+    tau = np.tan(0.5 * r)
+    for _ in range(2):
+        w = 1.0 + tau * tau
+        f = (((np.arctan(tau) - c) + tau) - tau * tau * tau / w) - c_lo
+        newton = 0.5 * f * w * w
+        step = newton / (1.0 + 2.0 * newton * tau / w)
+        tau_new = tau - step
+        tau_lo = (tau - tau_new) - step
+        tau = tau_new
+    t, t_lo = _two_prod(tau, _SQRT3)
+    return -(t + (t_lo + _SQRT3_LO * tau + _SQRT3 * tau_lo))
+
+
+def _t3_left(l):
+    """t(3) quantile at lower tail probability l: -inf at 0, NaN off [0, 1/2].
+
+    The tail solve's values are capped and the centre's floored at the
+    quantile at the switch, so the two meet without a step back.
+    """
+    t = np.full(l.shape, np.nan)
+    t[l == 0.0] = -np.inf
+    tail = (l > 0.0) & (l < _T3_SWITCH)
+    centre = l >= _T3_SWITCH
+    t[tail] = np.minimum(_t3_tail(l[tail]), _T3_AT_SWITCH)
+    t[centre] = np.maximum(_t3_centre(l[centre]), _T3_AT_SWITCH)
+    return t
+
+
+def _t3_ppf(u):
+    """Standard t(3) quantile of an array u, in passes of _T3_CHUNK values.
+
+    l = min(u, 1 - u) is exact, as 1 - u is for u >= 1/2, and the sign of
+    u - 1/2 gives ppf(1 - u) = -ppf(u) bit for bit wherever 1 - u is a double.
+    """
+    flat = u.ravel()
+    t = np.empty(flat.shape)
+    for i in range(0, flat.size, _T3_CHUNK):
+        v = flat[i:i + _T3_CHUNK]
+        t[i:i + _T3_CHUNK] = np.copysign(_t3_left(np.minimum(v, 1.0 - v)), v - 0.5)
+    return t.reshape(u.shape)
 
 
 class GridDensity(MarginalDensity):
@@ -288,9 +425,6 @@ class GridDensity(MarginalDensity):
         """sum_i w_i (x_i - m)^2 less each segment's chord excess d^3 (f_i + f_{i+1}) / 12."""
         excess = self._widths**3 * (self.densities[:-1] + self.densities[1:]) / 12.0
         return float(self._masses @ (self.knots - self.mean()) ** 2 - excess.sum())
-
-    def support(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
 
     def quadrature_nodes(self, n: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The knots and their masses w_i (n is ignored), so that nodes @ weights is ``mean()``."""

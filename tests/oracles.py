@@ -10,7 +10,8 @@ the padded feasibility-probe classifier for the existence check, a VaR
 bootstrap that builds and sorts every resample, ``scipy.stats``'
 location-scale cdf/ppf for the density views, adaptive quadrature of a
 grid view's pdf for its cdf and moments, mpmath's incomplete beta for the far
-left tail of the t cdf and quantile, a per-view loop for the moment-view
+left tail of the t cdf and quantile, an mpmath root of the elementary t(3) cdf
+for the t(3) quantile, a per-view loop for the moment-view
 tensor, an importance-sampling draw whose normalizer takes one rule over
 the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
 truncated-normal pieces, piecewise Gauss-Legendre quadrature of the dual of
@@ -78,6 +79,59 @@ def student_t_ppf_mpmath(u: float, df: float, dps: int = 50) -> float:
             min(start, mpmath.mpf(-1)))
         x = mpmath.exp(log_x)
         return float(-mpmath.sqrt(df * (1 - x) / x))
+
+
+def student_t3_ppf_mpmath(u: float, dps: int = 50) -> tuple[float, float]:
+    """Standard t(3) quantile at 0 < u < 1 as hi + lo, hi the double nearest to it.
+
+    With t = sqrt(3) tan(theta) the t(3) cdf is 1/2 + (2 theta + sin 2 theta) / (2 pi),
+    so with l = min(u, 1 - u) (exact in mpmath):
+    - below l = 1/4 Newton solves psi - sin psi = 2 pi l from the series start
+      x (1 + x^2/60 + x^4/1400), x = (12 pi l)^(1/3), with psi - sin psi summed as
+      its Taylor series below psi = 1/2 so that nothing cancels, and
+      t = -sqrt(3) cot(psi / 2);
+    - from 1/4 to 1/2 it solves r + sin r = c = 2 pi (1/2 - l) from the series
+      start c/2 + c^3/96 + c^5/1920, and t = -sqrt(3) tan(r / 2).
+    Both roots are real for every l, unlike a search on the incomplete beta near u = 1/2.
+    """
+    with mpmath.workdps(dps):
+        u = mpmath.mpf(u)
+        lower = min(u, 1 - u)
+        eps = mpmath.mpf(10) ** -dps
+        if lower < mpmath.mpf(1) / 4:
+            c = 2 * mpmath.pi * lower
+
+            def excess(p):  # p - sin p
+                if p >= 0.5:
+                    return p - mpmath.sin(p)
+                term, total, k = p**3 / 6, mpmath.mpf(0), 1
+                while abs(term) > eps * abs(total) / 100:
+                    total += term
+                    term *= -p * p / ((2 * k + 2) * (2 * k + 3))
+                    k += 1
+                return total
+
+            x = mpmath.cbrt(6 * c)
+            p = x * (1 + x**2 / 60 + x**4 / 1400)
+            for _ in range(100):
+                step = (excess(p) - c) / (2 * mpmath.sin(p / 2) ** 2)
+                p -= step
+                if abs(step) <= 1e5 * eps * p:
+                    break
+            t = -mpmath.sqrt(3) / mpmath.tan(p / 2)
+        else:
+            c = 2 * mpmath.pi * (mpmath.mpf(1) / 2 - lower)
+            r = c / 2 + c**3 / 96 + c**5 / 1920
+            for _ in range(100):
+                step = (r + mpmath.sin(r) - c) / (1 + mpmath.cos(r))
+                r -= step
+                if abs(step) <= 1e5 * eps * r:
+                    break
+            t = -mpmath.sqrt(3) * mpmath.tan(r / 2)
+        if u > mpmath.mpf(1) / 2:
+            t = -t
+        hi = float(t)
+        return hi, float(t - hi)
 
 
 def grid_cdf_quad(g, x) -> np.ndarray:
@@ -564,7 +618,8 @@ def marginal_density_quad(post, c, s, rel_tol=1e-10):
 
     One adaptive ``scipy.integrate.quad`` call per point on the mixture
     integral  int phi(s; beta + alpha x, sigma^2) g(x) dx  over the union of
-    g's support and a 10-sigma kernel window.  g's median and 0.1% / 99.9%
+    g's support (a grid's knot range, else its 1e-15 and 1 - 1e-15 quantiles)
+    and a 10-sigma kernel window.  g's median and 0.1% / 99.9%
     quantiles (so that a narrow view inside a wide window is found) and the
     knots of a grid view are breakpoints.  Raises if quad reports an error
     above 100 * rel_tol relative.  Needs a scalar X block and a combination
@@ -577,7 +632,8 @@ def marginal_density_quad(post, c, s, rel_tol=1e-10):
     beta = float(cy @ cond.intercept)
     alpha = float(cx[0] + cy @ cond.slope[:, 0])
     sd = np.sqrt(var)
-    lo, hi = g.support()
+    knots = getattr(g, "knots", None)
+    lo, hi = (knots[0], knots[-1]) if knots is not None else g.ppf(np.array([1e-15, 1.0 - 1e-15]))
     bulk = tuple(g.ppf(np.array([1e-3, 0.5, 1.0 - 1e-3]))) + tuple(getattr(g, "knots", ()))
 
     def kernel(sv, x):
