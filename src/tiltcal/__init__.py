@@ -56,8 +56,10 @@ from .montecarlo import (
     PriceReport,
     SampleBatch,
     VarReport,
+    estimate_portfolio_var,
     estimate_var,
     price_option,
+    sample_portfolio,
     sample_posterior,
 )
 from .priors import (
@@ -94,8 +96,8 @@ __all__ = [
     "build_posterior", "posterior_density_z",
     "posterior_marginal_linear", "posterior_marginal_y1",
     # monte carlo
-    "SampleBatch", "sample_posterior", "VarReport", "estimate_var",
-    "PriceReport", "price_option",
+    "SampleBatch", "sample_posterior", "sample_portfolio", "VarReport", "estimate_var",
+    "estimate_portfolio_var", "PriceReport", "price_option",
     # sensitivities
     "SensitivityReport", "sensitivities",
     # tails

@@ -145,28 +145,23 @@ def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, 
                                 rel_tol: float) -> float | np.ndarray:
     """Density of c . (X, Y) at s, with c in view coordinates.
 
-    Closed forms when alpha = 0 (no x dependence, as with no X block) or no Y
-    variance.  Otherwise the density at s is  int phi(s; beta + alpha x,
-    sigma^2) g(x) dx, a Gaussian kernel of width h = sigma / |alpha| around
-    c = (s - beta) / alpha in x.  Panels are cut at the kernel marks
-    c + h * {0, +-1, +-2, +-4, +-10} and at g's own quantiles (plus a grid
-    view's knots), so that both the kernel and a narrow view spike are
-    resolved, and each is summed with the 15-point Kronrod rule; the gap to
-    its embedded 7-point Gauss rule is the error estimate, which must stay
-    within ``rel_tol`` relative.  The first rung integrates over the kernel
+    Given X = x the combination is N(beta + alpha x, sigma^2)
+    (``post.portfolio_law``).  Closed forms when alpha = 0 (no x dependence,
+    as with no X block) or no Y variance.  Otherwise the density at s is
+    int phi(s; beta + alpha x, sigma^2) g(x) dx, a Gaussian kernel of width
+    h = sigma / |alpha| around c = (s - beta) / alpha in x.  Panels are cut
+    at the kernel marks c + h * {0, +-1, +-2, +-4, +-10} and at g's own
+    quantiles (plus a grid view's knots), so that both the kernel and a
+    narrow view spike are resolved, and each is summed with the 15-point
+    Kronrod rule; the gap to its embedded 7-point Gauss rule is the error
+    estimate, which must stay within ``rel_tol`` relative.  The first rung integrates over the kernel
     window [c - 10h, c + 10h] only, and its estimate carries e^-50 for the
     part it leaves out.  Points that miss the tolerance there are retried on
     the window joined with g's range [ppf(1e-12), ppf(1 - 1e-12)], then with
     every panel halved, up to _MAX_HALVINGS times, before QuadratureFailure.
     """
-    k1 = post.k1
-    cond = post.conditional
-    cx, cy = c[:k1], c[k1:]
-    var = float(cy @ cond.cov @ cy)
-    beta = float(cy @ cond.intercept)
+    alpha, beta, var = post.portfolio_law(c)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-
-    alpha = float(cx[0] + cy @ cond.slope[:, 0]) if k1 else 0.0
     if abs(alpha) < 1e-14 * max(1.0, abs(beta)):
         out = _normal_pdf(s_arr, beta, var)
         return _match_shape(out, s)

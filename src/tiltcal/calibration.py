@@ -222,6 +222,46 @@ class GaussianMarginalPosterior:
         """
         return np.column_stack(_draw_xy(self.marginal, self.conditional, n, rng, keep)), None
 
+    def portfolio_law(self, c) -> tuple[float, float, float]:
+        """(alpha, beta, var): c . (X, Y) given X = x is N(beta + alpha x, var).
+
+        ``c`` is in view coordinates.  alpha = c_x + c_y . slope (0 without an
+        X block), beta = c_y . intercept and var = c_y' cov c_y, clamped at 0 so
+        that a null direction of the conditional covariance never reads negative.
+        """
+        cond, k1 = self.conditional, self.k1
+        cx, cy = c[:k1], c[k1:]
+        alpha = float(cx[0] + cy @ cond.slope[:, 0]) if k1 else 0.0
+        return alpha, float(cy @ cond.intercept), max(float(cy @ cond.cov @ cy), 0.0)
+
+    def draw_portfolio(self, c, n: int, rng: np.random.Generator,
+                       keep: int | None = None) -> tuple[np.ndarray, None]:
+        """The first ``keep`` (default n) of n exact draws of c . (X, Y), c in view coordinates.
+
+        X takes ``draw``'s uniforms, ``rng.random(n)``, of which the kept ones go
+        through g's ppf; then one ``standard_normal(keep)`` gives
+        beta + alpha x + sqrt(var) eps (``portfolio_law``).  Without an X block
+        only the normals are drawn.  There are no log-weights.  An x that is not
+        finite is a ValueError; the combination may overflow to inf or NaN
+        without a warning, for the caller to reject.
+        """
+        keep = n if keep is None else keep
+        x = self.marginal.ppf(rng.random(n)[:keep]) if self.k1 else None
+        if x is not None and not np.all(np.isfinite(x)):
+            raise ValueError("samples must be finite")
+        eps = rng.standard_normal(keep)
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha, beta, var = self.portfolio_law(c)
+            if x is None:
+                r = np.full(keep, beta)
+            else:
+                r = x
+                r *= alpha
+                r += beta
+            eps *= np.sqrt(var)
+            r += eps
+        return r, None
+
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, float, str]:
         """Monte Carlo mean and standard error of payoff(x, y); NonIntegrablePayoff if inf/NaN.
 
@@ -236,17 +276,17 @@ class GaussianMarginalPosterior:
     def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
         """V = S_mm, Cov(r, h | X) = cy . S_m for r = r_weights . (x, y), and dPi/d loc.
 
-        dPi/d loc (None unless wrt_loc) is exactly c_x + c_y . slope at fixed multipliers.
+        dPi/d loc (None unless wrt_loc) is exactly alpha = c_x + c_y . slope
+        (``portfolio_law``) at fixed multipliers.
         """
         if r_weights is None:
             raise ValueError("Gaussian-conditional posteriors need r_weights (linear r)")
         r_w = np.asarray(r_weights, dtype=float)
-        cx, cy = r_w[:self.k1], r_w[self.k1:]
         d_loc = None
         if wrt_loc:
             _location_score(self.marginal)
-            d_loc = float(cx[0] + cy @ self.conditional.slope[:, 0])
-        return self.problem.s_mm.copy(), self.problem.s_cols.T @ cy, d_loc
+            d_loc = self.portfolio_law(r_w)[0]
+        return self.problem.s_mm.copy(), self.problem.s_cols.T @ r_w[self.k1:], d_loc
 
 
 class QuadratureProblem:
@@ -448,16 +488,24 @@ def _location_score(marginal):
     return score
 
 
-def _streams(post, n: int, seed: int):
-    """Yield the n draws of ``post`` from ``seed``, in view coordinates, and their log-weights.
+def _stream_rngs(n: int, seed: int):
+    """Yield (generator, kept rows) for each stream of n draws from ``seed``.
 
     Stream i is a ``_CHUNK`` of draws from the i-th child of ``SeedSequence(seed)``, of
-    which ``post.draw(_CHUNK, rng, keep)`` returns the rows the run keeps, bit for bit the
-    first rows of the whole chunk.  So the first m rows are the same for every n >= m and
-    the streams can be drawn in parallel or serially with the same result.
+    which the run keeps the first ``min(n - i * _CHUNK, _CHUNK)`` rows.  A posterior's
+    ``draw(_CHUNK, rng, keep)`` (and ``draw_portfolio``) returns those rows bit for bit as
+    the first rows of the whole chunk.  So the first m rows are the same for every n >= m
+    and the streams can be drawn in parallel or serially with the same result.
     """
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n // _CHUNK))):
-        yield post.draw(_CHUNK, np.random.default_rng(child), min(n - i * _CHUNK, _CHUNK))
+        yield np.random.default_rng(child), min(n - i * _CHUNK, _CHUNK)
+
+
+def _streams(post, n: int, seed: int):
+    """Yield the n draws of ``post`` from ``seed``, in view coordinates, and their log-weights,
+    one ``post.draw`` per stream of ``_stream_rngs``."""
+    for rng, keep in _stream_rngs(n, seed):
+        yield post.draw(_CHUNK, rng, keep)
 
 
 def _draw_xy(marginal, law, n: int, rng: np.random.Generator, keep: int | None = None,
@@ -757,6 +805,19 @@ class TiltedPosterior:
             log_z[start:start + rows] = _row_logsumexp(scores)
         log_weights = lam @ _view_tensor(views.moments, x, y) - log_z
         return np.column_stack([x, y]), log_weights
+
+    def draw_portfolio(self, c, n: int, rng: np.random.Generator,
+                       keep: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+        """``draw``'s rows projected on c (view coordinates), ``xy @ c``, and their log-weights.
+
+        A row that is not finite is a ValueError; the projection may overflow
+        to inf or NaN without a warning, for the caller to reject.
+        """
+        xy, log_w = self.draw(n, rng, keep)
+        if not np.all(np.isfinite(xy)):
+            raise ValueError("samples must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return xy @ c, log_w
 
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, None, str]:
         """``expectation(payoff)``, by quadrature; it has no standard error."""

@@ -35,7 +35,7 @@ from .calibration import (
 )
 from .densities import GaussianDensity, GridDensity, StudentTDensity
 from .errors import InsufficientData, SpecValidationError, TiltcalError
-from .montecarlo import estimate_var, price_option, sample_posterior
+from .montecarlo import estimate_portfolio_var, price_option
 from .priors import GaussianPrior, LinearViewMap, transform_prior
 from .sensitivity import sensitivities
 from .tails import _probe_points, _target_ratio, tail_ratio_probe
@@ -426,6 +426,11 @@ def _write_csv(path: str, header: list[str], rows, stamp: str):
 
 
 def _write_json(path: str, payload: dict):
+    """The payload, arrays as nested lists, as sorted 2-space-indented JSON in one write.
+
+    ``json.dumps`` joins the encoder's small chunks that ``json.dump`` would
+    write one by one; the bytes are the same.
+    """
     def default(obj):
         if isinstance(obj, np.ndarray):
             return [default(v) for v in obj.tolist()]
@@ -435,8 +440,7 @@ def _write_json(path: str, payload: dict):
 
     canon = json.loads(json.dumps(payload, default=default))
     with open(path, "w") as fh:
-        json.dump(canon, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(canon, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +534,8 @@ class _TaskRunner:
 
     def _task_var(self, weights, notional: float, levels: list, n_samples: int, seed: int,
                   stage: str):
-        report = estimate_var(sample_posterior(self.posterior(), n_samples, seed),
-                              weights, notional, levels)
+        report = estimate_portfolio_var(self.posterior(), weights, notional, levels,
+                                        n_samples, seed)
         _write_csv(os.path.join(stage, "var.csv"),
                    ["level", "var", "std_error"], report.as_rows(), self.stamp)
 

@@ -1,9 +1,10 @@
 """Posterior sampling, value-at-risk estimation and option pricing.
 
-Each posterior draws and prices itself (``draw`` and ``price``); this
-module maps its draws back to factor coordinates and discounts its prices.
-Generation is partitioned into independently seeded streams so chunked or
-parallel generation reproduces the same batch for a given seed.
+Each posterior draws and prices itself (``draw``, ``draw_portfolio`` and
+``price``); this module maps its draws back to factor coordinates, projects
+them on a portfolio and discounts its prices.  Generation is partitioned
+into independently seeded streams so chunked or parallel generation
+reproduces the same batch for a given seed.
 """
 
 from __future__ import annotations
@@ -13,17 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import _streams
+from .calibration import _CHUNK, _stream_rngs, _streams
 from .errors import InsufficientSamples
 
 __all__ = [
     "SampleBatch",
     "sample_posterior",
+    "sample_portfolio",
     "VarReport",
     "estimate_var",
+    "estimate_portfolio_var",
     "PriceReport",
     "price_option",
 ]
+
+_N_BOOT = 200  # bootstrap resamples behind a VaR report's standard errors
+_BOOT_SEED = 7  # seed of their generator
 
 
 @dataclass(frozen=True)
@@ -60,9 +66,12 @@ class SampleBatch:
     @property
     def ess(self) -> float:
         """Kish's effective sample size (sum w)^2 / sum w^2; n for an exact batch."""
-        if self.weights is None:
-            return self.n
-        return self.weights.sum() ** 2 / (self.weights**2).sum()
+        return _kish(self.n, self.weights)
+
+
+def _kish(n: int, weights: np.ndarray | None) -> float:
+    """Kish's effective sample size of n draws with these weights; n when there are none."""
+    return n if weights is None else weights.sum() ** 2 / (weights**2).sum()
 
 
 def sample_posterior(post, n: int, seed: int = 0) -> SampleBatch:
@@ -79,12 +88,52 @@ def sample_posterior(post, n: int, seed: int = 0) -> SampleBatch:
         chunks.append(post.view_map.invert(xy))
         logw.append(log_w)
         del xy  # invert copied it unless the map is the identity: free it before the next draw
-    z = np.vstack(chunks)
+    return SampleBatch(np.vstack(chunks), seed, weights=_mean_one(logw))
+
+
+def sample_portfolio(post, portfolio_weights, n: int,
+                     seed: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """``n`` (at least 1) posterior draws of the portfolio return w . Z, and their weights.
+
+    w . Z = c . (X, Y) for c = V^-T w, and each posterior draws that
+    combination itself (``draw_portfolio``) over the streams of
+    ``sample_posterior``: the same ``SeedSequence`` children and chunks, so
+    the first m returns are the same for every n >= m.  A Gaussian-conditional
+    posterior draws one normal per row after X, never Y; a tilted one
+    projects its (X, Y) draws.  w, and so c, enter divided by a power of two
+    near max |w| and the returns are multiplied back, which changes no bit
+    unless a step would overflow or go subnormal: the conditional variance
+    c_y' cov c_y then overflows only where the returns do.  Returns that
+    overflow come back inf or NaN, with no warning, for the caller to reject;
+    a draw of (X, Y) or X that is not finite is a ValueError, as in
+    ``SampleBatch``.  The weights are None for exact draws, else importance
+    weights normalised to mean one.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    w = np.asarray(portfolio_weights, dtype=float)
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(w), initial=0.0))[1])
+    c = (w / scale) @ post.view_map.inverse
+    returns, logw = np.empty(n), []
+    for i, (rng, keep) in enumerate(_stream_rngs(n, seed)):
+        returns[i * _CHUNK:i * _CHUNK + keep], log_w = post.draw_portfolio(c, _CHUNK, rng, keep)
+        logw.append(log_w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        returns *= scale
+    return returns, _mean_one(logw)
+
+
+def _mean_one(logw: list) -> np.ndarray | None:
+    """The streams' importance weights exp(log w - max) over all n draws, normalised to
+    mean one; None for exact draws, whose log-weights are None.  A NaN or +inf
+    log-weight is a ValueError."""
     if logw[0] is None:
-        return SampleBatch(z, seed)
+        return None
     log_weights = np.concatenate(logw)
     w = np.exp(log_weights - log_weights.max())
-    return SampleBatch(z, seed, weights=w / w.mean())
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and nonnegative, one per sample")
+    return w / w.mean()
 
 
 @dataclass(frozen=True)
@@ -208,7 +257,8 @@ def _bootstrap_quantiles(returns: np.ndarray, weights: np.ndarray | None,
 
 
 def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
-                 levels, *, n_boot: int = 200, boot_seed: int = 7) -> VarReport:
+                 levels, *, n_boot: int = _N_BOOT,
+                 boot_seed: int = _BOOT_SEED) -> VarReport:
     """Value-at-risk of a portfolio from a posterior sample batch.
 
     The reported figure at confidence q is the upper q-quantile of the
@@ -228,8 +278,41 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
     (ess * min(q, 1 - q)), counting a batch by its Kish effective sample size
     ``batch.ess``.
     """
+    def returns_of(w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return batch.z_samples @ w, batch.weights
+
+    return _var_report(returns_of, batch.z_samples.shape[1],
+                       portfolio_weights, notional, levels, n_boot, boot_seed)
+
+
+def estimate_portfolio_var(post, portfolio_weights, notional: float, levels, n: int,
+                           seed: int = 0) -> VarReport:
+    """Value-at-risk of a portfolio from ``n`` posterior draws of its return alone.
+
+    As ``estimate_var`` (the same checks, tail floor and bootstrap), but the
+    returns w . Z come from ``sample_portfolio(post, w, n, seed)``, the law
+    of w . Z drawn one-dimensionally, not from ``sample_posterior``'s full
+    factor draws, so the figures differ from ``estimate_var``'s within Monte
+    Carlo error.  The weights are checked before anything is drawn, and the
+    SEs take ``estimate_var``'s default bootstrap.
+    """
+    return _var_report(lambda w: sample_portfolio(post, w, n, seed), post.view_map.n,
+                       portfolio_weights, notional, levels, _N_BOOT, _BOOT_SEED)
+
+
+def _var_report(returns_of, n_factors: int, portfolio_weights, notional: float, levels,
+                n_boot: int, boot_seed: int) -> VarReport:
+    """The VaR profile of the returns ``returns_of(w)`` gives for the checked weights w.
+
+    ``returns_of`` returns the portfolio returns and their mean-one weights
+    (None for exact draws); where the returns overflow it leaves them inf or
+    NaN without a warning, and a non-finite return is then a ValueError.  The
+    arguments are checked first, the tail floor on the Kish effective sample
+    size after the draws.
+    """
     w = np.asarray(portfolio_weights, dtype=float)
-    if w.size != batch.z_samples.shape[1]:
+    if w.size != n_factors:
         raise ValueError("portfolio weights length must match factor count")
     if not np.all(np.isfinite(w)):
         raise ValueError("portfolio weights must be finite")
@@ -240,20 +323,18 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
     levels = tuple(float(q) for q in levels)
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ValueError("levels must lie in (0, 1)")
-    n = batch.n
-    ess = batch.ess
+    returns, weights = returns_of(w)
+    n = returns.size
+    ess = _kish(n, weights)
     worst = min(ess * min(q, 1.0 - q) for q in levels)
     if worst < 20:
         raise InsufficientSamples(
             f"only {worst:.1f} expected tail samples beyond the extreme level "
             f"(effective sample size {ess:.1f}); need >= 20"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        returns = batch.z_samples @ w
     if not np.all(np.isfinite(returns)):
         raise ValueError("portfolio returns overflow; samples or weights too large")
-    quantiles = _bootstrap_quantiles(returns, batch.weights, np.array(levels),
-                                     n_boot, boot_seed)
+    quantiles = _bootstrap_quantiles(returns, weights, np.array(levels), n_boot, boot_seed)
     var_values = quantiles[0] * notional
     std_errors = quantiles[1:].std(axis=0, ddof=1) * notional
     return VarReport(levels, var_values, float(notional), n, std_errors)

@@ -17,17 +17,21 @@ the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
 truncated-normal pieces, piecewise Gauss-Legendre quadrature of the dual of
 that law, adaptive quadrature of a density view's total mass, and a
 posterior sample drawn as whole streams, solved back to factors by LU and
-cut to n, and the report CSV written cell by cell through ``csv.writer``.
+cut to n, the cdf of a portfolio return by 1-D adaptive quadrature over X
+from block formulas on the prior covariance, the report CSV written cell by
+cell through ``csv.writer``, and JSON reports streamed through ``json.dump``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 
 import mpmath
 import numpy as np
 from scipy import integrate, stats
 from scipy.optimize import linprog
+from scipy.special import ndtr
 from scipy.spatial import ConvexHull, QhullError
 
 from tiltcal.errors import InconclusiveSample, NonIntegrableTilt
@@ -435,6 +439,66 @@ def sample_posterior_loop(post, n: int, seed: int, chunk: int = 1 << 16):
 
 
 # ---------------------------------------------------------------------------
+# Portfolio return of a closed-form posterior: its cdf by quad over X
+# ---------------------------------------------------------------------------
+
+
+def portfolio_law_blocks(post, w_z) -> tuple[float, float, float]:
+    """(alpha, beta, sigma) of w . Z given X = x, N(beta + alpha x, sigma^2).
+
+    Built from the prior in view coordinates (``post.prior_t``), the view
+    map and the views alone: c solves V' c = w, the Y | X regression and Schur
+    block come from ``np.linalg.solve`` on the covariance blocks, and the mean
+    views shift Y's conditional mean by S[:, m] lam, lam solving
+    S_mm lam = targets - E[Y_m] at X = E_g X.
+    """
+    views = post.problem.views
+    k1 = views.k1
+    c = np.linalg.solve(post.view_map.matrix.T, np.asarray(w_z, dtype=float))
+    mean, cov = post.prior_t.mean, post.prior_t.covariance
+    m_x, m_y = mean[:k1], mean[k1:]
+    if k1:
+        slope = np.linalg.solve(cov[:k1, :k1], cov[:k1, k1:]).T
+        schur = cov[k1:, k1:] - slope @ cov[:k1, k1:]
+        e_x = np.array([views.marginal.mean()])
+    else:
+        slope, schur, e_x = np.zeros((m_y.size, 0)), cov, np.zeros(0)
+    coords = [view.coord for view in views.moments]
+    base = m_y + slope @ (e_x - m_x)
+    lam = np.linalg.solve(schur[np.ix_(coords, coords)], views.targets - base[coords])
+    intercept = m_y - slope @ m_x + schur[:, coords] @ lam
+    cx, cy = c[:k1], c[k1:]
+    alpha = float(cx[0] + cy @ slope[:, 0]) if k1 else 0.0
+    return alpha, float(cy @ intercept), float(np.sqrt(cy @ schur @ cy))
+
+
+def portfolio_cdf_quad(post, w_z, s, rel_tol: float = 1e-12) -> np.ndarray:
+    """P(w . Z <= s) at each s under a closed-form posterior with a scalar or no X block.
+
+    ``portfolio_law_blocks`` gives the law given X; the cdf is then
+    int Phi((s - beta - alpha x) / sigma) g(x) dx, one adaptive
+    ``scipy.integrate.quad`` per point on g's 1e-15 .. 1 - 1e-15 quantile
+    range split at its median and 0.1% / 99.9% quantiles, plus the two tails
+    out to infinity.  Without X, or with alpha = 0, it is Phi((s - beta) / sigma).
+    """
+    alpha, beta, sigma = portfolio_law_blocks(post, w_z)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    g = post.marginal
+    if g is None or alpha == 0.0:
+        return ndtr((s - beta) / sigma)
+    lo, hi = g.ppf(np.array([1e-15, 1.0 - 1e-15]))
+    pts = tuple(g.ppf(np.array([1e-3, 0.5, 1.0 - 1e-3])))
+    kw = dict(epsabs=0.0, epsrel=rel_tol, limit=500)
+    out = []
+    for sv in s:
+        f = lambda x: ndtr((sv - beta - alpha * x) / sigma) * g.pdf(x)
+        out.append(integrate.quad(f, -np.inf, lo, **kw)[0]
+                   + integrate.quad(f, lo, hi, points=pts, **kw)[0]
+                   + integrate.quad(f, hi, np.inf, **kw)[0])
+    return np.array(out)
+
+
+# ---------------------------------------------------------------------------
 # Primal projected-gradient KL minimizer on the constrained simplex
 # ---------------------------------------------------------------------------
 
@@ -822,3 +886,19 @@ def write_csv_per_cell(path, header, rows, stamp: str):
         writer.writerow(header)
         for row in rows:
             writer.writerow([format(float(cell), ".17g") for cell in row])
+
+
+def write_json_streaming(path, payload: dict):
+    """A JSON report as ``json.dump`` streams it: arrays and numpy floats made plain
+    by a JSON round trip, then sorted keys, indent 2 and a final newline."""
+    def default(obj):
+        if isinstance(obj, np.ndarray):
+            return [default(v) for v in obj.tolist()]
+        if isinstance(obj, (np.floating, float)):
+            return float(obj)
+        return obj
+
+    canon = json.loads(json.dumps(payload, default=default))
+    with open(path, "w") as fh:
+        json.dump(canon, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -18,6 +18,7 @@ from oracles import (
     tilted_gaussian_legendre,
     view_tensor_loop,
     write_csv_per_cell,
+    write_json_streaming,
 )
 
 
@@ -829,6 +830,24 @@ def test_csv_rows_match_the_per_cell_writer(tmp_path, n_rows):
     cli._write_csv(tmp_path / "array.csv", header, np.array(rows, dtype=float).reshape(-1, 3),
                    "stamp")
     assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+
+
+def test_json_report_matches_the_streaming_writer(tmp_path):
+    """One json.dumps write gives the bytes json.dump streamed, special floats included."""
+    rng = np.random.default_rng(3)
+    payload = {
+        "schema_version": 1,
+        "signed_zero": -0.0,
+        "specials": [np.nan, np.inf, -np.inf, np.float64(-0.0), 5e-324, 1e308],
+        "matrix": rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-20, 20, (3, 4)),
+        "nested": {"b": {"z": np.array([[np.nan, -0.0], [np.inf, 1.0 / 3.0]]), "a": None},
+                   "a": [True, False, "text", 7, {"deep": np.float64(0.1)}]},
+        "empty": {"list": [], "dict": {}, "matrix": np.zeros((0, 2))},
+    }
+    cli._write_json(str(tmp_path / "one_write.json"), payload)
+    write_json_streaming(tmp_path / "streamed.json", payload)
+    assert ((tmp_path / "one_write.json").read_bytes()
+            == (tmp_path / "streamed.json").read_bytes())
 
 
 class TestMainEntryPoint:

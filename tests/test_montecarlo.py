@@ -1,5 +1,8 @@
 """Sampling, VaR estimation, and option pricing."""
 
+import csv
+import functools
+import json
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 from scipy.special import logsumexp, roots_hermite
 
 import tiltcal as tc
@@ -22,6 +25,8 @@ from conftest import (
 )
 from oracles import (
     bootstrap_resamples_sorted,
+    portfolio_cdf_quad,
+    portfolio_law_blocks,
     price_tilted_lognormal_2d,
     sample_posterior_loop,
     tilted_draw_unblocked,
@@ -296,9 +301,11 @@ class TestStreams:
         batch = tc.sample_posterior(HeavyDroppedRowsStub(), 1000, seed=0)
         assert np.array_equal(batch.weights, np.ones(1000))
 
-    @pytest.mark.parametrize("workload", ["six_index_heavy_tail", "option_chain"])
+    @pytest.mark.parametrize("workload", ["six_index_heavy_tail", "six_index_mean_audit",
+                                          "option_chain"])
     def test_sample_posterior_equals_the_stream_loop_oracle(self, workload):
-        """The var task's batch at seed 0, bit for bit in z, in z @ w (so its layout) and w."""
+        """A batch of the var task's size at seed 0, bit for bit in z, in z @ w (so its layout)
+        and w."""
         spec = cli.load_spec(str(WORKLOADS / f"{workload}.json"))
         post = cli._TaskRunner(spec).posterior()
         task = next(task for task in spec.tasks if task.type == "var")
@@ -616,6 +623,241 @@ class TestExactTiltedDraw:
         for view in spec.views.moments:
             h = view.payoff(batch.z_samples[:, :1], batch.z_samples[:, 1:])
             assert abs(h.mean() - view.target) <= 4 * h.std(ddof=1) / np.sqrt(h.size)
+
+
+# ---------------------------------------------------------------------------
+# Portfolio returns drawn from their one-dimensional law
+# ---------------------------------------------------------------------------
+
+SIX_INDEX_WORKLOADS = ["six_index_heavy_tail", "six_index_mean_audit"]
+
+
+@functools.cache
+def _workload(name):
+    """The workload's spec, calibrated posterior and var task."""
+    spec = cli.load_spec(str(WORKLOADS / f"{name}.json"))
+    return spec, cli._TaskRunner(spec).posterior(), next(t for t in spec.tasks if t.type == "var")
+
+
+@functools.cache
+def _oracle_quantiles(name):
+    """The var task's portfolio quantiles at its levels, by brentq on ``portfolio_cdf_quad``."""
+    _, post, task = _workload(name)
+    weights, _, levels = task.args
+    _, beta, sigma = portfolio_law_blocks(post, weights)
+    width = 50.0 * sigma + abs(beta) + 1.0
+    cdf = lambda s: portfolio_cdf_quad(post, weights, s)[0]
+    return [optimize.brentq(lambda s: cdf(s) - q, beta - width, beta + width, xtol=1e-14,
+                            rtol=1e-12) for q in levels]
+
+
+def _ks_statistic_bound(sample: np.ndarray, cdf, m: int) -> float:
+    """An upper bound on the KS statistic sup |F_n - F| from F at m + 1 sample quantiles.
+
+    F and F_n are nondecreasing, so on [s_j, s_j+1) the gap is at most
+    max(F_n(s_j+1-) - F(s_j), F(s_j+1) - F_n(s_j)); below the least draw F_n = 0
+    and from the largest on F_n = 1.
+    """
+    v = np.sort(sample)
+    n = v.size
+    knots = v[np.unique(np.linspace(0, n - 1, m + 1).astype(int))]
+    f = cdf(knots)
+    at = np.searchsorted(v, knots, side="right") / n  # F_n(s_j)
+    below = np.searchsorted(v, knots, side="left") / n  # F_n(s_j-)
+    gaps = np.maximum(below[1:] - f[:-1], f[1:] - at[:-1])
+    return float(max(gaps.max(), f[0], 1.0 - f[-1]))
+
+
+class TestPortfolioDraws:
+    LEVELS = (0.9975, 0.995, 0.9925, 0.95, 0.75, 0.5)
+
+    @pytest.mark.parametrize("name", SIX_INDEX_WORKLOADS)
+    def test_portfolio_law_matches_the_block_formulas(self, name):
+        _, post, task = _workload(name)
+        rng = np.random.default_rng(5)
+        for w in (task.args[0], *rng.standard_normal((3, 6))):
+            alpha, beta, var = post.portfolio_law(w @ post.view_map.inverse)
+            want = portfolio_law_blocks(post, w)
+            np.testing.assert_allclose([alpha, beta, np.sqrt(var)], want, rtol=1e-12,
+                                       atol=1e-15)
+
+    # The heavy tail's cdf costs one quad (~4 ms) a point, so it is read at 800 knots, which
+    # adds at most ~1/800 to the statistic; without X it is closed form, read at every draw.
+    @pytest.mark.parametrize("name, knots", [("six_index_heavy_tail", 800),
+                                             ("six_index_mean_audit", 99_999)])
+    def test_projected_returns_follow_the_quad_cdf(self, name, knots):
+        """One-sample KS of 100k returns against the oracle cdf, its statistic bounded above."""
+        _, post, task = _workload(name)
+        weights = task.args[0]
+        returns, w = tc.sample_portfolio(post, weights, 100_000, seed=3)
+        assert w is None and returns.shape == (100_000,)
+        bound = _ks_statistic_bound(returns, lambda s: portfolio_cdf_quad(post, weights, s),
+                                    knots)
+        assert stats.kstwo.sf(bound, returns.size) > 1e-3
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("name", SIX_INDEX_WORKLOADS)
+    def test_var_csv_is_within_4_se_of_the_oracle_quantiles(self, tmp_path, name, seed):
+        _, _, task = _workload(name)
+        doc = json.loads((WORKLOADS / f"{name}.json").read_text())
+        doc["tasks"] = [t for t in doc["tasks"] if t["type"] == "var"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(str(path), str(tmp_path / "out"), seed=seed) == 0
+        with open(tmp_path / "out" / "var.csv", newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        data = np.array(rows[1:], dtype=float)
+        _, notional, levels = task.args
+        np.testing.assert_array_equal(data[:, 0], levels)
+        want = np.array(_oracle_quantiles(name)) * notional
+        assert np.all(data[:, 2] > 0)
+        assert np.all(np.abs(data[:, 1] - want) <= 4.0 * data[:, 2])
+
+    @pytest.mark.parametrize("keep", [1, 2, 3000])
+    @pytest.mark.parametrize("name", [*SIX_INDEX_WORKLOADS, "option_chain"])
+    def test_kept_returns_are_the_first_of_the_whole_draw(self, name, keep):
+        _, post, task = _workload(name)
+        c = task.args[0] @ post.view_map.inverse
+        for seed in range(4):
+            whole, log_w = post.draw_portfolio(c, 3000, np.random.default_rng(seed))
+            part, part_w = post.draw_portfolio(c, 3000, np.random.default_rng(seed), keep)
+            assert log_w is None and part_w is None
+            assert np.array_equal(part, whole[:keep])
+
+    def test_first_returns_are_the_same_for_every_n(self):
+        _, post, task = _workload("six_index_heavy_tail")
+        runs = {n: tc.sample_portfolio(post, task.args[0], n, seed=9)[0]
+                for n in (1, 2, 65_535, 65_537, 131_073)}
+        for n, returns in runs.items():
+            assert returns.shape == (n,)
+            assert np.array_equal(returns, runs[131_073][:n])
+
+    def test_tilted_draw_portfolio_is_the_projected_draw(self):
+        """On option_chain's identity map c is w itself and the returns are the full draws'
+        z @ w bit for bit, per chunk and for the var task's whole batch."""
+        _, post, task = _workload("option_chain")
+        weights = task.args[0]
+        c = weights @ post.view_map.inverse
+        assert np.array_equal(c, weights)
+        xy, log_w = post.draw(calibration._CHUNK, np.random.default_rng(2))
+        r, r_log_w = post.draw_portfolio(c, calibration._CHUNK, np.random.default_rng(2))
+        assert log_w is None and r_log_w is None
+        assert np.array_equal(r, post.view_map.invert(xy) @ weights)
+        returns, w = tc.sample_portfolio(post, weights, task.n_samples, seed=task.seed)
+        batch = tc.sample_posterior(post, task.n_samples, seed=task.seed)
+        assert w is None
+        assert np.array_equal(returns, batch.z_samples @ weights)
+        report = tc.estimate_portfolio_var(post, weights, *task.args[1:], task.n_samples,
+                                           task.seed)
+        full = tc.estimate_var(batch, *task.args)
+        assert np.array_equal(report.var_values, full.var_values)
+        assert np.array_equal(report.std_errors, full.std_errors)
+
+    def test_without_x_only_the_normals_are_drawn(self):
+        """k1 = 0: the returns are beta + sqrt(var) eps, eps the generator's first normals."""
+        _, post, task = _workload("six_index_mean_audit")
+        assert post.k1 == 0
+        c = task.args[0] @ post.view_map.inverse
+        _, beta, var = post.portfolio_law(c)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        r, _ = post.draw_portfolio(c, 5000, rng, 3000)
+        assert np.array_equal(r, beta + np.sqrt(var) * ref.standard_normal(3000))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("name", SIX_INDEX_WORKLOADS)
+    def test_zero_weights_give_zero_var_and_se(self, name):
+        _, post, _ = _workload(name)
+        report = tc.estimate_portfolio_var(post, np.zeros(6), 1e6, self.LEVELS, 100_000)
+        assert np.all(report.var_values == 0.0) and np.all(report.std_errors == 0.0)
+
+    def test_null_direction_of_the_covariance_gives_the_constant_beta(self):
+        """c' cov c rounds to -1.8e-16 along this null direction; clamped, it reads 0, not NaN."""
+        v, c = np.array([1.8, 1.32, 0.36]), np.array([0.87, -1.62, 1.59])
+        prior = tc.GaussianPrior(np.array([0.01, 0.02, 0.03]), np.outer(v, v))
+        post = tc.build_posterior(prior, tc.ViewSet(tc.LinearViewMap.identity(3, 0, 0), None, ()))
+        assert float(c @ post.conditional.cov @ c) < 0.0
+        alpha, beta, var = post.portfolio_law(c)
+        assert (alpha, var) == (0.0, 0.0) and beta == float(c @ prior.mean)
+        r, _ = post.draw_portfolio(c, 1000, np.random.default_rng(0))
+        assert np.all(r == beta)
+        returns, _ = tc.sample_portfolio(post, c, 1000, seed=0)
+        assert np.all(returns == beta)
+        report = tc.estimate_portfolio_var(post, c, 1.0, [0.95, 0.5], 1000)
+        assert np.all(report.var_values == beta)
+        assert np.all(report.std_errors < 1e-15)  # numpy's std of equal values rounds
+
+    def test_overflowing_returns_raise_as_estimate_var(self):
+        prior = tc.GaussianPrior(np.zeros(2), np.array([[9.1, 3.0], [3.0, 1.1]]) * 1e20)
+        post = tc.build_posterior(prior, tc.ViewSet(tc.LinearViewMap.identity(2, 0, 0), None, ()))
+        w = np.full(2, 1e300)
+        with pytest.raises(ValueError, match="portfolio returns overflow") as full:
+            tc.estimate_var(tc.sample_posterior(post, 1000, seed=0), w, 1.0, [0.95])
+        with pytest.raises(ValueError, match="portfolio returns overflow") as projected:
+            tc.estimate_portfolio_var(post, w, 1.0, [0.95], 1000)
+        assert str(projected.value) == str(full.value)
+
+    @pytest.mark.parametrize("name", ["six_index_heavy_tail", "option_chain"])
+    def test_a_non_finite_draw_warns_and_raises_as_sample_posterior(self, monkeypatch, name):
+        """An overflow inside the sampler (here g's ppf, or the tilted draw) is not silenced,
+        and the draw it spoils is 'samples must be finite', not the returns' overflow."""
+        _, post, task = _workload(name)
+        owner, attr = ((type(post.marginal), "ppf") if name == "six_index_heavy_tail"
+                       else (type(post), "draw"))
+        original = getattr(owner, attr)
+
+        def spoiled(self, *args):
+            out = original(self, *args)
+            first = out if attr == "ppf" else out[0]
+            first.flat[0] = np.exp(np.float64(1000.0))
+            return out
+
+        monkeypatch.setattr(owner, attr, spoiled)
+        for run in (lambda: tc.sample_posterior(post, 1000, seed=0),
+                    lambda: tc.estimate_portfolio_var(post, task.args[0], *task.args[1:], 1000)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="^samples must be finite$"):
+                    run()
+            assert any("overflow" in str(w.message) for w in seen)
+
+    def test_non_finite_log_weights_raise_as_sample_posterior(self, monkeypatch):
+        _, post, task = _workload("option_chain")
+        original = type(post).draw
+
+        def nan_weighted(self, n, rng, keep=None):
+            xy, _ = original(self, n, rng, keep)
+            return xy, np.full(len(xy), np.nan)
+
+        monkeypatch.setattr(type(post), "draw", nan_weighted)
+        message = "^weights must be finite and nonnegative, one per sample$"
+        with pytest.raises(ValueError, match=message):
+            tc.sample_posterior(post, 1000, seed=0)
+        with pytest.raises(ValueError, match=message):
+            tc.sample_portfolio(post, task.args[0], 1000, seed=0)
+
+    @pytest.mark.parametrize("name", [*SIX_INDEX_WORKLOADS, "option_chain"])
+    def test_large_weights_scale_the_returns_exactly(self, name):
+        """w 2^600 would overflow c_y' cov c_y (~1e361) unscaled; the returns are 2^600 times
+        those of w, bit for bit, as the full draws' z @ w would be."""
+        _, post, task = _workload(name)
+        w = task.args[0]
+        returns = tc.sample_portfolio(post, w, 2000, seed=1)[0]
+        big = tc.sample_portfolio(post, w * 2.0**600, 2000, seed=1)[0]
+        assert np.array_equal(big, returns * 2.0**600)
+
+    @pytest.mark.parametrize("check, bad", [
+        ("length", np.full(5, 0.2)), ("finite", np.array([np.nan, 0, 0, 0, 0, 0]))])
+    def test_weights_are_checked_before_any_draw(self, monkeypatch, check, bad):
+        _, post, _ = _workload("six_index_mean_audit")
+        monkeypatch.setattr(tc.montecarlo, "sample_portfolio",
+                            lambda *a: pytest.fail("drew before checking the weights"))
+        with pytest.raises(ValueError, match=check):
+            tc.estimate_portfolio_var(post, bad, 1.0, [0.95], 1000)
+
+    def test_tail_floor_counts_the_draws(self):
+        _, post, _ = _workload("six_index_mean_audit")
+        with pytest.raises(tc.InsufficientSamples, match="effective sample size 1000.0"):
+            tc.estimate_portfolio_var(post, np.full(6, 1 / 6), 1e6, [0.9975], 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,6 +1352,10 @@ class StubPosterior:
         log_w = np.resize(np.log([1.0, 2.0, 3.0]), n) if self.weighted else None
         return np.resize(self.XY, (n, 2)), log_w
 
+    def draw_portfolio(self, c, n, rng, keep=None):
+        xy, log_w = self.draw(n, rng, keep)
+        return xy @ c, log_w
+
     def price(self, payoff, n_samples, seed):
         self.calls.append((payoff, n_samples, seed))
         return 2.0, self.std_error, "stub"
@@ -1133,6 +1379,31 @@ class TestPosteriorProtocol:
         np.testing.assert_allclose(batch.z_samples, self.Z, rtol=0, atol=1e-15)
         np.testing.assert_allclose(batch.weights, np.array([1.0, 2.0, 3.0, 1.0, 2.0]) / 1.8,
                                    rtol=1e-14)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sample_portfolio_projects_and_normalises(self, weighted):
+        w = np.array([0.3, -2.0])
+        returns, weights = tc.sample_portfolio(StubPosterior(weighted=weighted), w, 5, seed=1)
+        np.testing.assert_allclose(returns, self.Z @ w, rtol=0, atol=1e-15)
+        if weighted:
+            np.testing.assert_allclose(weights, np.array([1.0, 2.0, 3.0, 1.0, 2.0]) / 1.8,
+                                       rtol=1e-14)
+        else:
+            assert weights is None
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_nan_or_infinite_log_weight_is_a_value_error(self, bad):
+        class BadWeightStub(StubPosterior):
+            def draw(self, n, rng, keep=None):
+                xy, log_w = super().draw(n, rng, keep)
+                log_w[1] = bad
+                return xy, log_w
+
+        with pytest.raises(ValueError, match="finite"):
+            tc.sample_portfolio(BadWeightStub(weighted=True), [1.0, 1.0], 5)
+        with pytest.raises(ValueError, match="finite"):
+            tc.sample_posterior(BadWeightStub(weighted=True), 5)
 
     @pytest.mark.parametrize("std_error", [0.5, None])
     def test_price_option_discounts_the_posterior_price(self, std_error):
