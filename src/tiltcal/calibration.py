@@ -289,17 +289,34 @@ class GaussianMarginalPosterior:
         return self.problem.s_mm.copy(), self.problem.s_cols.T @ r_w[self.k1:], d_loc
 
 
+@dataclass(frozen=True)
+class _Cells:
+    """The tilt at lam on cells of Y | X: exact-tilt pieces (``_pieces``) or nodes (``_nodes``).
+
+    ``log_z`` is log Z_lam(x), ``cond`` P(cell | x) of shape (cells, n_x) and
+    ``var_mass`` E_g[P(cell | X) Var(Y | cell, X)] per cell.  ``h`` holds the
+    views' rows and ``extra`` a priced payoff's or r's, each as E[row | cell,
+    x] (rows, cells, n_x) and the row's slope in y on each cell (rows, cells).
+    """
+
+    log_z: np.ndarray
+    cond: np.ndarray
+    var_mass: np.ndarray
+    h: tuple[np.ndarray, np.ndarray]
+    extra: tuple[np.ndarray, np.ndarray]
+
+
 class QuadratureProblem:
     """Discrete/quadrature dual backend.
 
-    Holds outer x nodes and weights and the moment targets.  When the
+    Holds outer x nodes and weights and the moment targets; the dual, prices
+    and sensitivities read the tilt on cells (``_Cells``).  When the
     conditional law tilts exactly (``_exact_tilt``: a one-dimensional Gaussian
     Y | X with coordinate views and declared calls and puts), ``exact`` holds
-    each view's piece coefficients, and the dual is a closed form in the
-    truncated-normal piece moments at each outer node.  Otherwise the dual
-    reduces to stabilized log-sum-exp arithmetic on per-x inner y nodes with
-    their log-weights (shape (n_x, n_y), or (n_y,) when every x shares them)
-    and the view tensor h of shape (k, n_x, n_y).  ``from_prior`` records the
+    the knots and piece coefficients and the cells are truncated-normal
+    pieces.  Otherwise they are the nodes of a per-x inner rule: y nodes with
+    log-weights (shape (n_x, n_y), or (n_y,) when every x shares them) and
+    the view tensor h, stored as (k, n_y, n_x).  ``from_prior`` records the
     conditional law, its rule size ``n_y`` and the views, which its posterior
     samples with, and builds the tensor only when something needs it; all
     three are None for ``from_discrete``, whose posterior is not sampleable.
@@ -323,25 +340,23 @@ class QuadratureProblem:
     def _tensor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(y_nodes, log_y_weights, h): the law's rule at every outer node and the views on it.
 
-        A generic law without a quadrature callback takes its n_y sampler
-        draws per node from ``SeedSequence(0)``, so the rule is reproducible.
+        Both in the cells' layout: (n_y, n_x, y_dim) and (k, n_y, n_x).  A
+        generic law without a quadrature callback takes its n_y sampler draws
+        per node from ``SeedSequence(0)``, so the rule is reproducible.
         """
         rng = np.random.default_rng(np.random.SeedSequence(0))
         y_nodes, log_y_weights = self.law.rule(self.x_nodes, self.n_y, rng)
-        return y_nodes, log_y_weights, _view_tensor(self.views.moments,
-                                                    self.x_nodes[:, None, :], y_nodes)
+        y_nodes = np.ascontiguousarray(y_nodes.transpose(1, 0, 2))
+        return y_nodes, log_y_weights, _view_tensor(self.views.moments, self.x_nodes[None],
+                                                    y_nodes)
 
     @property
-    def y_nodes(self) -> np.ndarray:
-        return self._tensor[0]
+    def y_nodes(self) -> np.ndarray:  # (n_x, n_y, y_dim)
+        return self._tensor[0].transpose(1, 0, 2)
 
     @property
     def log_y_weights(self) -> np.ndarray:
         return self._tensor[1]
-
-    @property
-    def h(self) -> np.ndarray:
-        return self._tensor[2]
 
     @property
     def n_moments(self) -> int:
@@ -359,8 +374,8 @@ class QuadratureProblem:
         if y_values.ndim == 1:
             y_values = y_values[:, None]
         n_x, n_y = np.asarray(cond_weights).shape
-        y_nodes = np.broadcast_to(y_values, (n_x, n_y, y_values.shape[1]))
-        h = _view_tensor(moments, x_values[:, None, :], y_nodes)
+        y_nodes = np.broadcast_to(y_values[:, None], (n_y, n_x, y_values.shape[1]))
+        h = _view_tensor(moments, x_values[None], y_nodes)
         targets = np.array([view.target for view in moments], dtype=float)
         with np.errstate(divide="ignore"):
             log_weights = np.log(np.asarray(cond_weights, dtype=float))
@@ -389,57 +404,59 @@ class QuadratureProblem:
         """The calibrated model at multipliers lam, tilted on this problem's nodes."""
         return TiltedPosterior(self, lam)
 
-    def _tilted_conditional(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """log Z_lam(x_i) and the tilted conditional weights per outer node, on the tensor."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        scores = self.log_y_weights + np.einsum("k,knj->nj", lam, self.h)
-        log_z = _row_logsumexp(scores)
-        return log_z, np.exp(scores - log_z[:, None])
-
     def posterior_weights(self, lam) -> np.ndarray:
-        """Joint posterior weights over (x_i, y_j) on the tensor; rows scaled by x weight."""
-        return self._tilted_conditional(lam)[1] * self.x_weights[:, None]
+        """Joint posterior weights over (x_i, y_j) on the nodes, (n_x, n_y); row i sums to x_i's."""
+        return (self._nodes(np.atleast_1d(np.asarray(lam, dtype=float))).cond * self.x_weights).T
 
-    def expectation(self, lam, values) -> float:
-        """Posterior expectation of a precomputed (n_x, n_y) value table on the tensor."""
-        return float(np.sum(self.posterior_weights(lam) * values))
+    def _pieces(self, lam, payoff=None, r_weights=None) -> _Cells:
+        """The exact tilt at lam on its truncated-normal pieces at each outer node.
 
-    def _pieces(self, lam, extra=()):
-        """The exact tilt at lam on the outer nodes, with the strikes of ``extra`` as knots.
-
-        Returns log Z(x), P(piece p | x) of shape (pieces, n_x), Y's mean and
-        variance on each piece, and the piece coefficients (c, d) of the views
-        followed by the extra payoffs.
+        The knots are ``exact``'s, joined by a declared ``payoff``'s strike.
+        A row c + d y on a piece has value c + d E[Y | piece, x] and slope d.
+        The extra row is the payoff's or r = r_weights . (x, y)'s, if given.
         """
-        moments = self.views.moments + tuple(MomentView(0.0, payoff=payoff) for payoff in extra)
-        c, d = self.exact if not extra else _exact_tilt(self.law, moments)
-        knots, a, b = _piecewise_tilt(moments, np.concatenate([lam, np.zeros(len(extra))]))
-        pieces = self.law.tilt_pieces(self.x_nodes, knots, a, b)
+        moments = self.views.moments
+        knots, c, d = self.exact if payoff is None else _exact_tilt(
+            self.law, moments + (MomentView(0.0, payoff=payoff),))
+        k = len(moments)
+        pieces = self.law.tilt_pieces(self.x_nodes, knots, lam @ c[:k], lam @ d[:k])
         log_z = _row_logsumexp(pieces.log_mass.T)
-        return (log_z, np.exp(pieces.log_mass - log_z), *pieces.y_moments, c, d)
+        cond = np.exp(pieces.log_mass - log_z)
+        y_mean, y_var = pieces.y_moments
+        rows = c[:, :, None] + d[:, :, None] * y_mean
+        extra = rows[k:], d[k:]
+        if r_weights is not None:
+            k1 = self.x_nodes.shape[1]
+            cx, (cy,) = r_weights[:k1], r_weights[k1:]
+            extra = (self.x_nodes @ cx + cy * y_mean)[None], np.full((1, knots.size + 1), cy)
+        return _Cells(log_z, cond, np.sum(cond * self.x_weights * y_var, axis=1),
+                      (rows[:k], d[:k]), extra)
+
+    def _nodes(self, lam, extra=None) -> _Cells:
+        """The tilt at lam on the inner rule's nodes, with ``extra(x, y)`` on them if given.
+
+        A node is a point: each row has slope 0 in y there, and Y variance 0.
+        """
+        y_nodes, log_y_weights, h = self._tensor
+        scores = np.einsum("k,kjn->jn", lam, h)
+        scores += np.atleast_2d(log_y_weights).T
+        log_z = _row_logsumexp(scores.T)
+        scores -= log_z
+        cond = np.exp(scores, out=scores)
+        rows = np.zeros((0,) + cond.shape)
+        if extra is not None:
+            rows = np.ascontiguousarray(_on_nodes(extra, self.x_nodes[None], y_nodes))[None]
+        return _Cells(log_z, cond, np.zeros(cond.shape[0]), (h, np.zeros(h.shape[:2])),
+                      (rows, np.zeros(rows.shape[:2])))
 
     def dual_state(self, lam) -> DualState:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if self.exact is not None:
-            log_z, cond, y_mean, y_var, c, d = self._pieces(lam)
-            h = c[:, :, None] + d[:, :, None] * y_mean
-            gradient = np.einsum("kpn,pn->kn", h, cond) @ self.x_weights - self.targets
-            hessian = _total_cov(cond, self.x_weights, y_var, (h, d), (h, d))
-        else:
-            log_z, cond = self._tilted_conditional(lam)
-            cond_mean = np.einsum("knj,nj->kn", self.h, cond)
-            gradient = cond_mean @ self.x_weights - self.targets
-            hessian = self._cov_with_h(cond * self.x_weights[:, None], cond_mean, self.h,
-                                       cond_mean)
-        value = float(self.x_weights @ log_z - lam @ self.targets)
+        cells = self._pieces(lam) if self.exact is not None else self._nodes(lam)
+        h, slopes = cells.h
+        gradient = np.einsum("kpn,pn->kn", h, cells.cond) @ self.x_weights - self.targets
+        hessian = _total_cov(cells, self.x_weights, h, slopes)
+        value = float(self.x_weights @ cells.log_z - lam @ self.targets)
         return DualState(lam, value, gradient, (hessian + hessian.T) / 2.0)
-
-    def _cov_with_h(self, joint, h_mean, values, values_mean) -> np.ndarray:
-        """E_g[Cov(values_m, h_k | X)] from the joint weights and the per-x means of h and values.
-
-        ``values`` has shape (m, n_x, n_y); for values = h this is the dual Hessian."""
-        second = np.einsum("knj,mnj,nj->km", values, self.h, joint)
-        return second - np.einsum("kn,mn,n->km", values_mean, h_mean, self.x_weights)
 
 
 def _row_logsumexp(scores: np.ndarray) -> np.ndarray:
@@ -531,64 +548,46 @@ def _declared(payoff) -> bool:
     return isinstance(payoff, OptionPayoff) and payoff.coord == 0
 
 
-def _piecewise_tilt(moments, lam):
-    """lam . h(y) on a one-dimensional Y block as linear pieces a_p + b_p y, if declared.
+def _exact_tilt(law, moments):
+    """The knots and each view's piece coefficients (c, d), if the tilt is exact; else None.
 
-    Returns the knots (the sorted distinct strikes) and the intercepts a_p
-    and slopes b_p of the pieces between them, piece p lying between knots
-    p - 1 and p; or None unless every view is coordinate 0 of Y or a
-    declared payoff on it (``_declared``).  A coordinate view adds its
-    multiplier to every slope.
+    The knots are the sorted distinct strikes, piece p lies between knots
+    p - 1 and p and h_k = c_kp + d_kp y on it, so the tilt at lam is (knots,
+    lam @ c, lam @ d) for the dual, the prices and the draws alike.  It is
+    exact when ``law`` has ``tilt_pieces`` (a Gaussian conditional), Y is
+    one-dimensional and every view is on it (coordinate 0 or ``_declared``).
     """
-    if not all(view.coord == 0 or _declared(view.payoff) for view in moments):
+    if (getattr(law, "tilt_pieces", None) is None or law.y_dim != 1
+            or not all(view.coord == 0 or _declared(view.payoff) for view in moments)):
         return None
     knots = np.unique([view.payoff.strike for view in moments if view.coord is None])
     piece = np.arange(knots.size + 1)
-    intercepts, slopes = np.zeros(piece.size), np.zeros(piece.size)
-    for lam_i, view in zip(lam, moments):
+    c, d = np.zeros((2, len(moments), piece.size))
+    for k, view in enumerate(moments):
         if view.coord is not None:
-            slopes += lam_i
-            continue
-        payoff = view.payoff
-        j = np.searchsorted(knots, payoff.strike)
-        # a call pays y - K above its strike, a put K - y below it
-        sign, on = (1.0, piece > j) if payoff.kind == "call" else (-1.0, piece <= j)
-        slopes[on] += sign * lam_i
-        intercepts[on] -= sign * lam_i * payoff.strike
-    return knots, intercepts, slopes
+            d[k] = 1.0
+        else:  # a call pays y - K above its strike, a put K - y below it
+            strike, j = view.payoff.strike, np.searchsorted(knots, view.payoff.strike)
+            sign, on = (1.0, piece > j) if view.payoff.kind == "call" else (-1.0, piece <= j)
+            c[k, on], d[k, on] = -sign * strike, sign
+    return knots, c, d
 
 
-def _exact_tilt(law, moments):
-    """Each view's piece coefficients (c, d), h_k = c_kp + d_kp y on piece p, if the tilt is exact.
+def _total_cov(cells: _Cells, x_weights, values, slopes) -> np.ndarray:
+    """E_g[Cov(f_k, f_l | X)] for every pair of rows of ``values``: the one covariance formula.
 
-    The pieces are ``_piecewise_tilt``'s, and row k is its intercepts and
-    slopes at the k-th unit vector.  The tilt is exact, for the dual, the
-    prices and the draws alike, when ``law`` has ``tilt_pieces`` (a Gaussian
-    conditional), Y is one-dimensional and every view is on it; else None.
+    ``values`` is E[f_k | X = x_i, cell p] (m, cells, n_x) and ``slopes`` f_k's
+    slope in y on each cell (m, cells).  By the law of total covariance over
+    the cells, given x it is the covariance of the cell values plus slope_k
+    slope_l Var(Y | cell), weighted by P(cell | x); the x-average takes
+    ``x_weights``.  Deviations from each x's mean are formed before they are
+    multiplied, so a mean large next to the spread cancels no digits, as it
+    would in E[f g] - E[f] E[g] (Chan, Golub & LeVeque 1983).
     """
-    zero = _piecewise_tilt(moments, np.zeros(len(moments)))
-    if getattr(law, "tilt_pieces", None) is None or law.y_dim != 1 or zero is None:
-        return None
-    c, d = np.zeros((2, len(moments), zero[0].size + 1))
-    for k, unit in enumerate(np.eye(len(moments))):
-        _, c[k], d[k] = _piecewise_tilt(moments, unit)
-    return c, d
-
-
-def _total_cov(cond, x_weights, y_var, f, g) -> np.ndarray:
-    """E_g[Cov(f_k, g_l | X)] for functions linear in y on each exact-tilt piece.
-
-    ``f`` is (values, slopes): E[f_k | X = x_i, piece p] of shape (m, pieces,
-    n_x) and the slope of f_k in y on each piece, (m, pieces); ``g`` likewise.
-    By the law of total covariance over the pieces, given x it is the
-    covariance of the piece means plus slope_f slope_g Var(Y | piece), each
-    weighted by P(piece | x) (``cond``); the x-average takes ``x_weights``.
-    """
-    joint = cond * x_weights
-    (f_val, f_slope), (g_val, g_slope) = f, g
-    f_dev, g_dev = (v - np.einsum("kpn,pn->kn", v, cond)[:, None] for v in (f_val, g_val))
-    return (np.einsum("kpn,lpn,pn->kl", f_dev, g_dev, joint)
-            + (f_slope * np.sum(joint * y_var, axis=1)) @ g_slope.T)
+    joint = cells.cond * x_weights
+    dev = values - np.einsum("kpn,pn->kn", values, cells.cond)[:, None]
+    return (np.einsum("kpn,lpn,pn->kl", dev, dev, joint)
+            + (slopes * cells.var_mass) @ slopes.T)
 
 
 def conditional_law(prior, views: ViewSet):
@@ -720,8 +719,8 @@ class TiltedPosterior:
 
     ``problem`` is the ``QuadratureProblem`` whose dual ``lam`` solves.  On an
     exact problem the posterior prices declared payoffs and linear statistics
-    from its truncated-normal pieces; otherwise, and for undeclared payoffs,
-    on its node tensor.  It samples with its law (and rule).
+    on its truncated-normal pieces; otherwise, and for undeclared payoffs,
+    on its rule's nodes.  It samples with its law (and rule).
     """
 
     problem: QuadratureProblem = field(repr=False)
@@ -736,21 +735,20 @@ class TiltedPosterior:
     def expectation(self, func) -> float:
         """Posterior expectation of a vectorized payoff func(x, y).
 
-        On an exact problem a declared ``OptionPayoff`` on y_0 is integrated
-        exactly: its strike joins the knots, and it is linear on each piece.
-        Any other payoff is summed on the node tensor.  Raises
-        NonIntegrablePayoff when the payoff or its expectation is not finite.
+        On an exact problem a declared ``OptionPayoff`` on y_0 is read on the
+        pieces, with its strike as one more knot; any other payoff on the
+        nodes.  Raises NonIntegrablePayoff when the payoff or its expectation
+        is not finite.
         """
         problem = self.problem
         if problem.exact is not None and _declared(func):
-            _, cond, y_mean, _, c, d = problem._pieces(self.lam, (func,))
-            per_x = np.einsum("pn,pn->n", cond, c[-1][:, None] + d[-1][:, None] * y_mean)
-            value = float(per_x @ problem.x_weights)
+            cells = problem._pieces(self.lam, payoff=func)
         else:
-            values = _on_nodes(func, problem.x_nodes[:, None, :], problem.y_nodes)
-            if not np.all(np.isfinite(values)):
-                raise NonIntegrablePayoff("payoff is not finite on the posterior support")
-            value = problem.expectation(self.lam, values)
+            cells = problem._nodes(self.lam, func)
+        values = cells.extra[0][0]
+        if not np.all(np.isfinite(values)):
+            raise NonIntegrablePayoff("payoff is not finite on the posterior support")
+        value = float(np.einsum("pn,pn->n", cells.cond, values) @ problem.x_weights)
         if not np.isfinite(value):
             raise NonIntegrablePayoff("payoff expectation diverges under the posterior")
         return value
@@ -765,8 +763,9 @@ class TiltedPosterior:
         """The first ``keep`` (default n) of n draws of (X, Y), and their log-weights.
 
         Exact on an exact problem (``QuadratureProblem.exact``): Y | X is drawn
-        from the tilted law itself (``sample_tilted`` at ``_piecewise_tilt``),
-        in blocks of draws that change no value, and the log-weights are None.
+        from the tilted law itself (``sample_tilted`` at ``_exact_tilt``'s
+        knots, lam @ c and lam @ d), in blocks of draws that change no value,
+        and the log-weights are None.
         Otherwise the draws are prior-conditional (``_draw_xy``) and a draw's
         log-weight is lam . h(x, y) - log Z(x).  log Z(x) takes the problem's
         own law and rule size n_y, in blocks of draws of at most
@@ -777,7 +776,8 @@ class TiltedPosterior:
         problem, lam = self.problem, self.lam
         law, views = problem.law, problem.views
         if problem.exact is not None:
-            tilt = _piecewise_tilt(views.moments, lam)
+            knots, c, d = problem.exact
+            tilt = knots, lam @ c, lam @ d
             rows = max(1, _BLOCK_VALUES // (4 * tilt[1].size))
 
             def sample(x, rng):  # row by row, so the blocks change no value
@@ -826,37 +826,28 @@ class TiltedPosterior:
     def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
         """The dual Hessian V, E_g[Cov(r, h | X)] and the score integral dPi/d loc.
 
-        Exact for r = r_weights . (x, y) on an exact problem, from the pieces'
-        means and variances of Y; otherwise on the node tensor.
+        On the pieces for r = r_weights . (x, y) on an exact problem, else on
+        the nodes; V and Cov(r, h) are one ``_total_cov`` over h's rows and r's.
         """
         problem = self.problem
         k1 = problem.x_nodes.shape[1]
+        if r_weights is not None:
+            r_w = np.asarray(r_weights, dtype=float)
+            r = lambda x, y: x @ r_w[:k1] + y @ r_w[k1:]
         if r_weights is not None and problem.exact is not None:
-            cx, (cy,) = np.asarray(r_weights[:k1], dtype=float), r_weights[k1:]
-            _, cond, y_mean, y_var, c, d = problem._pieces(self.lam)
-            h = (c[:, :, None] + d[:, :, None] * y_mean, d)
-            y = (y_mean[None], np.ones((1, d.shape[1])))
-            v = _total_cov(cond, problem.x_weights, y_var, h, h)
-            cov_rh = cy * _total_cov(cond, problem.x_weights, y_var, y, h)[0]
-            r_mean = problem.x_nodes @ cx + cy * np.einsum("pn,pn->n", cond, y_mean)
-            r_joint = (problem.x_weights * r_mean)[:, None]  # g(x) E[r | x], one column
+            cells = problem._pieces(self.lam, r_weights=r_w)
         else:
-            x, y = problem.x_nodes[:, None, :], problem.y_nodes
-            if r_weights is not None:
-                r = lambda x, y: x @ np.asarray(r_weights[:k1]) + y @ np.asarray(r_weights[k1:])
-            r_vals = _on_nodes(r, x, y)
-            cond = problem._tilted_conditional(self.lam)[1]
-            joint = cond * problem.x_weights[:, None]
-            h_mean = np.einsum("knj,nj->kn", problem.h, cond)
-            v = problem._cov_with_h(joint, h_mean, problem.h, h_mean)
-            r_mean = np.einsum("nj,nj->n", cond, r_vals)
-            cov_rh = problem._cov_with_h(joint, h_mean, r_vals[None], r_mean[None])[0]
-            r_joint = joint * r_vals
+            cells = problem._nodes(self.lam, r)
+        (h, h_slopes), (r_row, r_slope) = cells.h, cells.extra
+        cov = _total_cov(cells, problem.x_weights, np.concatenate([h, r_row]),
+                         np.concatenate([h_slopes, r_slope]))
         d_loc = None
         if wrt_loc:
             score = _location_score(getattr(problem.views, "marginal", None))
-            d_loc = float(np.sum(r_joint * score(problem.x_nodes[:, 0])[:, None]))
-        return (v + v.T) / 2.0, cov_rh, d_loc
+            r_mean = np.einsum("pn,pn->n", cells.cond, r_row[0])
+            d_loc = float((problem.x_weights * r_mean) @ score(problem.x_nodes[:, 0]))
+        v = cov[:-1, :-1]
+        return (v + v.T) / 2.0, cov[-1, :-1], d_loc
 
 
 def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator):

@@ -429,18 +429,19 @@ def _write_json(path: str, payload: dict):
     """The payload, arrays as nested lists, as sorted 2-space-indented JSON in one write.
 
     ``json.dumps`` joins the encoder's small chunks that ``json.dump`` would
-    write one by one; the bytes are the same.
+    write one by one; the bytes are the same.  The indenting encoder prints a
+    float subclass such as ``np.float64`` with ``float.__repr__``, so only
+    arrays and other numpy floats need ``default``.
     """
     def default(obj):
         if isinstance(obj, np.ndarray):
-            return [default(v) for v in obj.tolist()]
-        if isinstance(obj, (np.floating, float)):
+            return obj.tolist()
+        if isinstance(obj, np.floating):
             return float(obj)
-        return obj
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
-    canon = json.loads(json.dumps(payload, default=default))
     with open(path, "w") as fh:
-        fh.write(json.dumps(canon, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, default=default, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

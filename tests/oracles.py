@@ -12,7 +12,8 @@ location-scale cdf/ppf for the density views, adaptive quadrature of a
 grid view's pdf for its cdf and moments, mpmath's incomplete beta for the far
 left tail of the t cdf and quantile, an mpmath root of the elementary t(3) cdf
 for the t(3) quantile, a per-view loop for the moment-view
-tensor, an importance-sampling draw whose normalizer takes one rule over
+tensor, a per-x two-pass ``math.fsum`` of the g-average of a conditional
+covariance, an importance-sampling draw whose normalizer takes one rule over
 the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
 truncated-normal pieces, piecewise Gauss-Legendre quadrature of the dual of
 that law, adaptive quadrature of a density view's total mass, and a
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -203,6 +205,33 @@ def view_tensor_loop(moments, x, y) -> np.ndarray:
         else:
             rows.append(np.broadcast_to(np.asarray(view.payoff(x, y), dtype=float), shape))
     return np.stack(rows) if rows else np.zeros((0,) + shape)
+
+
+# ---------------------------------------------------------------------------
+# E_g[Cov(f, g | X)] x by x, in two passes of exact sums
+# ---------------------------------------------------------------------------
+
+
+def total_cov_loop(cond, x_weights, y_var, values, slopes) -> np.ndarray:
+    """E_g[Cov(f_k, f_l | X)] for every pair of rows, one x at a time.
+
+    ``cond`` is P(cell | x) of shape (cells, n_x), ``y_var`` Var(Y | cell, x)
+    of the same shape (zeros on nodes), ``values`` E[f_k | cell, x] of shape
+    (m, cells, n_x) and ``slopes`` the slope of f_k in y on each cell, (m,
+    cells).  Per x, the first pass takes each row's mean by ``math.fsum``, the
+    second the weighted products of the deviations plus slope_k slope_l
+    Var(Y | cell); the x-average is one more ``math.fsum``.
+    """
+    m, n_x = values.shape[0], cond.shape[1]
+    per_x = np.empty((m, m, n_x))
+    for i in range(n_x):
+        w = cond[:, i]
+        dev = [values[k, :, i] - math.fsum(w * values[k, :, i]) for k in range(m)]
+        for k in range(m):
+            for l in range(m):
+                per_x[k, l, i] = math.fsum(np.concatenate(
+                    [w * dev[k] * dev[l], w * slopes[k] * slopes[l] * y_var[:, i]]))
+    return np.array([[math.fsum(x_weights * per_x[k, l]) for l in range(m)] for k in range(m)])
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from oracles import (
     ray_lp_gauge,
     solve_tilted_gaussian_legendre,
     tilted_gaussian_legendre,
+    total_cov_loop,
     view_tensor_loop,
 )
 
@@ -138,24 +139,27 @@ class TestDualEval:
 
 
 class TestViewTensor:
-    """``_view_tensor`` against a per-view loop, on the shapes its three callers pass."""
+    """``_view_tensor`` against a per-view loop, on the shapes its callers pass."""
 
     MOMENTS = (
         tc.MomentView(target=0.0, coord=1),
         tc.MomentView(target=0.0, payoff=lambda x, y: np.maximum(y[..., 0] - 0.4, 0.0)),
-        tc.MomentView(target=0.0, payoff=lambda x, y: x[..., 0]),  # (n_x, 1) on node grids
+        tc.MomentView(target=0.0, payoff=lambda x, y: x[..., 0]),  # (1, n_x) on node tensors
         tc.MomentView(target=0.0, payoff=lambda x, y: 2),  # a scalar
         tc.MomentView(target=0.0, coord=0),
     )
 
-    @pytest.mark.parametrize("shape", ["from_discrete", "from_prior", "draw"])
+    @pytest.mark.parametrize("shape", ["from_discrete", "from_prior", "draw_rule", "draw"])
     def test_matches_per_view_loop(self, shape):
         rng = np.random.default_rng(5)
         n_x, n_y = 7, 4
         if shape == "from_discrete":  # a two-column X block; y nodes shared by every x
-            x = rng.standard_normal((n_x, 2))[:, None, :]
-            y = np.broadcast_to(rng.standard_normal((n_y, 2)), (n_x, n_y, 2))
-        elif shape == "from_prior":  # also the rule nodes of TiltedPosterior.draw
+            x = rng.standard_normal((n_x, 2))[None]
+            y = np.broadcast_to(rng.standard_normal((n_y, 1, 2)), (n_y, n_x, 2))
+        elif shape == "from_prior":  # the node tensor, in the cells' layout
+            x = rng.standard_normal((n_x, 1))[None]
+            y = rng.standard_normal((n_y, n_x, 2))
+        elif shape == "draw_rule":  # the rule nodes of TiltedPosterior.draw
             x = rng.standard_normal((n_x, 1))[:, None, :]
             y = rng.standard_normal((n_x, n_y, 2))
         else:
@@ -255,8 +259,8 @@ class TestExactDual:
             ((tc.OptionPayoff("call", 0, strike), 0.0), ("y", 0.0)), n_x=200, mean=(0.0, 0.0),
             cov=((1.0, 0.5), (0.5, 1.25)), marginal=tc.GaussianDensity(0.0, 1.0))[2]
         lam = np.array([-strike, strike + 0.5])
-        pieces = problem.law.tilt_pieces(problem.x_nodes, *tc.calibration._piecewise_tilt(
-            problem.views.moments, lam))
+        knots, c, d = tc.calibration._exact_tilt(problem.law, problem.views.moments)
+        pieces = problem.law.tilt_pieces(problem.x_nodes, knots, lam @ c, lam @ d)
         assert pieces.above[-1].all()
         assert np.exp(pieces.log_mass[-1] - np.logaddexp(*pieces.log_mass)).min() > 0.005
         # the far piece's variance is 1 - r (r - alpha) with r ~ alpha ~ K, so its
@@ -301,6 +305,75 @@ class TestExactDual:
         problem.dual_state(np.array([140.0, 0.0]))
         with pytest.raises(tc.NonIntegrableTilt):
             problem.dual_state(np.array([200.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# E_g[Cov(., . | X)]: one formula on pieces and on nodes
+# ---------------------------------------------------------------------------
+
+
+def _translated_problem(s):
+    """option_chain's prior with Y's mean moved to 0.1 + s, on the node tensor.
+
+    The views are Y itself, with target 0.1 + s, and an undeclared put
+    max(s - 0.4 - y, 0) with target 0.25.
+    """
+    prior = tc.GaussianPrior([0.0, 0.1 + s], [[1.0, 0.6], [0.6, 1.2]])
+    put = lambda x, y: np.maximum(s - 0.4 - y[..., 0], 0.0)
+    views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 2),
+                       tc.StudentTDensity(df=4, loc=0.0, scale=0.8),
+                       (tc.MomentView(0.1 + s, coord=0), tc.MomentView(0.25, payoff=put)))
+    return prior, views, tc.QuadratureProblem.from_prior(prior, views, n_x=2000, n_y=64)
+
+
+class TestTotalCov:
+    """``_total_cov`` forms each deviation from its x's mean before it squares it, so a
+    mean far from zero next to the spread cancels no digits, as E[Y^2] - E[Y]^2 would."""
+
+    @pytest.mark.parametrize("s, rtol", [(0.0, 1e-12), (1e4, 1e-12), (1e6, 1e-9)])
+    def test_hessian_is_the_schur_variance_wherever_y_sits(self, s, rtol):
+        """At lam = 0 the Hessian's Y entry is E_g[Var(Y | X)] = 1.2 - 0.6^2, which the
+        Gauss-Hermite rule integrates exactly; Y's mean sits at 0.1 + s."""
+        problem = _translated_problem(s)[2]
+        assert problem.exact is None
+        hessian = problem.dual_state(np.zeros(2)).hessian
+        assert hessian[0, 0] == pytest.approx(0.84, rel=rtol, abs=0)
+
+    def test_independence_check_does_not_move_with_y(self):
+        eigs = []
+        for s in (0.0, 1e4, 1e6):
+            prior, views, problem = _translated_problem(s)
+            eigs.append(tc.independence_check(prior, views, problem=problem))
+        np.testing.assert_allclose(eigs[1:], eigs[0], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("s", [0.0, 1e4])
+    @pytest.mark.parametrize("lam", [(0.0, 0.0, 0.0), (0.8, -1.1, 0.3)])
+    def test_pieces_match_the_two_pass_loop(self, s, lam):
+        """option_chain's declared call and put and Y itself, strikes and Y's mean moved by s."""
+        views = ((tc.OptionPayoff("call", 0, 0.4 + s), 0.45),
+                 (tc.OptionPayoff("put", 0, -0.4 + s), 0.25), ("y", 0.1 + s))
+        problem = _declared_problem(views, n_x=300, mean=(0.0, 0.1 + s))[2]
+        lam = np.array(lam)
+        cells = problem._pieces(lam)
+        knots, c, d = problem.exact
+        y_var = problem.law.tilt_pieces(problem.x_nodes, knots, lam @ c, lam @ d).y_moments[1]
+        values, slopes = cells.h
+        got = tc.calibration._total_cov(cells, problem.x_weights, values, slopes)
+        want = total_cov_loop(cells.cond, problem.x_weights, y_var, values, slopes)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("s", [0.0, 1e4])
+    def test_nodes_match_the_two_pass_loop(self, s):
+        """The views' rows and an extra row x y, at a lam that tilts both views."""
+        problem = _translated_problem(s)[2]
+        cells = problem._nodes(np.array([0.3, -0.8]), lambda x, y: x[..., 0] * y[..., 0])
+        values = np.concatenate([cells.h[0], cells.extra[0]])
+        slopes = np.concatenate([cells.h[1], cells.extra[1]])
+        assert not slopes.any() and not cells.var_mass.any()
+        got = tc.calibration._total_cov(cells, problem.x_weights, values, slopes)
+        want = total_cov_loop(cells.cond, problem.x_weights, np.zeros_like(cells.cond),
+                              values, slopes)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -512,7 +512,8 @@ class TestExactTiltedDraw:
     @staticmethod
     def _draw(law, x0, moments, lam, n, seed, block=1 << 16):
         """n draws of Y | X = x0, in blocks from one generator (row by row, so as one call)."""
-        tilt = calibration._piecewise_tilt(moments, lam)
+        knots, c, d = calibration._exact_tilt(law, moments)
+        tilt = knots, lam @ c, lam @ d
         rng = np.random.default_rng(seed)
         return np.concatenate([law.sample_tilted(np.full((min(block, n - i), 1), x0), rng, *tilt)
                                for i in range(0, n, block)])[:, 0]
@@ -559,8 +560,9 @@ class TestExactTiltedDraw:
         (c0, c1, var), x0, views = cases[case]
         law = tc.GaussianConditional([c0], [[c1]], [[var]])
         moments, lam = _declared_moments(views)
-        tilt = calibration._piecewise_tilt(moments, lam)
-        y = law.sample_tilted(np.full((len(u), 1), x0), self._FixedUniforms(u), *tilt)[:, 0]
+        knots, c, d = calibration._exact_tilt(law, moments)
+        y = law.sample_tilted(np.full((len(u), 1), x0), self._FixedUniforms(u),
+                              knots, lam @ c, lam @ d)[:, 0]
         # 600 digits resolve Phi within 1e-536 of 1, 49.5 s above the mean
         want = tilted_gaussian_draw_mpmath(c0 + c1 * x0, np.sqrt(var), views, u,
                                            dps=600 if case == "strike-50s" else 50)

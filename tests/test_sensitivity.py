@@ -152,8 +152,7 @@ class TestQuadraturePath:
             )
             rep = tc.solve_lambda_newton(self.PRIOR, views, problem=problem)
             assert rep.converged
-            vals = problem.y_nodes[..., 0]
-            return problem.expectation(rep.lam, vals)
+            return problem.posterior(rep.lam).expectation(lambda x, y: y[..., 0])
 
         eps = 1e-4 * 0.5
         fd = (pi_at(0.5 + eps) - pi_at(0.5 - eps)) / (2 * eps)
@@ -174,8 +173,8 @@ class TestQuadraturePath:
             problem = tc.QuadratureProblem.from_prior(
                 self.PRIOR, views, n_x=3001, n_y=128
             )
-            vals = problem.y_nodes[..., 0]
-            return problem.expectation(post.lam, vals)  # multipliers held fixed
+            # multipliers held fixed
+            return problem.posterior(post.lam).expectation(lambda x, y: y[..., 0])
 
         eps = 1e-5
         fd = (pi_with_marginal(g.loc + eps) - pi_with_marginal(g.loc - eps)) / (2 * eps)
