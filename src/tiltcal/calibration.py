@@ -833,7 +833,8 @@ class TiltedPosterior:
         k1 = problem.x_nodes.shape[1]
         if r_weights is not None:
             r_w = np.asarray(r_weights, dtype=float)
-            r = lambda x, y: x @ r_w[:k1] + y @ r_w[k1:]
+            r = lambda x, y: (np.einsum("...j,j->...", x, r_w[:k1])
+                              + np.einsum("...j,j->...", y, r_w[k1:]))
         if r_weights is not None and problem.exact is not None:
             cells = problem._pieces(self.lam, r_weights=r_w)
         else:
@@ -851,7 +852,11 @@ class TiltedPosterior:
 
 
 def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator):
-    """Draws of (h_1..h_k)(X, Y) under the prior conditional tilted to g."""
+    """n draws of (h_1..h_k)(X, Y) with X ~ g and Y | X the prior conditional, as (n, k).
+
+    The array is the ``.T`` view of ``_view_tensor``'s (k, n) rows, so
+    ``_hull_gauge`` reads each view's n values contiguously without a copy.
+    """
     x, y = _draw_xy(views.marginal, conditional_law(prior, views), n_samples, rng)
     return _view_tensor(views.moments, x, y).T
 
@@ -882,45 +887,51 @@ _COLUMNS_PER_VIEW = 50
 def _hull_gauge(h: np.ndarray, c: np.ndarray, tol: float) -> float:
     """Gauge of c in the convex hull of the rows of h about their mean.
 
-    Taken on the per-column standardised sample z (mean 0) with the target v
-    mapped the same way, as the LP  min 1'w  subject to  z'w = v, w >= 0,
-    solved by column generation.  The restricted LP holds the sample's
-    extreme points along the +-axes and the +-diagonal, plus 2k artificial
-    columns +-e_i of cost ``_ARTIFICIAL_COST`` that keep it feasible when
-    the cone of those points misses v.  Each round prices every point with
-    its dual y in one product s = z y and adds the ``_COLUMNS_PER_VIEW * k``
-    most violated points outside the set.  It stops when no point has
+    h is (n, k), one row per point; the gauge works on its k rows of n,
+    ``hk = h.T`` made contiguous, which costs nothing for the ``.T`` of a
+    (k, n) array such as ``_h_samples`` returns.  Taken on the per-view
+    standardised sample z = (hk - mean) / std, (k, n) with mean 0, with the
+    target v mapped the same way, as the LP  min 1'w  subject to  z w = v,
+    w >= 0, solved by column generation.  The restricted LP holds the
+    sample's extreme points along the +-axes (each row's argmax and argmin)
+    and the +-diagonal (those of the row sum), plus 2k artificial columns
+    +-e_i of cost ``_ARTIFICIAL_COST`` that keep it feasible when the cone
+    of those points misses v.  Each round prices every point with its dual
+    y in one product s = y z and adds the ``_COLUMNS_PER_VIEW * k`` most
+    violated points outside the set.  It stops when no point has
     s > 1 + ``_PRICING_TOL`` and no artificial column carries weight: then
     y / (1 + _PRICING_TOL) is feasible for the full dual, so the restricted
     optimum is within ``_PRICING_TOL`` relative of the full-sample gauge.
-    Raises InconclusiveSample when the sample is degenerate, when a round
-    adds nothing yet the stopping rule fails (a point already in the set
-    still violates, or an artificial column keeps weight), or after
-    ``_GAUGE_ROUNDS`` rounds.
+    Raises InconclusiveSample when some view has no spread, when z's
+    smallest singular value is at most ``tol`` times its largest (the SVD
+    of the sample itself: the k x k Gram matrix would square the condition
+    number and call thin images flat), when a round adds nothing yet the
+    stopping rule fails (a point already in the set still violates, or an
+    artificial column keeps weight), or after ``_GAUGE_ROUNDS`` rounds.
     """
-    if h.shape[1] == 0 or np.ptp(h, axis=0).min() <= 0.0:
+    hk = np.ascontiguousarray(h.T)
+    if hk.shape[0] == 0 or np.ptp(hk, axis=1).min() <= 0.0:
         raise InconclusiveSample("sampled h-image is degenerate (zero spread)")
-    mean, std = h.mean(axis=0), h.std(axis=0)
-    z = (h - mean) / std
+    mean, std = hk.mean(axis=1), hk.std(axis=1)
+    z = hk - mean[:, None]
+    z /= std[:, None]
     v = (c - mean) / std
-    singular = np.linalg.svd(z, compute_uv=False)
+    singular = np.linalg.svd(z.T, compute_uv=False)
     if singular[-1] <= tol * singular[0]:
         raise InconclusiveSample("sampled h-image is flat (spans fewer than k dimensions)")
-    n, k = z.shape
-    directions = np.vstack([np.eye(k), np.ones((1, k))])
-    projections = z @ directions.T
+    k, n = z.shape
     restricted = np.zeros(n, dtype=bool)
-    restricted[np.argmax(projections, axis=0)] = True
-    restricted[np.argmin(projections, axis=0)] = True
+    for row in (*z, z.sum(axis=0)):
+        restricted[row.argmax()] = restricted[row.argmin()] = True
     artificial = np.hstack([np.eye(k), -np.eye(k)])
     for _ in range(_GAUGE_ROUNDS):
         columns = np.flatnonzero(restricted)
         res = linprog(np.r_[np.ones(columns.size), np.full(2 * k, _ARTIFICIAL_COST)],
-                      A_eq=np.hstack([z[columns].T, artificial]), b_eq=v,
+                      A_eq=np.hstack([z[:, columns], artificial]), b_eq=v,
                       bounds=(0.0, None), method="highs")
         if res.status != 0:
             raise InconclusiveSample(f"hull-gauge LP failed: {res.message}")
-        price = z @ res.eqlin.marginals
+        price = res.eqlin.marginals @ z
         violated = price > 1.0 + _PRICING_TOL
         entering = np.flatnonzero(violated & ~restricted)
         if entering.size == 0:
@@ -950,16 +961,24 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
     and the class does not depend on the units of the views.  For every k it
     is one LP over the sample, solved by column generation: the LPs hold a
     few hundred points and each round prices the whole sample with one
-    matrix-vector product.  Raises ValueError unless c holds one target per
-    moment view, and InconclusiveSample when some view has no spread, when
-    the standardised sample's smallest singular value is at most ``tol``
-    times its largest, or when the column generation cannot certify its
-    gauge.
+    matrix-vector product.  The inputs are checked before any draw: c must
+    hold one finite target per moment view, ``n_samples`` be a positive
+    integer and ``tol`` lie strictly between 0 and 1 (a depth is at most 1,
+    and ``tol`` also bounds the flatness test); else ValueError.  Raises
+    InconclusiveSample when some view has no spread, when the standardised
+    sample's smallest singular value is at most ``tol`` times its largest,
+    or when the column generation cannot certify its gauge.
     """
     k = len(views.moments)
     c = views.targets if c is None else np.atleast_1d(np.asarray(c, dtype=float))
     if c.shape != (k,):
         raise ValueError(f"expected {k} targets, one per moment view; got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"targets c must be finite; got {c}")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be a positive integer; got {n_samples!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be finite with 0 < tol < 1; got {tol!r}")
     h = _h_samples(prior, views, n_samples, np.random.default_rng(seed))
     depth = 1.0 - _hull_gauge(h, c, tol)
     if depth > tol:

@@ -233,9 +233,15 @@ class GaussianConditional:
         return _psd_root(self.cov)
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        """One draw of Y | X = x per row of x; returns (n, y_dim)."""
+        """One draw of Y | X = x per row of x; returns (n, y_dim).
+
+        The draw is ``normals @ root.T`` with the mean added in place; with no
+        X columns that mean is the intercept alone, so no (n, 0) product is formed.
+        """
         x = np.asarray(x, dtype=float)
-        return self.mean(x) + rng.standard_normal((x.shape[0], self.y_dim)) @ self.root.T
+        y = rng.standard_normal((x.shape[0], self.y_dim)) @ self.root.T
+        y += self.intercept if self.slope.shape[1] == 0 else self.mean(x)
+        return y
 
     def tilt_pieces(self, x, knots, intercepts, slopes) -> "TiltPieces":
         """Y | X = x tilted by exp(a_p + b_p y) on piece p, one column per row of x.

@@ -5,7 +5,8 @@ a primal projected-gradient solver for the discrete KL projection, dense
 tensor-product quadrature for 2-D pricing, bisection for scalar
 multipliers, a block-inverse route to conditional covariances,
 per-point adaptive quadrature for posterior marginal densities,
-raw-coordinate hull gauges, one LP over the whole standardised sample and
+raw-coordinate hull gauges, one LP over the whole standardised sample, the
+column-generated gauge on the (n, k) point layout, and
 the padded feasibility-probe classifier for the existence check, a VaR
 bootstrap that builds and sorts every resample, ``scipy.stats``'
 location-scale cdf/ppf for the density views, adaptive quadrature of a
@@ -36,6 +37,8 @@ from scipy.optimize import linprog
 from scipy.special import ndtr
 from scipy.spatial import ConvexHull, QhullError
 
+from tiltcal.calibration import (_ARTIFICIAL_COST, _COLUMNS_PER_VIEW, _GAUGE_ROUNDS,
+                                 _PRICING_TOL)
 from tiltcal.errors import InconclusiveSample, NonIntegrableTilt
 
 
@@ -778,6 +781,52 @@ def hull_gauge_full_lp(h: np.ndarray, c) -> float:
     if res.status != 0:
         raise RuntimeError(f"oracle full-sample gauge LP failed: {res.message}")
     return float(res.fun)
+
+
+def hull_gauge_columns(h: np.ndarray, c: np.ndarray, tol: float) -> float:
+    """``calibration._hull_gauge`` on the (n, k) point layout: z is (n, k), standardised per column.
+
+    The same column generation, constants and stopping rule: seed points
+    from ``z @ directions.T``, LP columns ``z[columns].T``, pricing ``z @ y``
+    and the flatness test on the SVD of the C-ordered z.
+    """
+    if h.shape[1] == 0 or np.ptp(h, axis=0).min() <= 0.0:
+        raise InconclusiveSample("sampled h-image is degenerate (zero spread)")
+    mean, std = h.mean(axis=0), h.std(axis=0)
+    z = (h - mean) / std
+    v = (c - mean) / std
+    singular = np.linalg.svd(z, compute_uv=False)
+    if singular[-1] <= tol * singular[0]:
+        raise InconclusiveSample("sampled h-image is flat (spans fewer than k dimensions)")
+    n, k = z.shape
+    directions = np.vstack([np.eye(k), np.ones((1, k))])
+    projections = z @ directions.T
+    restricted = np.zeros(n, dtype=bool)
+    restricted[np.argmax(projections, axis=0)] = True
+    restricted[np.argmin(projections, axis=0)] = True
+    artificial = np.hstack([np.eye(k), -np.eye(k)])
+    for _ in range(_GAUGE_ROUNDS):
+        columns = np.flatnonzero(restricted)
+        res = linprog(np.r_[np.ones(columns.size), np.full(2 * k, _ARTIFICIAL_COST)],
+                      A_eq=np.hstack([z[columns].T, artificial]), b_eq=v,
+                      bounds=(0.0, None), method="highs")
+        if res.status != 0:
+            raise InconclusiveSample(f"hull-gauge LP failed: {res.message}")
+        price = z @ res.eqlin.marginals
+        violated = price > 1.0 + _PRICING_TOL
+        entering = np.flatnonzero(violated & ~restricted)
+        if entering.size == 0:
+            if violated.any():
+                raise InconclusiveSample("hull-gauge LP dual violates its own columns")
+            if np.any(res.x[columns.size:] > 0.0):
+                raise InconclusiveSample("hull-gauge LP keeps an artificial column; "
+                                         "sampled h-image is too thin")
+            return float(res.fun)
+        batch = _COLUMNS_PER_VIEW * k
+        if entering.size > batch:
+            entering = entering[np.argpartition(price[entering], -batch)[-batch:]]
+        restricted[entering] = True
+    raise InconclusiveSample(f"hull-gauge column generation took over {_GAUGE_ROUNDS} rounds")
 
 
 def ray_lp_gauge(h: np.ndarray, c) -> float:

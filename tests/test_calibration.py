@@ -20,6 +20,7 @@ from conftest import (
 from oracles import (
     bisect_scalar_multiplier,
     facet_gauge,
+    hull_gauge_columns,
     hull_gauge_full_lp,
     padded_probe_class,
     ray_lp_gauge,
@@ -655,6 +656,44 @@ class TestExistence:
         with pytest.raises(tc.InconclusiveSample):
             tc.existence_check(prior, views, n_samples=500)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"n_samples": 0}, "n_samples must be a positive integer"),
+        ({"n_samples": -3}, "n_samples must be a positive integer"),
+        ({"c": [0.0, np.nan]}, "targets c must be finite"),
+        ({"c": [np.inf, 0.0]}, "targets c must be finite"),
+        ({"c": [0.0, -np.inf]}, "targets c must be finite"),
+        *(({"tol": tol}, "tol must be finite with 0 < tol < 1")
+          for tol in (np.nan, np.inf, -0.5, 0.0, 1.0)),
+    ])
+    def test_bad_input_is_refused_before_drawing(self, monkeypatch, bad, message):
+        """n_samples = 0 died in numpy, a NaN target in linprog after the draw,
+        tol = NaN read every target as "boundary" and tol <= 0 switched the flatness test off."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the existence check drew before checking its inputs")
+
+        monkeypatch.setattr(tc.calibration, "_h_samples", refuse)
+        prior = tc.GaussianPrior(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match=message):
+            tc.existence_check(prior, self._views(2, 3), **({"c": [0.0, 0.0]} | bad))
+
+    @pytest.mark.parametrize("k1", [0, 1])
+    def test_h_samples_match_the_mean_plus_normals_formula(self, k1, six_index_prior,
+                                                           two_asset_prior, two_asset_views):
+        """The in-place mean (the intercept alone when k1 = 0) changes no draw."""
+        prior, views = ((six_index_prior, mean_only_views()) if k1 == 0
+                        else (two_asset_prior, two_asset_views))
+        assert views.k1 == k1
+        law = tc.calibration.conditional_law(prior, views)
+
+        def sample(x, rng):
+            return law.mean(x) + rng.standard_normal((x.shape[0], law.y_dim)) @ law.root.T
+
+        x, y = tc.calibration._draw_xy(views.marginal, law, 50_000, np.random.default_rng(3),
+                                       sample=sample)
+        expected = tc.calibration._view_tensor(views.moments, x, y).T
+        h = tc.calibration._h_samples(prior, views, 50_000, np.random.default_rng(3))
+        assert np.array_equal(h, expected)
+
     @pytest.mark.parametrize("dim, c, n_samples", [
         (2, [0.0], 20_000),
         (2, [50.0], 20_000),
@@ -768,6 +807,43 @@ class TestHullGauge:
         h = np.column_stack([s, s + 1e-8 * t])
         with pytest.raises(tc.InconclusiveSample, match="artificial"):
             tc.calibration._hull_gauge(h, np.array([0.1, -0.1]), 1e-10)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "t3", "t1.5", "lognormal"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+    def test_row_layout_matches_point_layout_oracle(self, k, kind):
+        """The gauge on h's k rows against the one on its n points.
+
+        Exact on the ``.T`` view of (k, n) rows, the layout ``_h_samples``
+        returns.  On C-ordered h the point-layout oracle sums each column
+        mean in another order, so the two agree to rounding only.
+        """
+        h, targets = self._skewed_cloud(kind, k, seed=10 * k)
+        rows_view = np.ascontiguousarray(h.T).T
+        for name, c in targets.items():
+            gauge = tc.calibration._hull_gauge(rows_view, c, 1e-6)
+            assert gauge == hull_gauge_columns(rows_view, c, 1e-6), name
+            assert tc.calibration._hull_gauge(h, c, 1e-6) == gauge, name
+            assert gauge == pytest.approx(hull_gauge_columns(h, c, 1e-6), rel=1e-12), name
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("factor", [0.1, 10.0])
+    def test_flatness_threshold_matches_the_sample_svd(self, tol, factor):
+        """A cloud [s, s + eps t] whose standardised singular-value ratio is tol / 10 or 10 tol.
+
+        The k x k Gram matrix's eigenvalues would square that ratio, below their
+        rounding floor at tol = 1e-10, and miss the flat case.
+        """
+        s, t = np.random.default_rng(1).standard_normal((2, 4_000))
+        h = np.column_stack([s, s + 2.0 * factor * tol * t])
+        singular = np.linalg.svd((h - h.mean(axis=0)) / h.std(axis=0), compute_uv=False)
+        ratio = singular[-1] / singular[0]
+        assert factor / 2.0 < ratio / tol < factor * 2.0
+        try:
+            tc.calibration._hull_gauge(h, h.mean(axis=0), tol)
+            flat = False
+        except tc.InconclusiveSample as exc:
+            flat = "flat" in str(exc)
+        assert flat == (ratio <= tol)
 
     def test_six_index_check_solves_only_small_lps(self, monkeypatch, six_index_prior):
         """The k = 5 check prices 100k points but solves no LP over all of them."""
