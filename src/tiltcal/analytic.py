@@ -212,40 +212,29 @@ def _panel_sums(g, centers: np.ndarray, h: float, view_marks: np.ndarray, *,
     embedded 7-point Gauss sums, but never below the rounding unit of the
     sum, plus e^-50 with ``window`` for the integral outside it.
 
-    Rows are taken in order of their number of marks, in chunks of at most
-    _CHUNK_VALUES nodes; a chunk's rows with fewer marks than its last are
-    padded with zero-width panels at the window's right end, which add
-    exactly 0 to the sequential sum over panels.
+    Points are grouped by their number of marks, so that each group's arrays
+    have one exact width, and a group is taken in chunks of at most
+    _CHUNK_VALUES nodes.
     """
     kern = centers[:, None] + h * _KERNEL_MARKS
-    if window:
-        first = np.searchsorted(view_marks, kern[:, 0], side="right")
-        counts = np.searchsorted(view_marks, kern[:, -1], side="left") - first
-    else:
-        first = np.zeros(centers.size, dtype=int)
-        counts = np.full(centers.size, view_marks.size)
-    order = np.argsort(counts, kind="stable")
-    # nodes of the rows in that order, padded as if each ended a chunk
-    nodes = ((_KERNEL_MARKS.size - 1 + counts[order]) << halvings) * _K15_X.size
+    ends = kern[:, [0, -1]] if window else np.full((centers.size, 2), [-np.inf, np.inf])
+    first = np.searchsorted(view_marks, ends[:, 0], side="right")
+    counts = np.searchsorted(view_marks, ends[:, 1], side="left") - first
     sums = np.empty((centers.size, 2))
-    start = 0
-    while start < order.size:
-        # the most rows from ``start`` whose padded block fits in _CHUNK_VALUES
-        span = nodes[start:start + max(1, _CHUNK_VALUES // nodes[start])]
-        fits = np.count_nonzero(np.arange(1, span.size + 1) * span <= _CHUNK_VALUES)
-        rows = order[start:start + max(1, fits)]
-        pick = first[rows, None] + np.arange(counts[rows[-1]])
-        marks = np.where(pick < (first + counts)[rows, None],
-                         view_marks[np.minimum(pick, view_marks.size - 1)], kern[rows, -1:])
-        edges = np.sort(np.concatenate([kern[rows], marks], axis=1), axis=1)
-        for _ in range(halvings):
-            edges = _halve_panels(edges)
-        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
-        x = (edges[:, :-1, None] + half) + half * _K15_X
-        f = np.exp(-0.5 * ((x - centers[rows, None, None]) / h) ** 2) * g.pdf(x) * half
-        # summed in a fixed order, so that a row's value does not depend on its chunk
-        sums[rows] = (f.sum(axis=1)[:, :, None] * _RULE).sum(axis=1)
-        start += rows.size
+    for m in np.unique(counts):
+        group = np.flatnonzero(counts == m)
+        step = max(1, _CHUNK_VALUES // (((_KERNEL_MARKS.size - 1 + m) << halvings) * _K15_X.size))
+        for start in range(0, group.size, step):
+            rows = group[start:start + step]
+            marks = view_marks[first[rows, None] + np.arange(m)]
+            edges = np.sort(np.concatenate([kern[rows], marks], axis=1), axis=1)
+            for _ in range(halvings):
+                edges = _halve_panels(edges)
+            half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+            x = (edges[:, :-1, None] + half) + half * _K15_X
+            f = np.exp(-0.5 * ((x - centers[rows, None, None]) / h) ** 2) * g.pdf(x) * half
+            # summed in a fixed order, so that a row's value does not depend on its chunk
+            sums[rows] = (f.sum(axis=1)[:, :, None] * _RULE).sum(axis=1)
     value = sums[:, 0]
     err = np.maximum(np.abs(sums[:, 1]), np.finfo(float).eps * np.abs(value))
     return value, err + _WINDOW_TAIL if window else err

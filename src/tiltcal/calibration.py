@@ -964,7 +964,8 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
     matrix-vector product.  The inputs are checked before any draw: c must
     hold one finite target per moment view, ``n_samples`` be a positive
     integer and ``tol`` lie strictly between 0 and 1 (a depth is at most 1,
-    and ``tol`` also bounds the flatness test); else ValueError.  Raises
+    and ``tol`` also bounds the flatness test); else ValueError.  With no
+    moment views the empty target is interior and nothing is drawn.  Raises
     InconclusiveSample when some view has no spread, when the standardised
     sample's smallest singular value is at most ``tol`` times its largest,
     or when the column generation cannot certify its gauge.
@@ -979,6 +980,8 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
         raise ValueError(f"n_samples must be a positive integer; got {n_samples!r}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite with 0 < tol < 1; got {tol!r}")
+    if k == 0:
+        return "interior"
     h = _h_samples(prior, views, n_samples, np.random.default_rng(seed))
     depth = 1.0 - _hull_gauge(h, c, tol)
     if depth > tol:

@@ -401,8 +401,7 @@ def _parse_moments(nodes, y_dim: int):
         if "coord" in node:
             out.append(MomentView(target=target, coord=_coord(node["coord"], y_dim, "moment")))
         else:
-            out.append(MomentView(target=target, payoff=_make_payoff(node["payoff"], y_dim),
-                                  name=json.dumps(node["payoff"], sort_keys=True)))
+            out.append(MomentView(target=target, payoff=_make_payoff(node["payoff"], y_dim)))
     return tuple(out)
 
 

@@ -456,7 +456,6 @@ class GenericPrior:
     y_dim: int
     conditional_sampler: Callable | None = None
     conditional_quadrature: Callable | None = None
-    label: str = field(default="generic")
 
     # the sampler may use the generator in any pattern, so it always gets a whole chunk
     draws_by_row = False

@@ -47,7 +47,6 @@ class MomentView:
     target: float
     coord: int | None = None
     payoff: Callable | None = None
-    name: str = ""
 
     def __post_init__(self):
         if (self.coord is None) == (self.payoff is None):

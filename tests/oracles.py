@@ -4,7 +4,8 @@ Everything here deliberately avoids the tilting/closed-form code paths:
 a primal projected-gradient solver for the discrete KL projection, dense
 tensor-product quadrature for 2-D pricing, bisection for scalar
 multipliers, a block-inverse route to conditional covariances,
-per-point adaptive quadrature for posterior marginal densities,
+per-point adaptive quadrature for posterior marginal densities, the
+marginal-density panel sums with rows padded to their chunk's widest,
 raw-coordinate hull gauges, one LP over the whole standardised sample, the
 column-generated gauge on the (n, k) point layout, and
 the padded feasibility-probe classifier for the existence check, a VaR
@@ -37,6 +38,8 @@ from scipy.optimize import linprog
 from scipy.special import ndtr
 from scipy.spatial import ConvexHull, QhullError
 
+from tiltcal.analytic import (_CHUNK_VALUES, _K15_X, _KERNEL_MARKS, _RULE, _WINDOW_TAIL,
+                              _halve_panels)
 from tiltcal.calibration import (_ARTIFICIAL_COST, _COLUMNS_PER_VIEW, _GAUGE_ROUNDS,
                                  _PRICING_TOL)
 from tiltcal.errors import InconclusiveSample, NonIntegrableTilt
@@ -749,6 +752,65 @@ def marginal_density_quad(post, c, s, rel_tol=1e-10):
             raise RuntimeError(f"oracle quad missed relative error {rel_tol} at s={sv}")
         out.append(val)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Marginal-density panel sums with padded rows
+# ---------------------------------------------------------------------------
+
+# The engine's panel rule as it was before it grouped points by mark count:
+# rows sorted by their number of marks, greedily fitted into chunks and padded
+# with zero-width panels at the window's right end.  Kept as written.
+def panel_sums_padded(g, centers: np.ndarray, h: float, view_marks: np.ndarray, *,
+                      window: bool, halvings: int):
+    """Integral of exp(-((x - c) / h)^2 / 2) g(x) for each c in ``centers``.
+
+    The panels of c run between its sorted kernel marks c + h * _KERNEL_MARKS
+    and the sorted ``view_marks``: with ``window`` only the marks strictly
+    inside the kernel window [c - 10h, c + 10h], so that the panels cover the
+    window, else all of them, so that they cover the window joined with the
+    marks' range.  Each panel is split into 2^halvings equal parts.  Returns
+    the 15-point Kronrod sums and their error estimates: the distance to the
+    embedded 7-point Gauss sums, but never below the rounding unit of the
+    sum, plus e^-50 with ``window`` for the integral outside it.
+
+    Rows are taken in order of their number of marks, in chunks of at most
+    _CHUNK_VALUES nodes; a chunk's rows with fewer marks than its last are
+    padded with zero-width panels at the window's right end, which add
+    exactly 0 to the sequential sum over panels.
+    """
+    kern = centers[:, None] + h * _KERNEL_MARKS
+    if window:
+        first = np.searchsorted(view_marks, kern[:, 0], side="right")
+        counts = np.searchsorted(view_marks, kern[:, -1], side="left") - first
+    else:
+        first = np.zeros(centers.size, dtype=int)
+        counts = np.full(centers.size, view_marks.size)
+    order = np.argsort(counts, kind="stable")
+    # nodes of the rows in that order, padded as if each ended a chunk
+    nodes = ((_KERNEL_MARKS.size - 1 + counts[order]) << halvings) * _K15_X.size
+    sums = np.empty((centers.size, 2))
+    start = 0
+    while start < order.size:
+        # the most rows from ``start`` whose padded block fits in _CHUNK_VALUES
+        span = nodes[start:start + max(1, _CHUNK_VALUES // nodes[start])]
+        fits = np.count_nonzero(np.arange(1, span.size + 1) * span <= _CHUNK_VALUES)
+        rows = order[start:start + max(1, fits)]
+        pick = first[rows, None] + np.arange(counts[rows[-1]])
+        marks = np.where(pick < (first + counts)[rows, None],
+                         view_marks[np.minimum(pick, view_marks.size - 1)], kern[rows, -1:])
+        edges = np.sort(np.concatenate([kern[rows], marks], axis=1), axis=1)
+        for _ in range(halvings):
+            edges = _halve_panels(edges)
+        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+        x = (edges[:, :-1, None] + half) + half * _K15_X
+        f = np.exp(-0.5 * ((x - centers[rows, None, None]) / h) ** 2) * g.pdf(x) * half
+        # summed in a fixed order, so that a row's value does not depend on its chunk
+        sums[rows] = (f.sum(axis=1)[:, :, None] * _RULE).sum(axis=1)
+        start += rows.size
+    value = sums[:, 0]
+    err = np.maximum(np.abs(sums[:, 1]), np.finfo(float).eps * np.abs(value))
+    return value, err + _WINDOW_TAIL if window else err
 
 
 # ---------------------------------------------------------------------------

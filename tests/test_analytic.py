@@ -20,7 +20,7 @@ from conftest import (
     mean_only_views,
     random_gaussian_linear_problem,
 )
-from oracles import marginal_density_quad
+from oracles import marginal_density_quad, panel_sums_padded
 
 WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads"
 
@@ -282,9 +282,7 @@ class TestMarginalPanelRule:
         """The heavy-tail t view tabulated on 1,001 knots: each point's panels take
         only the knots inside its kernel window."""
         t_views = heavy_tail_views(1, 3.0)
-        t_view = t_views.marginal
-        g = tc.GridDensity.from_function(t_view.pdf, float(t_view.ppf(1e-6)),
-                                         float(t_view.ppf(1.0 - 1e-6)), n=1001)
+        g = _thousand_knot_grid(t_views.marginal)
         post = tc.build_posterior(tc.GaussianPrior(SIX_INDEX_MEAN, SIX_INDEX_COV),
                                   tc.ViewSet(t_views.view_map, g, t_views.moments))
         idx = SIX_INDEX_LABELS.index(label)
@@ -319,15 +317,47 @@ class TestMarginalPanelRule:
         assert calls == [(True, 401)] * 5 + [(True, 10)]
 
     def test_a_point_does_not_depend_on_the_points_beside_it(self):
-        """Rows with fewer marks in their window are padded to their chunk's widest."""
-        post = tc.build_posterior(tc.GaussianPrior(SIX_INDEX_MEAN, SIX_INDEX_COV),
-                                  heavy_tail_views(1, 3.0))
+        """Points are grouped and chunked by their number of marks, on the t view and
+        on its 1,001-knot grid, which spreads those numbers widest."""
+        t_views = heavy_tail_views(1, 3.0)
+        grid_views = tc.ViewSet(t_views.view_map, _thousand_knot_grid(t_views.marginal),
+                                t_views.moments)
         s = np.linspace(-0.15, 0.15, 61)
-        for idx in (0, 4):
-            w = np.eye(6)[idx]
-            together = tc.posterior_marginal_linear(post, w, s)
-            alone = [tc.posterior_marginal_linear(post, w, sv) for sv in s]
-            np.testing.assert_array_equal(together, alone)
+        for views in (t_views, grid_views):
+            post = tc.build_posterior(tc.GaussianPrior(SIX_INDEX_MEAN, SIX_INDEX_COV), views)
+            for idx in (0, 4):
+                w = np.eye(6)[idx]
+                together = tc.posterior_marginal_linear(post, w, s)
+                alone = [tc.posterior_marginal_linear(post, w, sv) for sv in s]
+                np.testing.assert_array_equal(together, alone)
+
+    @pytest.mark.parametrize("view", ["student_t", "gaussian", "grid"])
+    @pytest.mark.parametrize("h", [1e-4, 3e-3, 2e-2])
+    @pytest.mark.parametrize("window, halvings",
+                             [(True, 0)] + [(False, halvings) for halvings in range(5)])
+    def test_panel_sums_equal_the_padded_engine(self, view, h, window, halvings):
+        """Grouping points by mark count changes no bit of the padded rows' sums or
+        error estimates, on every rung of the retry ladder."""
+        t_views = heavy_tail_views(1, 3.0)
+        t_view = t_views.marginal
+        g = {"student_t": t_view, "gaussian": tc.GaussianDensity(t_view.loc, t_view.scale),
+             "grid": _thousand_knot_grid(t_view)}[view]
+        view_marks = np.unique(np.concatenate(
+            [g.ppf(analytic._VIEW_QUANTILES), getattr(g, "knots", np.zeros(0))]))
+        centers = t_view.loc + np.concatenate([np.linspace(-0.3, 0.3, 37),
+                                               [-3.0, -1.0, 1.0, 3.0]])
+        got = analytic._panel_sums(g, centers, h, view_marks, window=window,
+                                   halvings=halvings)
+        expected = panel_sums_padded(g, centers, h, view_marks, window=window,
+                                     halvings=halvings)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+
+def _thousand_knot_grid(t_view):
+    """``t_view`` tabulated on 1,001 knots over its 1e-6 quantiles."""
+    return tc.GridDensity.from_function(t_view.pdf, float(t_view.ppf(1e-6)),
+                                        float(t_view.ppf(1.0 - 1e-6)), n=1001)
 
 
 def _spy_panel_sums(monkeypatch):

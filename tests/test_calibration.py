@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import roots_hermite
+from scipy.optimize import brentq
+from scipy.special import ndtr, roots_hermite
 
 import tiltcal as tc
 from conftest import (
@@ -300,6 +301,40 @@ class TestExactDual:
         assert np.array_equal(state.hessian, np.zeros((2, 2)))
         assert price == pytest.approx(problem.x_weights @ np.maximum(m - 0.8, 0.0), rel=1e-14)
 
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_without_a_marginal_view_lambda_is_the_root_of_the_closed_form(self, kind):
+        """k1 = 0: Y ~ N(m, s^2) on the one outer node.  For a call,
+        Z(lam) = Phi((K - m) / s) + exp(lam (m - K) + lam^2 s^2 / 2) Phi((m + lam s^2 - K) / s)
+        and d/dlam log Z = target; a put is the call on -Y at strike -K."""
+        m, var, strike, target = 0.1, 0.5, 0.2, 0.5
+        prior = tc.GaussianPrior([m], [[var]])
+        payoff = tc.OptionPayoff(kind, 0, strike)
+        views = tc.ViewSet(tc.LinearViewMap.identity(1, 0, 1), None,
+                           (tc.MomentView(target, payoff=payoff),))
+        problem = tc.build_dual_problem(prior, views)
+        assert problem.exact is not None and problem.x_nodes.shape == (1, 0)
+        report = tc.solve_lambda_newton(prior, views, problem=problem, tol=1e-12)
+        assert report.converged
+
+        sign, sd = (1.0 if kind == "call" else -1.0), np.sqrt(var)
+        mu, k = sign * m, sign * strike
+
+        def d_log_z(lam):
+            tilt, d = np.exp(lam * (mu - k) + lam**2 * var / 2.0), (mu + lam * var - k) / sd
+            z = ndtr((k - mu) / sd) + tilt * ndtr(d)
+            return tilt * ((mu - k + lam * var) * ndtr(d) + sd * stats.norm.pdf(d)) / z
+
+        want = brentq(lambda lam: d_log_z(lam) - target, 0.0, 10.0, xtol=1e-15)
+        assert report.lam[0] == pytest.approx(want, rel=1e-10, abs=0)
+
+        post = problem.posterior(report.lam)
+        assert post.price(payoff, 1, 0)[0] == pytest.approx(target, rel=1e-11, abs=0)
+        batch = tc.sample_posterior(post, 20_000, seed=4)
+        assert batch.weights is None
+        paid = payoff(None, batch.z_samples)
+        assert abs(paid.mean() - target) < 4.0 * paid.std() / np.sqrt(batch.n)
+        assert tc.independence_check(prior, views) == report.independence_min_eig
+
     def test_tilt_past_the_cap_is_not_integrable(self):
         """log Z(x) grows like lam^2 s^2 / 2: past 1e4 the tilt is refused, as on the tensor."""
         problem = _declared_problem(self.CASES["option-chain"], n_x=200)[2]
@@ -591,6 +626,25 @@ class TestExistence:
         probe = tc.existence_check(prior, views, c=[4.9], n_samples=200, seed=0)
         assert probe in ("boundary", "outside")
 
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_target_scaled_to_the_hull_surface_is_boundary(self, k, six_index_prior):
+        """The gauge is positively homogeneous about the sample mean m, so with gamma
+        the gauge of c on the same draw, m + (c - m) / gamma has gauge 1 to within
+        the pricing tolerance; 1% inside or outside of it the class flips."""
+        if k == 1:
+            prior, views, c = tc.GaussianPrior(np.zeros(2), np.eye(2)), self._views(1, 2), [1.0]
+        else:  # the five mean views of six_index_mean_audit
+            prior, views = six_index_prior, mean_only_views()
+            c = views.targets
+        n_samples, seed = 20_000, 3
+        h = tc.calibration._h_samples(prior, views, n_samples, np.random.default_rng(seed))
+        m = h.T.mean(axis=1)
+        gamma = tc.calibration._hull_gauge(h, np.asarray(c, dtype=float), 1e-6)
+        surface = m + (c - m) / gamma
+        for scale, expected in ((1.0, "boundary"), (0.99, "interior"), (1.01, "outside")):
+            assert tc.existence_check(prior, views, c=m + scale * (surface - m),
+                                      n_samples=n_samples, seed=seed) == expected
+
     def test_two_dimensional_hull(self):
         prior = tc.GaussianPrior(np.zeros(3), np.eye(3))
         views = self._views(2, 3)
@@ -650,11 +704,16 @@ class TestExistence:
         with pytest.raises(tc.InconclusiveSample):
             tc.existence_check(prior, views, c=[0.0, 0.1, -0.1, 0.0], n_samples=4_000)
 
-    def test_views_without_moments_raise(self):
+    def test_views_without_moments_are_interior(self, monkeypatch):
+        """No moment constraint: the empty target is interior, and nothing is drawn."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the existence check drew without moment views")
+
+        monkeypatch.setattr(tc.calibration, "_h_samples", refuse)
         prior = tc.GaussianPrior(np.zeros(2), np.eye(2))
-        views = self._views(0, 2)
-        with pytest.raises(tc.InconclusiveSample):
-            tc.existence_check(prior, views, n_samples=500)
+        assert tc.existence_check(prior, self._views(0, 2), n_samples=500) == "interior"
+        with pytest.raises(ValueError, match="expected 0 targets"):
+            tc.existence_check(prior, self._views(0, 2), c=[0.0])
 
     @pytest.mark.parametrize("bad, message", [
         ({"n_samples": 0}, "n_samples must be a positive integer"),

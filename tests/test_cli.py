@@ -708,6 +708,21 @@ class TestRun:
         report = json.loads((out / "calibration.json").read_text())
         assert report["existence"] == "interior"
 
+    def test_existence_without_moment_views_is_interior(self, tmp_path):
+        """A t(4) view alone: the empty target is interior; the check used to exit 1."""
+        doc = {
+            "schema_version": 1,
+            "prior": {"mean": [0.0, 0.1], "covariance": [[1.0, 0.6], [0.6, 1.2]]},
+            "view_map": {"k1": 1, "k2": 1},
+            "marginal": {"kind": "student_t", "df": 4, "loc": 0.0, "scale": 0.8},
+            "moments": [],
+            "tasks": [{"type": "calibrate", "check_existence": True, "n_samples": 2_000}],
+        }
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 0
+        report = json.loads((out / "calibration.json").read_text())
+        assert report["existence"] == "interior"
+
 
 def _leaves(node, path=()):
     """Key paths to every scalar and empty container of a JSON tree."""

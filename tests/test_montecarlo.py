@@ -71,7 +71,6 @@ def make_lognormal_pair(index_spot=1183.74, stock_spot=82.98, rate=0.0269,
         x_dim=1, y_dim=1,
         conditional_sampler=cond_sampler,
         conditional_quadrature=cond_quadrature,
-        label="lognormal-pair",
     )
     sd0 = np.sqrt(cov_log[0, 0])
     knots = np.exp(np.linspace(mu_log[0] - 10 * sd0, mu_log[0] + 10 * sd0, 1201))
