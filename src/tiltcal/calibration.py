@@ -75,6 +75,11 @@ _FLAT_ULPS = 8.0
 # exact path keeps about a dozen (pieces x draws) temporaries alive at once, so
 # its blocks hold a quarter as many piece values.
 _BLOCK_VALUES = 1 << 17
+# The existence check draws Y and factors its h-image in blocks of this many
+# points, so that next to the image it holds only O(block) temporaries; a
+# remainder of fewer than _H_MIN_ROWS points joins the block before it.
+_H_BLOCK = 8_192
+_H_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -488,9 +493,12 @@ def _on_nodes(func, x, y) -> np.ndarray:
     return np.broadcast_to(np.asarray(func(x, y), dtype=float), y.shape[:-1])
 
 
-def _view_tensor(moments, x, y) -> np.ndarray:
-    """Every moment view on broadcast (x, y) node arrays, as one (k,) + y.shape[:-1] array."""
-    out = np.empty((len(moments),) + y.shape[:-1])
+def _view_tensor(moments, x, y, out=None) -> np.ndarray:
+    """Every moment view on broadcast (x, y) node arrays, as one (k,) + y.shape[:-1] array.
+
+    Written into ``out`` when given, which may be a strided view of larger rows.
+    """
+    out = np.empty((len(moments),) + y.shape[:-1]) if out is None else out
     for row, view in zip(out, moments):
         row[...] = y[..., view.coord] if view.coord is not None else view.payoff(x, y)
     return out
@@ -854,11 +862,31 @@ class TiltedPosterior:
 def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator):
     """n draws of (h_1..h_k)(X, Y) with X ~ g and Y | X the prior conditional, as (n, k).
 
-    The array is the ``.T`` view of ``_view_tensor``'s (k, n) rows, so
-    ``_hull_gauge`` reads each view's n values contiguously without a copy.
+    The array is the ``.T`` view of one C-ordered (k, n) array, the only copy
+    of the image: ``existence_check`` standardises those rows in place.  X's
+    uniforms and quantiles are drawn once for all n (``_draw_xy``).  When the
+    law draws row by row (``law.draws_by_row``), Y is drawn and h filled in
+    blocks of ``_H_BLOCK`` points, so no (n, y_dim) draw is held; a generic
+    sampler gets all n rows in one call.  The blocks change no value: the
+    normals come from the generator in the same order, and a last block of
+    fewer than ``_H_MIN_ROWS`` points joins the one before it, as matrix
+    products of one or a few rows take other BLAS paths that may round
+    differently.
     """
-    x, y = _draw_xy(views.marginal, conditional_law(prior, views), n_samples, rng)
-    return _view_tensor(views.moments, x, y).T
+    law = conditional_law(prior, views)
+    h = np.empty((len(views.moments), n_samples))
+    edges = list(range(0, n_samples, _H_BLOCK)) if law.draws_by_row else [0]
+    if len(edges) > 1 and n_samples - edges[-1] < _H_MIN_ROWS:
+        edges.pop()
+    edges.append(n_samples)
+
+    def sample(x, rng):
+        for start, stop in zip(edges, edges[1:]):
+            block = x[start:stop]
+            _view_tensor(views.moments, block, law.sample(block, rng), out=h[:, start:stop])
+        return h.T
+
+    return _draw_xy(views.marginal, law, n_samples, rng, sample=sample)[1]
 
 
 def linprog(*args, **kwargs):
@@ -868,14 +896,14 @@ def linprog(*args, **kwargs):
     existence check does, for every k.  The name stays bound at module level
     because ``perfbench/tracing.py`` counts LP solves by rebinding
     ``calibration.linprog``; once the benchmark counts them another way this
-    can become a local import in ``_hull_gauge``.
+    can become a local import in ``_row_gauge``.
     """
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
 
 
-# Column generation for _hull_gauge.  An artificial column costs far more per
+# Column generation for _row_gauge.  An artificial column costs far more per
 # unit than the points of a non-flat standardised sample; the pricing
 # tolerance is HiGHS's default dual feasibility tolerance.
 _ARTIFICIAL_COST = 1.0e6
@@ -887,10 +915,35 @@ _COLUMNS_PER_VIEW = 50
 def _hull_gauge(h: np.ndarray, c: np.ndarray, tol: float) -> float:
     """Gauge of c in the convex hull of the rows of h about their mean.
 
-    h is (n, k), one row per point; the gauge works on its k rows of n,
-    ``hk = h.T`` made contiguous, which costs nothing for the ``.T`` of a
-    (k, n) array such as ``_h_samples`` returns.  Taken on the per-view
-    standardised sample z = (hk - mean) / std, (k, n) with mean 0, with the
+    h is (n, k), one row per point.  Its k rows of n are copied once into a
+    C-ordered (k, n) array for ``_row_gauge``, so h itself is left untouched.
+    """
+    return _row_gauge(np.array(h.T, order="C"), c, tol)
+
+
+def _singular_values(z: np.ndarray) -> np.ndarray:
+    """Singular values of the (n, k) matrix z.T, from a blocked (TSQR) factorisation.
+
+    R of each ``_H_BLOCK``-point block of z's columns, the Rs stacked, R of
+    that stack, then the SVD of its k x k R: no (n, k) copy of z is made, as
+    LAPACK's SVD of z.T would (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J.
+    Sci. Comput. 34:A206).  Householder QR is backward stable, so these are
+    the singular values of z.T to within eps times the largest.
+    """
+    n = z.shape[1]
+    rs = [np.linalg.qr(z[:, start:start + _H_BLOCK].T, mode="r")
+          for start in range(0, n, _H_BLOCK)]
+    return np.linalg.svd(np.linalg.qr(np.vstack(rs), mode="r"), compute_uv=False)
+
+
+def _row_gauge(z: np.ndarray, c: np.ndarray, tol: float) -> float:
+    """``_hull_gauge`` on the C-ordered (k, n) rows z of the points, standardised in place.
+
+    Each row is replaced by (row - mean) / std with its own ``mean`` and
+    ``std``, bit for bit what the ``axis=1`` reductions and a standardised
+    copy would give, and no other (k, n) array is made: the flatness test
+    takes its singular values from ``_singular_values``.  The gauge is
+    taken on the standardised sample z, (k, n) with mean 0, with the
     target v mapped the same way, as the LP  min 1'w  subject to  z w = v,
     w >= 0, solved by column generation.  The restricted LP holds the
     sample's extreme points along the +-axes (each row's argmax and argmin)
@@ -903,23 +956,24 @@ def _hull_gauge(h: np.ndarray, c: np.ndarray, tol: float) -> float:
     y / (1 + _PRICING_TOL) is feasible for the full dual, so the restricted
     optimum is within ``_PRICING_TOL`` relative of the full-sample gauge.
     Raises InconclusiveSample when some view has no spread, when z's
-    smallest singular value is at most ``tol`` times its largest (the SVD
-    of the sample itself: the k x k Gram matrix would square the condition
+    smallest singular value is at most ``tol`` times its largest (those of
+    the sample itself: the k x k Gram matrix would square the condition
     number and call thin images flat), when a round adds nothing yet the
     stopping rule fails (a point already in the set still violates, or an
     artificial column keeps weight), or after ``_GAUGE_ROUNDS`` rounds.
     """
-    hk = np.ascontiguousarray(h.T)
-    if hk.shape[0] == 0 or np.ptp(hk, axis=1).min() <= 0.0:
+    k, n = z.shape
+    if k == 0 or np.ptp(z, axis=1).min() <= 0.0:
         raise InconclusiveSample("sampled h-image is degenerate (zero spread)")
-    mean, std = hk.mean(axis=1), hk.std(axis=1)
-    z = hk - mean[:, None]
-    z /= std[:, None]
+    mean, std = np.empty(k), np.empty(k)
+    for i, row in enumerate(z):
+        mean[i], std[i] = row.mean(), row.std()
+        row -= mean[i]
+        row /= std[i]
     v = (c - mean) / std
-    singular = np.linalg.svd(z.T, compute_uv=False)
+    singular = _singular_values(z)
     if singular[-1] <= tol * singular[0]:
         raise InconclusiveSample("sampled h-image is flat (spans fewer than k dimensions)")
-    k, n = z.shape
     restricted = np.zeros(n, dtype=bool)
     for row in (*z, z.sum(axis=0)):
         restricted[row.argmax()] = restricted[row.argmin()] = True
@@ -961,7 +1015,11 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
     and the class does not depend on the units of the views.  For every k it
     is one LP over the sample, solved by column generation: the LPs hold a
     few hundred points and each round prices the whole sample with one
-    matrix-vector product.  The inputs are checked before any draw: c must
+    matrix-vector product.  The check holds one copy of the image: the
+    (k, n) rows ``_h_samples`` fills block by block, which ``_row_gauge``
+    standardises in place and factors by a blocked QR for the flatness
+    test, so its traced peak is about 1.3 times the image's 8 k n bytes at
+    k = 10.  The inputs are checked before any draw: c must
     hold one finite target per moment view, ``n_samples`` be a positive
     integer and ``tol`` lie strictly between 0 and 1 (a depth is at most 1,
     and ``tol`` also bounds the flatness test); else ValueError.  With no
@@ -983,7 +1041,7 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
     if k == 0:
         return "interior"
     h = _h_samples(prior, views, n_samples, np.random.default_rng(seed))
-    depth = 1.0 - _hull_gauge(h, c, tol)
+    depth = 1.0 - _row_gauge(h.T, c, tol)  # the check owns the draw's one copy of the image
     if depth > tol:
         return "interior"
     if depth < -tol:

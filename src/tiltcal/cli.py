@@ -140,12 +140,18 @@ def _known_keys(node: dict, allowed, what: str):
 
 @dataclass(frozen=True)
 class Task:
-    """A checked task: ``_TaskRunner._task_<type>`` runs it on ``args``."""
+    """A checked task: ``_TaskRunner._task_<type>`` runs it on ``args``.
+
+    ``name`` is the stem of its report file: ``calibration`` for the one
+    calibrate task, else the type for its first task and ``<type>_<i>`` for
+    the i-th of that type in spec order (``var``, ``var_2``, ...).
+    """
 
     type: str
     n_samples: int | None  # None, like seed, for a task that draws no samples
     seed: int | None
     args: tuple
+    name: str
 
 
 @dataclass
@@ -195,19 +201,24 @@ def _read_spec(doc, base_dir: str) -> CalibrationSpec:
     views = ViewSet(view_map, marginal, _parse_moments(doc["moments"], n - view_map.k1))
     tasks = doc["tasks"]
     _require(isinstance(tasks, list) and tasks, "tasks must be a non-empty list")
-    records = []
+    records, counts = [], {}
     for task in tasks:
         _require(isinstance(task, dict) and isinstance(task.get("type"), str)
                  and task["type"] in _TASKS, f"unknown task entry {task!r}")
-        reader, default_samples, fields = _TASKS[task["type"]]
+        kind = task["type"]
+        reader, default_samples, fields = _TASKS[kind]
         draws = default_samples is not None
         _known_keys(task, {"type", *fields} | ({"n_samples", "seed"} if draws else set()),
-                    f"{task['type']} task")
-        records.append(Task(task["type"],
+                    f"{kind} task")
+        counts[kind] = count = counts.get(kind, 0) + 1
+        _require(kind != "calibrate" or count == 1,
+                 "a spec takes at most one calibrate task: there is one calibration per spec")
+        name = "calibration" if kind == "calibrate" else kind if count == 1 else f"{kind}_{count}"
+        records.append(Task(kind,
                             _integer(task.get("n_samples", default_samples), "task n_samples", 1)
                             if draws else None,
                             _integer(task.get("seed", 0), "task seed", 0) if draws else None,
-                            reader(task, prior, views)))
+                            reader(task, prior, views), name))
     return CalibrationSpec(prior, views, labels, records, _parse_solver(doc.get("solver", {})))
 
 
@@ -474,13 +485,15 @@ class _TaskRunner:
     def run_task(self, task: Task, stage: str, seed: int | None, samples: int | None):
         """Run a checked task; ``seed`` and ``samples``, when given, override its own.
 
-        A task that draws no samples has neither, and takes neither.
+        A task that draws no samples has neither, and takes neither.  Its
+        report is ``task.name`` plus the file type, in ``stage``.
         """
         draws = () if task.n_samples is None else (
             task.n_samples if samples is None else samples, task.seed if seed is None else seed)
-        getattr(self, f"_task_{task.type}")(*task.args, *draws, stage)
+        getattr(self, f"_task_{task.type}")(*task.args, *draws, stage, task.name)
 
-    def _task_calibrate(self, check_existence: bool, n_samples: int, seed: int, stage: str):
+    def _task_calibrate(self, check_existence: bool, n_samples: int, seed: int, stage: str,
+                        name: str):
         post = self.posterior()
         report = self.report
         existence = "unchecked"
@@ -501,7 +514,7 @@ class _TaskRunner:
         if self.spec.views.is_coordinate_linear:
             payload["posterior_mean_z"] = post.z_mean()
             self._write_density_files(post, stage)
-        _write_json(os.path.join(stage, "calibration.json"), payload)
+        _write_json(os.path.join(stage, f"{name}.json"), payload)
 
     def _write_density_files(self, post: GaussianMarginalPosterior, stage: str):
         prior_t = post.prior_t
@@ -533,17 +546,17 @@ class _TaskRunner:
                        np.column_stack([grid, prior_pdf, post_pdf]), self.stamp)
 
     def _task_var(self, weights, notional: float, levels: list, n_samples: int, seed: int,
-                  stage: str):
+                  stage: str, name: str):
         report = estimate_portfolio_var(self.posterior(), weights, notional, levels,
                                         n_samples, seed)
-        _write_csv(os.path.join(stage, "var.csv"),
+        _write_csv(os.path.join(stage, f"{name}.csv"),
                    ["level", "var", "std_error"], report.as_rows(), self.stamp)
 
     def _task_price(self, payoff, payoff_node: dict, discount: float, n_samples: int, seed: int,
-                    stage: str):
+                    stage: str, name: str):
         result = price_option(self.posterior(), payoff, discount,
                               n_samples=n_samples, seed=seed)
-        _write_json(os.path.join(stage, "price.json"), {
+        _write_json(os.path.join(stage, f"{name}.json"), {
             "schema_version": SCHEMA_VERSION,
             "payoff": payoff_node,
             "discount": discount,
@@ -552,19 +565,19 @@ class _TaskRunner:
             "method": result.method,
         })
 
-    def _task_tail(self, coord: int, s_max, n_points: int, stage: str):
+    def _task_tail(self, coord: int, s_max, n_points: int, stage: str, name: str):
         report = tail_ratio_probe(self.posterior(), coord=coord, s_max=s_max, n_points=n_points)
         rows = [(s, m, report.target_ratio)
                 for s, m in zip(report.probe_points, report.measured_ratios)]
-        _write_csv(os.path.join(stage, "tail.csv"),
+        _write_csv(os.path.join(stage, f"{name}.csv"),
                    ["s", "measured_ratio", "target_ratio"], rows, self.stamp)
 
-    def _task_sensitivities(self, w_z, wrt_loc: bool, stage: str):
+    def _task_sensitivities(self, w_z, wrt_loc: bool, stage: str, name: str):
         post = self.posterior()
         # r = w . Z = (V^-T w) . (x, y)
         r_view = w_z @ post.view_map.inverse
         report = sensitivities(post, r_weights=r_view, wrt_loc=wrt_loc)
-        _write_json(os.path.join(stage, "sensitivities.json"), {
+        _write_json(os.path.join(stage, f"{name}.json"), {
             "schema_version": SCHEMA_VERSION,
             "d_pi_d_c": report.d_pi_d_c,
             "V": report.v_matrix,

@@ -373,6 +373,43 @@ class TestRun:
         assert run(_write_spec(tmp_path, doc), str(out)) == 2
         assert json.loads((out / "calibration.json").read_text())["converged"] is False
 
+    def test_repeated_task_types_write_numbered_reports(self, tmp_path):
+        """Two var tasks used to leave one var.csv, the second's, and exit 0.
+
+        Repeats are numbered in spec order, and each report is the one its task
+        writes in a spec of its own.
+        """
+        doc = json.loads((WORKLOAD_DIR / "six_index_mean_audit.json").read_text())
+        first, second = ({"type": "var", "levels": [0.95, 0.75], "notional": 1e6,
+                          "weights": weights, "n_samples": 20_000, "seed": 4}
+                         for weights in ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.2] * 5 + [0.0]))
+        out = tmp_path / "both"
+        assert run(_write_spec(tmp_path, doc | {"tasks": [first, second]}), str(out)) == 0
+        assert sorted(os.listdir(out)) == ["var.csv", "var_2.csv"]
+        for name, task in (("var.csv", first), ("var_2.csv", second)):
+            alone = tmp_path / name
+            assert run(_write_spec(tmp_path, doc | {"tasks": [task]}, f"{name}.json"),
+                       str(alone)) == 0
+            assert _read_csv(out / name)[1].tolist() == _read_csv(alone / "var.csv")[1].tolist()
+        assert _read_csv(out / "var.csv")[1].tolist() != _read_csv(out / "var_2.csv")[1].tolist()
+
+    def test_every_repeated_type_is_numbered(self, tmp_path):
+        tail = {"type": "tail", "coord": 0}
+        sens = {"type": "sensitivities", "r": {"weights": [0.0, 1.0]}}
+        var = {"type": "var", "levels": [0.95], "n_samples": 2_000}
+        tasks = [{"type": "calibrate"}, tail, var, sens, tail, var, sens, var]
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, two_asset_spec(tasks)), str(out)) == 0
+        assert sorted(os.listdir(out)) == [
+            "calibration.json", "density_a1.csv", "density_a2.csv", "density_view.csv",
+            "sensitivities.json", "sensitivities_2.json", "tail.csv", "tail_2.csv",
+            "var.csv", "var_2.csv", "var_3.csv"]
+        doc = payoff_spec()
+        doc["tasks"] += doc["tasks"][1:]
+        out = tmp_path / "prices"
+        assert run(_write_spec(tmp_path, doc, "prices.json"), str(out)) == 0
+        assert sorted(os.listdir(out)) == ["calibration.json", "price.json", "price_2.json"]
+
     def test_reruns_are_byte_identical_modulo_timestamp(self, tmp_path):
         tasks = [
             {"type": "calibrate"},
@@ -457,6 +494,7 @@ class TestRun:
         two_asset_spec([{"type": "calibrate"}, {"type": "tail", "coord": 0}])
         | {"prior": {"mean": [1.0, 1.0], "covariance": [[9.1, -3.0], [-3.0, 1.1]]},
            "view_map": {"k1": 1, "k2": 2}},
+        two_asset_spec([{"type": "calibrate"}, {"type": "calibrate", "check_existence": True}]),
     ], ids=["tail-s_max-text", "tail-coord-outside-y", "price-no-payoff",
             "price-no-strike", "moment-no-strike", "sens-r-number", "sens-no-r",
             "sens-weights-short", "sens-weights-text", "sens-wrt_loc-text",
@@ -464,7 +502,7 @@ class TestRun:
             "var-n_samples-float", "calibrate-seed-negative", "var-seed-text",
             "var-seed-bool", "type-list", "check_existence-text", "var-notional-text",
             "sens-wrt_loc-grid", "tail-gaussian", "tail-k1-0", "tail-s_max-below-schedule",
-            "tail-zero-covariance", "tail-negative-covariance"])
+            "tail-zero-covariance", "tail-negative-covariance", "calibrate-twice"])
     def test_malformed_task_fields_exit_3(self, tmp_path, capsys, doc):
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 3
