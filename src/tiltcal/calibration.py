@@ -273,7 +273,7 @@ class GaussianMarginalPosterior:
         The standard deviation is numpy's two-pass one, so a large mean does not cancel it.
         """
         vals = np.concatenate([_on_nodes(payoff, xy[:, :self.k1], xy[:, self.k1:])
-                               for xy, _ in _streams(self, n_samples, seed)])
+                               for xy, _ in _streams(self.draw, n_samples, seed)])
         if not np.all(np.isfinite(vals)):
             raise NonIntegrablePayoff("payoff is not finite on sampled support")
         return float(vals.mean()), float(vals.std() / np.sqrt(n_samples)), "monte-carlo"
@@ -298,24 +298,31 @@ class GaussianMarginalPosterior:
 class _Cells:
     """The tilt at lam on cells of Y | X: exact-tilt pieces (``_pieces``) or nodes (``_nodes``).
 
-    ``log_z`` is log Z_lam(x), ``cond`` P(cell | x) of shape (cells, n_x) and
-    ``var_mass`` E_g[P(cell | X) Var(Y | cell, X)] per cell.  ``h`` holds the
-    views' rows and ``extra`` a priced payoff's or r's, each as E[row | cell,
-    x] (rows, cells, n_x) and the row's slope in y on each cell (rows, cells).
+    ``log_z`` is log Z_lam(x), ``cond`` P(cell | x) of shape (cells, n_x),
+    ``var_mass`` E_g[P(cell | X) Var(Y | cell, X)] per cell and ``y`` E[Y |
+    cell, x] (cells, n_x, y_dim).  ``h`` holds the views' rows and ``extra``
+    a priced payoff's or r's, each as E[row | cell, x] (rows, cells, n_x) and
+    the row's slope in y on each cell (rows, cells).  A linear r = w . (x, y)
+    is x @ w_x + y @ w_y on either kind of cell.
     """
 
     log_z: np.ndarray
     cond: np.ndarray
     var_mass: np.ndarray
+    y: np.ndarray
     h: tuple[np.ndarray, np.ndarray]
     extra: tuple[np.ndarray, np.ndarray]
+
+    def mean(self, values) -> np.ndarray:
+        """E[f_k | X = x_i] for each row of ``values`` (rows, cells, n_x), as (rows, n_x)."""
+        return np.einsum("kpn,pn->kn", values, self.cond)
 
 
 class QuadratureProblem:
     """Discrete/quadrature dual backend.
 
     Holds outer x nodes and weights and the moment targets; the dual, prices
-    and sensitivities read the tilt on cells (``_Cells``).  When the
+    and sensitivities read the tilt on the cells ``_cells`` picks.  When the
     conditional law tilts exactly (``_exact_tilt``: a one-dimensional Gaussian
     Y | X with coordinate views and declared calls and puts), ``exact`` holds
     the knots and piece coefficients and the cells are truncated-normal
@@ -413,12 +420,22 @@ class QuadratureProblem:
         """Joint posterior weights over (x_i, y_j) on the nodes, (n_x, n_y); row i sums to x_i's."""
         return (self._nodes(np.atleast_1d(np.asarray(lam, dtype=float))).cond * self.x_weights).T
 
-    def _pieces(self, lam, payoff=None, r_weights=None) -> _Cells:
+    def _cells(self, lam, extra=None) -> _Cells:
+        """The tilt at lam on its cells, with the payoff ``extra(x, y)`` on them if given.
+
+        The exact pieces when the problem tilts exactly and ``extra`` is None
+        or a declared payoff on y_0 (``_declared``); otherwise the nodes.
+        """
+        if self.exact is not None and (extra is None or _declared(extra)):
+            return self._pieces(lam, extra)
+        return self._nodes(lam, extra)
+
+    def _pieces(self, lam, payoff=None) -> _Cells:
         """The exact tilt at lam on its truncated-normal pieces at each outer node.
 
-        The knots are ``exact``'s, joined by a declared ``payoff``'s strike.
-        A row c + d y on a piece has value c + d E[Y | piece, x] and slope d.
-        The extra row is the payoff's or r = r_weights . (x, y)'s, if given.
+        The knots are ``exact``'s, joined by a declared ``payoff``'s strike,
+        whose row is the extra one.  A row c + d y on a piece has value c + d
+        E[Y | piece, x] and slope d.
         """
         moments = self.views.moments
         knots, c, d = self.exact if payoff is None else _exact_tilt(
@@ -429,18 +446,14 @@ class QuadratureProblem:
         cond = np.exp(pieces.log_mass - log_z)
         y_mean, y_var = pieces.y_moments
         rows = c[:, :, None] + d[:, :, None] * y_mean
-        extra = rows[k:], d[k:]
-        if r_weights is not None:
-            k1 = self.x_nodes.shape[1]
-            cx, (cy,) = r_weights[:k1], r_weights[k1:]
-            extra = (self.x_nodes @ cx + cy * y_mean)[None], np.full((1, knots.size + 1), cy)
         return _Cells(log_z, cond, np.sum(cond * self.x_weights * y_var, axis=1),
-                      (rows[:k], d[:k]), extra)
+                      y_mean[..., None], (rows[:k], d[:k]), (rows[k:], d[k:]))
 
     def _nodes(self, lam, extra=None) -> _Cells:
         """The tilt at lam on the inner rule's nodes, with ``extra(x, y)`` on them if given.
 
-        A node is a point: each row has slope 0 in y there, and Y variance 0.
+        A node is a point: E[Y | node, x] is the node itself, each row has
+        slope 0 in y there, and Y variance 0.
         """
         y_nodes, log_y_weights, h = self._tensor
         scores = np.einsum("k,kjn->jn", lam, h)
@@ -451,15 +464,14 @@ class QuadratureProblem:
         rows = np.zeros((0,) + cond.shape)
         if extra is not None:
             rows = np.ascontiguousarray(_on_nodes(extra, self.x_nodes[None], y_nodes))[None]
-        return _Cells(log_z, cond, np.zeros(cond.shape[0]), (h, np.zeros(h.shape[:2])),
-                      (rows, np.zeros(rows.shape[:2])))
+        return _Cells(log_z, cond, np.zeros(cond.shape[0]), y_nodes,
+                      (h, np.zeros(h.shape[:2])), (rows, np.zeros(rows.shape[:2])))
 
     def dual_state(self, lam) -> DualState:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        cells = self._pieces(lam) if self.exact is not None else self._nodes(lam)
-        h, slopes = cells.h
-        gradient = np.einsum("kpn,pn->kn", h, cells.cond) @ self.x_weights - self.targets
-        hessian = _total_cov(cells, self.x_weights, h, slopes)
+        cells = self._cells(lam)
+        gradient = cells.mean(cells.h[0]) @ self.x_weights - self.targets
+        hessian = _total_cov(cells, self.x_weights)
         value = float(self.x_weights @ cells.log_z - lam @ self.targets)
         return DualState(lam, value, gradient, (hessian + hessian.T) / 2.0)
 
@@ -513,24 +525,17 @@ def _location_score(marginal):
     return score
 
 
-def _stream_rngs(n: int, seed: int):
-    """Yield (generator, kept rows) for each stream of n draws from ``seed``.
+def _streams(draw, n: int, seed: int):
+    """Yield ``draw(_CHUNK, rng, keep)`` for each stream of n draws from ``seed``.
 
     Stream i is a ``_CHUNK`` of draws from the i-th child of ``SeedSequence(seed)``, of
     which the run keeps the first ``min(n - i * _CHUNK, _CHUNK)`` rows.  A posterior's
-    ``draw(_CHUNK, rng, keep)`` (and ``draw_portfolio``) returns those rows bit for bit as
-    the first rows of the whole chunk.  So the first m rows are the same for every n >= m
-    and the streams can be drawn in parallel or serially with the same result.
+    ``draw`` (and ``draw_portfolio``) returns those rows bit for bit as the first rows of
+    the whole chunk, and their log-weights.  So the first m rows are the same for every
+    n >= m and the streams can be drawn in parallel or serially with the same result.
     """
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n // _CHUNK))):
-        yield np.random.default_rng(child), min(n - i * _CHUNK, _CHUNK)
-
-
-def _streams(post, n: int, seed: int):
-    """Yield the n draws of ``post`` from ``seed``, in view coordinates, and their log-weights,
-    one ``post.draw`` per stream of ``_stream_rngs``."""
-    for rng, keep in _stream_rngs(n, seed):
-        yield post.draw(_CHUNK, rng, keep)
+        yield draw(_CHUNK, np.random.default_rng(child), min(n - i * _CHUNK, _CHUNK))
 
 
 def _draw_xy(marginal, law, n: int, rng: np.random.Generator, keep: int | None = None,
@@ -581,21 +586,25 @@ def _exact_tilt(law, moments):
     return knots, c, d
 
 
-def _total_cov(cells: _Cells, x_weights, values, slopes) -> np.ndarray:
-    """E_g[Cov(f_k, f_l | X)] for every pair of rows of ``values``: the one covariance formula.
+def _total_cov(cells: _Cells, x_weights, rows=None) -> np.ndarray:
+    """E_g[Cov(f_k, h_l | X)] for each row f of ``rows`` against the views' rows h.
 
-    ``values`` is E[f_k | X = x_i, cell p] (m, cells, n_x) and ``slopes`` f_k's
-    slope in y on each cell (m, cells).  By the law of total covariance over
-    the cells, given x it is the covariance of the cell values plus slope_k
-    slope_l Var(Y | cell), weighted by P(cell | x); the x-average takes
-    ``x_weights``.  Deviations from each x's mean are formed before they are
-    multiplied, so a mean large next to the spread cancels no digits, as it
-    would in E[f g] - E[f] E[g] (Chan, Golub & LeVeque 1983).
+    The one covariance formula: without ``rows`` f is h itself and this is
+    the dual Hessian (k, k).  ``rows`` is (values, slopes) in ``_Cells``'
+    layout: E[f_k | X = x_i, cell p] (m, cells, n_x) and f_k's slope in y on
+    each cell (m, cells); the result is then (m, k).  By the law of total
+    covariance over the cells, given x it is the covariance of the cell
+    values plus slope_k slope_l Var(Y | cell), weighted by P(cell | x); the
+    x-average takes ``x_weights``.  Deviations from each x's mean are formed
+    before they are multiplied, so a mean large next to the spread cancels
+    no digits, as it would in E[f g] - E[f] E[g] (Chan, Golub & LeVeque 1983).
     """
-    joint = cells.cond * x_weights
-    dev = values - np.einsum("kpn,pn->kn", values, cells.cond)[:, None]
-    return (np.einsum("kpn,lpn,pn->kl", dev, dev, joint)
-            + (slopes * cells.var_mass) @ slopes.T)
+    h, h_slopes = cells.h
+    h_dev = h - cells.mean(h)[:, None]
+    values, slopes = cells.h if rows is None else rows
+    dev = h_dev if rows is None else values - cells.mean(values)[:, None]
+    return (np.einsum("kpn,lpn,pn->kl", dev, h_dev, cells.cond * x_weights)
+            + (slopes * cells.var_mass) @ h_slopes.T)
 
 
 def conditional_law(prior, views: ViewSet):
@@ -748,15 +757,11 @@ class TiltedPosterior:
         nodes.  Raises NonIntegrablePayoff when the payoff or its expectation
         is not finite.
         """
-        problem = self.problem
-        if problem.exact is not None and _declared(func):
-            cells = problem._pieces(self.lam, payoff=func)
-        else:
-            cells = problem._nodes(self.lam, func)
-        values = cells.extra[0][0]
+        cells = self.problem._cells(self.lam, func)
+        values = cells.extra[0]
         if not np.all(np.isfinite(values)):
             raise NonIntegrablePayoff("payoff is not finite on the posterior support")
-        value = float(np.einsum("pn,pn->n", cells.cond, values) @ problem.x_weights)
+        value = float(cells.mean(values)[0] @ self.problem.x_weights)
         if not np.isfinite(value):
             raise NonIntegrablePayoff("payoff expectation diverges under the posterior")
         return value
@@ -834,29 +839,28 @@ class TiltedPosterior:
     def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
         """The dual Hessian V, E_g[Cov(r, h | X)] and the score integral dPi/d loc.
 
-        On the pieces for r = r_weights . (x, y) on an exact problem, else on
-        the nodes; V and Cov(r, h) are one ``_total_cov`` over h's rows and r's.
+        Read on ``QuadratureProblem._cells``: with the payoff r, or on the
+        problem's own cells for r = r_weights . (x, y), whose row there is
+        x . w_x + E[Y | cell, x] . w_y, the latter an einsum that sums over y
+        in order.  Its slope in y is Y's first weight: the slope on a piece,
+        where y_dim is 1; a node has no Y variance, so it adds nothing there.
+        V and Cov(r, h) are ``_total_cov``'s, the latter with r's row beside h's.
         """
         problem = self.problem
-        k1 = problem.x_nodes.shape[1]
+        cells = problem._cells(self.lam, r)
+        rows = cells.extra
         if r_weights is not None:
             r_w = np.asarray(r_weights, dtype=float)
-            r = lambda x, y: (np.einsum("...j,j->...", x, r_w[:k1])
-                              + np.einsum("...j,j->...", y, r_w[k1:]))
-        if r_weights is not None and problem.exact is not None:
-            cells = problem._pieces(self.lam, r_weights=r_w)
-        else:
-            cells = problem._nodes(self.lam, r)
-        (h, h_slopes), (r_row, r_slope) = cells.h, cells.extra
-        cov = _total_cov(cells, problem.x_weights, np.concatenate([h, r_row]),
-                         np.concatenate([h_slopes, r_slope]))
+            k1 = problem.x_nodes.shape[1]
+            rows = ((problem.x_nodes @ r_w[:k1] + np.einsum("pnj,j->pn", cells.y, r_w[k1:]))[None],
+                    np.full((1, cells.cond.shape[0]), r_w[k1]))
+        v = _total_cov(cells, problem.x_weights)
         d_loc = None
         if wrt_loc:
             score = _location_score(getattr(problem.views, "marginal", None))
-            r_mean = np.einsum("pn,pn->n", cells.cond, r_row[0])
+            r_mean = cells.mean(rows[0])[0]
             d_loc = float((problem.x_weights * r_mean) @ score(problem.x_nodes[:, 0]))
-        v = cov[:-1, :-1]
-        return (v + v.T) / 2.0, cov[-1, :-1], d_loc
+        return (v + v.T) / 2.0, _total_cov(cells, problem.x_weights, rows)[0], d_loc
 
 
 def _h_samples(prior, views: ViewSet, n_samples: int, rng: np.random.Generator):

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .calibration import _CHUNK, _stream_rngs, _streams
+from .calibration import _streams
 from .errors import InsufficientSamples
 
 __all__ = [
@@ -84,7 +85,7 @@ def sample_posterior(post, n: int, seed: int = 0) -> SampleBatch:
     if n < 1:
         raise ValueError("n must be at least 1")
     chunks, logw = [], []
-    for xy, log_w in _streams(post, n, seed):
+    for xy, log_w in _streams(post.draw, n, seed):
         chunks.append(post.view_map.invert(xy))
         logw.append(log_w)
         del xy  # invert copied it unless the map is the identity: free it before the next draw
@@ -114,10 +115,12 @@ def sample_portfolio(post, portfolio_weights, n: int,
     w = np.asarray(portfolio_weights, dtype=float)
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(w), initial=0.0))[1])
     c = (w / scale) @ post.view_map.inverse
-    returns, logw = np.empty(n), []
-    for i, (rng, keep) in enumerate(_stream_rngs(n, seed)):
-        returns[i * _CHUNK:i * _CHUNK + keep], log_w = post.draw_portfolio(c, _CHUNK, rng, keep)
+    returns, logw, start = np.empty(n), [], 0
+    for r, log_w in _streams(partial(post.draw_portfolio, c), n, seed):
+        returns[start:start + r.size] = r
+        start += r.size
         logw.append(log_w)
+        del r  # free the chunk before the next draw
     with np.errstate(over="ignore", invalid="ignore"):
         returns *= scale
     return returns, _mean_one(logw)

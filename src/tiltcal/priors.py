@@ -187,13 +187,15 @@ class TiltPieces:
             v = np.where(up, -self.hi[far], self.lo[far])  # the outer edge, likewise
             r_in = (np.sqrt(2.0 / np.pi) / erfcx(-u / np.sqrt(2.0))
                     / -np.expm1(self.log_outer[far] - self.log_inner[far]))
-            r_out = r_in * np.exp(0.5 * (u - v) * (u + v))
+            with np.errstate(over="ignore"):  # an outer edge past ~1e154 sd: phi there is 0
+                r_out = r_in * np.exp(0.5 * (u - v) * (u + v))
             r_lo[far], r_hi[far] = np.where(up, r_in, r_out), np.where(up, r_out, r_in)
         second = np.ones(shape)
         second[1:] += self.lo[1:] * r_lo[1:]
         second[:-1] -= self.hi[:-1] * r_hi[:-1]
         z_mean = np.clip(r_lo - r_hi, self.lo, self.hi)
-        z_var = np.clip(second - z_mean**2, 0.0, (0.5 * (self.hi - self.lo)) ** 2)
+        with np.errstate(over="ignore"):  # a piece past ~1e154 sd: its clip gives 0
+            z_var = np.clip(second - z_mean**2, 0.0, (0.5 * (self.hi - self.lo)) ** 2)
         return self.mean + self.sd * (self.shift + z_mean), self.sd**2 * z_var
 
 
@@ -283,8 +285,11 @@ class GaussianConditional:
         log_hi[-1] = np.where(above[-1], -np.inf, 0.0)
         log_inner = np.where(above, log_lo, log_hi)
         log_outer = np.where(above, log_hi, log_lo)
-        with np.errstate(divide="ignore"):  # a piece too thin to hold mass gets -inf
+        # A piece too thin to hold mass gets -inf, and so does one whose inner edge
+        # has log Phi = -inf (over ~1.3e154 sd out), where (-inf) - (-inf) is NaN.
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_std_mass = log_inner + np.log(-np.expm1(log_outer - log_inner))
+        log_std_mass[log_inner == -np.inf] = -np.inf
         log_mass = log_std_mass + (a + 0.5 * bs**2) + b * mean
         return TiltPieces(mean, sd, bs, lo, hi, above, log_inner, log_outer, log_std_mass,
                           log_mass)

@@ -43,7 +43,9 @@ def sensitivities(post, r=None, *, r_weights=None, wrt_loc: bool = False) -> Sen
     take).  With ``wrt_loc`` the derivative in the marginal view's location
     parameter is included (gaussian and student-t marginal views).
     ``post.sensitivity_terms`` gives the symmetric V, E[Cov(r, h | X)] and
-    that derivative; SingularV when V is not positive definite.
+    that derivative; SingularV when V is not positive definite, and
+    ValueError when a derivative overflows (is not finite), as JSON reports
+    hold finite numbers only.
     """
     if (r is None) == (r_weights is None):
         raise ValueError("supply exactly one of r or r_weights")
@@ -51,4 +53,8 @@ def sensitivities(post, r=None, *, r_weights=None, wrt_loc: bool = False) -> Sen
     _require_pd(v, SingularV, "view covariance matrix V is singular (dependent views)",
                 tol=_PD_TOL)
     u = linalg.solve(v, np.eye(v.shape[0]), assume_a="pos")
-    return SensitivityReport(u @ cov_rh, v, u, d_loc)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned about
+        d_pi_d_c = u @ cov_rh
+    if not np.all(np.isfinite(d_pi_d_c)) or not np.isfinite(0.0 if d_loc is None else d_loc):
+        raise ValueError("sensitivities overflow; r or its weights too large")
+    return SensitivityReport(d_pi_d_c, v, u, d_loc)

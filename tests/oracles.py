@@ -15,8 +15,9 @@ grid view's pdf for its cdf and moments, mpmath's incomplete beta for the far
 left tail of the t cdf and quantile, an mpmath root of the elementary t(3) cdf
 for the t(3) quantile, a per-view loop for the moment-view
 tensor, a per-x two-pass ``math.fsum`` of the g-average of a conditional
-covariance, an importance-sampling draw whose normalizer takes one rule over
-the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
+covariance, the sensitivity terms read from one stacked (k + 1)^2
+covariance of the views' rows and r's, an importance-sampling draw whose
+normalizer takes one rule over the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
 truncated-normal pieces, piecewise Gauss-Legendre quadrature of the dual of
 that law, adaptive quadrature of a density view's total mass, and a
 posterior sample drawn as whole streams, solved back to factors by LU and
@@ -238,6 +239,45 @@ def total_cov_loop(cond, x_weights, y_var, values, slopes) -> np.ndarray:
                 per_x[k, l, i] = math.fsum(np.concatenate(
                     [w * dev[k] * dev[l], w * slopes[k] * slopes[l] * y_var[:, i]]))
     return np.array([[math.fsum(x_weights * per_x[k, l]) for l in range(m)] for k in range(m)])
+
+
+def total_cov_stacked(post, r_weights, wrt_loc: bool = False):
+    """A ``TiltedPosterior``'s V, E_g[Cov(r, h | X)] and dPi/d loc for r = r_weights . (x, y),
+    read from one stacked covariance.
+
+    r's row joins the views' rows in one (k + 1, cells, n_x) array: on the
+    pieces of an exact problem x . w_x + w_y E[Y | piece, x] with slope w_y,
+    on the nodes an einsum of w over each node's (x, y) with slope 0.  The
+    two-pass formula then forms all (k + 1)^2 pairs, and V is the leading
+    k x k block, symmetrised, and Cov(r, h) the last row's first k entries.
+    dPi/d loc is the x-average of E[r | x] times the location score.
+    """
+    problem, lam = post.problem, post.lam
+    r_w = np.asarray(r_weights, dtype=float)
+    k1 = problem.x_nodes.shape[1]
+    if problem.exact is not None:
+        cells = problem._pieces(lam)
+        knots, c, d = problem.exact
+        y_mean = problem.law.tilt_pieces(problem.x_nodes, knots, lam @ c, lam @ d).y_moments[0]
+        r_row = (problem.x_nodes @ r_w[:k1] + r_w[k1] * y_mean)[None]
+        r_slope = np.full((1, knots.size + 1), r_w[k1])
+    else:
+        cells = problem._nodes(lam)
+        r_row = (np.einsum("...j,j->...", problem.x_nodes[None], r_w[:k1])
+                 + np.einsum("...j,j->...", problem._tensor[0], r_w[k1:]))[None]
+        r_slope = np.zeros(r_row.shape[:2])
+    values = np.concatenate([cells.h[0], r_row])
+    slopes = np.concatenate([cells.h[1], r_slope])
+    dev = values - np.einsum("kpn,pn->kn", values, cells.cond)[:, None]
+    cov = (np.einsum("kpn,lpn,pn->kl", dev, dev, cells.cond * problem.x_weights)
+           + (slopes * cells.var_mass) @ slopes.T)
+    d_loc = None
+    if wrt_loc:
+        r_mean = np.einsum("pn,pn->n", cells.cond, r_row[0])
+        score = problem.views.marginal.dlogpdf_dloc(problem.x_nodes[:, 0])
+        d_loc = float((problem.x_weights * r_mean) @ score)
+    v = cov[:-1, :-1]
+    return (v + v.T) / 2.0, cov[-1, :-1], d_loc
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ class TestClosedForm:
         with pytest.raises(tc.SingularConditionalCovariance):
             tc.solve_lambda_gaussian_linear(prior, views)
 
+    def test_payoff_views_are_a_value_error(self, two_asset_prior, two_asset_views):
+        views = tc.ViewSet(two_asset_views.view_map, two_asset_views.marginal,
+                           (tc.MomentView(0.4, payoff=tc.OptionPayoff("call", 0, 1.0)),))
+        with pytest.raises(ValueError, match="coordinate moment views"):
+            tc.GaussianLinearProblem(two_asset_prior, views)
+
 
 # ---------------------------------------------------------------------------
 # Dual evaluation
@@ -271,6 +277,18 @@ class TestExactDual:
         _assert_state_matches_legendre(problem, lam, tc.OptionPayoff("call", 0, strike + 0.5),
                                        rtol_hessian=1e-9)
 
+    @pytest.mark.parametrize("kind, strike", [("call", -1e155), ("call", -1e200),
+                                              ("call", -1e300), ("put", 1e155), ("put", 1e300)])
+    def test_strikes_past_1e154_sd_price_as_forwards(self, kind, strike):
+        """The piece beyond such a strike has log Phi = -inf at both its edges: it holds no
+        mass, so the option is the forward |E[Y] - K|, which rounds to |K|."""
+        prior, views, problem = _declared_problem(self.CASES["option-chain"], n_x=2000)
+        post = problem.posterior(tc.solve_lambda_newton(prior, views, problem=problem).lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            price = post.expectation(tc.OptionPayoff(kind, 0, strike))
+        assert price == pytest.approx(abs(strike), rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("lam", [(50.0, 50.0), (50.0, -50.0), (-50.0, 50.0), (-50.0, -50.0)])
     def test_large_multipliers_evaluate_without_warnings(self, lam):
         problem = _declared_problem(self.CASES["option-chain"], n_x=200)[2]
@@ -395,7 +413,7 @@ class TestTotalCov:
         knots, c, d = problem.exact
         y_var = problem.law.tilt_pieces(problem.x_nodes, knots, lam @ c, lam @ d).y_moments[1]
         values, slopes = cells.h
-        got = tc.calibration._total_cov(cells, problem.x_weights, values, slopes)
+        got = tc.calibration._total_cov(cells, problem.x_weights)
         want = total_cov_loop(cells.cond, problem.x_weights, y_var, values, slopes)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -407,10 +425,10 @@ class TestTotalCov:
         values = np.concatenate([cells.h[0], cells.extra[0]])
         slopes = np.concatenate([cells.h[1], cells.extra[1]])
         assert not slopes.any() and not cells.var_mass.any()
-        got = tc.calibration._total_cov(cells, problem.x_weights, values, slopes)
+        got = tc.calibration._total_cov(cells, problem.x_weights, rows=cells.extra)
         want = total_cov_loop(cells.cond, problem.x_weights, np.zeros_like(cells.cond),
                               values, slopes)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, want[-1:, :-1], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

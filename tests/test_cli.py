@@ -356,6 +356,17 @@ class TestRun:
         # moving loc moves the outer nodes; the score integral stays on them
         assert report["d_pi_d_loc"] == pytest.approx(d_pi_d_loc, rel=1e-5)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # alpha = w . slope overflows
+    def test_sensitivities_that_overflow_exit_1(self, tmp_path, capsys):
+        """r weights of 1e308 on the heavy-tail spec make dPi/dc inf, which JSON cannot hold."""
+        doc = json.loads((WORKLOAD_DIR / "six_index_heavy_tail.json").read_text())
+        doc["tasks"] = [{"type": "sensitivities", "r": {"weights": [1e308] * 6}, "wrt_loc": True}]
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["code"] == "ValueError" and "overflow" in error["detail"]
+        assert os.listdir(out) == []
+
     def test_not_converged_exits_2(self, tmp_path):
         """A call's expectation is never negative, so no multiplier reaches a target of -1."""
         doc = {

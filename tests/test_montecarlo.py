@@ -274,7 +274,7 @@ class TestStreams:
         post = two_asset_posterior if kind == "closed-form" else GaussianStub()
         runs = {}
         for n in self.NS:
-            streams = list(calibration._streams(post, n, 9))
+            streams = list(calibration._streams(post.draw, n, 9))
             assert all(xy.shape[0] <= calibration._CHUNK for xy, _ in streams)
             xy = np.vstack([xy for xy, _ in streams] or [np.zeros((0, 2))])
             log_w = [lw for _, lw in streams]
@@ -367,7 +367,7 @@ class TestStreams:
         assert post.lam[0] != 0.0
         runs = {}
         for n in (1, 2, 1000, 65_537, 100_000):
-            streams = list(calibration._streams(post, n, 4))
+            streams = list(calibration._streams(post.draw, n, 4))
             runs[n] = [np.concatenate(part) for part in zip(*streams)]
             assert runs[n][0].shape == (n, 2) and runs[n][1].shape == (n,)
         xy, log_w = runs[100_000]
@@ -1331,6 +1331,12 @@ class TestPriceOption:
         with pytest.raises(tc.NonIntegrablePayoff):
             tc.price_option(post, bad, 0.0)
 
+    def test_non_finite_payoff_on_gaussian_draws_rejected(self, two_asset_posterior):
+        """The closed form prices by Monte Carlo; a payoff inf on some draws has no mean."""
+        bad = lambda x, y: np.where(y[..., 0] > 1.0, np.inf, 0.0)
+        with pytest.raises(tc.NonIntegrablePayoff, match="sampled support"):
+            tc.price_option(two_asset_posterior, bad, 0.0, n_samples=1000)
+
 
 # ---------------------------------------------------------------------------
 # The posterior protocol: view_map, draw, price and sensitivity_terms
@@ -1406,6 +1412,10 @@ class TestPosteriorProtocol:
         with pytest.raises(ValueError, match="finite"):
             tc.sample_posterior(BadWeightStub(weighted=True), 5)
 
+    def test_sample_portfolio_needs_a_draw(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            tc.sample_portfolio(StubPosterior(), [1.0, 1.0], 0)
+
     @pytest.mark.parametrize("std_error", [0.5, None])
     def test_price_option_discounts_the_posterior_price(self, std_error):
         post, payoff = StubPosterior(std_error=std_error), object()
@@ -1427,3 +1437,24 @@ class TestPosteriorProtocol:
         np.testing.assert_allclose(report.u_matrix, u, rtol=1e-14)
         np.testing.assert_allclose(report.d_pi_d_c, u @ StubPosterior.COV_RH, rtol=1e-14)
         assert report.d_pi_d_loc == 0.25
+
+    @pytest.mark.parametrize("r, r_weights", [(None, None),
+                                              (lambda x, y: y[..., 0], np.array([0.3, 1.0]))])
+    def test_sensitivities_need_exactly_one_of_r_and_r_weights(self, r, r_weights):
+        post = StubPosterior()
+        with pytest.raises(ValueError, match="exactly one of r or r_weights"):
+            tc.sensitivities(post, r, r_weights=r_weights)
+        assert post.calls == []
+
+    @pytest.mark.parametrize("cov_rh, d_loc", [((1.7e308, -1.7e308), 0.25),
+                                               ((1.0, -1.0), np.inf), ((np.nan, 1.0), None)])
+    def test_sensitivities_that_overflow_are_a_value_error(self, cov_rh, d_loc):
+        """JSON holds finite numbers only, so an inf or NaN derivative is rejected."""
+        class OverflowStub(StubPosterior):
+            def sensitivity_terms(self, r, r_weights, wrt_loc):
+                return self.V, np.array(cov_rh), d_loc
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                tc.sensitivities(OverflowStub(), r_weights=np.array([0.3, 1.0]), wrt_loc=True)

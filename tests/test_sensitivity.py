@@ -1,10 +1,16 @@
 """Sensitivities of posterior expectations to view targets."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import tiltcal as tc
+from tiltcal import cli
 from conftest import closed_form_posteriors, random_gaussian_linear_problem
+from oracles import total_cov_stacked
+
+WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads"
 
 
 def _rebuild_pi(prior, views, targets, r_view):
@@ -114,6 +120,11 @@ class TestGaussianLinearPath:
         post = tc.build_posterior(prior, views)
         with pytest.raises(ValueError, match="location"):
             tc.sensitivities(post, r_weights=np.ones(2), wrt_loc=True)
+
+
+    def test_a_callable_r_is_a_value_error(self, two_asset_posterior):
+        with pytest.raises(ValueError, match="need r_weights"):
+            tc.sensitivities(two_asset_posterior, r=lambda x, y: y[..., 0])
 
 
 class TestQuadraturePath:
@@ -239,3 +250,54 @@ class TestQuadraturePath:
         quad = tc.sensitivities(post_q, r_weights=r_view)
         np.testing.assert_allclose(quad.d_pi_d_c, analytic.d_pi_d_c, rtol=2e-3)
         np.testing.assert_allclose(quad.v_matrix, analytic.v_matrix, rtol=2e-3)
+
+
+def _option_chain_twin():
+    """option_chain's model, its calibrated lambda and its call and put as plain lambdas."""
+    spec = cli.load_spec(str(WORKLOADS / "option_chain.json"))
+    exact = cli._TaskRunner(spec).posterior()
+    twins = tuple(tc.MomentView(view.target, payoff=lambda x, y, p=view.payoff: p(x, y))
+                  for view in spec.views.moments)
+    views = tc.ViewSet(spec.views.view_map, spec.views.marginal, twins)
+    problem = tc.QuadratureProblem.from_prior(spec.prior, views, n_x=10_000, n_y=64)
+    return exact, problem.posterior(exact.lam)
+
+
+def _hermite_2d():
+    """A y_dim = 2 model on a Gauss-Hermite tensor rule: Y_0 and a call on Y_1 viewed."""
+    prior = tc.GaussianPrior([0.0, 0.1, -0.2], [[1.0, 0.5, 0.3], [0.5, 1.2, 0.4],
+                                                [0.3, 0.4, 0.9]])
+    views = tc.ViewSet(tc.LinearViewMap.identity(3, 1, 3),
+                       tc.StudentTDensity(df=4, loc=0.0, scale=0.8),
+                       (tc.MomentView(0.15, coord=0),
+                        tc.MomentView(0.3, payoff=lambda x, y: np.maximum(y[..., 1] + 0.1, 0.0))))
+    problem = tc.QuadratureProblem.from_prior(prior, views, n_x=500, n_y=16)
+    return problem.posterior(np.array([0.07, -0.18]))
+
+
+def test_a_declared_r_is_read_on_the_pieces():
+    """On option_chain's exact model r = its own call view has Cov(r, h) = V's row, so
+    dPi/dc is e_0 to rounding, and no inner rule is built for it."""
+    post = _option_chain_twin()[0]
+    report = tc.sensitivities(post, r=post.problem.views.moments[0].payoff)
+    np.testing.assert_allclose(report.d_pi_d_c, [1.0, 0.0], rtol=0, atol=1e-13)
+    assert "_tensor" not in vars(post.problem)
+
+
+class TestStackedOracle:
+    """V, Cov(r, h) and dPi/d loc for a linear r are those of one stacked (k + 1)^2
+    covariance of the views' rows and r's, bit for bit."""
+
+    @pytest.mark.parametrize("model", ["exact", "tensor-twin", "hermite-2d"])
+    def test_terms_equal_the_stacked_covariance(self, model):
+        if model == "hermite-2d":
+            post, r_weights = _hermite_2d(), np.array([0.3, -0.7, 1.1])
+        else:
+            post, r_weights = _option_chain_twin()[model == "tensor-twin"], np.array([0.5, 0.5])
+        assert (post.problem.exact is None) == (model != "exact")
+        v, cov_rh, d_loc = post.sensitivity_terms(None, r_weights, True)
+        want_v, want_cov, want_d_loc = total_cov_stacked(post, r_weights, True)
+        np.testing.assert_array_equal(v, want_v)
+        np.testing.assert_array_equal(cov_rh, want_cov)
+        assert d_loc == want_d_loc
+
