@@ -46,7 +46,7 @@ from .priors import (
     gaussian_conditional,
     transform_prior,
 )
-from .views import MomentView, OptionPayoff, ViewSet
+from .views import OptionPayoff, ViewSet
 
 __all__ = [
     "DualState",
@@ -282,7 +282,8 @@ class GaussianMarginalPosterior:
         """V = S_mm, Cov(r, h | X) = cy . S_m for r = r_weights . (x, y), and dPi/d loc.
 
         dPi/d loc (None unless wrt_loc) is exactly alpha = c_x + c_y . slope
-        (``portfolio_law``) at fixed multipliers.
+        (``portfolio_law``) at fixed multipliers.  Like ``draw_portfolio`` it
+        may overflow to inf or NaN without a warning, for the caller to reject.
         """
         if r_weights is None:
             raise ValueError("Gaussian-conditional posteriors need r_weights (linear r)")
@@ -290,7 +291,8 @@ class GaussianMarginalPosterior:
         d_loc = None
         if wrt_loc:
             _location_score(self.marginal)
-            d_loc = self.portfolio_law(r_w)[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                d_loc = self.portfolio_law(r_w)[0]
         return self.problem.s_mm.copy(), self.problem.s_cols.T @ r_w[self.k1:], d_loc
 
 
@@ -324,7 +326,7 @@ class QuadratureProblem:
     Holds outer x nodes and weights and the moment targets; the dual, prices
     and sensitivities read the tilt on the cells ``_cells`` picks.  When the
     conditional law tilts exactly (``_exact_tilt``: a one-dimensional Gaussian
-    Y | X with coordinate views and declared calls and puts), ``exact`` holds
+    Y | X with coordinate-0 views and declared payoffs on y_0), ``exact`` holds
     the knots and piece coefficients and the cells are truncated-normal
     pieces.  Otherwise they are the nodes of a per-x inner rule: y nodes with
     log-weights (shape (n_x, n_y), or (n_y,) when every x shares them) and
@@ -423,24 +425,23 @@ class QuadratureProblem:
     def _cells(self, lam, extra=None) -> _Cells:
         """The tilt at lam on its cells, with the payoff ``extra(x, y)`` on them if given.
 
-        The exact pieces when the problem tilts exactly and ``extra`` is None
-        or a declared payoff on y_0 (``_declared``); otherwise the nodes.
+        The exact pieces whenever ``_exact_tilt`` gives a tilt for the views
+        and ``extra``: a problem that tilts exactly, and ``extra`` None or on
+        y_0 as a declared payoff; otherwise the nodes.
         """
-        if self.exact is not None and (extra is None or _declared(extra)):
-            return self._pieces(lam, extra)
-        return self._nodes(lam, extra)
+        tilt = self.exact if extra is None or self.exact is None else _exact_tilt(
+            self.law, self.views.moments, extra)
+        return self._nodes(lam, extra) if tilt is None else self._pieces(lam, tilt)
 
-    def _pieces(self, lam, payoff=None) -> _Cells:
+    def _pieces(self, lam, tilt=None) -> _Cells:
         """The exact tilt at lam on its truncated-normal pieces at each outer node.
 
-        The knots are ``exact``'s, joined by a declared ``payoff``'s strike,
-        whose row is the extra one.  A row c + d y on a piece has value c + d
-        E[Y | piece, x] and slope d.
+        ``tilt`` is ``_exact_tilt``'s (knots, c, d), by default ``exact``; rows
+        past the views' are the extra ones.  A row c + d y on a piece has
+        value c + d E[Y | piece, x] and slope d.
         """
-        moments = self.views.moments
-        knots, c, d = self.exact if payoff is None else _exact_tilt(
-            self.law, moments + (MomentView(0.0, payoff=payoff),))
-        k = len(moments)
+        knots, c, d = self.exact if tilt is None else tilt
+        k = len(self.views.moments)
         pieces = self.law.tilt_pieces(self.x_nodes, knots, lam @ c[:k], lam @ d[:k])
         log_z = _row_logsumexp(pieces.log_mass.T)
         cond = np.exp(pieces.log_mass - log_z)
@@ -556,33 +557,34 @@ def _draw_xy(marginal, law, n: int, rng: np.random.Generator, keep: int | None =
     return x[:keep], (law.sample if sample is None else sample)(x, rng)[:keep]
 
 
-def _declared(payoff) -> bool:
-    """True for a declared ``OptionPayoff`` on Y-block coordinate 0."""
-    return isinstance(payoff, OptionPayoff) and payoff.coord == 0
+# Y-block coordinate 0 as a row of the exact tilt: y itself, on one piece.
+_Y0 = (np.zeros(0), np.zeros(1), np.ones(1))
 
 
-def _exact_tilt(law, moments):
-    """The knots and each view's piece coefficients (c, d), if the tilt is exact; else None.
+def _exact_tilt(law, moments, *payoffs):
+    """The knots and each row's piece coefficients (c, d), if the tilt is exact; else None.
 
-    The knots are the sorted distinct strikes, piece p lies between knots
-    p - 1 and p and h_k = c_kp + d_kp y on it, so the tilt at lam is (knots,
-    lam @ c, lam @ d) for the dual, the prices and the draws alike.  It is
-    exact when ``law`` has ``tilt_pieces`` (a Gaussian conditional), Y is
-    one-dimensional and every view is on it (coordinate 0 or ``_declared``).
+    The rows are the views, then the priced ``payoffs``.  The tilt is exact
+    when ``law`` has ``tilt_pieces`` (a Gaussian conditional), Y is
+    one-dimensional and every row is on it: a coordinate-0 view (``_Y0``) or
+    a declared payoff on coordinate 0, with its ``pieces``.  The knots are
+    all rows' knots, sorted and distinct; piece p lies between knots p - 1
+    and p and row k = c_kp + d_kp y on it, the coefficients of the row's own
+    piece that holds p.  So the tilt at lam is (knots, lam @ c, lam @ d) for
+    the dual, the prices and the draws alike.
     """
-    if (getattr(law, "tilt_pieces", None) is None or law.y_dim != 1
-            or not all(view.coord == 0 or _declared(view.payoff) for view in moments)):
+    rows = [_Y0 if view.coord == 0 else view.payoff for view in moments] + list(payoffs)
+    if (getattr(law, "tilt_pieces", None) is None or law.y_dim != 1 or not all(
+            row is _Y0 or isinstance(row, OptionPayoff) and row.coord == 0 for row in rows)):
         return None
-    knots = np.unique([view.payoff.strike for view in moments if view.coord is None])
-    piece = np.arange(knots.size + 1)
-    c, d = np.zeros((2, len(moments), piece.size))
-    for k, view in enumerate(moments):
-        if view.coord is not None:
-            d[k] = 1.0
-        else:  # a call pays y - K above its strike, a put K - y below it
-            strike, j = view.payoff.strike, np.searchsorted(knots, view.payoff.strike)
-            sign, on = (1.0, piece > j) if view.payoff.kind == "call" else (-1.0, piece <= j)
-            c[k, on], d[k, on] = -sign * strike, sign
+    rows = [row if row is _Y0 else row.pieces for row in rows]
+    # _Y0 adds no knot; it keeps the concatenation non-empty without moment views
+    knots = np.unique(np.concatenate([own for own, _, _ in (_Y0, *rows)]))
+    lower = np.concatenate([[-np.inf], knots])  # each piece's lower knot
+    c, d = np.zeros((2, len(rows), lower.size))
+    for k, (own, intercepts, slopes) in enumerate(rows):
+        held = np.searchsorted(own, lower, side="right")
+        c[k], d[k] = intercepts[held], slopes[held]
     return knots, c, d
 
 

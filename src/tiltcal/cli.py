@@ -391,12 +391,14 @@ def _parse_marginal(node):
 
 
 def _make_payoff(node, y_dim: int):
-    """A declared call or put on one Y-block coordinate, with a finite strike."""
+    """A declared payoff on one Y-block coordinate, with a finite strike.
+
+    ``OptionPayoff`` rejects a kind it does not know with ValueError, which
+    ``load_spec`` reports as invalid.
+    """
     _require(isinstance(node, dict), "payoff must be an object")
     _known_keys(node, {"kind", "coord", "strike"}, "payoff")
-    kind = node.get("kind")
-    _require(kind in ("call", "put"), f"unknown payoff kind {kind!r}")
-    return OptionPayoff(kind, _coord(node.get("coord", 0), y_dim, "payoff"),
+    return OptionPayoff(node.get("kind"), _coord(node.get("coord", 0), y_dim, "payoff"),
                         _number(node.get("strike"), "payoff strike"))
 
 

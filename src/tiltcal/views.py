@@ -17,9 +17,11 @@ __all__ = ["OptionPayoff", "MomentView", "ViewSet"]
 class OptionPayoff:
     """A declared call max(y_c - K, 0) or put max(K - y_c, 0) on Y-block coordinate c.
 
-    Callable as a vectorized payoff h(x, y) on any broadcast shape.  Declaring
-    the kind, coordinate and strike lets a one-dimensional Gaussian conditional
-    draw its tilt exactly (``GaussianConditional.sample_tilted``).
+    Callable as a vectorized payoff h(x, y) on any broadcast shape.  Its
+    ``pieces`` are the same function in piecewise-linear form, which lets a
+    one-dimensional Gaussian conditional tilt, price and draw exactly
+    (``GaussianConditional.tilt_pieces``).  ``coord`` must be an integer >= 0
+    and ``strike`` finite; else ValueError.
     """
 
     kind: str
@@ -29,19 +31,41 @@ class OptionPayoff:
     def __post_init__(self):
         if self.kind not in ("call", "put"):
             raise ValueError(f"unknown payoff kind {self.kind!r}")
+        _check_coord(self.coord)
+        if not np.isfinite(self.strike):
+            raise ValueError(f"payoff strike must be finite; got {self.strike!r}")
 
     def __call__(self, x, y):
         if self.kind == "call":
             return np.maximum(y[..., self.coord] - self.strike, 0.0)
         return np.maximum(self.strike - y[..., self.coord], 0.0)
 
+    @property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(knots, intercepts, slopes): the payoff is intercepts[p] + slopes[p] y_c on piece p.
+
+        Piece p lies between knots p - 1 and p (-inf and +inf at the ends):
+        the strike is the one knot, and a call is y - K above it, a put K - y
+        below it.  ``__call__`` evaluates the same function with ``np.maximum``.
+        """
+        k = float(self.strike)
+        if self.kind == "call":
+            return np.array([k]), np.array([0.0, -k]), np.array([0.0, 1.0])
+        return np.array([k]), np.array([k, 0.0]), np.array([-1.0, 0.0])
+
+
+def _check_coord(coord):
+    """ValueError unless coord is an integer >= 0 (numpy integers count; bools do not)."""
+    if isinstance(coord, bool) or not isinstance(coord, (int, np.integer)) or coord < 0:
+        raise ValueError(f"coord must be a nonnegative integer Y-block index; got {coord!r}")
+
 
 @dataclass(frozen=True)
 class MomentView:
     """Target expectation for a transformed coordinate or a payoff function.
 
-    Exactly one of ``coord`` (index into the Y block of the view map) or
-    ``payoff`` (vectorized callable h(x, y)) must be given.
+    Exactly one of ``coord`` (integer index >= 0 into the Y block of the view
+    map) or ``payoff`` (vectorized callable h(x, y)) must be given.
     """
 
     target: float
@@ -53,8 +77,8 @@ class MomentView:
             raise ValueError("specify exactly one of coord or payoff")
         if not np.isfinite(self.target):
             raise ValueError("moment target must be finite")
-        if self.coord is not None and self.coord < 0:
-            raise ValueError("coord must be a nonnegative Y-block index")
+        if self.coord is not None:
+            _check_coord(self.coord)
 
 
 @dataclass(frozen=True)

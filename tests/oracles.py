@@ -13,11 +13,12 @@ bootstrap that builds and sorts every resample, ``scipy.stats``'
 location-scale cdf/ppf for the density views, adaptive quadrature of a
 grid view's pdf for its cdf and moments, mpmath's incomplete beta for the far
 left tail of the t cdf and quantile, an mpmath root of the elementary t(3) cdf
-for the t(3) quantile, a per-view loop for the moment-view
-tensor, a per-x two-pass ``math.fsum`` of the g-average of a conditional
-covariance, the sensitivity terms read from one stacked (k + 1)^2
-covariance of the views' rows and r's, an importance-sampling draw whose
-normalizer takes one rule over the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
+for the t(3) quantile, a per-view loop for the moment-view tensor, the
+exact tilt's piece coefficients written per payoff kind, a per-x two-pass
+``math.fsum`` of the g-average of a conditional covariance, the
+sensitivity terms read from one stacked (k + 1)^2 covariance of the views'
+rows and r's, an importance-sampling draw whose normalizer takes one rule
+over the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
 truncated-normal pieces, piecewise Gauss-Legendre quadrature of the dual of
 that law, adaptive quadrature of a density view's total mass, and a
 posterior sample drawn as whole streams, solved back to factors by LU and
@@ -44,6 +45,7 @@ from tiltcal.analytic import (_CHUNK_VALUES, _K15_X, _KERNEL_MARKS, _RULE, _WIND
 from tiltcal.calibration import (_ARTIFICIAL_COST, _COLUMNS_PER_VIEW, _GAUGE_ROUNDS,
                                  _PRICING_TOL)
 from tiltcal.errors import InconclusiveSample, NonIntegrableTilt
+from tiltcal.views import OptionPayoff
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,39 @@ def view_tensor_loop(moments, x, y) -> np.ndarray:
         else:
             rows.append(np.broadcast_to(np.asarray(view.payoff(x, y), dtype=float), shape))
     return np.stack(rows) if rows else np.zeros((0,) + shape)
+
+
+# ---------------------------------------------------------------------------
+# The exact tilt's knots and piece coefficients, branch by payoff kind
+# ---------------------------------------------------------------------------
+
+
+def exact_tilt_by_kind(law, moments):
+    """(knots, c, d) of calls, puts and coordinate-0 views, written per kind; else None.
+
+    The knots are the sorted distinct strikes; on piece p, between knots
+    p - 1 and p, view k is c_kp + d_kp y.  A coordinate view is y on every
+    piece; a call pays y - K on the pieces above its strike, a put K - y on
+    those below it, and each is 0 elsewhere.  The tilt is exact when ``law``
+    has ``tilt_pieces``, Y is one-dimensional and every view is on y_0.
+    """
+    def declared(payoff):
+        return isinstance(payoff, OptionPayoff) and payoff.coord == 0
+
+    if (getattr(law, "tilt_pieces", None) is None or law.y_dim != 1
+            or not all(view.coord == 0 or declared(view.payoff) for view in moments)):
+        return None
+    knots = np.unique([view.payoff.strike for view in moments if view.coord is None])
+    piece = np.arange(knots.size + 1)
+    c, d = np.zeros((2, len(moments), piece.size))
+    for k, view in enumerate(moments):
+        if view.coord is not None:
+            d[k] = 1.0
+        else:
+            strike, j = view.payoff.strike, np.searchsorted(knots, view.payoff.strike)
+            sign, on = (1.0, piece > j) if view.payoff.kind == "call" else (-1.0, piece <= j)
+            c[k, on], d[k, on] = -sign * strike, sign
+    return knots, c, d
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,11 @@ class TestPosteriorDensity:
 
 
 class TestPosteriorMarginals:
+    def test_a_zero_combination_has_no_density(self, two_asset_posterior):
+        """w = 0 is the constant 0: its conditional variance is 0, which has no density."""
+        with pytest.raises(tc.QuadratureFailure, match="degenerate"):
+            tc.posterior_marginal_linear(two_asset_posterior, np.zeros(2), 0.0)
+
     def test_zero_correlation_shifts_only_the_mean(self):
         prior = tc.GaussianPrior([0.0, 2.0], np.diag([1.0, 4.0]))
         vmap = tc.LinearViewMap.identity(2, 1, 2)

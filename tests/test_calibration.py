@@ -21,6 +21,7 @@ from conftest import (
 )
 from oracles import (
     bisect_scalar_multiplier,
+    exact_tilt_by_kind,
     facet_gauge,
     hull_gauge_columns,
     hull_gauge_full_lp,
@@ -360,6 +361,99 @@ class TestExactDual:
         problem.dual_state(np.array([140.0, 0.0]))
         with pytest.raises(tc.NonIntegrableTilt):
             problem.dual_state(np.array([200.0, 0.0]))
+
+
+def _random_y0_row(rng, strikes):
+    """A coordinate-0 view or a declared call or put on y_0 at one of ``strikes``."""
+    kind = rng.integers(3)
+    if kind == 2:
+        return tc.MomentView(0.1, coord=0)
+    payoff = tc.OptionPayoff(("call", "put")[kind], 0, float(rng.choice(strikes)))
+    return tc.MomentView(0.1, payoff=payoff)
+
+
+class TestExactTiltMerge:
+    """``_exact_tilt`` merges the rows' ``OptionPayoff.pieces``; the per-kind oracle writes
+    each kind's coefficients out."""
+
+    @staticmethod
+    def _law():
+        """option_chain's law of Y given X: one-dimensional Gaussian."""
+        return _declared_problem(((CALL, 0.45),), n_x=10)[2].law
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tilt_equals_the_per_kind_oracle(self, seed):
+        """10 sets of 1-5 calls, puts and coordinate-0 views a seed, strikes shared and
+        signed zeros among them, each alone and with a priced payoff appended."""
+        rng, law = np.random.default_rng(seed), self._law()
+        strikes = [0.0, -0.0, 0.4, -0.4, 1.25]
+        for _ in range(10):
+            moments = tuple(_random_y0_row(rng, strikes) for _ in range(rng.integers(1, 6)))
+            priced = tc.OptionPayoff(("call", "put")[rng.integers(2)], 0,
+                                     float(rng.choice(strikes)))
+            for got, want in [
+                (tc.calibration._exact_tilt(law, moments), exact_tilt_by_kind(law, moments)),
+                (tc.calibration._exact_tilt(law, moments, priced),
+                 exact_tilt_by_kind(law, moments + (tc.MomentView(0.0, payoff=priced),))),
+            ]:
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("moments, payoffs", [
+        ((tc.MomentView(0.1, coord=1),), ()),
+        ((tc.MomentView(0.1, payoff=tc.OptionPayoff("call", 1, 0.4)),), ()),
+        ((tc.MomentView(0.1, payoff=lambda x, y: y[..., 0]),), ()),
+        ((tc.MomentView(0.1, coord=0),), (lambda x, y: y[..., 0] ** 2,)),
+        ((tc.MomentView(0.1, coord=0),), (tc.OptionPayoff("put", 1, 0.4),)),
+    ], ids=["coord-1", "call-on-y1", "lambda-view", "lambda-priced", "put-on-y1-priced"])
+    def test_rows_off_y0_are_not_exact(self, moments, payoffs):
+        assert tc.calibration._exact_tilt(self._law(), moments, *payoffs) is None
+
+    def test_no_moment_views_build_solve_and_price(self):
+        """No rows: no knots, one piece, and the call is Bachelier's price at each x."""
+        prior = tc.GaussianPrior((0.0, 0.1), ((1.0, 0.6), (0.6, 1.2)))
+        views = tc.ViewSet(tc.LinearViewMap.identity(2, 1, 1),
+                           tc.StudentTDensity(df=4, loc=0.0, scale=0.8), ())
+        problem = tc.QuadratureProblem.from_prior(prior, views, n_x=2000)
+        knots, c, d = problem.exact
+        assert knots.shape == (0,) and c.shape == d.shape == (0, 1)
+        report = tc.solve_lambda_newton(prior, views, problem=problem)
+        assert report.converged and report.lam.shape == (0,)
+        price = problem.posterior(report.lam).expectation(tc.OptionPayoff("call", 0, 0.5))
+        assert "_tensor" not in vars(problem)
+        m = problem.law.mean(problem.x_nodes)[:, 0]
+        sd = float(np.sqrt(problem.law.cov[0, 0]))
+        z = (m - 0.5) / sd
+        want = problem.x_weights @ ((m - 0.5) * ndtr(z) + sd * stats.norm.pdf(z))
+        assert price == pytest.approx(want, rel=1e-12, abs=0)
+        # the price the per-kind tilt gave, to a few ulp
+        assert price == pytest.approx(0.27456556513155306, rel=1e-15, abs=0)
+
+
+class TestQuadratureGuards:
+    @pytest.mark.parametrize("make, error, match", [
+        (lambda: tc.QuadratureProblem(np.zeros((2, 1)), [0.5, 0.6], []),
+         ValueError, "sum to 1"),
+        (lambda: tc.calibration.conditional_law(
+            object(), tc.ViewSet(tc.LinearViewMap.identity(2, 1, 2), tc.GaussianDensity(0, 1),
+                                 (tc.MomentView(0.1, coord=0),))),
+         TypeError, "unsupported prior type"),
+    ], ids=["x-weights-not-summing-to-1", "unsupported-prior"])
+    def test_invalid_inputs_raise(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
+
+    def test_an_expectation_that_overflows_is_non_integrable(self):
+        """Every value is the largest float, finite; x weights summing to 1 + 5e-10 (within the
+        1e-9 the problem allows) carry their x-average past it."""
+        problem = tc.QuadratureProblem.from_discrete(
+            [0.0, 1.0], [0.5, 0.5 + 5e-10], [[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0], ())
+        big = np.finfo(float).max
+        post = problem.posterior(np.zeros(0))
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(tc.NonIntegrablePayoff, match="diverges"):
+            post.expectation(lambda x, y: np.full(y.shape[:-1], big))
 
 
 # ---------------------------------------------------------------------------

@@ -356,14 +356,19 @@ class TestRun:
         # moving loc moves the outer nodes; the score integral stays on them
         assert report["d_pi_d_loc"] == pytest.approx(d_pi_d_loc, rel=1e-5)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # alpha = w . slope overflows
+    @pytest.mark.filterwarnings("error")
     def test_sensitivities_that_overflow_exit_1(self, tmp_path, capsys):
-        """r weights of 1e308 on the heavy-tail spec make dPi/dc inf, which JSON cannot hold."""
+        """r weights of 1e308 on the heavy-tail spec make dPi/dc inf, which JSON cannot hold.
+
+        dPi/d loc = w . slope overflows too, without a warning: the one line on
+        stderr is the JSON error."""
         doc = json.loads((WORKLOAD_DIR / "six_index_heavy_tail.json").read_text())
         doc["tasks"] = [{"type": "sensitivities", "r": {"weights": [1e308] * 6}, "wrt_loc": True}]
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 1
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
         assert error["code"] == "ValueError" and "overflow" in error["detail"]
         assert os.listdir(out) == []
 
@@ -506,6 +511,10 @@ class TestRun:
         | {"prior": {"mean": [1.0, 1.0], "covariance": [[9.1, -3.0], [-3.0, 1.1]]},
            "view_map": {"k1": 1, "k2": 2}},
         two_asset_spec([{"type": "calibrate"}, {"type": "calibrate", "check_existence": True}]),
+        # the kind is OptionPayoff's to check
+        two_asset_spec([{"type": "price", "payoff": {"kind": "digital", "strike": 1.0}}]),
+        payoff_spec() | {"moments": [{"payoff": {"kind": ["call"], "coord": 0, "strike": 0.4},
+                                      "target": 0.45}]},
     ], ids=["tail-s_max-text", "tail-coord-outside-y", "price-no-payoff",
             "price-no-strike", "moment-no-strike", "sens-r-number", "sens-no-r",
             "sens-weights-short", "sens-weights-text", "sens-wrt_loc-text",
@@ -513,7 +522,8 @@ class TestRun:
             "var-n_samples-float", "calibrate-seed-negative", "var-seed-text",
             "var-seed-bool", "type-list", "check_existence-text", "var-notional-text",
             "sens-wrt_loc-grid", "tail-gaussian", "tail-k1-0", "tail-s_max-below-schedule",
-            "tail-zero-covariance", "tail-negative-covariance", "calibrate-twice"])
+            "tail-zero-covariance", "tail-negative-covariance", "calibrate-twice",
+            "price-unknown-kind", "moment-kind-list"])
     def test_malformed_task_fields_exit_3(self, tmp_path, capsys, doc):
         out = tmp_path / "out"
         assert run(_write_spec(tmp_path, doc), str(out)) == 3

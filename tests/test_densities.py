@@ -78,6 +78,25 @@ class TestGaussian:
         np.testing.assert_allclose(g.dlogpdf_dloc(x), (x - 1.0) / 4.0)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: tc.GaussianDensity(np.nan, 1.0), "finite"),
+    (lambda: tc.GaussianDensity(0.0, np.inf), "finite"),
+    (lambda: tc.GaussianDensity(0.0, 0.0), "positive"),
+    (lambda: tc.StudentTDensity(df=np.inf, loc=0.0, scale=1.0), "finite"),
+    (lambda: tc.StudentTDensity(df=3.0, loc=np.nan, scale=1.0), "finite"),
+    (lambda: tc.GridDensity([0.0, 1.0, 2.0], [1.0, 1.0]), "equal length"),
+    (lambda: tc.GridDensity([[0.0, 1.0]], [[1.0, 1.0]]), "1-D"),
+    (lambda: tc.GridDensity([0.0], [1.0]), "two knots"),
+    (lambda: tc.GridDensity([0.0, np.inf], [1.0, 1.0]), "finite"),
+    (lambda: tc.GridDensity([0.0, 1.0], [1.0, np.nan]), "finite"),
+], ids=["gaussian-mean-nan", "gaussian-stddev-inf", "gaussian-stddev-0", "t-df-inf",
+        "t-loc-nan", "grid-lengths", "grid-2d", "grid-one-knot", "grid-knot-inf",
+        "grid-density-nan"])
+def test_invalid_density_parameters_raise(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 class TestGrid:
     def test_tabulated_t_matches_analytic(self):
         g = tc.StudentTDensity(df=3.0, loc=1.5, scale=2.412)

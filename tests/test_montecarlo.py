@@ -105,6 +105,14 @@ def calibrated_stock_problem(bump=1.05, strike=80.0):
 
 
 class TestSamplePosterior:
+    @pytest.mark.parametrize("weights, match", [
+        ([1.0, 1.5], "mean-normalized"),
+        ([1.0, -1.0], "nonnegative"),
+    ], ids=["mean-not-one", "negative"])
+    def test_sample_batch_weights_are_checked(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            tc.SampleBatch(np.zeros((2, 2)), seed=0, weights=np.array(weights))
+
     def test_seed_determinism_bit_identical(self, two_asset_prior, two_asset_views):
         for post in closed_form_posteriors(two_asset_prior, two_asset_views):
             a = tc.sample_posterior(post, 150_000, seed=42)

@@ -49,6 +49,22 @@ class TestGaussianPrior:
         np.testing.assert_allclose(np.cov(z.T), cov, rtol=0, atol=0.03)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: tc.GaussianPrior([0.0, 0.0], [1.0, 1.0]), "square"),
+    (lambda: tc.GaussianPrior([0.0, 0.0, 0.0], np.eye(2)), "dimensions disagree"),
+    (lambda: tc.gaussian_conditional(tc.GaussianPrior([0.0, 0.0], np.eye(2)), 3), "split"),
+    (lambda: tc.gaussian_conditional(tc.GaussianPrior([0.0, 0.0], np.eye(2)), -1), "split"),
+    (lambda: tc.LinearViewMap(np.eye(2)[:1], 1, 1), "square"),
+    (lambda: tc.LinearViewMap([[1.0, np.nan], [0.0, 1.0]], 1, 2), "finite"),
+    (lambda: tc.transform_prior(tc.GaussianPrior([0.0, 0.0], np.eye(2)),
+                                tc.LinearViewMap.identity(3, 1, 2)), "dimensions disagree"),
+], ids=["covariance-not-square", "mean-length", "split-above-dim", "split-negative",
+        "map-not-square", "map-not-finite", "map-and-prior-dims"])
+def test_invalid_model_inputs_raise(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 class TestGaussianConditional:
     def test_two_asset_schur_value(self):
         prior_t = tc.GaussianPrior([1.0, 1.0], [[5.818, 2.43], [2.43, 1.1]])
