@@ -61,6 +61,8 @@ _CHUNK_VALUES = 1 << 15
 # retried on the window joined with g's range, then with every panel halved,
 # at most this many times, before QuadratureFailure.
 _MAX_HALVINGS = 4
+# The relative error every marginal density must reach by its embedded estimate.
+_REL_TOL = 1e-6
 
 
 class _DeferredModule:
@@ -118,31 +120,31 @@ def posterior_density_z(post: GaussianMarginalPosterior, z,
     return float(out[0]) if scalar else out
 
 
-def posterior_marginal_linear(post: GaussianMarginalPosterior, weights_z, s,
-                              rel_tol: float = 1e-6) -> float | np.ndarray:
+def posterior_marginal_linear(post: GaussianMarginalPosterior, weights_z,
+                              s) -> float | np.ndarray:
     """Posterior marginal density of the linear combination w . Z at s.
 
     Conditional on X = x the combination is Gaussian with an affine mean
     in x, so the marginal is a one-dimensional mixture integral over g.
     All points are evaluated at once by a composite Gauss-Kronrod panel
-    rule whose error estimate must stay within ``rel_tol`` relative, else
+    rule whose error estimate must stay within ``_REL_TOL`` relative, else
     QuadratureFailure is raised; exact in the degenerate cases (no x
     dependence, or a combination lying in the X block).
     """
     c = np.asarray(weights_z, dtype=float) @ post.view_map.inverse
-    return _marginal_from_view_weights(post, c, s, rel_tol)
+    return _marginal_from_view_weights(post, c, s)
 
 
-def posterior_marginal_y1(post: GaussianMarginalPosterior, s, coord: int = 0,
-                          rel_tol: float = 1e-6) -> float | np.ndarray:
+def posterior_marginal_y1(post: GaussianMarginalPosterior, s,
+                          coord: int = 0) -> float | np.ndarray:
     """Posterior marginal density of the Y-block coordinate ``coord``."""
     c = np.zeros(post.view_map.n)
     c[post.k1 + coord] = 1.0
-    return _marginal_from_view_weights(post, c, s, rel_tol)
+    return _marginal_from_view_weights(post, c, s)
 
 
-def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, s,
-                                rel_tol: float) -> float | np.ndarray:
+def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray,
+                                s) -> float | np.ndarray:
     """Density of c . (X, Y) at s, with c in view coordinates.
 
     Given X = x the combination is N(beta + alpha x, sigma^2)
@@ -154,11 +156,12 @@ def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, 
     quantiles (plus a grid view's knots), so that both the kernel and a
     narrow view spike are resolved, and each is summed with the 15-point
     Kronrod rule; the gap to its embedded 7-point Gauss rule is the error
-    estimate, which must stay within ``rel_tol`` relative.  The first rung integrates over the kernel
-    window [c - 10h, c + 10h] only, and its estimate carries e^-50 for the
-    part it leaves out.  Points that miss the tolerance there are retried on
-    the window joined with g's range [ppf(1e-12), ppf(1 - 1e-12)], then with
-    every panel halved, up to _MAX_HALVINGS times, before QuadratureFailure.
+    estimate, which must stay within ``_REL_TOL`` relative.  The first rung
+    integrates over the kernel window [c - 10h, c + 10h] only, and its
+    estimate carries e^-50 for the part it leaves out.  Points that miss the
+    tolerance there are retried on the window joined with g's range
+    [ppf(1e-12), ppf(1 - 1e-12)], then with every panel halved, up to
+    _MAX_HALVINGS times, before QuadratureFailure.
     """
     alpha, beta, var = post.portfolio_law(c)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -186,13 +189,13 @@ def _marginal_from_view_weights(post: GaussianMarginalPosterior, c: np.ndarray, 
     for rung in range(2 + _MAX_HALVINGS):
         out[rows], err[rows] = _panel_sums(g, centers[rows], h, view_marks,
                                            window=rung == 0, halvings=max(rung - 1, 0))
-        rows = rows[err[rows] > rel_tol * np.abs(out[rows])]
+        rows = rows[err[rows] > _REL_TOL * np.abs(out[rows])]
         if rows.size == 0:
             break
-    bad = ~np.isfinite(out) | (err > rel_tol * np.abs(out))
+    bad = ~np.isfinite(out) | (err > _REL_TOL * np.abs(out))
     if np.any(bad):
         raise QuadratureFailure(
-            f"marginal quadrature did not reach relative error {rel_tol} "
+            f"marginal quadrature did not reach relative error {_REL_TOL} "
             f"at s={s_arr[np.argmax(bad)]}"
         )
     out /= np.sqrt(2.0 * np.pi) * sd

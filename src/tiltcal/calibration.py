@@ -63,6 +63,8 @@ __all__ = [
     "independence_check",
 ]
 
+# A tilt is refused as not integrable where log Z_lam(x) - lam . E[h | x], the
+# relative entropy of the prior conditional to the tilted one at x, exceeds this.
 _LOGZ_CAP = 1.0e4
 _CHUNK = 1 << 16
 # Newton accepts a step that fails the Armijo test when the dual value moved
@@ -319,6 +321,16 @@ class _Cells:
         """E[f_k | X = x_i] for each row of ``values`` (rows, cells, n_x), as (rows, n_x)."""
         return np.einsum("kpn,pn->kn", values, self.cond)
 
+    @cached_property
+    def h_mean(self) -> np.ndarray:
+        """E[h_k | X = x_i] for the views' rows, (k, n_x)."""
+        return self.mean(self.h[0])
+
+    @cached_property
+    def h_dev(self) -> np.ndarray:
+        """The views' deviations h - E[h | x] on the cells, formed once for every covariance."""
+        return self.h[0] - self.h_mean[:, None]
+
 
 class QuadratureProblem:
     """Discrete/quadrature dual backend.
@@ -443,7 +455,7 @@ class QuadratureProblem:
         knots, c, d = self.exact if tilt is None else tilt
         k = len(self.views.moments)
         pieces = self.law.tilt_pieces(self.x_nodes, knots, lam @ c[:k], lam @ d[:k])
-        log_z = _row_logsumexp(pieces.log_mass.T)
+        log_z = _row_logsumexp(pieces.log_mass.T, self._prior_score(lam))
         cond = np.exp(pieces.log_mass - log_z)
         y_mean, y_var = pieces.y_moments
         rows = c[:, :, None] + d[:, :, None] * y_mean
@@ -459,7 +471,7 @@ class QuadratureProblem:
         y_nodes, log_y_weights, h = self._tensor
         scores = np.einsum("k,kjn->jn", lam, h)
         scores += np.atleast_2d(log_y_weights).T
-        log_z = _row_logsumexp(scores.T)
+        log_z = _row_logsumexp(scores.T, self._prior_score(lam))
         scores -= log_z
         cond = np.exp(scores, out=scores)
         rows = np.zeros((0,) + cond.shape)
@@ -468,25 +480,44 @@ class QuadratureProblem:
         return _Cells(log_z, cond, np.zeros(cond.shape[0]), y_nodes,
                       (h, np.zeros(h.shape[:2])), (rows, np.zeros(rows.shape[:2])))
 
+    @cached_property
+    def _prior_h_mean(self) -> np.ndarray:
+        """E[h | x_i] under the prior conditional at each outer node, (k, n_x).
+
+        ``dual_state`` at lam = 0, where Newton starts, leaves it here.
+        """
+        return self._cells(np.zeros(self.n_moments)).h_mean
+
+    def _prior_score(self, lam) -> np.ndarray | float:
+        """lam . E[h | x_i] under the prior, which log Z_lam(x_i) exceeds by a relative entropy."""
+        return lam @ self._prior_h_mean if lam.any() else 0.0
+
     def dual_state(self, lam) -> DualState:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         cells = self._cells(lam)
-        gradient = cells.mean(cells.h[0]) @ self.x_weights - self.targets
+        if not lam.any():  # the prior's own cells: keep their E[h | x] for the cap
+            vars(self).setdefault("_prior_h_mean", cells.h_mean)
+        gradient = cells.h_mean @ self.x_weights - self.targets
         hessian = _total_cov(cells, self.x_weights)
         value = float(self.x_weights @ cells.log_z - lam @ self.targets)
         return DualState(lam, value, gradient, (hessian + hessian.T) / 2.0)
 
 
-def _row_logsumexp(scores: np.ndarray) -> np.ndarray:
-    """log sum_j exp(scores[i, j]) per row; raises when the tilt is not integrable.
+def _row_logsumexp(scores: np.ndarray, prior_score) -> np.ndarray:
+    """log Z, log sum_j exp(scores[i, j]) per row; raises when the tilt is not integrable.
 
-    Holds one temporary of the size of ``scores``.
+    ``prior_score`` is the tilt's prior mean lam . E[h] per row.  Z is a
+    prior mean of exp(score), so log Z - prior_score is the relative entropy
+    of the prior to the tilted law of that row, which does not move with the
+    location of Y.  The tilt is refused when log Z is not finite or that
+    relative entropy exceeds ``_LOGZ_CAP``.  Holds one temporary of the size
+    of ``scores``.
     """
     peak = np.max(scores, axis=1, keepdims=True)
     shifted = scores - peak
     np.exp(shifted, out=shifted)
     log_z = peak[:, 0] + np.log(np.sum(shifted, axis=1))
-    if not np.all(np.isfinite(log_z)) or np.max(log_z) > _LOGZ_CAP:
+    if not np.all(np.isfinite(log_z)) or np.max(log_z - prior_score) > _LOGZ_CAP:
         raise NonIntegrableTilt(
             "tilted conditional normalizer overflows; the tilt is not integrable"
         )
@@ -599,10 +630,10 @@ def _total_cov(cells: _Cells, x_weights, rows=None) -> np.ndarray:
     values plus slope_k slope_l Var(Y | cell), weighted by P(cell | x); the
     x-average takes ``x_weights``.  Deviations from each x's mean are formed
     before they are multiplied, so a mean large next to the spread cancels
-    no digits, as it would in E[f g] - E[f] E[g] (Chan, Golub & LeVeque 1983).
+    no digits, as it would in E[f g] - E[f] E[g] (Chan, Golub & LeVeque 1983);
+    the views' are the cells' ``h_dev``, shared by every call on them.
     """
-    h, h_slopes = cells.h
-    h_dev = h - cells.mean(h)[:, None]
+    h_dev, h_slopes = cells.h_dev, cells.h[1]
     values, slopes = cells.h if rows is None else rows
     dev = h_dev if rows is None else values - cells.mean(values)[:, None]
     return (np.einsum("kpn,lpn,pn->kl", dev, h_dev, cells.cond * x_weights)
@@ -636,12 +667,12 @@ def build_dual_problem(prior, views: ViewSet, *, n_x: int = 10_000, n_y: int = 6
     return QuadratureProblem.from_prior(prior, views, n_x=n_x, n_y=n_y)
 
 
-def dual_eval(prior, views: ViewSet, lam, *, problem=None,
-              n_x: int = 10_000, n_y: int = 64) -> DualState:
-    """Evaluate the dual value, gradient and Hessian at lam."""
-    if problem is None:
-        problem = build_dual_problem(prior, views, n_x=n_x, n_y=n_y)
-    return problem.dual_state(lam)
+def dual_eval(prior, views: ViewSet, lam) -> DualState:
+    """The dual value, gradient and Hessian at lam on ``build_dual_problem``'s default problem.
+
+    A problem of other sizes evaluates itself: ``problem.dual_state(lam)``.
+    """
+    return build_dual_problem(prior, views).dual_state(lam)
 
 
 def solve_lambda_gaussian_linear(prior: GaussianPrior, views: ViewSet) -> np.ndarray:
@@ -655,46 +686,48 @@ def _min_eigenvalue(hessian: np.ndarray) -> float:
 
 
 def solve_lambda_newton(prior, views: ViewSet, *, tol: float = 1e-8,
-                        max_iter: int = 100, problem=None,
-                        n_x: int = 10_000, n_y: int = 64) -> CalibrationReport:
+                        max_iter: int = 100, problem=None) -> CalibrationReport:
     """Damped Newton descent on the strictly convex dual from lam = 0.
 
-    Uses backtracking line search on F, whose values are monotone up to
-    rounding: a step that fails the Armijo test is also taken when F moved
-    only within its rounding and the largest gradient entry fell, so that
-    ``tol`` may come close to the gradient's own rounding.  When the Hessian
-    factorization fails the step falls back to steepest descent and the
-    report flags the linear-independence hypothesis, whose certificate
+    It stops when each |dF/dlam_i| <= tol sqrt(H_ii(0)), H_ii(0) = E_g[Var(h_i
+    | X)] at lam = 0, so the test does not depend on the views' units;
+    ``residuals`` stay |dF/dlam_i| in the targets' units.  Uses backtracking
+    line search on F, whose values are monotone up to rounding: a step that
+    fails the Armijo test is also taken when F moved only within its
+    rounding and the largest gradient entry fell, so that ``tol`` may come
+    close to the gradient's own rounding.  When the Hessian factorization
+    fails, or its step does not descend, the step falls back to steepest
+    descent in the same units, -dF/dlam_i / H_ii(0), and the report flags
+    the linear-independence hypothesis, whose certificate
     ``independence_min_eig`` is ``independence_check``'s value at lam = 0.
-    Non-convergence returns the best iterate with ``converged=False``.
+    Non-convergence returns the best iterate with ``converged=False``.  The
+    problem is ``problem``, else ``build_dual_problem``'s default one.
     """
     if problem is None:
-        problem = build_dual_problem(prior, views, n_x=n_x, n_y=n_y)
+        problem = build_dual_problem(prior, views)
     lam = np.zeros(problem.n_moments)
     state = problem.dual_state(lam)
     min_eig = _min_eigenvalue(state.hessian)
+    var0 = np.diag(state.hessian)
+    stop = tol * np.sqrt(var0)
     fallback = False
     iterations = 0
     message = ""
     path = [state.value]
     for iterations in range(max_iter + 1):
-        if np.max(np.abs(state.gradient), initial=0.0) <= tol:
+        if np.all(np.abs(state.gradient) <= stop):
             break
         if iterations == max_iter:
             message = f"no convergence in {max_iter} iterations"
             break
         try:
-            cho = linalg.cho_factor(state.hessian)
-            step = -linalg.cho_solve(cho, state.gradient)
+            step = -linalg.cho_solve(linalg.cho_factor(state.hessian), state.gradient)
         except linalg.LinAlgError:
+            step = None
+        if step is None or state.gradient @ step >= 0:
             fallback = True
-            scale = max(np.max(np.abs(np.diag(state.hessian))), 1.0)
-            step = -state.gradient / scale
+            step = -state.gradient / var0
         slope = float(state.gradient @ step)
-        if slope >= 0:
-            fallback = True
-            step = -state.gradient
-            slope = -float(state.gradient @ state.gradient)
         t = 1.0
         accepted = None
         while t >= 2.0**-40:
@@ -717,7 +750,7 @@ def solve_lambda_newton(prior, views: ViewSet, *, tol: float = 1e-8,
         state = accepted
         path.append(state.value)
     residuals = np.abs(state.gradient)
-    converged = bool(np.max(residuals, initial=0.0) <= tol)
+    converged = bool(np.all(residuals <= stop))
     return CalibrationReport(
         lam=state.lam,
         residuals=residuals,
@@ -816,8 +849,9 @@ class TiltedPosterior:
             nodes, log_w = law.rule(block, problem.n_y)
             scores = np.einsum("k,knj->nj", lam,
                                _view_tensor(views.moments, block[:, None, :], nodes))
+            prior_score = np.sum(scores * np.exp(log_w), axis=1)
             scores += log_w
-            log_z[start:start + rows] = _row_logsumexp(scores)
+            log_z[start:start + rows] = _row_logsumexp(scores, prior_score)
         log_weights = lam @ _view_tensor(views.moments, x, y) - log_z
         return np.column_stack([x, y]), log_weights
 
@@ -1055,16 +1089,15 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
     return "boundary"
 
 
-def independence_check(prior, views: ViewSet, *, problem=None,
-                       n_x: int = 10_000, n_y: int = 64) -> float:
+def independence_check(prior, views: ViewSet, *, problem=None) -> float:
     """Smallest eigenvalue of the dual Hessian E_g[Cov(h | X)] at lam = 0.
 
     A positive value certifies (numerically) the linear-independence
     hypothesis that makes the calibrated model unique; NaN without moment
-    views.  The problem is ``problem``, else ``build_dual_problem`` at n_x
-    and n_y, as in ``solve_lambda_newton``; given the same problem or sizes,
-    it is that solve's ``independence_min_eig`` bit for bit.
+    views.  The problem is ``problem``, else ``build_dual_problem``'s default
+    one, as in ``solve_lambda_newton``; on the same problem it is that
+    solve's ``independence_min_eig`` bit for bit.
     """
     if problem is None:
-        problem = build_dual_problem(prior, views, n_x=n_x, n_y=n_y)
+        problem = build_dual_problem(prior, views)
     return _min_eigenvalue(problem.dual_state(np.zeros(problem.n_moments)).hessian)

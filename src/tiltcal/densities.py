@@ -63,11 +63,30 @@ class MarginalDensity:
     def quadrature_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights integrating smooth functions against the density.
 
-        Analytic kinds use midpoint-stratified quantiles (equal weights); the
-        grid kind returns its knots and their exact masses (``GridDensity``).
+        Analytic kinds take the n-point trapezoid rule in t with x = loc +
+        scale sinh(t), weights g(x) scale cosh(t) normalised to sum 1, over
+        |x - loc| <= reach scale (``_sinh_frame``), where the part of
+        E_g|X - loc| / scale left out is at most ``_OUTER_TAIL``.  The
+        substitution spreads the nodes evenly over the log of |x - loc| in
+        the tails, so a heavy tail is integrated too.  The grid kind returns
+        its knots and their exact masses (``GridDensity``).
         """
-        u = (np.arange(n) + 0.5) / n
-        return self.ppf(u), np.full(n, 1.0 / n)
+        loc, scale, reach = self._sinh_frame()
+        t = np.arcsinh(reach) * (2.0 * np.arange(n) - (n - 1)) / max(n - 1, 1)
+        x = loc + scale * np.sinh(t)
+        w = self.pdf(x) * np.cosh(t)
+        w[[0, -1]] *= 0.5
+        return x, w / w.sum()
+
+    def _sinh_frame(self) -> tuple[float, float, float]:
+        """(loc, scale, reach) of ``quadrature_nodes``' rule."""
+        raise NotImplementedError
+
+
+# The part of E_g|X - loc| / scale an analytic kind's outer rule leaves out.
+_OUTER_TAIL = 1e-12
+# The t kind's reach is at most this many scales, so that u^2 stays finite in its logpdf.
+_MAX_REACH = 1e150
 
 
 @dataclass(frozen=True)
@@ -108,6 +127,11 @@ class GaussianDensity(MarginalDensity):
         """Derivative of log-density in the location parameter."""
         x = np.asarray(x, dtype=float)
         return (x - self.mean_) / self.stddev**2
+
+    def _sinh_frame(self) -> tuple[float, float, float]:
+        """The reach r solves 2 phi(r) = tail: E[|Z|; |Z| > r] = 2 phi(r) for a standard Z."""
+        reach = np.sqrt(2.0 * np.log(2.0 / (_OUTER_TAIL * np.sqrt(2.0 * np.pi))))
+        return float(self.mean_), float(self.stddev), float(reach)
 
 
 @dataclass(frozen=True)
@@ -202,6 +226,20 @@ class StudentTDensity(MarginalDensity):
     def dlogpdf_dloc(self, x):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
         return (self.df + 1.0) * u / (self.scale * (self.df + u * u))
+
+    def _sinh_frame(self) -> tuple[float, float, float]:
+        """The reach r solves 2 c nu^((nu+1)/2) (nu + r^2)^((1-nu)/2) / (nu - 1) = tail.
+
+        That is E[|T|; |T| > r] for a standard t(nu) T, whose density is f(t) = c (1 + t^2 /
+        nu)^(-(nu+1)/2) and E[T; T > r] = (nu + r^2) f(r) / (nu - 1).  It is capped at
+        ``_MAX_REACH``.
+        """
+        nu = self.df
+        log_c = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * np.log(nu * np.pi)
+        log_r2 = 2.0 / (nu - 1.0) * (np.log(2.0 / ((nu - 1.0) * _OUTER_TAIL)) + log_c
+                                     + 0.5 * (nu + 1.0) * np.log(nu))
+        reach = np.sqrt(np.exp(min(log_r2, 2.0 * np.log(_MAX_REACH))) - nu)
+        return float(self.loc), float(self.scale), float(reach)
 
 
 # The t(3) quantile.  With t = sqrt(3) tan(theta) the t(3) cdf is

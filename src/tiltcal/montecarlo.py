@@ -260,16 +260,15 @@ def _bootstrap_quantiles(returns: np.ndarray, weights: np.ndarray | None,
 
 
 def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
-                 levels, *, n_boot: int = _N_BOOT,
-                 boot_seed: int = _BOOT_SEED) -> VarReport:
+                 levels) -> VarReport:
     """Value-at-risk of a portfolio from a posterior sample batch.
 
     The reported figure at confidence q is the upper q-quantile of the
     portfolio return distribution times the notional, a positive amount for
     any level above the return median: numpy's default ('linear') quantile
     for an exact batch, the interpolated midpoint-weight quantile for an
-    importance-weighted one.  Standard errors come from ``n_boot`` bootstrap
-    resamples of the batch, drawn from ``default_rng(boot_seed)``
+    importance-weighted one.  Standard errors come from ``_N_BOOT`` bootstrap
+    resamples of the batch, drawn from ``default_rng(_BOOT_SEED)``
     (``_bootstrap_quantiles``).  The returns are sorted once.  An exact
     batch's resamples draw only the order statistics its quantiles read,
     from their exact joint law, so they cost no work linear in n.  An
@@ -285,8 +284,7 @@ def estimate_var(batch: SampleBatch, portfolio_weights, notional: float,
         with np.errstate(over="ignore", invalid="ignore"):
             return batch.z_samples @ w, batch.weights
 
-    return _var_report(returns_of, batch.z_samples.shape[1],
-                       portfolio_weights, notional, levels, n_boot, boot_seed)
+    return _var_report(returns_of, batch.z_samples.shape[1], portfolio_weights, notional, levels)
 
 
 def estimate_portfolio_var(post, portfolio_weights, notional: float, levels, n: int,
@@ -297,15 +295,14 @@ def estimate_portfolio_var(post, portfolio_weights, notional: float, levels, n: 
     returns w . Z come from ``sample_portfolio(post, w, n, seed)``, the law
     of w . Z drawn one-dimensionally, not from ``sample_posterior``'s full
     factor draws, so the figures differ from ``estimate_var``'s within Monte
-    Carlo error.  The weights are checked before anything is drawn, and the
-    SEs take ``estimate_var``'s default bootstrap.
+    Carlo error.  The weights are checked before anything is drawn.
     """
     return _var_report(lambda w: sample_portfolio(post, w, n, seed), post.view_map.n,
-                       portfolio_weights, notional, levels, _N_BOOT, _BOOT_SEED)
+                       portfolio_weights, notional, levels)
 
 
-def _var_report(returns_of, n_factors: int, portfolio_weights, notional: float, levels,
-                n_boot: int, boot_seed: int) -> VarReport:
+def _var_report(returns_of, n_factors: int, portfolio_weights, notional: float,
+                levels) -> VarReport:
     """The VaR profile of the returns ``returns_of(w)`` gives for the checked weights w.
 
     ``returns_of`` returns the portfolio returns and their mean-one weights
@@ -321,8 +318,6 @@ def _var_report(returns_of, n_factors: int, portfolio_weights, notional: float, 
         raise ValueError("portfolio weights must be finite")
     if not math.isfinite(notional):
         raise ValueError("notional must be finite")
-    if n_boot < 2:
-        raise ValueError("n_boot must be at least 2 for a standard error")
     levels = tuple(float(q) for q in levels)
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ValueError("levels must lie in (0, 1)")
@@ -337,7 +332,7 @@ def _var_report(returns_of, n_factors: int, portfolio_weights, notional: float, 
         )
     if not np.all(np.isfinite(returns)):
         raise ValueError("portfolio returns overflow; samples or weights too large")
-    quantiles = _bootstrap_quantiles(returns, weights, np.array(levels), n_boot, boot_seed)
+    quantiles = _bootstrap_quantiles(returns, weights, np.array(levels), _N_BOOT, _BOOT_SEED)
     var_values = quantiles[0] * notional
     std_errors = quantiles[1:].std(axis=0, ddof=1) * notional
     return VarReport(levels, var_values, float(notional), n, std_errors)

@@ -88,7 +88,9 @@ class ViewSet:
     ``marginal`` is a scalar density view (k1 == 1), or None when k1 == 0
     (moment views alone).  When every moment view is a coordinate view, the
     views must target exactly the coordinates 0..k2-k1-1 of the Y block, in
-    order.
+    order.  Otherwise each coordinate view and each declared payoff
+    (``OptionPayoff``) must read a coordinate of the Y block, below its
+    width n - k1.  Else ValueError.
     """
 
     view_map: LinearViewMap
@@ -103,6 +105,12 @@ class ViewSet:
                 raise ValueError("k1 > 0 requires a marginal density view")
         elif k1 != 1:
             raise ValueError("a marginal density view needs k1 == 1")
+        y_dim = self.view_map.n - k1
+        for view in self.moments:
+            coord = view.payoff.coord if isinstance(view.payoff, OptionPayoff) else view.coord
+            if coord is not None and coord >= y_dim:
+                raise ValueError(f"moment view reads Y coordinate {coord}, outside the Y block "
+                                 f"of width {y_dim}")
         if self.is_coordinate_linear:
             coords = [view.coord for view in self.moments]
             expected = list(range(self.view_map.k2 - k1))

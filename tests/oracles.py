@@ -326,7 +326,8 @@ def tilted_draw_unblocked(post, n: int, rng: np.random.Generator):
     X ~ g, then Y | X from the problem's law; the log-weight of a draw is
     lam . h(x, y) - log Z(x), the normalizer by max-shifted exponentials on
     the law's n_y-node rule.  Raises NonIntegrableTilt when some log Z(x) is
-    not finite or exceeds 1e4.
+    not finite or exceeds lam . E[h | x] on the rule, its prior mean, by more
+    than 1e4.
     """
     problem, lam = post.problem, post.lam
     law, views = problem.law, problem.views
@@ -334,10 +335,11 @@ def tilted_draw_unblocked(post, n: int, rng: np.random.Generator):
     y = law.sample(x, rng)
     nodes, log_w = law.rule(x, problem.n_y)
     scores = np.einsum("k,knj->nj", lam, view_tensor_loop(views.moments, x[:, None, :], nodes))
+    prior_score = np.sum(scores * np.exp(log_w), axis=1)
     scores += log_w
     peak = np.max(scores, axis=1, keepdims=True)
     log_z = peak[:, 0] + np.log(np.sum(np.exp(scores - peak), axis=1))
-    if not np.all(np.isfinite(log_z)) or np.max(log_z) > 1.0e4:
+    if not np.all(np.isfinite(log_z)) or np.max(log_z - prior_score) > 1.0e4:
         raise NonIntegrableTilt("tilted conditional normalizer overflows; "
                                 "the tilt is not integrable")
     return np.column_stack([x, y]), lam @ view_tensor_loop(views.moments, x, y) - log_z
@@ -446,6 +448,20 @@ def tilted_gaussian_draw_mpmath(m: float, s: float, views, u, dps: int = 50) -> 
 # ---------------------------------------------------------------------------
 
 
+def sinh_outer_rule(pdf, loc: float, scale: float, n: int, reach: float):
+    """The n-point trapezoid rule in t for x = loc + scale sinh(t), |x - loc| <= reach scale.
+
+    The weights are pdf(x) cosh(t), the two end ones halved, normalised to sum
+    1.  With ``tilted_gaussian_legendre``'s inner integration it is the dense
+    oracle of a quadrature problem's outer rule.
+    """
+    t = np.linspace(-np.arcsinh(reach), np.arcsinh(reach), n)
+    x = loc + scale * np.sinh(t)
+    w = pdf(x) * np.cosh(t)
+    w[[0, -1]] *= 0.5
+    return x, w / w.sum()
+
+
 def tilted_gaussian_legendre(m, s: float, x_weights, h, lam, kinks, f=None, block: int = 500):
     """E_g[log Z], E_g[h], E_g[Cov(h | X)] and E_g[f] for Y | X = x_i ~ N(m_i, s^2) tilted
     by exp(lam . h(y)), by piecewise Gauss-Legendre quadrature in y.
@@ -454,43 +470,49 @@ def tilted_gaussian_legendre(m, s: float, x_weights, h, lam, kinks, f=None, bloc
     (optional) to len(y) values.  Each is continuous and linear between the
     ``kinks`` with slopes 0 or +-1 (calls, puts, y itself), so on each piece
     the tilted density is a Gaussian whose mean lies within reach s^2 of m_i,
-    reach = sum |lam|.  One y grid serves every outer node: it spans
-    [min m - half, max m + half], half = (12 + reach s) s, is cut at the kinks
-    and into panels no wider than s, and each panel takes a 20-point
-    Gauss-Legendre rule, on which the integrand is analytic.  Sums are in
-    logs, and the covariance is taken from deviations about the mean.
+    reach = sum |lam|.  The outer nodes are taken in order of m, in groups of
+    at most ``block`` whose means lie within 8 s of each other, so that a
+    sinh rule's far tail nodes each get a y grid of their own.  A group's y
+    grid spans [min m - half, max m + half], half = (12 + reach s) s, is cut
+    at the kinks and into panels no wider than s, and each panel takes a
+    20-point Gauss-Legendre rule, on which the integrand is analytic.  Sums
+    are in logs, and the covariance is taken from deviations about the mean.
     """
     m, x_weights, lam = (np.asarray(v, dtype=float) for v in (m, x_weights, lam))
     half = (12.0 + np.abs(lam).sum() * s) * s
-    lo, hi = m.min() - half, m.max() + half
-    edges = np.unique(np.r_[lo, [k for k in kinks if lo < k < hi], hi])
     t, w = np.polynomial.legendre.leggauss(20)
-    y, log_w = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        cuts = np.linspace(a, b, int(np.ceil((b - a) / s)) + 1)
-        mid, rad = (cuts[1:] + cuts[:-1]) / 2, (cuts[1:] - cuts[:-1]) / 2
-        y.append((mid[:, None] + rad[:, None] * t).ravel())
-        log_w.append(np.log(rad[:, None] * w).ravel())
-    y, log_w = np.concatenate(y), np.concatenate(log_w)
-    hy = np.asarray(h(y), dtype=float)
-    fy = None if f is None else np.asarray(f(y), dtype=float)
-    tilt = log_w + lam @ hy - np.log(s * np.sqrt(2.0 * np.pi))
-    k = hy.shape[0]
+    order = np.argsort(m, kind="stable")
+    k = len(lam)
     log_z, mean, cov, f_mean = (np.empty(m.size), np.empty((m.size, k)),
                                 np.empty((m.size, k, k)), np.empty(m.size))
-    for start in range(0, m.size, block):
-        rows = slice(start, start + block)
-        scores = tilt - 0.5 * ((y - m[rows, None]) / s) ** 2
+    first = 0
+    while first < m.size:
+        last = min(np.searchsorted(m[order], m[order[first]] + 8.0 * s, side="right"),
+                   first + block)
+        rows = order[first:last]
+        first = last
+        lo, hi = m[rows].min() - half, m[rows].max() + half
+        edges = np.unique(np.r_[lo, [kink for kink in kinks if lo < kink < hi], hi])
+        y, log_w = [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            cuts = np.linspace(a, b, int(np.ceil((b - a) / s)) + 1)
+            mid, rad = (cuts[1:] + cuts[:-1]) / 2, (cuts[1:] - cuts[:-1]) / 2
+            y.append((mid[:, None] + rad[:, None] * t).ravel())
+            log_w.append(np.log(rad[:, None] * w).ravel())
+        y, log_w = np.concatenate(y), np.concatenate(log_w)
+        hy = np.asarray(h(y), dtype=float)
+        scores = log_w + lam @ hy - np.log(s * np.sqrt(2.0 * np.pi))
+        scores = scores - 0.5 * ((y - m[rows, None]) / s) ** 2
         peak = scores.max(axis=1, keepdims=True)
         log_z[rows] = peak[:, 0] + np.log(np.exp(scores - peak).sum(axis=1))
         q = np.exp(scores - log_z[rows, None])
         mean[rows] = q @ hy.T
         dev = hy[None] - mean[rows, :, None]
         cov[rows] = np.einsum("bj,bkj,blj->bkl", q, dev, dev)
-        if fy is not None:
-            f_mean[rows] = q @ fy
+        if f is not None:
+            f_mean[rows] = q @ np.asarray(f(y), dtype=float)
     return (float(x_weights @ log_z), x_weights @ mean, np.einsum("b,bkl->kl", x_weights, cov),
-            None if fy is None else float(x_weights @ f_mean))
+            None if f is None else float(x_weights @ f_mean))
 
 
 def solve_tilted_gaussian_legendre(m, s: float, x_weights, h, targets, kinks,

@@ -27,6 +27,7 @@ from oracles import (
     hull_gauge_full_lp,
     padded_probe_class,
     ray_lp_gauge,
+    sinh_outer_rule,
     solve_tilted_gaussian_legendre,
     tilted_gaussian_legendre,
     total_cov_loop,
@@ -264,7 +265,8 @@ class TestExactDual:
     @pytest.mark.parametrize("strike", [9.0, 50.0])
     def test_far_strikes_read_mirrored_pieces(self, strike):
         """A call K = 9 s and 50 s above m(x) with lam = (-K, K + 1/2), as the draw tests:
-        the upper piece lies far above its own mean, yet holds over half a percent of the mass."""
+        the upper piece lies far above its own mean, yet holds over half a percent of the mass
+        at every node within 3 sd of X's mean."""
         problem = _declared_problem(
             ((tc.OptionPayoff("call", 0, strike), 0.0), ("y", 0.0)), n_x=200, mean=(0.0, 0.0),
             cov=((1.0, 0.5), (0.5, 1.25)), marginal=tc.GaussianDensity(0.0, 1.0))[2]
@@ -272,7 +274,8 @@ class TestExactDual:
         knots, c, d = tc.calibration._exact_tilt(problem.law, problem.views.moments)
         pieces = problem.law.tilt_pieces(problem.x_nodes, knots, lam @ c, lam @ d)
         assert pieces.above[-1].all()
-        assert np.exp(pieces.log_mass[-1] - np.logaddexp(*pieces.log_mass)).min() > 0.005
+        central = np.abs(problem.x_nodes[:, 0]) <= 3.0
+        assert np.exp(pieces.log_mass[-1] - np.logaddexp(*pieces.log_mass))[central].min() > 0.005
         # the far piece's variance is 1 - r (r - alpha) with r ~ alpha ~ K, so its
         # rounding is ~K^2 eps relative to the within-piece variance
         _assert_state_matches_legendre(problem, lam, tc.OptionPayoff("call", 0, strike + 0.5),
@@ -362,6 +365,17 @@ class TestExactDual:
         with pytest.raises(tc.NonIntegrableTilt):
             problem.dual_state(np.array([200.0, 0.0]))
 
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_the_cap_does_not_move_with_y(self, shift):
+        """The cap reads log Z(x) less its prior mean lam . E[h | x], which grows like
+        lam^2 s^2 / 2 wherever Y sits: with Y's mean and the strike moved by 1e6, where
+        log Z(x) itself is ~1e5 at lam_y = 0.1, the same tilts pass and fail."""
+        views = ((tc.OptionPayoff("call", 0, 0.4 + shift), 0.45), ("y", 0.1 + shift))
+        problem = _declared_problem(views, n_x=200, mean=(0.0, 0.1 + shift))[2]
+        problem.dual_state(np.array([140.0, 0.1]))
+        with pytest.raises(tc.NonIntegrableTilt):
+            problem.dual_state(np.array([200.0, 0.1]))
+
 
 def _random_y0_row(rng, strikes):
     """A coordinate-0 view or a declared call or put on y_0 at one of ``strikes``."""
@@ -427,8 +441,11 @@ class TestExactTiltMerge:
         z = (m - 0.5) / sd
         want = problem.x_weights @ ((m - 0.5) * ndtr(z) + sd * stats.norm.pdf(z))
         assert price == pytest.approx(want, rel=1e-12, abs=0)
-        # the price the per-kind tilt gave, to a few ulp
-        assert price == pytest.approx(0.27456556513155306, rel=1e-15, abs=0)
+        # the same Bachelier prices on a dense sinh rule over |x| <= 1e5 scale
+        x, w = sinh_outer_rule(lambda x: stats.t.pdf(x, 4, 0.0, 0.8), 0.0, 0.8, 20_001, 1e5)
+        z = (0.1 + 0.6 * x - 0.5) / sd
+        assert price == pytest.approx(w @ ((z * ndtr(z) + stats.norm.pdf(z)) * sd),
+                                      rel=1e-12, abs=0)
 
 
 class TestQuadratureGuards:
@@ -1132,7 +1149,7 @@ class TestIndependence:
 
     @pytest.mark.parametrize("model, expected", [
         ("two_asset", 0.0850635957373671),  # closed form: the Schur block S_mm
-        ("option_chain", 0.15843580595482792),  # quadrature Hessian
+        ("option_chain", 0.15843581260455536),  # quadrature Hessian
         # exact piece moments; the Legendre oracle gives 0.15843899956813295
         ("option_chain_declared", 0.1584389995681328),
         ("generic", 0.49),  # Gauss-Hermite rule for Var(Y | X) = S^2
@@ -1150,13 +1167,11 @@ class TestIndependence:
         assert eig == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_solver_sizes_reach_the_check(self):
-        """At n_x = 2,000 and n_y = 16, by sizes or by the solve's own problem, as Newton."""
+        """At n_x = 2,000 and n_y = 16, on the solve's own problem, as Newton."""
         prior, views = self._option_chain()
-        sizes = {"n_x": 2000, "n_y": 16}
-        newton = tc.solve_lambda_newton(prior, views, **sizes).independence_min_eig
-        assert newton == pytest.approx(0.15839245347692096, rel=1e-12, abs=0)
-        assert tc.independence_check(prior, views, **sizes) == newton
-        problem = tc.build_dual_problem(prior, views, **sizes)
+        problem = tc.build_dual_problem(prior, views, n_x=2000, n_y=16)
+        newton = tc.solve_lambda_newton(prior, views, problem=problem).independence_min_eig
+        assert newton == pytest.approx(0.15839302414228656, rel=1e-12, abs=0)
         assert tc.independence_check(prior, views, problem=problem) == newton
         assert tc.independence_check(prior, views) != newton  # the default 10,000 x 64
 

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import tiltcal as tc
 from tiltcal import cli
 from tiltcal.cli import main, run
 from conftest import SIX_INDEX_COV, SIX_INDEX_LABELS, SIX_INDEX_MEAN
 from oracles import (
+    sinh_outer_rule,
     solve_tilted_gaussian_legendre,
     tilted_gaussian_legendre,
     view_tensor_loop,
@@ -875,6 +877,58 @@ def test_declared_payoffs_match_the_legendre_oracle(tmp_path, monkeypatch):
         twin_lam = np.array(json.loads((twin / "calibration.json").read_text())["lambda"])
         gaps.append(np.abs(twin_lam / want - 1).max())
     assert 0 < gaps[1] < gaps[0] < 1e-4
+
+
+def test_option_chain_lambda_matches_the_dense_sinh_oracle(tmp_path):
+    """option_chain's lambda is within 1e-9 of a 2,001-node sinh rule over |x| <= 1e5 scale
+    with Gauss-Legendre inner integrals; the midpoint rule it replaced was 3.8e-3 off."""
+    path = str(WORKLOAD_DIR / "option_chain.json")
+    assert run(path, str(tmp_path), samples=20_000) == 0
+    lam = json.loads((tmp_path / "calibration.json").read_text())["lambda"]
+    doc = json.loads(Path(path).read_text())
+    mu, cov = np.array(doc["prior"]["mean"]), np.array(doc["prior"]["covariance"])
+    g = doc["marginal"]
+    x, w = sinh_outer_rule(lambda x: stats.t.pdf(x, g["df"], g["loc"], g["scale"]),
+                           g["loc"], g["scale"], 2001, 1e5)
+    m = mu[1] + cov[0, 1] / cov[0, 0] * (x - mu[0])
+    s = float(np.sqrt(cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0]))
+    payoffs = [tc.OptionPayoff(**view["payoff"]) for view in doc["moments"]]
+    h = lambda y: np.vstack([payoff(None, y[:, None]) for payoff in payoffs])
+    want = solve_tilted_gaussian_legendre(m, s, w, h, [view["target"] for view in doc["moments"]],
+                                          [payoff.strike for payoff in payoffs])
+    np.testing.assert_allclose(lam, want, rtol=1e-9, atol=0)
+
+
+def _scaled_option_chain(c: float) -> dict:
+    """option_chain with every quantity in units c times the workload's: the prior mean and
+    the view's location and scale times c, the covariance times c^2, strikes and targets
+    times c."""
+    doc = json.loads((WORKLOAD_DIR / "option_chain.json").read_text())
+    doc["prior"]["mean"] = [c * v for v in doc["prior"]["mean"]]
+    doc["prior"]["covariance"] = [[c * c * v for v in row] for row in doc["prior"]["covariance"]]
+    doc["marginal"]["loc"] *= c
+    doc["marginal"]["scale"] *= c
+    for node in doc["moments"]:
+        node["target"] *= c
+    for node in doc["moments"] + [task for task in doc["tasks"] if task["type"] == "price"]:
+        node["payoff"]["strike"] *= c
+    return doc
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e-6])
+def test_option_chain_in_other_units_solves_the_same_model(tmp_path, c):
+    """The Newton stop is unit-free: lambda c and price / c do not move with the units."""
+    reports = {}
+    for scale in (1.0, c):
+        out = tmp_path / f"c{scale:g}"
+        assert run(_write_spec(tmp_path, _scaled_option_chain(scale), f"c{scale:g}.json"),
+                   str(out), samples=20_000) == 0
+        reports[scale] = [json.loads((out / name).read_text())
+                          for name in ("calibration.json", "price.json")]
+    (base, base_price), (scaled, scaled_price) = reports[1.0], reports[c]
+    assert scaled["converged"] and scaled["iterations"] == base["iterations"]
+    np.testing.assert_allclose(np.array(scaled["lambda"]) * c, base["lambda"], rtol=1e-9, atol=0)
+    assert scaled_price["price"] / c == pytest.approx(base_price["price"], rel=1e-9, abs=0)
 
 
 def test_option_chain_run_builds_no_inner_rule(tmp_path, monkeypatch):

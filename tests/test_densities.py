@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import stdtrit
 
 import tiltcal as tc
@@ -234,6 +234,52 @@ def test_every_density_integrates_to_one(density):
 def test_quadrature_nodes_reproduce_mean(density):
     nodes, weights = density.quadrature_nodes(20001)
     assert float(nodes @ weights) == pytest.approx(density.mean(), abs=2e-3)
+
+
+@pytest.mark.parametrize("density, pdf", [
+    (tc.GaussianDensity(0.3, 1.7), stats.norm.pdf),
+    (tc.StudentTDensity(df=4.0, loc=1.5, scale=2.0), lambda u: stats.t.pdf(u, 4.0)),
+    (tc.StudentTDensity(df=3.0, loc=-0.2, scale=0.8), lambda u: stats.t.pdf(u, 3.0)),
+], ids=["gaussian", "t4", "t3"])
+@pytest.mark.parametrize("n", [401, 10_000])
+def test_sinh_rule_integrates_a_smooth_linear_growth(density, pdf, n):
+    """E_g sqrt(1 + u^2), u = (X - loc) / scale, to 5e-12 against adaptive quadrature; the
+    midpoint quantiles the rule replaced missed 3e-4 (t4) and 7e-4 (t3) of it at 10,000."""
+    loc, scale, _ = density._sinh_frame()
+    f = lambda u: np.sqrt(1.0 + u * u) * pdf(u)
+    edges = [0.0, 1.0, 10.0, 1e3, 1e5, 1e8]
+    want = 2.0 * sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(edges, edges[1:]))
+    nodes, weights = density.quadrature_nodes(n)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-15) and np.all(weights >= 0)
+    got = weights @ np.sqrt(1.0 + ((nodes - loc) / scale) ** 2)
+    assert got == pytest.approx(want, rel=5e-12, abs=0)
+
+
+@pytest.mark.parametrize("density, tail", [
+    (tc.GaussianDensity(0.3, 1.7), lambda r: 2.0 * stats.norm.pdf(r)),
+    (tc.StudentTDensity(df=4.0, loc=1.5, scale=2.0),
+     lambda r: 2.0 * (4.0 + r * r) / 3.0 * stats.t.pdf(r, 4.0)),
+    (tc.StudentTDensity(df=2.5, loc=0.0, scale=1.0),
+     lambda r: 2.0 * (2.5 + r * r) / 1.5 * stats.t.pdf(r, 2.5)),
+], ids=["gaussian", "t4", "t2.5"])
+def test_sinh_rule_leaves_out_1e_12_of_the_absolute_moment(density, tail):
+    """The nodes reach loc +- reach scale, where the standardised E|X|; |X| > reach is 1e-12
+    (E[T; T > r] = (df + r^2) f(r) / (df - 1) for a t)."""
+    loc, scale, reach = density._sinh_frame()
+    nodes, _ = density.quadrature_nodes(101)
+    np.testing.assert_allclose(nodes[[0, -1]], [loc - reach * scale, loc + reach * scale],
+                               rtol=1e-12)
+    assert tail(reach) == pytest.approx(1e-12, rel=1e-9)
+
+
+def test_sinh_rule_edges():
+    """One node is the location; a t whose df is near 1 keeps finite nodes and weights."""
+    g = tc.StudentTDensity(df=1.01, loc=0.5, scale=2.0)
+    assert [a.tolist() for a in g.quadrature_nodes(1)] == [[0.5], [1.0]]
+    nodes, weights = g.quadrature_nodes(1001)
+    assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+    assert weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("df", [5.0, 3.0])

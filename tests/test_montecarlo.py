@@ -1008,6 +1008,12 @@ VAR_CASES = ["ties_rounded", "duplicated_rows", "point_mass", "plain"]
 BOOT_LEVELS = (0.9975, 0.95, 0.5, 0.25)
 
 
+def _set_bootstrap(monkeypatch, n_boot: int, boot_seed: int):
+    """Give every VaR report's bootstrap n_boot resamples from default_rng(boot_seed)."""
+    monkeypatch.setattr(tc.montecarlo, "_N_BOOT", n_boot)
+    monkeypatch.setattr(tc.montecarlo, "_BOOT_SEED", boot_seed)
+
+
 class TestVarBootstrap:
     """The sort-once bootstrap against the per-resample loop oracle.
 
@@ -1018,11 +1024,11 @@ class TestVarBootstrap:
 
     @pytest.mark.parametrize("n_boot", [2, 60])
     @pytest.mark.parametrize("case", VAR_CASES)
-    def test_unweighted_report_equals_loop_oracle(self, case, n_boot):
+    def test_unweighted_report_equals_loop_oracle(self, case, n_boot, monkeypatch):
+        _set_bootstrap(monkeypatch, n_boot, 3)
         z, _ = _unweighted_case(case)
         pw = np.full(z.shape[1], 1.0 / z.shape[1])
-        report = tc.estimate_var(tc.SampleBatch(z, seed=0), pw, 1e6, BOOT_LEVELS,
-                                 n_boot=n_boot, boot_seed=3)
+        report = tc.estimate_var(tc.SampleBatch(z, seed=0), pw, 1e6, BOOT_LEVELS)
         point, _ = var_bootstrap_loop(z @ pw, BOOT_LEVELS, None, n_boot, 3)
         assert np.array_equal(report.var_values, point * 1e6)
         assert report.std_errors.shape == (len(BOOT_LEVELS),)
@@ -1030,7 +1036,8 @@ class TestVarBootstrap:
 
     @pytest.mark.parametrize("n_boot", [2, 60])
     @pytest.mark.parametrize("case", VAR_CASES[:2] + ["exact_zeros"] + VAR_CASES[2:])
-    def test_weighted_resamples_match_loop_oracle(self, case, n_boot):
+    def test_weighted_resamples_match_loop_oracle(self, case, n_boot, monkeypatch):
+        _set_bootstrap(monkeypatch, n_boot, 3)
         z, w = _weighted_case(case)
         pw = np.full(z.shape[1], 1.0 / z.shape[1])
         returns = z @ pw
@@ -1041,8 +1048,7 @@ class TestVarBootstrap:
         assert np.abs(fast[0] - point).max() <= tol
         assert np.abs(fast[1:] - boot).max() <= tol
         # Three of the cases have a Kish ESS below 8,000, too few for 0.9975.
-        report = tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), pw, 1e6, q[1:],
-                                 n_boot=n_boot, boot_seed=3)
+        report = tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), pw, 1e6, q[1:])
         np.testing.assert_allclose(report.std_errors,
                                    boot[:, 1:].std(axis=0, ddof=1) * 1e6, rtol=1e-10, atol=0)
 
@@ -1111,7 +1117,8 @@ class TestVarBootstrap:
         seen = []
         for n_boot in (2, 50):
             before = dict(calls)
-            tc.estimate_var(batch, [0.5, 0.5], 1.0, BOOT_LEVELS[1:], n_boot=n_boot)
+            monkeypatch.setattr(tc.montecarlo, "_N_BOOT", n_boot)
+            tc.estimate_var(batch, [0.5, 0.5], 1.0, BOOT_LEVELS[1:])
             seen.append({name: calls[name] - before[name] for name in calls})
         assert seen[0] == seen[1]
 
@@ -1137,16 +1144,12 @@ class TestVarBootstrap:
         {"portfolio_weights": [np.inf, 0.5]},
         {"notional": np.inf},
         {"notional": np.nan},
-        {"n_boot": 1},
-        {"n_boot": 0},
     ])
     def test_invalid_inputs_raise(self, kwargs):
         z, _ = _unweighted_case("plain")
         args = {"portfolio_weights": [0.5, 0.5], "notional": 1e6} | kwargs
-        n_boot = args.pop("n_boot", 200)
         with pytest.raises(ValueError):
-            tc.estimate_var(tc.SampleBatch(z, seed=0), levels=[0.95], n_boot=n_boot,
-                            **args)
+            tc.estimate_var(tc.SampleBatch(z, seed=0), levels=[0.95], **args)
 
     def test_overflowing_returns_raise(self):
         z = np.full((1000, 2), 1e308)
@@ -1248,11 +1251,12 @@ class TestOrderStatisticBootstrap:
         monkeypatch.setattr(np, "bincount",
                             lambda *a, **k: calls.append("bincount") or bincount(*a, **k))
         z, w = _weighted_case("plain")
-        tc.estimate_var(tc.SampleBatch(z, seed=0), [0.5, 0.5], 1.0, BOOT_LEVELS, n_boot=50)
+        monkeypatch.setattr(tc.montecarlo, "_N_BOOT", 50)
+        tc.estimate_var(tc.SampleBatch(z, seed=0), [0.5, 0.5], 1.0, BOOT_LEVELS)
         assert "beta" in calls
         assert "integers" not in calls and "bincount" not in calls
-        tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), [0.5, 0.5], 1.0, BOOT_LEVELS[1:],
-                        n_boot=5)
+        monkeypatch.setattr(tc.montecarlo, "_N_BOOT", 5)
+        tc.estimate_var(tc.SampleBatch(z, seed=0, weights=w), [0.5, 0.5], 1.0, BOOT_LEVELS[1:])
         assert "integers" in calls and "bincount" in calls
 
 

@@ -125,6 +125,16 @@ class TestViewSet:
         with pytest.raises(ValueError):
             _ = views.moment_coords
 
+    @pytest.mark.parametrize("moments", [
+        (tc.MomentView(0.45, payoff=tc.OptionPayoff("call", 1, 0.4)),),
+        (tc.MomentView(0.45, payoff=tc.OptionPayoff("put", 0, 0.4)), tc.MomentView(0.1, coord=1)),
+        (tc.MomentView(0.1, coord=2), tc.MomentView(1.0, payoff=lambda x, y: y[..., 0] ** 2)),
+    ], ids=["payoff", "coord-beside-payoff", "coord-beside-callable"])
+    def test_rows_past_the_y_block_raise(self, moments):
+        """One Y coordinate: coord 1 or 2 would reach the draws as an IndexError."""
+        with pytest.raises(ValueError, match=r"Y coordinate \d, outside the Y block of width 1"):
+            tc.ViewSet(tc.LinearViewMap.identity(2, 1, 1), _t(), moments)
+
     def test_targets_vector(self):
         vmap = tc.LinearViewMap.identity(3, 1, 3)
         views = tc.ViewSet(
