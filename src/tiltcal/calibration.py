@@ -72,16 +72,19 @@ _CHUNK = 1 << 16
 # largest gradient entry fell: near the solution the dual falls by only
 # ~|gradient|^2 / H, below the rounding of its value.
 _FLAT_ULPS = 8.0
-# TiltedPosterior.draw takes log Z(x) for blocks of draws of at most this many
-# rule nodes: 1 MiB per float temporary, small enough to stay in cache.  Its
-# exact path keeps about a dozen (pieces x draws) temporaries alive at once, so
-# its blocks hold a quarter as many piece values.
+# TiltedPosterior.draw's importance sampler takes log Z(x) for blocks of draws
+# of at most this many rule nodes: 1 MiB per float temporary, small enough to
+# stay in cache.
 _BLOCK_VALUES = 1 << 17
 # The existence check draws Y and factors its h-image in blocks of this many
 # points, so that next to the image it holds only O(block) temporaries; a
 # remainder of fewer than _H_MIN_ROWS points joins the block before it.
 _H_BLOCK = 8_192
 _H_MIN_ROWS = 8
+# The existence check's depth tolerance, relative as the depth is: a target
+# within it of the hull's boundary is "boundary", and the standardised sample
+# is flat when its singular values span less than it.
+_DEPTH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -245,40 +248,46 @@ class GaussianMarginalPosterior:
                        keep: int | None = None) -> tuple[np.ndarray, None]:
         """The first ``keep`` (default n) of n exact draws of c . (X, Y), c in view coordinates.
 
-        X takes ``draw``'s uniforms, ``rng.random(n)``, of which the kept ones go
-        through g's ppf; then one ``standard_normal(keep)`` gives
-        beta + alpha x + sqrt(var) eps (``portfolio_law``).  Without an X block
-        only the normals are drawn.  There are no log-weights.  An x that is not
-        finite is a ValueError; the combination may overflow to inf or NaN
-        without a warning, for the caller to reject.
+        X is ``draw``'s (``_draw_xy``); then, in place of Y, one standard normal
+        per row gives beta + alpha x + sqrt(var) eps (``portfolio_law``).
+        There are no log-weights.  An x that is not finite is a ValueError;
+        the combination may overflow to inf or NaN without a warning, for the
+        caller to reject.
         """
-        keep = n if keep is None else keep
-        x = self.marginal.ppf(rng.random(n)[:keep]) if self.k1 else None
-        if x is not None and not np.all(np.isfinite(x)):
-            raise ValueError("samples must be finite")
-        eps = rng.standard_normal(keep)
-        with np.errstate(over="ignore", invalid="ignore"):
-            alpha, beta, var = self.portfolio_law(c)
-            if x is None:
-                r = np.full(keep, beta)
-            else:
-                r = x
-                r *= alpha
-                r += beta
-            eps *= np.sqrt(var)
-            r += eps
-        return r, None
+        def combine(x, rng):
+            if not np.all(np.isfinite(x)):
+                raise ValueError("samples must be finite")
+            eps = rng.standard_normal(x.shape[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                alpha, beta, var = self.portfolio_law(c)
+                if self.k1:
+                    r = x[:, 0]
+                    r *= alpha
+                    r += beta
+                else:
+                    r = np.full(x.shape[0], beta)
+                eps *= np.sqrt(var)
+                r += eps
+            return r
+
+        return _draw_xy(self.marginal, self.conditional, n, rng, keep, combine)[1], None
 
     def price(self, payoff, n_samples: int, seed: int) -> tuple[float, float, str]:
-        """Monte Carlo mean and standard error of payoff(x, y); NonIntegrablePayoff if inf/NaN.
+        """Monte Carlo mean and standard error of payoff(x, y).
 
-        The standard deviation is numpy's two-pass one, so a large mean does not cancel it.
+        The standard deviation is numpy's two-pass one, so a large mean does
+        not cancel it.  Raises NonIntegrablePayoff when a payoff value, the
+        mean or the standard error is not finite.
         """
         vals = np.concatenate([_on_nodes(payoff, xy[:, :self.k1], xy[:, self.k1:])
                                for xy, _ in _streams(self.draw, n_samples, seed)])
         if not np.all(np.isfinite(vals)):
             raise NonIntegrablePayoff("payoff is not finite on sampled support")
-        return float(vals.mean()), float(vals.std() / np.sqrt(n_samples)), "monte-carlo"
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std_error = float(vals.mean()), float(vals.std() / np.sqrt(n_samples))
+        if not (np.isfinite(mean) and np.isfinite(std_error)):
+            raise NonIntegrablePayoff("payoff's sample mean or standard error overflows")
+        return mean, std_error, "monte-carlo"
 
     def sensitivity_terms(self, r, r_weights, wrt_loc: bool):
         """V = S_mm, Cov(r, h | X) = cy . S_m for r = r_weights . (x, y), and dPi/d loc.
@@ -345,10 +354,11 @@ class QuadratureProblem:
     the view tensor h, stored as (k, n_y, n_x).  ``from_prior`` records the
     conditional law, its rule size ``n_y`` and the views, which its posterior
     samples with, and builds the tensor only when something needs it; all
-    three are None for ``from_discrete``, whose posterior is not sampleable.
+    three are None for ``from_discrete``, which sets the tensor itself and
+    whose posterior is not sampleable.
     """
 
-    def __init__(self, x_nodes, x_weights, targets, *, tensor=None, law=None,
+    def __init__(self, x_nodes, x_weights, targets, *, law=None,
                  n_y: int | None = None, views: ViewSet | None = None):
         self.law = law
         self.n_y = n_y
@@ -359,8 +369,6 @@ class QuadratureProblem:
         if abs(self.x_weights.sum() - 1.0) > 1e-9:
             raise ValueError("x weights must sum to 1")
         self.exact = None if views is None else _exact_tilt(law, views.moments)
-        if tensor is not None:
-            self._tensor = tensor
 
     @cached_property
     def _tensor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -405,7 +413,9 @@ class QuadratureProblem:
         targets = np.array([view.target for view in moments], dtype=float)
         with np.errstate(divide="ignore"):
             log_weights = np.log(np.asarray(cond_weights, dtype=float))
-        return cls(x_values, x_weights, targets, tensor=(y_nodes, log_weights, h))
+        problem = cls(x_values, x_weights, targets)
+        problem._tensor = y_nodes, log_weights, h
+        return problem
 
     @classmethod
     def from_prior(cls, prior, views: ViewSet, *, n_x: int = 10_000,
@@ -812,8 +822,7 @@ class TiltedPosterior:
 
         Exact on an exact problem (``QuadratureProblem.exact``): Y | X is drawn
         from the tilted law itself (``sample_tilted`` at ``_exact_tilt``'s
-        knots, lam @ c and lam @ d), in blocks of draws that change no value,
-        and the log-weights are None.
+        knots, lam @ c and lam @ d), and the log-weights are None.
         Otherwise the draws are prior-conditional (``_draw_xy``) and a draw's
         log-weight is lam . h(x, y) - log Z(x).  log Z(x) takes the problem's
         own law and rule size n_y, in blocks of draws of at most
@@ -825,14 +834,8 @@ class TiltedPosterior:
         law, views = problem.law, problem.views
         if problem.exact is not None:
             knots, c, d = problem.exact
-            tilt = knots, lam @ c, lam @ d
-            rows = max(1, _BLOCK_VALUES // (4 * tilt[1].size))
-
-            def sample(x, rng):  # row by row, so the blocks change no value
-                return np.concatenate([law.sample_tilted(x[i:i + rows], rng, *tilt)
-                                       for i in range(0, x.shape[0] or 1, rows)])
-
-            x, y = _draw_xy(views.marginal, law, n, rng, keep, sample)
+            x, y = _draw_xy(views.marginal, law, n, rng, keep,
+                            lambda x, rng: law.sample_tilted(x, rng, knots, lam @ c, lam @ d))
             return np.column_stack([x, y]), None
         # A Gaussian tensor rule over d > 1 conditional dimensions (n_y^d nodes
         # per draw) would not fit in memory for a chunk of draws.
@@ -1043,30 +1046,30 @@ def _row_gauge(z: np.ndarray, c: np.ndarray, tol: float) -> float:
 
 
 def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
-                    seed: int = 0, tol: float = 1e-6) -> str:
+                    seed: int = 0) -> str:
     """Monte Carlo depth of the targets c in the convex hull of the h-image.
 
     Samples (h_1, ..., h_k)(X, Y) under the untilted conditional with X ~ g.
     The depth is 1 - gamma, with gamma the gauge (Minkowski functional) of
     the sample's hull about the sample mean: 1 at the mean, 0 on the
-    boundary, negative outside.  Returns "interior" when depth > tol,
-    "outside" when depth < -tol, else "boundary"; multipliers exist for
-    interior targets.  The gauge is affine-invariant, so ``tol`` is relative
-    and the class does not depend on the units of the views.  For every k it
+    boundary, negative outside.  Returns "interior" when depth >
+    ``_DEPTH_TOL``, "outside" when depth < -``_DEPTH_TOL``, else "boundary";
+    multipliers exist for interior targets.  The gauge is affine-invariant,
+    so the tolerance is relative and the class does not depend on the units
+    of the views.  For every k it
     is one LP over the sample, solved by column generation: the LPs hold a
     few hundred points and each round prices the whole sample with one
     matrix-vector product.  The check holds one copy of the image: the
     (k, n) rows ``_h_samples`` fills block by block, which ``_row_gauge``
     standardises in place and factors by a blocked QR for the flatness
     test, so its traced peak is about 1.3 times the image's 8 k n bytes at
-    k = 10.  The inputs are checked before any draw: c must
-    hold one finite target per moment view, ``n_samples`` be a positive
-    integer and ``tol`` lie strictly between 0 and 1 (a depth is at most 1,
-    and ``tol`` also bounds the flatness test); else ValueError.  With no
-    moment views the empty target is interior and nothing is drawn.  Raises
-    InconclusiveSample when some view has no spread, when the standardised
-    sample's smallest singular value is at most ``tol`` times its largest,
-    or when the column generation cannot certify its gauge.
+    k = 10.  The inputs are checked before any draw: c must hold one finite
+    target per moment view and ``n_samples`` be a positive integer; else
+    ValueError.  With no moment views the empty target is interior and
+    nothing is drawn.  Raises InconclusiveSample when some view has no
+    spread, when the standardised sample's smallest singular value is at
+    most ``_DEPTH_TOL`` times its largest, or when the column generation
+    cannot certify its gauge.
     """
     k = len(views.moments)
     c = views.targets if c is None else np.atleast_1d(np.asarray(c, dtype=float))
@@ -1076,15 +1079,13 @@ def existence_check(prior, views: ViewSet, c=None, n_samples: int = 100_000,
         raise ValueError(f"targets c must be finite; got {c}")
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer; got {n_samples!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be finite with 0 < tol < 1; got {tol!r}")
     if k == 0:
         return "interior"
     h = _h_samples(prior, views, n_samples, np.random.default_rng(seed))
-    depth = 1.0 - _row_gauge(h.T, c, tol)  # the check owns the draw's one copy of the image
-    if depth > tol:
+    depth = 1.0 - _row_gauge(h.T, c, _DEPTH_TOL)  # the check owns the draw's one copy of the image
+    if depth > _DEPTH_TOL:
         return "interior"
-    if depth < -tol:
+    if depth < -_DEPTH_TOL:
         return "outside"
     return "boundary"
 

@@ -4,10 +4,10 @@ The spec file is JSON with a versioned schema: a prior (explicit moments or
 estimated from a price history CSV), a linear view map, one marginal block,
 moment views, and an ordered task list.  Reports are written atomically:
 everything is staged to a temporary directory and renamed into place only
-after every task has finished.
+after every task has finished and no report's name is taken by a directory.
 
 Exit codes: 0 success, 2 calibration did not converge, 3 spec validation
-error, 1 any other engine error.
+error or an unusable output directory, 1 any other engine error.
 """
 
 from __future__ import annotations
@@ -223,15 +223,15 @@ def _read_spec(doc, base_dir: str) -> CalibrationSpec:
 
 
 def _parse_solver(node) -> dict:
-    """The solver settings, defaults filled in and checked."""
+    """The solver settings the spec gives, checked; the solver's own defaults fill the rest."""
     _require(isinstance(node, dict), "solver section must be an object")
     _known_keys(node, {"n_x", "n_y", "tol", "max_iter"}, "solver")
-    tol = _number(node.get("tol", 1e-8), "solver tol")
-    _require(tol > 0, f"solver tol must be > 0; got {tol!r}")
-    return {"n_x": _integer(node.get("n_x", 10_000), "solver n_x", 1),
-            "n_y": _integer(node.get("n_y", 64), "solver n_y", 1),
-            "max_iter": _integer(node.get("max_iter", 100), "solver max_iter", 1),
-            "tol": tol}
+    solver = {key: _integer(node[key], f"solver {key}", 1)
+              for key in ("n_x", "n_y", "max_iter") if key in node}
+    if "tol" in node:
+        solver["tol"] = _number(node["tol"], "solver tol")
+        _require(solver["tol"] > 0, f"solver tol must be > 0; got {solver['tol']!r}")
+    return solver
 
 
 def _parse_calibrate_task(task: dict, prior: GaussianPrior, views: ViewSet):
@@ -472,14 +472,15 @@ class _TaskRunner:
         """The calibrated posterior: one dual problem, one Newton solve.
 
         ``build_dual_problem`` picks the backend once, and its problem hands out
-        its own posterior type at Newton's multipliers.
+        its own posterior type at Newton's multipliers.  Each takes the solver
+        settings the spec gives; the rest keep their defaults.
         """
         if self._posterior is None:
             spec, solver = self.spec, self.spec.solver
-            problem = build_dual_problem(spec.prior, spec.views,
-                                         n_x=solver["n_x"], n_y=solver["n_y"])
-            self.report = solve_lambda_newton(spec.prior, spec.views, problem=problem,
-                                              tol=solver["tol"], max_iter=solver["max_iter"])
+            problem = build_dual_problem(spec.prior, spec.views, **{
+                key: value for key, value in solver.items() if key in ("n_x", "n_y")})
+            self.report = solve_lambda_newton(spec.prior, spec.views, problem=problem, **{
+                key: value for key, value in solver.items() if key in ("tol", "max_iter")})
             self._posterior = problem.posterior(self.report.lam)
         return self._posterior
 
@@ -588,12 +589,20 @@ class _TaskRunner:
         })
 
 
+def _validation_error(detail: str) -> int:
+    """Print the one validation error line; returns its exit code, 3."""
+    print(json.dumps({"error": "validation", "detail": detail}), file=sys.stderr)
+    return 3
+
+
 def run(spec_path: str, out_dir: str, seed: int | None = None,
         samples: int | None = None) -> int:
     """Execute a spec file's tasks; returns the process exit code.
 
     ``seed`` (>= 0) and ``samples`` (>= 1) override every task's seed and
-    sample count; other values are a validation error, like a bad spec.
+    sample count; other values are a validation error, like a bad spec.  So
+    is an ``out_dir`` that cannot be made or written, and one that holds a
+    directory under a report's name, found before any report is moved.
     """
     try:
         if seed is not None:
@@ -602,10 +611,12 @@ def run(spec_path: str, out_dir: str, seed: int | None = None,
             _integer(samples, "--samples", 1)
         spec = load_spec(spec_path)
     except SpecValidationError as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
-        return 3
-    os.makedirs(out_dir, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+        return _validation_error(str(exc))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+    except OSError as exc:
+        return _validation_error(f"--out {out_dir!r} is not a usable directory: {exc}")
     runner = _TaskRunner(spec)
     try:
         for task in spec.tasks:
@@ -616,7 +627,14 @@ def run(spec_path: str, out_dir: str, seed: int | None = None,
                                   "code": type(exc).__name__,
                                   "detail": str(exc)}), file=sys.stderr)
                 return 1
-        for name in sorted(os.listdir(stage)):
+        names = sorted(os.listdir(stage))
+        # os.replace cannot put a file over a directory; it replaces a link itself
+        taken = [name for name in names
+                 if os.path.isdir(dest := os.path.join(out_dir, name)) and not os.path.islink(dest)]
+        if taken:
+            return _validation_error(f"--out {out_dir!r} holds directories named {taken}; "
+                                     "no report was written")
+        for name in names:
             os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
     finally:
         for name in os.listdir(stage):

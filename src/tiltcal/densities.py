@@ -159,21 +159,18 @@ class StudentTDensity(MarginalDensity):
     def tail_index(self) -> float:
         return float(self.df + 1.0)
 
-    def _log_norm_const(self) -> float:
+    def _log_norm_const(self):
+        """log c of the standard t(df) density c (1 + t^2 / df)^(-(df + 1) / 2)."""
         n = self.df
-        return float(
-            gammaln((n + 1.0) / 2.0)
-            - gammaln(n / 2.0)
-            - 0.5 * np.log(n * np.pi)
-            - np.log(self.scale)
-        )
+        return gammaln((n + 1.0) / 2.0) - gammaln(n / 2.0) - 0.5 * np.log(n * np.pi)
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
 
     def logpdf(self, x):
         u = (np.asarray(x, dtype=float) - self.loc) / self.scale
-        return self._log_norm_const() - 0.5 * (self.df + 1.0) * np.log1p(u * u / self.df)
+        return (self._log_norm_const() - np.log(self.scale)
+                - 0.5 * (self.df + 1.0) * np.log1p(u * u / self.df))
 
     def cdf(self, x):
         """``stdtr``, except where it returns 0 because t^2 overflows.
@@ -235,9 +232,8 @@ class StudentTDensity(MarginalDensity):
         ``_MAX_REACH``.
         """
         nu = self.df
-        log_c = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * np.log(nu * np.pi)
-        log_r2 = 2.0 / (nu - 1.0) * (np.log(2.0 / ((nu - 1.0) * _OUTER_TAIL)) + log_c
-                                     + 0.5 * (nu + 1.0) * np.log(nu))
+        log_r2 = 2.0 / (nu - 1.0) * (np.log(2.0 / ((nu - 1.0) * _OUTER_TAIL))
+                                     + self._log_norm_const() + 0.5 * (nu + 1.0) * np.log(nu))
         reach = np.sqrt(np.exp(min(log_r2, 2.0 * np.log(_MAX_REACH))) - nu)
         return float(self.loc), float(self.scale), float(reach)
 
@@ -464,7 +460,7 @@ class GridDensity(MarginalDensity):
         excess = self._widths**3 * (self.densities[:-1] + self.densities[1:]) / 12.0
         return float(self._masses @ (self.knots - self.mean()) ** 2 - excess.sum())
 
-    def quadrature_nodes(self, n: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The knots and their masses w_i (n is ignored), so that nodes @ weights is ``mean()``."""
         return self.knots, self._masses
 

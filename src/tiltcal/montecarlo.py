@@ -307,9 +307,10 @@ def _var_report(returns_of, n_factors: int, portfolio_weights, notional: float,
 
     ``returns_of`` returns the portfolio returns and their mean-one weights
     (None for exact draws); where the returns overflow it leaves them inf or
-    NaN without a warning, and a non-finite return is then a ValueError.  The
-    arguments are checked first, the tail floor on the Kish effective sample
-    size after the draws.
+    NaN without a warning, and a non-finite return is then a ValueError, as
+    is a VaR or standard error that overflows once scaled by the notional.
+    The arguments are checked first, the tail floor on the Kish effective
+    sample size after the draws.
     """
     w = np.asarray(portfolio_weights, dtype=float)
     if w.size != n_factors:
@@ -333,8 +334,11 @@ def _var_report(returns_of, n_factors: int, portfolio_weights, notional: float,
     if not np.all(np.isfinite(returns)):
         raise ValueError("portfolio returns overflow; samples or weights too large")
     quantiles = _bootstrap_quantiles(returns, weights, np.array(levels), _N_BOOT, _BOOT_SEED)
-    var_values = quantiles[0] * notional
-    std_errors = quantiles[1:].std(axis=0, ddof=1) * notional
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_values = quantiles[0] * notional
+        std_errors = quantiles[1:].std(axis=0, ddof=1) * notional
+    if not (np.all(np.isfinite(var_values)) and np.all(np.isfinite(std_errors))):
+        raise ValueError("VaR or its standard error overflows; notional or returns too large")
     return VarReport(levels, var_values, float(notional), n, std_errors)
 
 
@@ -354,11 +358,16 @@ def price_option(post, payoff, discount: float, *, n_samples: int = 200_000,
     ``payoff(x, y)`` is vectorized over view coordinates.  ``post.price``
     gives the undiscounted value, its standard error (None on a node tensor)
     and method; Monte Carlo uses ``n_samples`` draws from ``seed``.  Raises
-    ValueError when ``n_samples`` is below 1.
+    ValueError when ``n_samples`` is below 1, and when the discounted price
+    or standard error is not finite.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     value, std_error, method = post.price(payoff, n_samples, seed)
-    disc = np.exp(-discount)
-    return PriceReport(float(disc * value),
-                       None if std_error is None else float(disc * std_error), method)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = np.exp(-discount)
+        price = float(disc * value)
+        std_error = None if std_error is None else float(disc * std_error)
+    if not math.isfinite(price) or std_error is not None and not math.isfinite(std_error):
+        raise ValueError("discounted price or standard error overflows; discount too negative")
+    return PriceReport(price, std_error, method)

@@ -28,6 +28,10 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _PD_TOL = 1e-10
+# GaussianConditional.sample_tilted draws blocks of rows of at most this many
+# piece values: it keeps about a dozen (pieces x rows) float temporaries alive
+# at once, 256 KiB each, small enough to stay in cache.
+_TILT_BLOCK = 1 << 15
 
 
 def _as_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -302,9 +306,14 @@ class GaussianConditional:
         takes the uniforms ``rng.random((len(x), 2))[i]``: the first picks a
         piece by its mass, the second inverts Phi inside it from the lower
         tail, or from the upper tail where its CDF passes 1/2.  So
-        ``sample_tilted(x[:m], ...)`` gives the first m rows of the whole call.
-        With zero Schur variance Y = m(x).
+        ``sample_tilted(x[:m], ...)`` gives the first m rows of the whole call,
+        and the rows are drawn in blocks of at most ``_TILT_BLOCK`` piece
+        values, which change no value.  With zero Schur variance Y = m(x).
         """
+        rows = max(1, _TILT_BLOCK // len(intercepts))
+        if len(x) > rows:
+            return np.concatenate([self.sample_tilted(x[i:i + rows], rng, knots, intercepts, slopes)
+                                   for i in range(0, len(x), rows)])
         p = self.tilt_pieces(x, knots, intercepts, slopes)
         u = rng.random((p.mean.size, 2))
         if p.sd == 0.0:

@@ -92,6 +92,21 @@ class TestEstimatePrior:
         assert prior.covariance[0, 0] == pytest.approx(0.0, abs=1e-20)
 
 
+class TestPriceSeries:
+    @pytest.mark.parametrize("prices", [np.ones(3), np.ones((4, 2)), np.ones((3, 2, 1))],
+                             ids=["1-d", "rows-not-dates", "3-d"])
+    def test_shape_must_be_dates_by_factors(self, prices):
+        with pytest.raises(ValueError, match=r"prices must be \(n_dates, n_factors\)"):
+            tc.PriceSeries(_dates(3), prices, ("a", "b"))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_prices_must_be_positive_and_finite(self, bad):
+        prices = np.ones((3, 2))
+        prices[1, 0] = bad
+        with pytest.raises(ValueError, match="prices must be positive and finite"):
+            tc.PriceSeries(_dates(3), prices, ("a", "b"))
+
+
 class TestLoadPriceCsv:
     def test_drops_gap_rows_with_warning(self, tmp_path):
         path = tmp_path / "prices.csv"
@@ -101,6 +116,16 @@ class TestLoadPriceCsv:
         with pytest.warns(UserWarning, match="dropping row 3"):
             series = tc.load_price_csv(str(path))
         assert series.prices.shape == (2, 2)
+
+    def test_drops_unparsable_rows_with_warning(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,a,b\n2020-01-01,1.0,2.0\n2020-01-08,1.1,abc\n"
+                        "2020-13-15,1.2,2.2\n2020-01-22,1.3,2.3\n")
+        with pytest.warns(UserWarning, match="unparsable cells") as caught:
+            series = tc.load_price_csv(str(path))
+        assert [str(w.message) for w in caught] == ["dropping row 3: unparsable cells",
+                                                    "dropping row 4: unparsable cells"]
+        np.testing.assert_array_equal(series.prices, [[1.0, 2.0], [1.3, 2.3]])
 
     def test_non_increasing_dates_rejected(self, tmp_path):
         path = tmp_path / "prices.csv"
@@ -373,6 +398,71 @@ class TestRun:
         error = json.loads(lines[0])
         assert error["code"] == "ValueError" and "overflow" in error["detail"]
         assert os.listdir(out) == []
+
+    @staticmethod
+    def _one_error_line(capsys) -> dict:
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])
+
+    def test_a_price_that_overflows_its_discount_exits_1(self, tmp_path, capsys):
+        """exp(1000) makes option_chain's quadrature price inf, which the report wrote."""
+        doc = _option_chain_doc(n_x=401)
+        doc["tasks"] = [{"type": "price", "discount": -1000.0,
+                         "payoff": {"kind": "call", "coord": 0, "strike": 0.8}}]
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 1
+        error = self._one_error_line(capsys)
+        assert error["code"] == "ValueError" and "overflow" in error["detail"]
+        assert os.listdir(out) == []
+
+    def test_a_sampled_price_whose_mean_overflows_exits_1(self, tmp_path, capsys):
+        """A put struck at 1e308 is finite on every draw, but 1,000 of them sum to inf:
+        the report wrote an infinite price and standard error."""
+        doc = json.loads((WORKLOAD_DIR / "six_index_heavy_tail.json").read_text())
+        doc["tasks"] = [{"type": "price", "n_samples": 1000,
+                         "payoff": {"kind": "put", "coord": 0, "strike": 1e308}}]
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 1
+        error = self._one_error_line(capsys)
+        assert error["code"] == "NonIntegrablePayoff" and "overflow" in error["detail"]
+        assert os.listdir(out) == []
+
+    def test_a_var_that_overflows_its_notional_exits_1(self, tmp_path, capsys):
+        """A notional of 1e308 made option_chain's upper VaR levels inf, after a RuntimeWarning."""
+        doc = _option_chain_doc(n_x=401)
+        doc["tasks"] = [{"type": "var", "weights": [0.5, 0.5], "notional": 1e308,
+                         "n_samples": 20_000}]
+        out = tmp_path / "out"
+        assert run(_write_spec(tmp_path, doc), str(out)) == 1
+        error = self._one_error_line(capsys)
+        assert error["code"] == "ValueError" and "overflow" in error["detail"]
+        assert os.listdir(out) == []
+
+    def test_an_out_that_is_a_file_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("keep")
+        assert run(_write_spec(tmp_path, two_asset_spec()), str(out)) == 3
+        assert self._one_error_line(capsys)["error"] == "validation"
+        assert out.read_text() == "keep"
+
+    def test_an_out_under_a_file_exits_3(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("keep")
+        out = tmp_path / "file" / "out"
+        assert run(_write_spec(tmp_path, two_asset_spec()), str(out)) == 3
+        assert self._one_error_line(capsys)["error"] == "validation"
+        assert (tmp_path / "file").read_text() == "keep"
+
+    def test_a_report_name_taken_by_a_directory_moves_nothing(self, tmp_path, capsys):
+        """out/var.csv a directory: the parent raised IsADirectoryError after moving 7 of
+        six_index_mean_audit's 8 reports."""
+        out = tmp_path / "out"
+        (out / "var.csv").mkdir(parents=True)
+        spec = str(WORKLOAD_DIR / "six_index_mean_audit.json")
+        assert run(spec, str(out), samples=20_000) == 3
+        error = self._one_error_line(capsys)
+        assert error["error"] == "validation" and "var.csv" in error["detail"]
+        assert os.listdir(out) == ["var.csv"] and os.listdir(out / "var.csv") == []
 
     def test_not_converged_exits_2(self, tmp_path):
         """A call's expectation is never negative, so no multiplier reaches a target of -1."""

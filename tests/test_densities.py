@@ -109,6 +109,14 @@ class TestGrid:
         assert grid.pdf(-0.5) == 0.0
         assert grid.pdf(2.5) == 0.0
 
+    def test_logpdf_is_minus_inf_off_the_knots_without_a_warning(self):
+        """The inherited logpdf takes log of the interpolated pdf, 0 outside the knots."""
+        grid = tc.GridDensity([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
+        x = np.array([-0.5, 0.5, 1.0, 2.5])
+        with np.errstate(all="raise"):
+            got = grid.logpdf(x)
+        assert np.array_equal(got, [-np.inf, *np.log(grid.pdf(x[1:3])), -np.inf])
+
     def test_renormalized_at_construction(self):
         grid = tc.GridDensity([0.0, 1.0], [3.0, 3.0])
         assert density_mass_quad(grid) == pytest.approx(1.0, abs=1e-12)

@@ -98,6 +98,15 @@ class TestDivergence:
         with pytest.raises(tc.DivergentEntropy):
             tc.relative_entropy(num.pdf, den.pdf, grid=(np.linspace(0, 2, 201),))
 
+    def test_samples_raise_where_the_denominator_vanishes(self):
+        """A draw of the numerator outside the denominator's support is a divergence."""
+        num = tc.GridDensity([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        den = tc.GridDensity([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
+        samples = np.array([0.25, 0.75, 1.5])
+        with pytest.raises(tc.DivergentEntropy):
+            tc.relative_entropy(num.pdf, den.pdf, samples=samples)
+        assert np.isfinite(tc.relative_entropy(num.pdf, den.pdf, samples=samples[:2]))
+
 
 class TestGibbsInequality:
     def test_nonnegative_over_random_pairs(self):
