@@ -42,6 +42,7 @@ from .priors import (
     GaussianPrior,
     GenericPrior,
     LinearViewMap,
+    _TILT_BLOCK,
     _require_pd,
     gaussian_conditional,
     transform_prior,
@@ -73,9 +74,8 @@ _CHUNK = 1 << 16
 # ~|gradient|^2 / H, below the rounding of its value.
 _FLAT_ULPS = 8.0
 # TiltedPosterior.draw's importance sampler takes log Z(x) for blocks of draws
-# of at most this many rule nodes: 1 MiB per float temporary, small enough to
-# stay in cache.
-_BLOCK_VALUES = 1 << 17
+# of at most this many rule nodes; priors._TILT_BLOCK states the cache budget.
+_BLOCK_VALUES = 4 * _TILT_BLOCK
 # The existence check draws Y and factors its h-image in blocks of this many
 # points, so that next to the image it holds only O(block) temporaries; a
 # remainder of fewer than _H_MIN_ROWS points joins the block before it.

@@ -162,7 +162,7 @@ class CalibrationSpec:
     views: ViewSet
     labels: tuple[str, ...]
     tasks: list[Task]
-    solver: dict
+    solver: dict  # {"problem": {n_x, n_y given}, "newton": {tol, max_iter given}}
 
 
 def load_spec(path: str) -> CalibrationSpec:
@@ -223,15 +223,20 @@ def _read_spec(doc, base_dir: str) -> CalibrationSpec:
 
 
 def _parse_solver(node) -> dict:
-    """The solver settings the spec gives, checked; the solver's own defaults fill the rest."""
+    """The solver settings the spec gives, checked, as keywords for their callees.
+
+    ``"problem"`` holds n_x and n_y for ``build_dual_problem`` and ``"newton"``
+    holds tol and max_iter for ``solve_lambda_newton``; a key the spec leaves
+    out keeps the callee's own default.
+    """
     _require(isinstance(node, dict), "solver section must be an object")
     _known_keys(node, {"n_x", "n_y", "tol", "max_iter"}, "solver")
-    solver = {key: _integer(node[key], f"solver {key}", 1)
-              for key in ("n_x", "n_y", "max_iter") if key in node}
+    problem, newton = ({key: _integer(node[key], f"solver {key}", 1) for key in keys if key in node}
+                       for keys in (("n_x", "n_y"), ("max_iter",)))
     if "tol" in node:
-        solver["tol"] = _number(node["tol"], "solver tol")
-        _require(solver["tol"] > 0, f"solver tol must be > 0; got {solver['tol']!r}")
-    return solver
+        newton["tol"] = _number(node["tol"], "solver tol")
+        _require(newton["tol"] > 0, f"solver tol must be > 0; got {newton['tol']!r}")
+    return {"problem": problem, "newton": newton}
 
 
 def _parse_calibrate_task(task: dict, prior: GaussianPrior, views: ViewSet):
@@ -476,11 +481,10 @@ class _TaskRunner:
         settings the spec gives; the rest keep their defaults.
         """
         if self._posterior is None:
-            spec, solver = self.spec, self.spec.solver
-            problem = build_dual_problem(spec.prior, spec.views, **{
-                key: value for key, value in solver.items() if key in ("n_x", "n_y")})
-            self.report = solve_lambda_newton(spec.prior, spec.views, problem=problem, **{
-                key: value for key, value in solver.items() if key in ("tol", "max_iter")})
+            spec = self.spec
+            problem = build_dual_problem(spec.prior, spec.views, **spec.solver["problem"])
+            self.report = solve_lambda_newton(spec.prior, spec.views, problem=problem,
+                                              **spec.solver["newton"])
             self._posterior = problem.posterior(self.report.lam)
         return self._posterior
 

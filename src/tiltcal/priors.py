@@ -28,9 +28,11 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _PD_TOL = 1e-10
-# GaussianConditional.sample_tilted draws blocks of rows of at most this many
-# piece values: it keeps about a dozen (pieces x rows) float temporaries alive
-# at once, 256 KiB each, small enough to stay in cache.
+# Blocked draws size each float temporary to stay in cache: 1 MiB for the
+# importance sampler's few (calibration._BLOCK_VALUES, set from this), a quarter
+# of that for the dozen or so (pieces x rows) temporaries that
+# GaussianConditional.sample_tilted keeps alive at once.  So sample_tilted
+# draws blocks of rows of at most this many piece values.
 _TILT_BLOCK = 1 << 15
 
 

@@ -15,7 +15,7 @@ from scipy import optimize, stats
 from scipy.special import logsumexp, roots_hermite
 
 import tiltcal as tc
-from tiltcal import calibration, cli
+from tiltcal import calibration, cli, priors
 from conftest import (
     SIX_INDEX_COV,
     SIX_INDEX_MEAN,
@@ -615,7 +615,7 @@ class TestExactTiltedDraw:
     def test_every_block_size_gives_the_same_draws(self, monkeypatch, rows):
         post = _option_chain_problem(DECLARED).posterior([0.5265, 0.1637])
         whole = post.draw(3000, np.random.default_rng(6))[0]
-        monkeypatch.setattr(calibration, "_BLOCK_VALUES", 4 * 3 * rows)
+        monkeypatch.setattr(priors, "_TILT_BLOCK", 3 * rows)  # three tilt pieces a row
         assert np.array_equal(post.draw(3000, np.random.default_rng(6))[0], whole)
 
     def test_option_chain_var_batch_is_unweighted(self, option_chain_posterior):

@@ -127,10 +127,10 @@ class TestHermiteRule:
     def test_option_chain_rule_equals_a_fresh_gauss_hermite_rule(self):
         spec = cli.load_spec(str(Path(__file__).parents[1] / "perfbench" / "workloads"
                                  / "option_chain.json"))
-        _hermite_tensor(1, spec.solver["n_y"])
-        problem = tc.QuadratureProblem.from_prior(spec.prior, spec.views,
-                                                  n_x=spec.solver["n_x"], n_y=spec.solver["n_y"])
-        t, w = roots_hermite(spec.solver["n_y"])
+        sizes = spec.solver["problem"]
+        _hermite_tensor(1, sizes["n_y"])
+        problem = tc.QuadratureProblem.from_prior(spec.prior, spec.views, **sizes)
+        t, w = roots_hermite(sizes["n_y"])
         law = problem.law
         expected = law.mean(problem.x_nodes)[:, None, :] + np.sqrt(2.0) * t[:, None] @ law.root.T
         assert np.array_equal(problem.y_nodes, expected)
