@@ -6,7 +6,8 @@ are renormalized at construction.  All objects are immutable and evaluation is
 pure, so instances can be shared freely across threads.  The analytic
 kinds' cdf and ppf call the ``scipy.special`` kernels that ``scipy.stats``
 uses for them, without loading ``scipy.stats``, except the t quantile at
-df = 3: its cdf is elementary, and ``_t3_ppf`` inverts it in numpy.
+df = 3 and 4: there the cdf is elementary, and ``_t3_left`` inverts it in
+numpy, ``_t4_left`` in closed form.
 """
 
 from __future__ import annotations
@@ -189,26 +190,28 @@ class StudentTDensity(MarginalDensity):
         return u
 
     def ppf(self, u):
-        """Quantile: ``_t3_ppf`` at df = 3, else ``stdtrit`` except in the far left tail.
+        """Quantile: ``_t3_left`` at df = 3; else ``_t4_left`` at df = 4 and ``stdtrit``
+        at other df, except in the far left tail.
 
         There u = I_x(df/2, 1/2) / 2 with x = df / (df + t^2), whose leading
         term x^(df/2) / (df B(df/2, 1/2)) is exact to double precision once
         x <= 2^-53, so t = -sqrt(df / x) = -sqrt(df) (u df B)^(-1/df).  It is
         used there and only below u = 1e-15, where ``stdtrit`` returns +inf
         or values off by up to 2x at small df; at u = 0 it gives -inf, the
-        lower end of the support (``stdtrit(df, 0)`` is +inf).
+        lower end of the support (``stdtrit(df, 0)`` is +inf).  u is scaled
+        by 2^64 inside the power, so that a subnormal u keeps its digits.
         """
         u = np.asarray(u, dtype=float)
         df = self.df
         if df == 3.0:
-            return _t3_ppf(u) * self.scale + self.loc
+            return _symmetric_ppf(_t3_left, u) * self.scale + self.loc
         beta = np.exp(betaln(df / 2.0, 0.5))
         exact = 2.0 ** (-26.5 * df) / (df * beta)  # x <= 2^-53 for u up to here
-        t = stdtrit(df, u)
+        t = _symmetric_ppf(_t4_left, u) if df == 4.0 else stdtrit(df, u)
         far = (u >= 0.0) & (u < 1e-15) & (u <= exact)
         if far.any():
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tail = -np.sqrt(df) * (u * df * beta) ** (-1.0 / df)
+                tail = -np.sqrt(df) * (u * 2.0**64 * df * beta) ** (-1.0 / df) * 2.0 ** (64.0 / df)
             t = np.where(far, tail, t)
         return t * self.scale + self.loc
 
@@ -251,7 +254,6 @@ class StudentTDensity(MarginalDensity):
 # product), so the result is within ~1.5 ulp of the exact quantile.
 _T3_SWITCH = 0.15
 _T3_AT_SWITCH = -1.2497781050332253  # the t(3) quantile at _T3_SWITCH, correctly rounded
-_T3_CHUNK = 8192  # values per pass; the temporaries then stay in cache
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 _SQRT3, _SQRT3_LO = 1.7320508075688772, 1.0035084221806903e-16  # sqrt(3) = hi + lo
 _PI_LO = 1.2246467991473532e-16  # pi - np.pi
@@ -362,17 +364,49 @@ def _t3_left(l):
     return t
 
 
-def _t3_ppf(u):
-    """Standard t(3) quantile of an array u, in passes of _T3_CHUNK values.
+# The t(4) quantile in closed form (Shaw 2006): with cos theta = c = sqrt(4 l (1 - l))
+# at lower tail probability l, t = -2 sqrt(cos(theta / 3) / c - 1).  Below
+# _T4_SWITCH it is evaluated as written, which is how ``stdtrit`` evaluates it.  From
+# there to l = 1/2, where cos(theta / 3) / c - 1 cancels, it is -4 T / sqrt(1 - 3 T^2)
+# with T = tan(theta / 3), the same value as c = cos^3(theta / 3) (1 - 3 T^2), and
+# theta = arcsin(1 - 2l) with the rounding of 1 - 2l added back to first order.  One
+# tangent costs less than the sine and cosine of theta / 3.  The result is within
+# ~3 ulp of the exact quantile.
+_T4_SWITCH = 0.15
 
-    l = min(u, 1 - u) is exact, as 1 - u is for u >= 1/2, and the sign of
-    u - 1/2 gives ppf(1 - u) = -ppf(u) bit for bit wherever 1 - u is a double.
+
+def _t4_left(l):
+    """t(4) quantile at lower tail probability l: -inf at 0, NaN off [0, 1/2].
+
+    The centre's form is taken at every l, which costs less than gathering
+    the centre's l, and the tail's form replaces it below _T4_SWITCH.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.sqrt(4.0 * l * (1.0 - l))
+        y = 1.0 - 2.0 * l
+        tan = np.tan((np.arcsin(y) + ((1.0 - y) - 2.0 * l) / c) / 3.0)
+        t = -4.0 * tan / np.sqrt(1.0 - 3.0 * tan * tan)
+    tail = np.flatnonzero((l > 0.0) & (l < _T4_SWITCH))
+    c = c[tail]
+    t[tail] = -np.sqrt(4.0 * np.cos(np.arccos(c) / 3.0) / c - 4.0)
+    return np.where(l == 0.0, -np.inf, t)
+
+
+_PPF_CHUNK = 8192  # values per pass; the temporaries then stay in cache
+
+
+def _symmetric_ppf(left, u):
+    """A standard t quantile of an array u from ``left``, its value at l = min(u, 1 - u).
+
+    Taken in passes of _PPF_CHUNK values.  l is exact, as 1 - u is for u >= 1/2,
+    and the sign of u - 1/2 gives ppf(1 - u) = -ppf(u) bit for bit wherever
+    1 - u is a double.
     """
     flat = u.ravel()
     t = np.empty(flat.shape)
-    for i in range(0, flat.size, _T3_CHUNK):
-        v = flat[i:i + _T3_CHUNK]
-        t[i:i + _T3_CHUNK] = np.copysign(_t3_left(np.minimum(v, 1.0 - v)), v - 0.5)
+    for i in range(0, flat.size, _PPF_CHUNK):
+        v = flat[i:i + _PPF_CHUNK]
+        t[i:i + _PPF_CHUNK] = np.copysign(left(np.minimum(v, 1.0 - v)), v - 0.5)
     return t.reshape(u.shape)
 
 

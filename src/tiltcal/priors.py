@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import linalg
-from scipy.special import erfcx, log_ndtr, ndtri_exp, roots_hermite
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, roots_hermite
 
 from .errors import NonSampleableConditional, QuadratureFailure, SingularBlock, SingularMap
 
@@ -184,25 +184,43 @@ class TiltPieces:
         log_phi0 = -0.5 * np.log(2.0 * np.pi)
         r_lo, r_hi = np.zeros(shape), np.zeros(shape)
         with np.errstate(over="ignore"):  # only where the erfcx branch replaces r
-            r_lo[1:] = np.exp(log_phi0 - 0.5 * self.lo[1:] ** 2 - log_mass[1:])
-            r_hi[:-1] = np.exp(log_phi0 - 0.5 * self.hi[:-1] ** 2 - log_mass[:-1])
-        inner = np.where(self.above, -self.lo, self.hi)  # as a lower tail
-        far = held & (inner < -5.0)
+            for r, edge, log_m in ((r_lo[1:], self.lo[1:], log_mass[1:]),
+                                   (r_hi[:-1], self.hi[:-1], log_mass[:-1])):
+                np.square(edge, out=r)
+                r *= 0.5
+                np.subtract(log_phi0, r, out=r)
+                r -= log_m
+                np.exp(r, out=r)
+        # where the inner edge, as a lower tail, lies below -5
+        far = held & np.where(self.above, self.lo > 5.0, self.hi < -5.0)
         if far.any():
-            up, u = self.above[far], inner[far]
+            up = self.above[far]
+            u = np.where(up, -self.lo[far], self.hi[far])  # the inner edge as a lower tail
             v = np.where(up, -self.hi[far], self.lo[far])  # the outer edge, likewise
             r_in = (np.sqrt(2.0 / np.pi) / erfcx(-u / np.sqrt(2.0))
                     / -np.expm1(self.log_outer[far] - self.log_inner[far]))
             with np.errstate(over="ignore"):  # an outer edge past ~1e154 sd: phi there is 0
                 r_out = r_in * np.exp(0.5 * (u - v) * (u + v))
             r_lo[far], r_hi[far] = np.where(up, r_in, r_out), np.where(up, r_out, r_in)
+        # second = 1 + lo r_lo - hi r_hi, then the variance in its place; r_lo and
+        # r_hi, once read, hold the temporaries
         second = np.ones(shape)
-        second[1:] += self.lo[1:] * r_lo[1:]
-        second[:-1] -= self.hi[:-1] * r_hi[:-1]
-        z_mean = np.clip(r_lo - r_hi, self.lo, self.hi)
+        z_mean = np.subtract(r_lo, r_hi)
+        np.multiply(self.lo[1:], r_lo[1:], out=r_lo[1:])
+        second[1:] += r_lo[1:]
+        np.multiply(self.hi[:-1], r_hi[:-1], out=r_hi[:-1])
+        second[:-1] -= r_hi[:-1]
+        np.clip(z_mean, self.lo, self.hi, out=z_mean)
         with np.errstate(over="ignore"):  # a piece past ~1e154 sd: its clip gives 0
-            z_var = np.clip(second - z_mean**2, 0.0, (0.5 * (self.hi - self.lo)) ** 2)
-        return self.mean + self.sd * (self.shift + z_mean), self.sd**2 * z_var
+            second -= np.square(z_mean, out=r_hi)
+            half_width = np.subtract(self.hi, self.lo, out=r_lo)
+            half_width *= 0.5
+            z_var = np.clip(second, 0.0, np.square(half_width, out=half_width), out=second)
+        z_mean += self.shift
+        z_mean *= self.sd
+        z_mean += self.mean
+        z_var *= self.sd**2
+        return z_mean, z_var
 
 
 @dataclass(frozen=True)
@@ -269,34 +287,45 @@ class GaussianConditional:
         knots = np.asarray(knots, dtype=float)
         bs = b * sd
         shape = (b.size, mean.size)
-        lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
         above = np.zeros(shape, dtype=bool)
         if sd == 0.0:
             log_std_mass = np.where(np.arange(b.size)[:, None] == np.searchsorted(knots, mean),
                                     0.0, -np.inf)
-            return TiltPieces(mean, sd, bs, lo, hi, above, log_std_mass, np.full(shape, -np.inf),
-                              log_std_mass, log_std_mass + a + b * mean)
+            return TiltPieces(mean, sd, bs, np.full(shape, -np.inf), np.full(shape, np.inf), above,
+                              log_std_mass, np.full(shape, -np.inf), log_std_mass,
+                              log_std_mass + a + b * mean)
         # Piece p has standardised edges alpha_p = z0[p - 1] - b_p s and
         # beta_p = z0[p] - b_p s; it is mirrored where alpha_p > 0.
         z0 = (knots[:, None] - mean) / sd
+        lo, hi = np.empty(shape), np.empty(shape)
+        lo[0], hi[-1] = -np.inf, np.inf
         alpha, beta = lo[1:], hi[:-1]
         np.subtract(z0, bs[1:], out=alpha)
         np.subtract(z0, bs[:-1], out=beta)
-        above[1:] = alpha > 0
-        log_lo = np.empty(shape)  # log Phi at the lower edge, mirrored where above
-        log_lo[0] = -np.inf
-        log_lo[1:] = log_ndtr(-np.abs(alpha))
-        log_hi = np.empty(shape)  # and at the upper edge
-        log_hi[:-1] = log_ndtr(np.where(above[:-1], -beta, beta))
-        log_hi[-1] = np.where(above[-1], -np.inf, 0.0)
-        log_inner = np.where(above, log_lo, log_hi)
-        log_outer = np.where(above, log_hi, log_lo)
+        np.greater(alpha, 0.0, out=above[1:])
+        # log Phi at each piece's lower edge and at its upper edge, mirrored where
+        # above, go first to log_outer and log_inner; the mirrored pieces then swap.
+        log_outer, log_inner = np.empty(shape), np.empty(shape)
+        log_outer[0] = -np.inf
+        np.negative(np.abs(alpha, out=log_outer[1:]), out=log_outer[1:])
+        log_ndtr(log_outer[1:], out=log_outer[1:])
+        log_inner[:-1] = beta
+        np.negative(log_inner[:-1], out=log_inner[:-1], where=above[:-1])
+        log_ndtr(log_inner[:-1], out=log_inner[:-1])
+        log_inner[-1] = np.where(above[-1], -np.inf, 0.0)
+        swap = log_outer[above]
+        log_outer[above] = log_inner[above]
+        log_inner[above] = swap
         # A piece too thin to hold mass gets -inf, and so does one whose inner edge
         # has log Phi = -inf (over ~1.3e154 sd out), where (-inf) - (-inf) is NaN.
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_std_mass = log_inner + np.log(-np.expm1(log_outer - log_inner))
+            log_std_mass = np.subtract(log_outer, log_inner)
+            np.negative(np.expm1(log_std_mass, out=log_std_mass), out=log_std_mass)
+            np.log(log_std_mass, out=log_std_mass)
+        log_std_mass += log_inner
         log_std_mass[log_inner == -np.inf] = -np.inf
-        log_mass = log_std_mass + (a + 0.5 * bs**2) + b * mean
+        log_mass = log_std_mass + (a + 0.5 * bs**2)
+        log_mass += b * mean
         return TiltPieces(mean, sd, bs, lo, hi, above, log_inner, log_outer, log_std_mass,
                           log_mass)
 
@@ -311,33 +340,42 @@ class GaussianConditional:
         ``sample_tilted(x[:m], ...)`` gives the first m rows of the whole call,
         and the rows are drawn in blocks of at most ``_TILT_BLOCK`` piece
         values, which change no value.  With zero Schur variance Y = m(x).
+
+        Phi is read in probability space (``_draw_by_tails``), from the tail
+        q = Phi(-|e|) at each finite standardised edge e.  A row with an edge
+        past ~36.6 sd, where q 2^-54 is no longer a normal double, is drawn
+        from ``tilt_pieces``' logs instead (``_draw_by_logs``).
         """
         rows = max(1, _TILT_BLOCK // len(intercepts))
         if len(x) > rows:
             return np.concatenate([self.sample_tilted(x[i:i + rows], rng, knots, intercepts, slopes)
                                    for i in range(0, len(x), rows)])
-        p = self.tilt_pieces(x, knots, intercepts, slopes)
-        u = rng.random((p.mean.size, 2))
-        if p.sd == 0.0:
-            return p.mean[:, None]
+        x = np.asarray(x, dtype=float)
+        mean = self.mean(x)[:, 0]
+        u = rng.random((mean.size, 2))
+        sd = float(abs(self.root[0, 0]))
+        if sd == 0.0:
+            return mean[:, None]
         knots = np.asarray(knots, dtype=float)
+        b = np.asarray(slopes, dtype=float)[:, None]
+        bs = b * sd
+        a_tilt = np.asarray(intercepts, dtype=float)[:, None] + 0.5 * bs**2
+        # piece p's lower edge alpha_p (p >= 1) and upper edge beta_p (p < last), in sd
+        edges = (knots[:, None] - mean) / sd - np.stack([bs[1:], bs[:-1]])
+        q = ndtr(-np.abs(edges))
+        # q 2^-54 normal keeps every probability _draw_by_tails inverts normal
+        by_tails = np.all(q >= 2.0**-968, axis=(0, 1))
+        if by_tails.all():
+            piece, z = _draw_by_tails(mean, u, edges, q, a_tilt, b)
+        else:
+            piece, z = np.empty(mean.size, dtype=int), np.empty(mean.size)
+            piece[by_tails], z[by_tails] = _draw_by_tails(
+                mean[by_tails], u[by_tails], edges[..., by_tails], q[..., by_tails], a_tilt, b)
+            logs = ~by_tails
+            piece[logs], z[logs] = _draw_by_logs(
+                self.tilt_pieces(x[logs], knots, intercepts, slopes), u[logs])
         bounds = np.concatenate([[-np.inf], knots, [np.inf]])
-        cum = np.exp(p.log_mass - p.log_mass.max(axis=0)).cumsum(axis=0)
-        piece = np.sum(cum[:-1] < (1.0 - u[:, 0]) * cum[-1], axis=0)
-        # Invert inside the chosen piece at v = u + 2^-54, the midpoint of u's cell:
-        # Phi(z) = Phi(alpha) + v mass, read as Phi(-z) = Phi(-beta) + (1 - v) mass
-        # where mirrored, and as 1 - Phi(z) = Phi(-beta) + (1 - v) mass past 1/2.
-        cols = np.arange(p.mean.size)
-        log_m, flip, bp = p.log_std_mass[piece, cols], p.above[piece, cols], p.shift[piece, 0]
-        log_v, log_1mv = np.log(u[:, 1] + 2.0**-54), np.log((1.0 - u[:, 1]) - 2.0**-54)
-        log_p = np.logaddexp(p.log_outer[piece, cols], np.where(flip, log_1mv, log_v) + log_m)
-        upper = (log_p > -np.log(2.0)) & ~flip  # only a piece straddling its mean gets there
-        if upper.any():
-            inner = p.hi[piece[upper], cols[upper]]
-            log_p[upper] = np.logaddexp(log_ndtr(-inner), log_1mv[upper] + log_m[upper])
-        z = ndtri_exp(log_p)
-        z[upper ^ flip] *= -1.0
-        y = np.clip(p.mean + bp * p.sd + p.sd * z, bounds[piece], bounds[piece + 1])
+        y = np.clip(mean + bs[piece, 0] * sd + sd * z, bounds[piece], bounds[piece + 1])
         return y[:, None]
 
     def rule(self, x, n: int, rng: np.random.Generator | None = None):
@@ -351,6 +389,81 @@ class GaussianConditional:
         with np.errstate(divide="ignore"):
             log_w = np.log(weights)
         return self.mean(x)[:, None, :] + offsets, log_w
+
+
+def _choose_piece(log_mass: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Per row, the first piece whose cumulative mass reaches (1 - u0) times the row's total.
+
+    The cumulative sum runs over the few pieces one (rows,) slice at a time,
+    as ``cumsum(axis=0)`` does but without its strided inner loop.
+    """
+    cum = np.exp(log_mass - log_mass.max(axis=0))
+    for i in range(1, cum.shape[0]):
+        cum[i] += cum[i - 1]
+    return np.sum(cum[:-1] < (1.0 - u0) * cum[-1], axis=0)
+
+
+def _draw_by_tails(mean, u, edges, q, a_tilt, b) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_tilted``'s piece and standardised draw per row, with Phi read as probabilities.
+
+    ``edges`` stacks each piece's lower edges alpha (pieces 1 on) and upper
+    edges beta (up to the last but one), in sd from its own mean, and q is
+    Phi(-|edges|).  A piece wholly above its mean (alpha > 0) is read
+    mirrored, as in ``tilt_pieces``: its mass is q_alpha - q_beta; below its
+    mean q_beta - q_alpha, and across it (1 - q_beta) - q_alpha, so that a
+    piece far in a tail keeps its relative accuracy.  Its log-weight adds
+    ``a_tilt`` = a + b^2 s^2 / 2 and b m.  The draw inverts Phi(z) =
+    Phi(alpha) + v mass at v = u + 2^-54, the midpoint of u's cell, read as
+    Phi(-z) = Phi(-beta) + (1 - v) mass where mirrored or past 1/2.  The
+    chosen piece's values are gathered by flat index, which costs less than
+    indexing by (piece, row).
+    """
+    shape = (b.size, mean.size)
+    q_lo, q_hi = np.zeros(shape), np.zeros(shape)  # 0 at -inf and +inf
+    q_lo[1:], q_hi[:-1] = q
+    above = np.zeros(shape, dtype=bool)
+    np.greater(edges[0], 0.0, out=above[1:])
+    across = np.ones(shape, dtype=bool)  # the upper edge lies above the mean
+    np.greater(edges[1], 0.0, out=across[:-1])
+    across &= ~above
+    mass = _select(across, (1.0 - q_hi) - q_lo, np.abs(q_hi - q_lo))
+    with np.errstate(divide="ignore"):  # a piece too thin to hold mass
+        log_mass = np.log(mass) + a_tilt + b * mean
+    at = _choose_piece(log_mass, u[:, 0]) * mean.size + np.arange(mean.size)
+    flip, m = np.take(above, at), np.take(mass, at)
+    v, w = u[:, 1] + 2.0**-54, (1.0 - u[:, 1]) - 2.0**-54
+    lower = np.take(q_lo, at) + v * m
+    mirror = flip | (lower > 0.5)  # only a piece across its mean passes 1/2
+    z = ndtri(_select(mirror, np.take(q_hi, at) + w * m, lower))
+    z *= 1.0 - 2.0 * mirror
+    return at // mean.size, z
+
+
+def _select(cond, x, y):
+    """``np.where(cond, x, y)`` for finite x and y, without a branch per element.
+
+    One product is 0 and the other x or y itself, so the sum is exact;
+    ``np.where`` branches on each element, which costs several times as much
+    where cond is mixed.
+    """
+    c = cond.astype(float)
+    return c * x + (1.0 - c) * y
+
+
+def _draw_by_logs(p: TiltPieces, u) -> tuple[np.ndarray, np.ndarray]:
+    """``_draw_by_tails`` with Phi read in logs from ``p``, for edges past ~36.6 sd."""
+    piece = _choose_piece(p.log_mass, u[:, 0])
+    cols = np.arange(p.mean.size)
+    log_m, flip = p.log_std_mass[piece, cols], p.above[piece, cols]
+    log_v, log_1mv = np.log(u[:, 1] + 2.0**-54), np.log((1.0 - u[:, 1]) - 2.0**-54)
+    log_p = np.logaddexp(p.log_outer[piece, cols], np.where(flip, log_1mv, log_v) + log_m)
+    upper = (log_p > -np.log(2.0)) & ~flip
+    if upper.any():
+        inner = p.hi[piece[upper], cols[upper]]
+        log_p[upper] = np.logaddexp(log_ndtr(-inner), log_1mv[upper] + log_m[upper])
+    z = ndtri_exp(log_p)
+    z[upper ^ flip] *= -1.0
+    return piece, z
 
 
 def gaussian_conditional(prior: GaussianPrior, split: int) -> GaussianConditional:

@@ -18,7 +18,8 @@ exact tilt's piece coefficients written per payoff kind, a per-x two-pass
 ``math.fsum`` of the g-average of a conditional covariance, the
 sensitivity terms read from one stacked (k + 1)^2 covariance of the views'
 rows and r's, an importance-sampling draw whose normalizer takes one rule
-over the whole stream, a call/put-tilted Gaussian law as ``scipy.stats``
+over the whole stream, the exact call/put-tilted draw with Phi read in logs on
+every row, a call/put-tilted Gaussian law as ``scipy.stats``
 truncated-normal pieces, piecewise Gauss-Legendre quadrature of the dual of
 that law, adaptive quadrature of a density view's total mass, and a
 posterior sample drawn as whole streams, solved back to factors by LU and
@@ -37,7 +38,7 @@ import mpmath
 import numpy as np
 from scipy import integrate, stats
 from scipy.optimize import linprog
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr, ndtri_exp
 from scipy.spatial import ConvexHull, QhullError
 
 from tiltcal.analytic import (_CHUNK_VALUES, _K15_X, _KERNEL_MARKS, _RULE, _WINDOW_TAIL,
@@ -79,21 +80,49 @@ def student_t_cdf_mpmath(t: float, df: float, dps: int = 50) -> float:
 
 
 def student_t_ppf_mpmath(u: float, df: float, dps: int = 50) -> float:
-    """Standard t quantile at u < 1/2 by root finding on mpmath's incomplete beta.
+    """The double nearest to the standard t quantile at 0 < u < 1 (its pair's hi part)."""
+    return student_t_ppf_pair_mpmath(u, df, dps)[0]
 
-    The left tail is u = I_x(df/2, 1/2) / 2 with x = df / (df + t^2); the
-    root is taken in log x, started from the tail's leading term.
+
+def student_t_ppf_pair_mpmath(u: float, df: float, dps: int = 50) -> tuple[float, float]:
+    """Standard t quantile at 0 < u < 1 as hi + lo, by root finding on mpmath's incomplete beta.
+
+    With l = min(u, 1 - u) (exact in mpmath) and x = df / (df + t^2):
+    - below l = 1/4 the left tail is l = I_x(df/2, 1/2) / 2, its root taken in
+      log x from the tail's leading term;
+    - from 1/4 to 1/2 it is 1 - 2l = I_(1-x)(1/2, df/2), its root taken in
+      log(1 - x) from the leading term 2 sqrt(1 - x) / B(1/2, df/2), so that
+      neither search runs where the incomplete beta nears its end value.
+    The quantile is -sqrt(df (1 - x) / x), negated above u = 1/2.
     """
     with mpmath.workdps(dps):
+        u = mpmath.mpf(u)
+        lower = min(u, 1 - u)
         a, half = mpmath.mpf(df) / 2, mpmath.mpf(1) / 2
-        log_u = mpmath.log(mpmath.mpf(u))
-        start = (log_u + mpmath.log(df) + mpmath.log(mpmath.beta(a, half))) / a
-        log_x = mpmath.findroot(
-            lambda lx: mpmath.log(mpmath.betainc(a, half, 0, mpmath.exp(lx),
-                                                 regularized=True) / 2) - log_u,
-            min(start, mpmath.mpf(-1)))
-        x = mpmath.exp(log_x)
-        return float(-mpmath.sqrt(df * (1 - x) / x))
+        if lower == half:
+            return 0.0, 0.0
+        if lower < mpmath.mpf(1) / 4:
+            log_u = mpmath.log(lower)
+            start = (log_u + mpmath.log(df) + mpmath.log(mpmath.beta(a, half))) / a
+            log_x = mpmath.findroot(
+                lambda lx: mpmath.log(mpmath.betainc(a, half, 0, mpmath.exp(lx),
+                                                     regularized=True) / 2) - log_u,
+                min(start, mpmath.mpf(-1)))
+            x = mpmath.exp(log_x)
+            t = -mpmath.sqrt(df * (1 - x) / x)
+        else:
+            log_v = mpmath.log(1 - 2 * lower)
+            start = 2 * (log_v + mpmath.log(mpmath.beta(half, a) / 2))
+            log_y = mpmath.findroot(
+                lambda ly: mpmath.log(mpmath.betainc(half, a, 0, mpmath.exp(ly),
+                                                     regularized=True)) - log_v,
+                start)
+            y = mpmath.exp(log_y)
+            t = -mpmath.sqrt(df * y / (1 - y))
+        if u > half:
+            t = -t
+        hi = float(t)
+        return hi, float(t - hi)
 
 
 def student_t3_ppf_mpmath(u: float, dps: int = 50) -> tuple[float, float]:
@@ -343,6 +372,38 @@ def tilted_draw_unblocked(post, n: int, rng: np.random.Generator):
         raise NonIntegrableTilt("tilted conditional normalizer overflows; "
                                 "the tilt is not integrable")
     return np.column_stack([x, y]), lam @ view_tensor_loop(views.moments, x, y) - log_z
+
+
+def sample_tilted_logs(law, x, rng: np.random.Generator, knots, intercepts,
+                       slopes) -> np.ndarray:
+    """``GaussianConditional.sample_tilted`` with Phi read in logs on every row, unblocked.
+
+    The draw in log space throughout: the pieces' log-masses from
+    ``law.tilt_pieces``, the piece picked by u0 and
+    the quantile inverted by ``ndtri_exp`` at log(Phi(alpha) + v mass), v =
+    u1 + 2^-54, mirrored for a piece above its mean and taken from the upper
+    tail past 1/2.  Row i takes ``rng.random((len(x), 2))[i]``.
+    """
+    p = law.tilt_pieces(x, knots, intercepts, slopes)
+    u = rng.random((p.mean.size, 2))
+    if p.sd == 0.0:
+        return p.mean[:, None]
+    knots = np.asarray(knots, dtype=float)
+    bounds = np.concatenate([[-np.inf], knots, [np.inf]])
+    cum = np.exp(p.log_mass - p.log_mass.max(axis=0)).cumsum(axis=0)
+    piece = np.sum(cum[:-1] < (1.0 - u[:, 0]) * cum[-1], axis=0)
+    cols = np.arange(p.mean.size)
+    log_m, flip, bp = p.log_std_mass[piece, cols], p.above[piece, cols], p.shift[piece, 0]
+    log_v, log_1mv = np.log(u[:, 1] + 2.0**-54), np.log((1.0 - u[:, 1]) - 2.0**-54)
+    log_p = np.logaddexp(p.log_outer[piece, cols], np.where(flip, log_1mv, log_v) + log_m)
+    upper = (log_p > -np.log(2.0)) & ~flip
+    if upper.any():
+        inner = p.hi[piece[upper], cols[upper]]
+        log_p[upper] = np.logaddexp(log_ndtr(-inner), log_1mv[upper] + log_m[upper])
+    z = ndtri_exp(log_p)
+    z[upper ^ flip] *= -1.0
+    y = np.clip(p.mean + bp * p.sd + p.sd * z, bounds[piece], bounds[piece + 1])
+    return y[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Marginal density kinds: evaluation, normalization, sampling, tails."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -15,6 +16,7 @@ from oracles import (
     student_t_cdf_mpmath,
     student_t_cdf_stats,
     student_t_ppf_mpmath,
+    student_t_ppf_pair_mpmath,
     student_t_ppf_stats,
     student_t3_ppf_mpmath,
 )
@@ -298,22 +300,29 @@ def test_inverse_cdf_sampling_matches_distribution(df):
     assert res.pvalue > 0.01
 
 
-def _is_t3(density):
-    return isinstance(density, tc.StudentTDensity) and density.df == 3.0
+def _closed_form_df(density):
+    """The t's df where its quantile is tiltcal's own kernel rather than ``stdtrit``, else None."""
+    if isinstance(density, tc.StudentTDensity) and density.df in (3.0, 4.0):
+        return density.df
+    return None
 
 
-def _t3_ppf_oracle(u, loc=0.0, scale=1.0):
-    """The t(3) quantile through mpmath, hi + lo; the ends of [0, 1] and beyond as ``stdtrit``."""
+def _t_ppf_oracle(df, u, loc=0.0, scale=1.0):
+    """The t(df) quantile through mpmath, hi + lo; the ends of [0, 1] and beyond as ``stdtrit``.
+
+    At df = 3 the root of the elementary cdf, else of the incomplete beta.
+    """
     u = np.asarray(u, dtype=float)
     hi, lo = np.full(u.shape, np.nan), np.zeros(u.shape)
     hi[u == 0.0], hi[u == 1.0] = -np.inf, np.inf
     inside = (u > 0.0) & (u < 1.0)
-    pairs = np.array([student_t3_ppf_mpmath(p) for p in u[inside]]).reshape(-1, 2)
+    pair = student_t3_ppf_mpmath if df == 3.0 else lambda p: student_t_ppf_pair_mpmath(p, df)
+    pairs = np.array([pair(p) for p in u[inside]]).reshape(-1, 2)
     hi[inside], lo[inside] = pairs[:, 0], pairs[:, 1]
     return hi * scale + loc, lo * scale
 
 
-def _t3_ulps(got, hi, lo):
+def _ulps(got, hi, lo):
     """|got - (hi + lo)| in units in the last place of hi (inf where got is not finite)."""
     with np.errstate(invalid="ignore"):
         err = np.abs((got - hi) - lo) / np.spacing(np.abs(hi))
@@ -345,8 +354,9 @@ _EDGES = np.array([0.0, -0.0, 1.0, 1.0 - 1e-16, 1e-15, -0.25, 1.5,
 class TestCdfPpfMatchStatsOracle:
     """The scipy.special kernels reproduce scipy.stats bit for bit.
 
-    The t(3) quantile is ``_t3_ppf``, not ``stdtrit``; ``TestStudentT3Quantile``
-    holds it to an mpmath oracle instead, more tightly than ``stdtrit`` meets it.
+    The t(3) and t(4) quantiles are ``_t3_left`` and ``_t4_left``, not
+    ``stdtrit``; ``TestStudentT3Quantile`` and ``TestStudentT4Quantile`` hold
+    them to mpmath oracles instead.
     """
 
     @pytest.mark.parametrize("density", _ANALYTIC, ids=_ANALYTIC_IDS)
@@ -358,7 +368,7 @@ class TestCdfPpfMatchStatsOracle:
         # x spread over the density's own scale, so cdf sees both tails
         spread = density.mean() + 8.0 * np.sqrt(min(density.var(), 1e4)) * normal
         for points in (uniform, normal, spread, _EDGES):
-            if not _is_t3(density):
+            if _closed_form_df(density) is None:
                 assert np.array_equal(density.ppf(points), ppf(points), equal_nan=True)
             assert np.array_equal(density.cdf(points), cdf(points), equal_nan=True)
 
@@ -375,8 +385,9 @@ class TestCdfPpfMatchStatsOracle:
     def test_scalars_stay_numpy_scalars_and_shapes_are_kept(self, density):
         cdf, ppf = _oracle(density)
         ppf_matches = np.array_equal
-        if _is_t3(density):
-            ppf = lambda u: _t3_ppf_oracle(u, density.loc, density.scale)[0]  # noqa: E731
+        df = _closed_form_df(density)
+        if df is not None:
+            ppf = lambda u: _t_ppf_oracle(df, u, density.loc, density.scale)[0]  # noqa: E731
             ppf_matches = lambda a, b: np.allclose(a, b, rtol=1e-15, atol=0)  # noqa: E731
         for value in (0.3, 0.0, np.float64(0.7), np.array(0.2)):
             for mine, theirs, matches in ((density.ppf(value), ppf(value), ppf_matches),
@@ -408,16 +419,17 @@ class TestStudentTFarLeftTail:
 
     def test_location_scale_and_stdtrit_above_the_switch(self):
         u = np.array([1e-15, 1e-10, 0.3])
-        g = tc.StudentTDensity(df=4.0, loc=0.0028, scale=0.0165)
+        g = tc.StudentTDensity(df=5.0, loc=0.0028, scale=0.0165)
         assert g.ppf(1e-300) == pytest.approx(
-            0.0028 + 0.0165 * student_t_ppf_mpmath(1e-300, 4.0), rel=1e-13)
-        assert np.array_equal(g.ppf(u), student_t_ppf_stats(u, 4.0, 0.0028, 0.0165))
-        # df 3 takes _t3_ppf throughout, held to the t(3) oracle
-        g = tc.StudentTDensity(df=3.0, loc=0.0028, scale=0.0165)
-        assert g.ppf(1e-300) == pytest.approx(
-            0.0028 + 0.0165 * student_t_ppf_mpmath(1e-300, 3.0), rel=1e-13)
-        np.testing.assert_allclose(g.ppf(u), _t3_ppf_oracle(u, 0.0028, 0.0165)[0],
-                                   rtol=1e-15, atol=0)
+            0.0028 + 0.0165 * student_t_ppf_mpmath(1e-300, 5.0), rel=1e-13)
+        assert np.array_equal(g.ppf(u), student_t_ppf_stats(u, 5.0, 0.0028, 0.0165))
+        # df 3 and 4 take their own kernels above the switch, held to their oracles
+        for df in (3.0, 4.0):
+            g = tc.StudentTDensity(df=df, loc=0.0028, scale=0.0165)
+            assert g.ppf(1e-300) == pytest.approx(
+                0.0028 + 0.0165 * student_t_ppf_mpmath(1e-300, df), rel=1e-13)
+            np.testing.assert_allclose(g.ppf(u), _t_ppf_oracle(df, u, 0.0028, 0.0165)[0],
+                                       rtol=1e-15, atol=0)
 
 
 class TestStudentTFarLeftCdf:
@@ -448,7 +460,7 @@ def _ulp_window(s, k=2000):
 
 # Probabilities at which the t(3) quantile is checked: uniform draws, a
 # geometric sweep into the far left tail, and +-2,000 ulp around each place
-# where _t3_ppf changes formula: the tail/centre switch on either side and the
+# where _t3_left changes formula: the tail/centre switch on either side and the
 # sign flip at 1/2.
 _T3_POINTS = {
     "uniform": np.random.default_rng(5).random(2_000),
@@ -461,7 +473,7 @@ _T3_WINDOWS = ["switch", "mirrored_switch", "half"]
 
 
 class TestStudentT3Quantile:
-    """``_t3_ppf`` against a 50-digit mpmath root of the elementary t(3) cdf.
+    """``_t3_left`` against a 50-digit mpmath root of the elementary t(3) cdf.
 
     ``stdtrit`` errs by up to ~1e4 ulp on uniform draws and ~5e9 ulp next to
     u = 1/2, and returns +inf below u ~ 1e-240.  The kernel is within ~1.5 ulp
@@ -472,7 +484,7 @@ class TestStudentT3Quantile:
 
     @pytest.fixture(scope="class")
     def exact(self):
-        return {name: _t3_ppf_oracle(u) for name, u in _T3_POINTS.items()}
+        return {name: _t_ppf_oracle(3.0, u) for name, u in _T3_POINTS.items()}
 
     def test_oracle_matches_the_incomplete_beta_oracle(self):
         for u in (1e-300, 1e-30, 1e-5, 0.01, 0.1, 0.2):
@@ -487,7 +499,7 @@ class TestStudentT3Quantile:
         nonzero = hi != 0.0
         assert np.all(np.abs((t - hi) - lo)[nonzero] <= 1e-15 * np.abs(hi[nonzero]))
         assert np.all(t[~nonzero] == 0.0)
-        mine, theirs = _t3_ulps(t, hi, lo), _t3_ulps(stdtrit(3.0, u), hi, lo)
+        mine, theirs = _ulps(t, hi, lo), _ulps(stdtrit(3.0, u), hi, lo)
         # never a whole double worse than stdtrit, no worse at the worst point,
         # and correctly rounded at least as often
         assert np.all(mine <= theirs + 1.0 + 1e-9)
@@ -497,7 +509,7 @@ class TestStudentT3Quantile:
     def test_subnormal_and_extreme_probabilities(self):
         g = tc.StudentTDensity(df=3.0, loc=0.0, scale=1.0)
         tiny = np.array([5e-324, 1e-323, 3e-320, 1e-310, 2.2250738585072014e-308])
-        hi, lo = _t3_ppf_oracle(tiny)
+        hi, lo = _t_ppf_oracle(3.0, tiny)
         np.testing.assert_allclose(g.ppf(tiny), hi, rtol=1e-15, atol=0)
         u = np.geomspace(5e-324, 0.5, 4_000)
         u = np.concatenate([u, 1.0 - u, np.nextafter(1.0, 0.0) - np.arange(50) * 2.0**-53])
@@ -525,5 +537,90 @@ class TestStudentT3Quantile:
 
     def test_non_decreasing_on_a_fine_grid(self):
         t = tc.StudentTDensity(df=3.0, loc=0.0, scale=1.0).ppf(
+            np.linspace(1e-6, 1.0 - 1e-6, 2_000_001))
+        assert np.all(np.diff(t) >= 0.0)
+
+
+# Probabilities at which the t(4) quantile is checked: uniform draws, a
+# geometric sweep into the far left tail, +-100 ulp around u = 1/2, and +-100 ulp
+# around each side of the tail/centre switch, where _t4_left changes formula.
+_T4_POINTS = {
+    "uniform": np.random.default_rng(5).random(1_000),
+    "tail": np.geomspace(1e-300, 0.5, 300),
+    "half": _ulp_window(0.5, 100),
+    "switch": _ulp_window(tc.densities._T4_SWITCH, 100),
+    "mirrored_switch": _ulp_window(1.0 - tc.densities._T4_SWITCH, 100),
+}
+
+
+class TestStudentT4Quantile:
+    """The t(4) quantile against a 50-digit mpmath root of the incomplete beta.
+
+    ``stdtrit`` evaluates Shaw's closed form as written, which cancels towards
+    u = 1/2: it errs by up to ~1e24 ulp next to 1/2 and ~1e7 ulp on uniform
+    draws.  ``_t4_left`` keeps that evaluation in the tail and a cancellation-free
+    one in the centre, within 3 ulp everywhere.  It is a closed form in doubles,
+    not a refined solve like the t(3) kernel, so at a few points where
+    ``stdtrit`` is correctly rounded it lies two doubles off; over uniform draws,
+    the tail and the centre it is correctly rounded more often than ``stdtrit``
+    and its worst point is no worse.  Around the switch, a few hundred
+    consecutive doubles say little about how often either is correctly rounded,
+    so only the 3-ulp bound is asserted there.
+    """
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return {name: _t_ppf_oracle(4.0, u) for name, u in _T4_POINTS.items()}
+
+    def test_oracle_matches_the_closed_form_in_mpmath(self):
+        """The incomplete-beta root, on both of its branches, is Shaw's closed form at 60 digits."""
+        for u in (1e-300, 1e-30, 0.01, 0.2, 0.25, 0.3, 0.5 - 2.0**-40, 0.9):
+            with mpmath.workdps(60):
+                p = mpmath.mpf(u)
+                c = mpmath.sqrt(4 * p * (1 - p))
+                t = 2 * mpmath.sqrt(mpmath.cos(mpmath.acos(c) / 3) / c - 1)
+                want = float(t if u > 0.5 else -t)
+            assert student_t_ppf_pair_mpmath(u, 4.0)[0] == want
+
+    @pytest.mark.parametrize("name", ["uniform", "tail", "half"])
+    def test_accuracy_against_mpmath_and_stdtrit(self, name, exact):
+        u = _T4_POINTS[name]
+        hi, lo = exact[name]
+        mine = _ulps(tc.StudentTDensity(df=4.0, loc=0.0, scale=1.0).ppf(u), hi, lo)
+        theirs = _ulps(stdtrit(4.0, u), hi, lo)
+        assert mine.max() <= 3.0
+        assert mine.max() <= theirs.max()
+        assert np.mean(mine <= 0.5) >= np.mean(theirs <= 0.5)
+
+    @pytest.mark.parametrize("name", ["switch", "mirrored_switch"])
+    def test_within_3_ulp_across_the_switch(self, name, exact):
+        hi, lo = exact[name]
+        t = tc.StudentTDensity(df=4.0, loc=0.0, scale=1.0).ppf(_T4_POINTS[name])
+        assert _ulps(t, hi, lo).max() <= 3.0
+
+    def test_subnormal_and_extreme_probabilities(self):
+        """The far left tail's power keeps a subnormal u's digits.
+
+        Unscaled, u df B rounds to the subnormal grid: 1.6 % off at u = 5e-324.
+        """
+        g = tc.StudentTDensity(df=4.0, loc=0.0, scale=1.0)
+        tiny = np.array([5e-324, 1e-323, 3e-320, 1e-310, 2.2250738585072014e-308])
+        hi, lo = _t_ppf_oracle(4.0, tiny)
+        np.testing.assert_allclose(g.ppf(tiny), hi, rtol=1e-15, atol=0)
+        u = np.geomspace(5e-324, 0.5, 4_000)
+        u = np.concatenate([u, 1.0 - u, np.nextafter(1.0, 0.0) - np.arange(50) * 2.0**-53])
+        u = u[u < 1.0]  # 1 - u rounds to 1 for u below 2^-54
+        assert np.all(np.isfinite(g.ppf(u)))
+
+    def test_exact_symmetry_about_one_half(self):
+        g = tc.StudentTDensity(df=4.0, loc=0.0, scale=1.0)
+        w = np.concatenate([np.linspace(0.5, 0.75, 100_001),
+                            np.random.default_rng(6).uniform(0.5, 0.75, 100_000)])
+        u = 1.0 - w
+        assert np.array_equal(g.ppf(1.0 - u), -g.ppf(u))
+        assert g.ppf(0.5) == 0.0
+
+    def test_non_decreasing_on_a_fine_grid(self):
+        t = tc.StudentTDensity(df=4.0, loc=0.0, scale=1.0).ppf(
             np.linspace(1e-6, 1.0 - 1e-6, 2_000_001))
         assert np.all(np.diff(t) >= 0.0)

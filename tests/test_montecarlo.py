@@ -1,5 +1,6 @@
 """Sampling, VaR estimation, and option pricing."""
 
+import collections
 import csv
 import functools
 import json
@@ -15,7 +16,7 @@ from scipy import optimize, stats
 from scipy.special import logsumexp, roots_hermite
 
 import tiltcal as tc
-from tiltcal import calibration, cli, priors
+from tiltcal import calibration, cli, densities, priors
 from conftest import (
     SIX_INDEX_COV,
     SIX_INDEX_MEAN,
@@ -29,6 +30,7 @@ from oracles import (
     portfolio_law_blocks,
     price_tilted_lognormal_2d,
     sample_posterior_loop,
+    sample_tilted_logs,
     tilted_draw_unblocked,
     tilted_gaussian_draw_mpmath,
     tilted_gaussian_pieces,
@@ -574,6 +576,72 @@ class TestExactTiltedDraw:
         want = tilted_gaussian_draw_mpmath(c0 + c1 * x0, np.sqrt(var), views, u,
                                            dps=600 if case == "strike-50s" else 50)
         np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+
+    def test_a_block_across_the_log_fallback_matches_the_log_space_draw(self):
+        """Rows with an edge past 40 sd, among ordinary rows, against ``sample_tilted_logs``.
+
+        option_chain's law and multipliers at x from -3 to 3 and at +-70 to +-90,
+        where m(x) lies 45 to 60 sd from both strikes, so that their tails q
+        underflow: those rows take the log-space draw itself, bit for bit; the
+        others read Phi as probabilities and agree to 1e-14 of max(|y|, s).
+        """
+        law = tc.GaussianConditional([0.1], [[0.6]], [[0.84]])
+        moments, lam = _declared_moments((("call", 0.4, 0.5265), ("put", -0.4, 0.1637)))
+        knots, c, d = calibration._exact_tilt(law, moments)
+        tilt = knots, lam @ c, lam @ d
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.uniform(-3.0, 3.0, 600), rng.uniform(70.0, 90.0, 200),
+                            -rng.uniform(70.0, 90.0, 200)])[rng.permutation(1000), None]
+        u = rng.random((1000, 2))
+        u[:4] = [(0.0, 0.0), (0.0, 1.0 - 2.0**-53), (1.0 - 2.0**-53, 0.0), (0.5, 0.5)]
+        assert len(x) * len(tilt[1]) <= priors._TILT_BLOCK  # one block
+        y = law.sample_tilted(x, self._FixedUniforms(u), *tilt)[:, 0]
+        want = sample_tilted_logs(law, x, self._FixedUniforms(u), *tilt)[:, 0]
+        far = np.abs(law.mean(x)[:, 0]) > 40.0
+        assert 300 <= far.sum() <= 500
+        assert np.array_equal(y[far], want[far])
+        s = np.sqrt(0.84)
+        assert np.all(np.abs(y - want) <= 1e-14 * np.maximum(np.abs(want), s))
+
+    def test_option_chain_var_draw_matches_the_log_space_draw(self, option_chain_posterior,
+                                                              monkeypatch):
+        """The var task's 100,000 returns with the sampler against ``sample_tilted_logs``."""
+        spec, post = option_chain_posterior
+        task = next(task for task in spec.tasks if task.type == "var")
+        weights = task.args[0]
+        r, _ = tc.sample_portfolio(post, weights, task.n_samples, seed=task.seed)
+        monkeypatch.setattr(priors.GaussianConditional, "sample_tilted", sample_tilted_logs)
+        want, _ = tc.sample_portfolio(post, weights, task.n_samples, seed=task.seed)
+        assert r.size == task.n_samples
+        assert np.all(np.abs(r - want) <= 1e-14 * np.maximum(np.abs(want), want.std()))
+
+    def test_option_chain_draws_call_no_log_space_or_stdtrit_kernel(self, option_chain_posterior,
+                                                                    monkeypatch):
+        """The var draw and the existence check's X draw stay on the fast kernels.
+
+        Counts calls of ``priors.log_ndtr`` and ``priors.ndtri_exp`` (the
+        sampler's log-space fallback) and ``densities.stdtrit`` (the t quantile
+        other than at df = 3 and 4); a draw past 40 sd and a t(5) quantile show
+        that the counters see them.
+        """
+        spec, post = option_chain_posterior
+        calls = collections.Counter()
+        for module, name in ((priors, "log_ndtr"), (priors, "ndtri_exp"), (densities, "stdtrit")):
+            def counted(*args, _kernel=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        var = next(task for task in spec.tasks if task.type == "var")
+        check = next(task for task in spec.tasks if task.type == "calibrate")
+        tc.sample_portfolio(post, var.args[0], var.n_samples, seed=var.seed)
+        assert calibration.existence_check(spec.prior, spec.views, n_samples=check.n_samples,
+                                           seed=check.seed) == "interior"
+        assert calls == {}
+        knots, c, d = post.problem.exact
+        post.problem.law.sample_tilted(np.array([[90.0]]), np.random.default_rng(0), knots,
+                                       post.lam @ c, post.lam @ d)
+        tc.StudentTDensity(df=5.0, loc=0.0, scale=1.0).ppf(0.3)
+        assert calls["log_ndtr"] > 0 and calls["ndtri_exp"] > 0 and calls["stdtrit"] > 0
 
     def test_zero_schur_variance_draws_the_conditional_mean(self):
         """Covariance [[1, 1], [1, 1]]: Y = m(x), as the importance sampler's unit weights say."""
